@@ -45,16 +45,27 @@ def book_from_json(text: str) -> CodeBook:
             f"not a code book file (expected format tag {FORMAT_TAG!r})"
         )
     try:
-        model = make_model(
-            data["probs"], data["arity"], labels=list(data["alphabet"])
-        )
+        arity = data["arity"]
+        if not isinstance(arity, int):
+            raise InputError(f"malformed code book file: arity {arity!r}")
+        provenance = data.get("provenance") or {}
+        if not isinstance(provenance, dict):
+            raise InputError(
+                "malformed code book file: provenance is not an object"
+            )
+        model = make_model(data["probs"], arity, labels=list(data["alphabet"]))
         entries = []
         for row in data["words"]:
             word = model.word_from_text(row["symbols"])
+            codeword = row["codeword"]
+            if not isinstance(codeword, str):
+                raise InputError(
+                    f"malformed code book file: codeword {codeword!r}"
+                )
             entries.append(
                 CodeEntry(
                     word=word,
-                    codeword=row["codeword"],
+                    codeword=codeword,
                     probability=word_probability(model, word),
                 )
             )
@@ -62,7 +73,7 @@ def book_from_json(text: str) -> CodeBook:
             model=model,
             kind=data["kind"],
             entries=tuple(entries),
-            provenance=dict(data.get("provenance") or {}),
+            provenance=dict(provenance),
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed code book file: {exc}") from exc

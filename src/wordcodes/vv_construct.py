@@ -13,6 +13,15 @@ Small word sets are handled explicitly, word by word.  Large ones never get
 enumerated: all accounting runs on the profile lattice with exact big-integer
 word counts per profile, and the merge adds whole profile classes at a time,
 splitting only the class where the Kraft sum crosses 1.
+
+Three sweeps cover the lattice: a joint forward DP over both sets, which
+also yields the Kraft sum of their full merge; a backward knockout sweep
+giving the Kraft mass each added word removes; and a forward DP of the
+final word set.  Each sweep classifies a node once, through one shared
+classifier that returns its linear form and both threshold memberships
+(the cap is simply the last level).  The knockout sweep keeps two levels
+at a time; for two symbols each level is a plain list indexed by the
+first count.
 """
 
 from __future__ import annotations
@@ -42,13 +51,13 @@ from .word_sets import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_NODE_LIMIT,
     THRESHOLD_TOL,
+    NodeClassifier,
     ProfileSet,
     ThresholdHighRule,
     ThresholdLowRule,
-    UnionRule,
     completeness_defect,
     is_prefix_free,
-    lattice_metrics,
+    threshold_classifier,
     wedge,
 )
 
@@ -336,6 +345,23 @@ def _profiles_of_length(total: int, m: int) -> Iterator[Profile]:
             yield (first,) + rest
 
 
+_Front = dict[Profile, tuple[int, float]]
+
+
+def _push(src: _Front, probs: Sequence[float]) -> _Front:
+    """Extend every alive (count, mass) entry by each symbol, one level on."""
+    dst: _Front = {}
+    for k, (c, mass) in src.items():
+        for i, p in enumerate(probs):
+            child = k[:i] + (k[i] + 1,) + k[i + 1 :]
+            if child in dst:
+                oc, om = dst[child]
+                dst[child] = (oc + c, om + mass * p)
+            else:
+                dst[child] = (c, mass * p)
+    return dst
+
+
 @dataclass
 class _JointTables:
     """Forward DP over both stopping sets at once.
@@ -345,13 +371,16 @@ class _JointTables:
     the second set before stopping, "late" paths did.  stops_second mirrors
     this with the roles swapped.  The clean counts of stops_second at
     profiles outside the first set are exactly the words that would join the
-    merged set if that profile's class were added.
+    merged set if that profile's class were added.  Clean paths are the
+    paths alive in the union of both sets, so their stops also give
+    `kraft_merged`, the Kraft sum of the whole merge.
     """
 
     stops_first: dict[Profile, list]
     stops_second: dict[Profile, list]
     kraft_first: Fraction
     kraft_second: Fraction
+    kraft_merged: Fraction
     cap_mass_first: float
     cap_mass_second: float
     forms: dict[Profile, float]
@@ -372,45 +401,32 @@ def _joint_dp(
     if set_low.cap != set_high.cap:
         raise InputError("both stopping sets must share one cap")
     cap = set_low.cap
+    classify = threshold_classifier(set_low, set_high)
 
     # state: paths that have hit neither set, only the first, only the second
-    clean: dict[Profile, tuple[int, float]] = {origin: (1, 1.0)}
-    only_first: dict[Profile, tuple[int, float]] = {}
-    only_second: dict[Profile, tuple[int, float]] = {}
+    clean: _Front = {origin: (1, 1.0)}
+    only_first: _Front = {}
+    only_second: _Front = {}
 
     stops_first: dict[Profile, list] = {}
     stops_second: dict[Profile, list] = {}
     acc_first = _KraftAcc(model.arity)
     acc_second = _KraftAcc(model.arity)
+    acc_merged = _KraftAcc(model.arity)
     cap_mass_first = 0.0
     cap_mass_second = 0.0
     forms: dict[Profile, float] = {}
     visited = 0
     level = 0
 
-    def _push(
-        src: dict[Profile, tuple[int, float]],
-        dst: dict[Profile, tuple[int, float]],
-    ) -> None:
-        for k, (c, mass) in src.items():
-            for i in range(m):
-                child = k[:i] + (k[i] + 1,) + k[i + 1 :]
-                if child in dst:
-                    oc, om = dst[child]
-                    dst[child] = (oc + c, om + mass * probs[i])
-                else:
-                    dst[child] = (c, mass * probs[i])
-
     while clean or only_first or only_second:
         if level >= cap:
             raise ValidationError("paths alive beyond the cap")
-        in_clean: dict[Profile, tuple[int, float]] = {}
-        in_first: dict[Profile, tuple[int, float]] = {}
-        in_second: dict[Profile, tuple[int, float]] = {}
-        _push(clean, in_clean)
-        _push(only_first, in_first)
-        _push(only_second, in_second)
+        in_clean = _push(clean, probs)
+        in_first = _push(only_first, probs)
+        in_second = _push(only_second, probs)
         level += 1
+        at_cap = level == cap
         keys = set(in_clean) | set(in_first) | set(in_second)
         visited += len(keys)
         if visited > node_limit:
@@ -424,8 +440,9 @@ def _joint_dp(
             c_c, m_c = in_clean.get(k, (0, 0.0))
             c_1, m_1 = in_first.get(k, (0, 0.0))
             c_2, m_2 = in_second.get(k, (0, 0.0))
-            b1 = set_low.member(k)
-            b2 = set_high.member(k)
+            form, low, high = classify(k)
+            b1 = at_cap or low
+            b2 = at_cap or high
             if not (b1 or b2):
                 if c_c:
                     clean[k] = (c_c, m_c)
@@ -434,9 +451,7 @@ def _joint_dp(
                 if c_2:
                     only_second[k] = (c_2, m_2)
                 continue
-            form = linear_form(model, k)
             forms[k] = form
-            at_cap = sum(k) == cap
             if b1:
                 if c_c or c_2:
                     rec = stops_first.setdefault(k, [0, 0.0, 0, 0.0])
@@ -445,10 +460,12 @@ def _joint_dp(
                     rec[2] += c_2
                     rec[3] += m_2
                     if c_c:
-                        acc_first.add(c_c, code_length_for(form, b2))
+                        length = code_length_for(form, b2)
+                        acc_first.add(c_c, length)
+                        acc_merged.add(c_c, length)
                     if c_2:
                         acc_first.add(c_2, code_length_for(form, False))
-                    if at_cap and not set_low.rule.member(k):
+                    if at_cap and not low:
                         cap_mass_first += m_c + m_2
             else:
                 # second-only member: clean paths would stop here if these
@@ -457,6 +474,8 @@ def _joint_dp(
                     moved_c = c_c + c_2
                     moved_m = m_c + m_2
                     only_second[k] = (moved_c, moved_m)
+                if c_c:
+                    acc_merged.add(c_c, code_length_for(form, True))
             if b2:
                 if c_c or c_1:
                     rec = stops_second.setdefault(k, [0, 0.0, 0, 0.0])
@@ -465,7 +484,7 @@ def _joint_dp(
                     rec[2] += c_1
                     rec[3] += m_1
                     acc_second.add(c_c + c_1, code_length_for(form, True))
-                    if at_cap and not set_high.rule.member(k):
+                    if at_cap and not high:
                         cap_mass_second += m_c + m_1
             else:
                 if c_c or c_1:
@@ -478,6 +497,7 @@ def _joint_dp(
         stops_second=stops_second,
         kraft_first=acc_first.fraction(),
         kraft_second=acc_second.fraction(),
+        kraft_merged=acc_merged.fraction(),
         cap_mass_first=cap_mass_first,
         cap_mass_second=cap_mass_second,
         forms=forms,
@@ -486,7 +506,8 @@ def _joint_dp(
 
 def _knockout_masses(
     model: SourceModel,
-    set_low: ProfileSet,
+    classify: NodeClassifier,
+    cap: int,
     targets: set[Profile],
     node_limit: int,
 ) -> dict[Profile, Fraction]:
@@ -496,40 +517,56 @@ def _knockout_masses(
     first-low-set stops of paths continuing from k, at floor lengths.  Adding
     one word ending at k knocks exactly those continuation words out.
     Computed for every target profile in a single backward sweep over the
-    lattice, with exact integer arithmetic scaled by n^E.
+    lattice, with exact integer arithmetic scaled by n^E.  Each level holds
+    one value per node: its stop value when it is in the low set, else W;
+    the level above reads its children from it.  Two symbols index a level
+    by the first count, so (a, L - a) has children a + 1 and a one level on;
+    the general dict walk over tuple keys takes about 3.7 times as long on a
+    two-symbol T=28 extended build.
     """
     n = model.arity
     m = model.m
-    cap = set_low.cap
     if math.comb(cap + m, m) > node_limit:
         raise ResourceError(
             f"backward sweep needs the full lattice up to {cap}, "
             f"exceeding {node_limit} nodes"
         )
     exp = int(cap * max(model.d)) + 3
-
-    def stop_value(k: Profile) -> int:
-        form = linear_form(model, k)
-        return n ** (exp - code_length_for(form, False))
+    stop_values = [n ** (exp - length) for length in range(exp + 1)]
+    by_level: dict[int, list[Profile]] = {}
+    for k in targets:
+        by_level.setdefault(sum(k), []).append(k)
 
     result: dict[Profile, int] = {}
-    w_next: dict[Profile, int] = {}
-    for level in range(cap - 1, -1, -1):
-        w_cur: dict[Profile, int] = {}
-        for k in _profiles_of_length(level, m):
-            if set_low.member(k):
-                continue
-            total = 0
-            for i in range(m):
-                child = k[:i] + (k[i] + 1,) + k[i + 1 :]
-                if set_low.member(child):
-                    total += stop_value(child)
+    if m == 2:
+        nxt: list[int] = []
+        for level in range(cap, 0, -1):
+            cur: list[int] = []
+            for a in range(level + 1):
+                form, low, _ = classify((a, level - a))
+                if low or level == cap:
+                    cur.append(stop_values[code_length_for(form, False)])
                 else:
-                    total += w_next[child]
-            w_cur[k] = total
-            if k in targets:
-                result[k] = total
-        w_next = w_cur
+                    cur.append(nxt[a + 1] + nxt[a])
+            for k in by_level.get(level, ()):
+                result[k] = cur[k[0]]
+            nxt = cur
+    else:
+        nxt_d: dict[Profile, int] = {}
+        for level in range(cap, 0, -1):
+            cur_d: dict[Profile, int] = {}
+            for k in _profiles_of_length(level, m):
+                form, low, _ = classify(k)
+                if low or level == cap:
+                    cur_d[k] = stop_values[code_length_for(form, False)]
+                else:
+                    cur_d[k] = sum(
+                        nxt_d[k[:i] + (k[i] + 1,) + k[i + 1 :]]
+                        for i in range(m)
+                    )
+            for k in by_level.get(level, ()):
+                result[k] = cur_d[k]
+            nxt_d = cur_d
     denom = n**exp
     return {k: Fraction(v, denom) for k, v in result.items()}
 
@@ -588,9 +625,9 @@ def _class_scan(
 class _FinalTable:
     """Stop accounting of the merged word set.
 
-    stops[k] = [clean_count, clean_mass, crossed_count, crossed_mass]; clean
-    stops take the length rule with the second-set membership of k, crossed
-    stops always take the floor length.
+    stops[k] = [clean_count, clean_mass, crossed_count, crossed_mass, form,
+    high]; clean stops take the length rule with the second-set membership
+    `high` of k, crossed stops always take the floor length.
     """
 
     stops: dict[Profile, list]
@@ -602,21 +639,28 @@ class _FinalTable:
 
 def _final_dp(
     model: SourceModel,
-    primary: ProfileSet,
-    secondary: ProfileSet,
+    classify: NodeClassifier,
+    cap: int,
+    swapped: bool,
     chosen: set[Profile],
     boundary: tuple[Profile, int] | None,
     node_limit: int,
 ) -> _FinalTable:
+    """Forward DP of the merged word set.
+
+    The primary set stops every path; it is the low set, or the high set on
+    the swapped path.  Clean paths reaching a chosen high-set class (or the
+    boundary class's first j words) stop there too; the rest cross it and
+    run on to the primary set at floor lengths.
+    """
     m = model.m
     probs = model.probs
     origin: Profile = (0,) * m
-    cap = primary.cap
     boundary_profile = boundary[0] if boundary else None
     boundary_words = boundary[1] if boundary else 0
 
-    clean: dict[Profile, tuple[int, float]] = {origin: (1, 1.0)}
-    crossed: dict[Profile, tuple[int, float]] = {}
+    clean: _Front = {origin: (1, 1.0)}
+    crossed: _Front = {}
     stops: dict[Profile, list] = {}
     acc = _KraftAcc(model.arity)
     word_count = 0
@@ -625,27 +669,13 @@ def _final_dp(
     visited = 0
     level = 0
 
-    def _push(
-        src: dict[Profile, tuple[int, float]],
-        dst: dict[Profile, tuple[int, float]],
-    ) -> None:
-        for k, (c, mass) in src.items():
-            for i in range(m):
-                child = k[:i] + (k[i] + 1,) + k[i + 1 :]
-                if child in dst:
-                    oc, om = dst[child]
-                    dst[child] = (oc + c, om + mass * probs[i])
-                else:
-                    dst[child] = (c, mass * probs[i])
-
     while clean or crossed:
         if level >= cap:
             raise ValidationError("paths alive beyond the cap")
-        in_clean: dict[Profile, tuple[int, float]] = {}
-        in_crossed: dict[Profile, tuple[int, float]] = {}
-        _push(clean, in_clean)
-        _push(crossed, in_crossed)
+        in_clean = _push(clean, probs)
+        in_crossed = _push(crossed, probs)
         level += 1
+        at_cap = level == cap
         keys = set(in_clean) | set(in_crossed)
         visited += len(keys)
         if visited > node_limit:
@@ -657,11 +687,11 @@ def _final_dp(
         for k in keys:
             c_c, m_c = in_clean.get(k, (0, 0.0))
             c_x, m_x = in_crossed.get(k, (0, 0.0))
-            b1 = primary.member(k)
-            b2 = secondary.member(k)
+            form, low, high = classify(k)
+            b2 = at_cap or high
+            b1 = b2 if swapped else at_cap or low
             if b1:
-                form = linear_form(model, k)
-                rec = stops.setdefault(k, [0, 0.0, 0, 0.0])
+                rec = stops.setdefault(k, [0, 0.0, 0, 0.0, form, b2])
                 rec[0] += c_c
                 rec[1] += m_c
                 rec[2] += c_x
@@ -672,36 +702,34 @@ def _final_dp(
                     acc.add(c_x, code_length_for(form, False))
                 word_count += c_c + c_x
                 total_mass += m_c + m_x
-                max_length = max(max_length, sum(k))
+                max_length = max(max_length, level)
                 continue
             if b2:
                 if c_x:
                     crossed[k] = (c_x, m_x)
                 if c_c:
                     if k in chosen:
-                        form = linear_form(model, k)
-                        rec = stops.setdefault(k, [0, 0.0, 0, 0.0])
+                        rec = stops.setdefault(k, [0, 0.0, 0, 0.0, form, b2])
                         rec[0] += c_c
                         rec[1] += m_c
                         acc.add(c_c, code_length_for(form, True))
                         word_count += c_c
                         total_mass += m_c
-                        max_length = max(max_length, sum(k))
+                        max_length = max(max_length, level)
                     elif k == boundary_profile:
-                        form = linear_form(model, k)
                         word_mass = profile_probability(model, k)
                         stop_c = min(boundary_words, c_c)
                         if stop_c != boundary_words:
                             raise ValidationError(
                                 "boundary class smaller than its split"
                             )
-                        rec = stops.setdefault(k, [0, 0.0, 0, 0.0])
+                        rec = stops.setdefault(k, [0, 0.0, 0, 0.0, form, b2])
                         rec[0] += stop_c
                         rec[1] += stop_c * word_mass
                         acc.add(stop_c, code_length_for(form, True))
                         word_count += stop_c
                         total_mass += stop_c * word_mass
-                        max_length = max(max_length, sum(k))
+                        max_length = max(max_length, level)
                         rest = c_c - stop_c
                         if rest:
                             rest_mass = m_c - stop_c * word_mass
@@ -727,8 +755,9 @@ def _final_dp(
 
 def _enumerate_final(
     model: SourceModel,
-    primary: ProfileSet,
-    secondary: ProfileSet,
+    classify: NodeClassifier,
+    cap: int,
+    swapped: bool,
     chosen: set[Profile],
     boundary: tuple[Profile, int] | None,
     limit: int,
@@ -740,7 +769,6 @@ def _enumerate_final(
     and the rest continue to their first primary-set stop.
     """
     m = model.m
-    cap = primary.cap
     boundary_profile = boundary[0] if boundary else None
     boundary_left = boundary[1] if boundary else 0
     out: list[tuple[Word, int]] = []
@@ -759,12 +787,13 @@ def _enumerate_final(
         child = (
             profile[:sym] + (profile[sym] + 1,) + profile[sym + 1 :]
         )
-        if len(child_word) > cap:
+        level = len(child_word)
+        if level > cap:
             raise ValidationError("enumeration ran past the cap")
-        b1 = primary.member(child)
-        b2 = secondary.member(child)
+        form, low, high = classify(child)
+        b2 = level == cap or high
+        b1 = b2 if swapped else level == cap or low
         if b1:
-            form = linear_form(model, child)
             length = code_length_for(form, b2 and not crossed)
             out.append((child_word, length))
             if len(out) > limit:
@@ -775,14 +804,12 @@ def _enumerate_final(
                 stack.append([child_word, child, True, 0])
                 continue
             if child in chosen:
-                form = linear_form(model, child)
                 out.append((child_word, code_length_for(form, True)))
                 if len(out) > limit:
                     raise ResourceError(f"word set exceeds {limit} words")
                 continue
             if child == boundary_profile and boundary_left > 0:
                 boundary_left -= 1
-                form = linear_form(model, child)
                 out.append((child_word, code_length_for(form, True)))
                 if len(out) > limit:
                     raise ResourceError(f"word set exceeds {limit} words")
@@ -866,18 +893,15 @@ def choose_cap(
 
 
 def _metrics_classes(
-    model: SourceModel, secondary: ProfileSet, table: _FinalTable
+    table: _FinalTable,
 ) -> list[tuple[float, int, int, float]]:
     """(mass, word length, codeword length, linear form) per stop class."""
     out: list[tuple[float, int, int, float]] = []
     for k in sorted(table.stops):
-        c_c, m_c, c_x, m_x = table.stops[k]
-        form = linear_form(model, k)
+        c_c, m_c, c_x, m_x, form, high = table.stops[k]
         word_len = sum(k)
         if c_c:
-            out.append(
-                (m_c, word_len, code_length_for(form, secondary.member(k)), form)
-            )
+            out.append((m_c, word_len, code_length_for(form, high), form))
         if c_x:
             out.append((m_x, word_len, code_length_for(form, False), form))
     return out
@@ -930,6 +954,7 @@ def _pipeline(
             (cap_val, max(tables.cap_mass_first, tables.cap_mass_second))
         ]
 
+    classify = threshold_classifier(set_low, set_high)
     kraft_first = tables.kraft_first
     kraft_second = tables.kraft_second
     kraft_merged: Fraction | None = None
@@ -937,29 +962,24 @@ def _pipeline(
     steps: list[MergeStep] = []
     chosen: set[Profile] = set()
     boundary: tuple[Profile, int] | None = None
+    swapped = False
 
     if kraft_first <= 1:
         path = "base"
-        primary, secondary = set_low, set_high
         expected_kraft = kraft_first
     else:
-        union = ProfileSet(
-            model.m, cap_val, UnionRule((set_low.rule, set_high.rule))
-        )
-        union_table = lattice_metrics(model, union, node_limit=node_limit)
-        acc = _KraftAcc(n)
-        for k, (count, _) in union_table.stops.items():
-            form = linear_form(model, k)
-            acc.add(count, code_length_for(form, set_high.member(k)))
-        kraft_merged = acc.fraction()
+        kraft_merged = tables.kraft_merged
         if kraft_merged <= 1:
+            # a clean stop of the high set is outside the low set exactly
+            # when the low set recorded no clean stop at the same profile
             classes = sorted(
                 (tables.forms[k], k, rec[0])
                 for k, rec in tables.stops_second.items()
-                if rec[0] and not set_low.member(k)
+                if rec[0] and k not in tables.stops_first
             )
+            targets = {k for _, k, _ in classes}
             knockouts = _knockout_masses(
-                model, set_low, {k for _, k, _ in classes}, node_limit
+                model, classify, cap_val, targets, node_limit
             )
             full = kraft_first + sum(
                 count
@@ -978,11 +998,10 @@ def _pipeline(
                 model, tables, set_low, knockouts, classes
             )
             path = "extended"
-            primary, secondary = set_low, set_high
             expected_kraft = g_final
         elif kraft_second <= 1:
             path = "swapped"
-            primary = secondary = set_high
+            swapped = True
             expected_kraft = kraft_second
         else:
             raise InfeasibleError(
@@ -990,7 +1009,9 @@ def _pipeline(
                 "in either merge order"
             )
 
-    final = _final_dp(model, primary, secondary, chosen, boundary, node_limit)
+    final = _final_dp(
+        model, classify, cap_val, swapped, chosen, boundary, node_limit
+    )
     if final.kraft != expected_kraft:
         raise ValidationError(
             "final word set Kraft sum disagrees with the merge accounting"
@@ -1002,7 +1023,7 @@ def _pipeline(
 
     dp_metrics = analysis.metrics_from_classes(
         model,
-        _metrics_classes(model, secondary, final),
+        _metrics_classes(final),
         kraft_exact=final.kraft,
         word_count=final.word_count,
     )
@@ -1030,7 +1051,7 @@ def _pipeline(
     book_metrics = None
     if final.word_count <= enum_limit:
         words = _enumerate_final(
-            model, primary, secondary, chosen, boundary, enum_limit
+            model, classify, cap_val, swapped, chosen, boundary, enum_limit
         )
         if len(words) != final.word_count:
             raise ValidationError(

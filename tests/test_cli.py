@@ -44,6 +44,24 @@ def test_book_json_rejects_malformed_input(reference_book):
     del payload["words"]
     with pytest.raises(InputError):
         book_from_json(json.dumps(payload))
+    for text in _malformed_books(reference_book):
+        with pytest.raises(InputError):
+            book_from_json(text)
+
+
+def _malformed_books(book):
+    """Book files that parse as JSON but carry fields of the wrong type."""
+    good = json.loads(book_to_json(book))
+    edits = [
+        lambda p: p.update(arity=2.5),
+        lambda p: p["words"][0].update(codeword=5),
+        lambda p: p["words"][0].update(codeword=["0"]),
+        lambda p: p.update(provenance="x"),
+    ]
+    for edit in edits:
+        payload = json.loads(json.dumps(good))
+        edit(payload)
+        yield json.dumps(payload)
 
 
 def test_book_json_validates_the_reloaded_code(reference_book):
@@ -188,7 +206,7 @@ def test_cli_block_list_pairs(capsys):
     ]
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, reference_book):
     # malformed input values
     assert main(["construct-vv", "--probs", "0.4,0.5"]) == 2
     # well-formed but unsatisfiable requests
@@ -200,6 +218,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("junk\n", encoding="utf-8")
     assert main(["analyze", "--book", str(garbage)]) == 2
+    for text in _malformed_books(reference_book):
+        garbage.write_text(text, encoding="utf-8")
+        assert main(["analyze", "--book", str(garbage)]) == 2
     capsys.readouterr()
 
 

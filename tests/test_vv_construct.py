@@ -23,7 +23,17 @@ from wordcodes.source_model import (
     profile_of,
     word_probability,
 )
+from wordcodes.word_sets import (
+    DEFAULT_NODE_LIMIT,
+    THRESHOLD_TOL,
+    ProfileSet,
+    UnionRule,
+    lattice_metrics,
+    threshold_classifier,
+)
 from wordcodes.vv_construct import (
+    _joint_dp,
+    _profiles_of_length,
     assign_codewords,
     build_threshold_sets,
     canonical_codewords,
@@ -382,3 +392,76 @@ def test_construction_lengths_follow_membership_rule(binary_model):
         w = binary_model.word_from_text(text)
         form = linear_form(binary_model, profile_of(w, 2))
         assert code_length_for(form, w in m2) == expected
+
+
+def _threshold_cases():
+    """(model, T) pairs for checking the lattice sweeps against the rules.
+
+    Seeded random sources with m and n in {2, 3} and T in 3..8, plus sources
+    whose exponents are rational.  At n=2 those hit integers exactly; at
+    n=32 and n=8 their exponents are inexact in binary64, so some forms land
+    within THRESHOLD_TOL below an integer (snapped) or just above one.
+    """
+    cases = [
+        (make_model(["0.25", "0.75"], 2), 4),
+        (make_model(["0.5", "0.25", "0.25"], 2), 5),
+        (make_model(["0.25", "0.75"], 32), 6),
+        (make_model(["0.5", "0.25", "0.25"], 32), 5),
+        (make_model(["0.5", "0.25", "0.25"], 8), 3),
+    ]
+    rng = random.Random(2)
+    for _ in range(12):
+        m = rng.choice([2, 3])
+        n = rng.choice([2, 3])
+        T = rng.randint(3, 8)
+        weights = [rng.randint(1, 9) for _ in range(m)]
+        total = sum(weights)
+        cases.append((make_model([Fraction(w, total) for w in weights], n), T))
+    return cases
+
+
+def test_node_classifier_agrees_with_profile_set_membership():
+    snapped = 0
+    for model, T in _threshold_cases():
+        cap = T * T
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        classify = threshold_classifier(set_low, set_high)
+        for level in range(1, cap + 1):
+            for k in _profiles_of_length(level, model.m):
+                form, low, high = classify(k)
+                assert form == linear_form(model, k)
+                assert (level == cap or low) == set_low.member(k)
+                assert (level == cap or high) == set_high.member(k)
+                snapped += form - math.floor(form) >= 1.0 - THRESHOLD_TOL
+    assert snapped
+    with pytest.raises(InputError):
+        threshold_classifier(set_low, set_low)
+
+
+def test_joint_dp_kraft_merged_matches_union_sweep():
+    paths = set()
+    for model, T in _threshold_cases():
+        cap = T * T
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        tables = _joint_dp(model, set_low, set_high, DEFAULT_NODE_LIMIT)
+        union = ProfileSet(
+            model.m, cap, UnionRule((set_low.rule, set_high.rule))
+        )
+        union_stops = lattice_metrics(model, union).stops
+        reference = sum(
+            (
+                Fraction(count, model.arity ** code_length_for(
+                    linear_form(model, k), set_high.member(k)
+                ))
+                for k, (count, _) in union_stops.items()
+            ),
+            start=Fraction(0),
+        )
+        assert tables.kraft_merged == reference
+        result = construct_vv(
+            model, T=T, cap=cap, grade="metrics", enum_limit=0
+        )
+        paths.add(result.path)
+        if result.path != "base":
+            assert result.provenance["kraft_merged"] == str(reference)
+    assert {"extended", "swapped"} <= paths
