@@ -138,15 +138,16 @@ def metrics_from_classes(
 def code_metrics(book: CodeBook) -> CodeMetrics:
     """Metrics of an explicit code book."""
     model = book.model
-    rows = [
-        (
-            entry.probability,
-            len(entry.word),
-            len(entry.codeword),
-            linear_form(model, profile_of(entry.word, model.m)),
+    forms: dict = {}
+    rows = []
+    for entry in book.entries:
+        profile = profile_of(entry.word, model.m)
+        form = forms.get(profile)
+        if form is None:
+            form = forms[profile] = linear_form(model, profile)
+        rows.append(
+            (entry.probability, len(entry.word), len(entry.codeword), form)
         )
-        for entry in book.entries
-    ]
     return metrics_from_classes(
         model, rows, kraft_exact=book.kraft_exact(), word_count=len(rows)
     )

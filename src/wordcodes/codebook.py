@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from typing import Iterator, Mapping
 
 from .errors import ValidationError
 from .source_model import DIGIT_GLYPHS, SourceModel, Word, word_probability
@@ -13,17 +16,41 @@ COMPLETENESS_TOL = 1e-9
 PROB_CONSISTENCY_TOL = 1e-9
 
 
+def kraft_of_counts(counts: Mapping[int, int], arity: int) -> Fraction:
+    """Exact Kraft sum of a {codeword length: number of codewords} table.
+
+    One big-integer numerator over arity^(longest length), so the cost is
+    one `Fraction` however many codewords share each length.
+    """
+    top = max(counts, default=0)
+    return Fraction(
+        sum(c * arity ** (top - length) for length, c in counts.items()),
+        arity**top,
+    )
+
+
 def format_digits(value: int, arity: int, width: int) -> str:
     """Render `value` as a fixed-width base-`arity` digit string."""
     if value < 0 or value >= arity**width:
         raise ValidationError(
             f"value {value} does not fit in {width} base-{arity} digits"
         )
+    if arity == 2 and width:
+        return format(value, f"0{width}b")
     digits = []
     for _ in range(width):
         value, r = divmod(value, arity)
         digits.append(DIGIT_GLYPHS[r])
     return "".join(reversed(digits))
+
+
+def fixed_codewords(arity: int, width: int) -> Iterator[str]:
+    """All width-digit strings in increasing order, built lazily.
+
+    The i-th string is `format_digits(i, arity, width)`; zipped with k
+    entries, only the first k strings are built.
+    """
+    return map("".join, product(DIGIT_GLYPHS[:arity], repeat=width))
 
 
 @dataclass(frozen=True)
@@ -54,10 +81,8 @@ class CodeBook:
 
     def kraft_exact(self) -> Fraction:
         """Kraft sum of the codeword lengths, in exact rational arithmetic."""
-        n = self.model.arity
-        return sum(
-            (Fraction(1, n ** len(e.codeword)) for e in self.entries),
-            start=Fraction(0),
+        return kraft_of_counts(
+            Counter(len(e.codeword) for e in self.entries), self.model.arity
         )
 
     def max_word_length(self) -> int:
@@ -68,15 +93,15 @@ class CodeBook:
 
 
 def _assert_prefix_free(items: list, what: str) -> None:
-    seen = set(items)
-    if len(seen) != len(items):
-        raise ValidationError(f"duplicate {what}")
-    for it in items:
-        for cut in range(1, len(it)):
-            if it[:cut] in seen:
-                raise ValidationError(
-                    f"{what} {it!r} extends shorter {what} {it[:cut]!r}"
-                )
+    # In sorted order every item that starts with `a` directly follows `a`
+    # (anything sorting between `a` and an extension of `a` starts with
+    # `a` too), so comparing neighbours finds every duplicate and extension.
+    ordered = sorted(items)
+    for a, b in zip(ordered, ordered[1:]):
+        if b[: len(a)] == a:
+            if len(b) == len(a):
+                raise ValidationError(f"duplicate {what} {a!r}")
+            raise ValidationError(f"{what} {b!r} extends shorter {what} {a!r}")
 
 
 def validate_codebook(book: CodeBook, tol: float = COMPLETENESS_TOL) -> None:

@@ -19,26 +19,35 @@ FORMAT_TAG = "wordcodes-book/1"
 
 
 def book_to_json(book: CodeBook) -> str:
+    """The book file: `json.dumps(payload, sort_keys=True, indent=2)` + "\\n".
+
+    The header goes through `json.dumps`; the rows of "words", which sorts
+    last, are laid out here around C-encoded strings, in the same bytes.
+    """
     model = book.model
-    payload = {
+    header = {
         "format": FORMAT_TAG,
         "alphabet": list(model.labels),
         "arity": model.arity,
         "kind": book.kind,
         "probs": list(model.prob_labels),
         "provenance": book.provenance,
-        "words": [
-            {"symbols": model.word_to_text(e.word), "codeword": e.codeword}
-            for e in book.entries
-        ],
+        "words": [],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(header, sort_keys=True, indent=2)
+    rows = ",\n".join(
+        f'    {{\n      "codeword": {json.dumps(e.codeword)},\n'
+        f'      "symbols": {json.dumps(model.word_to_text(e.word))}\n    }}'
+        for e in book.entries
+    )
+    words = f"[\n{rows}\n  ]" if rows else "[]"
+    return f"{text[:-4]}{words}\n}}\n"
 
 
 def book_from_json(text: str) -> CodeBook:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"not a code book file: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != FORMAT_TAG:
         raise InputError(
@@ -56,12 +65,10 @@ def book_from_json(text: str) -> CodeBook:
         model = make_model(data["probs"], arity, labels=list(data["alphabet"]))
         entries = []
         for row in data["words"]:
-            word = model.word_from_text(row["symbols"])
-            codeword = row["codeword"]
-            if not isinstance(codeword, str):
-                raise InputError(
-                    f"malformed code book file: codeword {codeword!r}"
-                )
+            symbols, codeword = row["symbols"], row["codeword"]
+            if not (isinstance(symbols, str) and isinstance(codeword, str)):
+                raise InputError(f"malformed code book file: row {row!r}")
+            word = model.word_from_text(symbols)
             entries.append(
                 CodeEntry(
                     word=word,
@@ -88,4 +95,8 @@ def save_book(book: CodeBook, path: str) -> None:
 
 def load_book(path: str) -> CodeBook:
     with open(path, "r", encoding="utf-8") as fh:
-        return book_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"not a code book file: {exc}") from exc
+    return book_from_json(text)

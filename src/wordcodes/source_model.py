@@ -50,6 +50,7 @@ class SourceModel:
     labels: tuple[str, ...] = ()
     prob_labels: tuple[str, ...] = ()
     d: tuple[float, ...] = field(init=False, repr=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 2:
@@ -81,6 +82,9 @@ class SourceModel:
         object.__setattr__(
             self, "d", tuple(-math.log(p) / ln for p in self.probs)
         )
+        object.__setattr__(
+            self, "_index", {s: i for i, s in enumerate(self.labels, 1)}
+        )
 
     @property
     def m(self) -> int:
@@ -88,12 +92,16 @@ class SourceModel:
 
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label) + 1
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):
             raise InputError(f"unknown symbol {label!r}") from None
 
     def word_from_text(self, text: str) -> Word:
-        return tuple(self.index_of(ch) for ch in text)
+        try:
+            return tuple(map(self._index.__getitem__, text))
+        except (KeyError, TypeError):
+            # the per-symbol path raises InputError naming the bad symbol
+            return tuple(map(self.index_of, text))
 
     def word_to_text(self, word: Word) -> str:
         return "".join(self.labels[i - 1] for i in word)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis
-from .codebook import CodeBook, CodeEntry, format_digits, validate_codebook
+from .codebook import CodeBook, CodeEntry, fixed_codewords, validate_codebook
 from .diophantine import convergents
 from .errors import InfeasibleError, InputError, ResourceError, ValidationError
 from .source_model import (
@@ -124,8 +124,8 @@ def construct_vf(
         key=lambda pw: (-pw[0], pw[1]),
     )
     entries = tuple(
-        CodeEntry(word=w, codeword=format_digits(i, n, L), probability=p)
-        for i, (p, w) in enumerate(by_prob)
+        CodeEntry(word=w, codeword=cw, probability=p)
+        for (p, w), cw in zip(by_prob, fixed_codewords(n, L))
     )
     provenance["word_count"] = len(entries)
     book = CodeBook(
@@ -224,11 +224,10 @@ def construct_block(
     model = make_model([Fraction(1, input_size)] * input_size, arity)
     prob = float(Fraction(1, block_count))
     entries = tuple(
-        CodeEntry(
-            word=word, codeword=format_digits(i, arity, L), probability=prob
-        )
-        for i, word in enumerate(
-            itertools.product(range(1, input_size + 1), repeat=X)
+        CodeEntry(word=word, codeword=cw, probability=prob)
+        for word, cw in zip(
+            itertools.product(range(1, input_size + 1), repeat=X),
+            fixed_codewords(arity, L),
         )
     )
     provenance = {

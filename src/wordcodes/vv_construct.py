@@ -27,12 +27,19 @@ first count.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import analysis
-from .codebook import CodeBook, CodeEntry, format_digits, validate_codebook
+from .codebook import (
+    CodeBook,
+    CodeEntry,
+    format_digits,
+    kraft_of_counts,
+    validate_codebook,
+)
 from .diophantine import (
     best_approx_denominators,
     denominator_of_rational_form,
@@ -84,9 +91,7 @@ def code_length_for(form: float, in_second: bool) -> int:
 
 def kraft_sum(lengths: Sequence[int], arity: int) -> Fraction:
     """Exact Kraft sum of codeword lengths."""
-    return sum(
-        (Fraction(1, arity**length) for length in lengths), start=Fraction(0)
-    )
+    return kraft_of_counts(Counter(lengths), arity)
 
 
 def build_threshold_sets(
@@ -316,26 +321,6 @@ def merge_to_kraft(
     )
 
 
-class _KraftAcc:
-    """Exact sum of count * n^-length terms as a scaled big integer."""
-
-    __slots__ = ("n", "exp", "num")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.exp = 0
-        self.num = 0
-
-    def add(self, count: int, length: int) -> None:
-        if length > self.exp:
-            self.num *= self.n ** (length - self.exp)
-            self.exp = length
-        self.num += count * self.n ** (self.exp - length)
-
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, self.n**self.exp)
-
-
 def _profiles_of_length(total: int, m: int) -> Iterator[Profile]:
     if m == 1:
         yield (total,)
@@ -410,9 +395,10 @@ def _joint_dp(
 
     stops_first: dict[Profile, list] = {}
     stops_second: dict[Profile, list] = {}
-    acc_first = _KraftAcc(model.arity)
-    acc_second = _KraftAcc(model.arity)
-    acc_merged = _KraftAcc(model.arity)
+    # {codeword length: word count} of each word set, for its Kraft sum
+    acc_first: Counter[int] = Counter()
+    acc_second: Counter[int] = Counter()
+    acc_merged: Counter[int] = Counter()
     cap_mass_first = 0.0
     cap_mass_second = 0.0
     forms: dict[Profile, float] = {}
@@ -461,10 +447,10 @@ def _joint_dp(
                     rec[3] += m_2
                     if c_c:
                         length = code_length_for(form, b2)
-                        acc_first.add(c_c, length)
-                        acc_merged.add(c_c, length)
+                        acc_first[length] += c_c
+                        acc_merged[length] += c_c
                     if c_2:
-                        acc_first.add(c_2, code_length_for(form, False))
+                        acc_first[code_length_for(form, False)] += c_2
                     if at_cap and not low:
                         cap_mass_first += m_c + m_2
             else:
@@ -475,7 +461,7 @@ def _joint_dp(
                     moved_m = m_c + m_2
                     only_second[k] = (moved_c, moved_m)
                 if c_c:
-                    acc_merged.add(c_c, code_length_for(form, True))
+                    acc_merged[code_length_for(form, True)] += c_c
             if b2:
                 if c_c or c_1:
                     rec = stops_second.setdefault(k, [0, 0.0, 0, 0.0])
@@ -483,7 +469,7 @@ def _joint_dp(
                     rec[1] += m_c
                     rec[2] += c_1
                     rec[3] += m_1
-                    acc_second.add(c_c + c_1, code_length_for(form, True))
+                    acc_second[code_length_for(form, True)] += c_c + c_1
                     if at_cap and not high:
                         cap_mass_second += m_c + m_1
             else:
@@ -495,9 +481,9 @@ def _joint_dp(
     return _JointTables(
         stops_first=stops_first,
         stops_second=stops_second,
-        kraft_first=acc_first.fraction(),
-        kraft_second=acc_second.fraction(),
-        kraft_merged=acc_merged.fraction(),
+        kraft_first=kraft_of_counts(acc_first, model.arity),
+        kraft_second=kraft_of_counts(acc_second, model.arity),
+        kraft_merged=kraft_of_counts(acc_merged, model.arity),
         cap_mass_first=cap_mass_first,
         cap_mass_second=cap_mass_second,
         forms=forms,
@@ -662,7 +648,7 @@ def _final_dp(
     clean: _Front = {origin: (1, 1.0)}
     crossed: _Front = {}
     stops: dict[Profile, list] = {}
-    acc = _KraftAcc(model.arity)
+    acc: Counter[int] = Counter()
     word_count = 0
     total_mass = 0.0
     max_length = 0
@@ -697,9 +683,9 @@ def _final_dp(
                 rec[2] += c_x
                 rec[3] += m_x
                 if c_c:
-                    acc.add(c_c, code_length_for(form, b2))
+                    acc[code_length_for(form, b2)] += c_c
                 if c_x:
-                    acc.add(c_x, code_length_for(form, False))
+                    acc[code_length_for(form, False)] += c_x
                 word_count += c_c + c_x
                 total_mass += m_c + m_x
                 max_length = max(max_length, level)
@@ -712,7 +698,7 @@ def _final_dp(
                         rec = stops.setdefault(k, [0, 0.0, 0, 0.0, form, b2])
                         rec[0] += c_c
                         rec[1] += m_c
-                        acc.add(c_c, code_length_for(form, True))
+                        acc[code_length_for(form, True)] += c_c
                         word_count += c_c
                         total_mass += m_c
                         max_length = max(max_length, level)
@@ -726,7 +712,7 @@ def _final_dp(
                         rec = stops.setdefault(k, [0, 0.0, 0, 0.0, form, b2])
                         rec[0] += stop_c
                         rec[1] += stop_c * word_mass
-                        acc.add(stop_c, code_length_for(form, True))
+                        acc[code_length_for(form, True)] += stop_c
                         word_count += stop_c
                         total_mass += stop_c * word_mass
                         max_length = max(max_length, level)
@@ -746,7 +732,7 @@ def _final_dp(
                 crossed[k] = (oc + c_x, om + m_x)
     return _FinalTable(
         stops=stops,
-        kraft=acc.fraction(),
+        kraft=kraft_of_counts(acc, model.arity),
         word_count=word_count,
         total_mass=total_mass,
         max_length=max_length,

@@ -57,6 +57,7 @@ def _malformed_books(book):
         lambda p: p["words"][0].update(codeword=5),
         lambda p: p["words"][0].update(codeword=["0"]),
         lambda p: p.update(provenance="x"),
+        lambda p: p["words"][0].update(symbols=list(p["words"][0]["symbols"])),
     ]
     for edit in edits:
         payload = json.loads(json.dumps(good))
@@ -222,6 +223,22 @@ def test_cli_exit_codes(tmp_path, capsys, reference_book):
         garbage.write_text(text, encoding="utf-8")
         assert main(["analyze", "--book", str(garbage)]) == 2
     capsys.readouterr()
+
+
+def test_cli_analyze_rejects_undecodable_and_deeply_nested_books(
+    tmp_path, capsys, reference_book
+):
+    path = tmp_path / "book.json"
+    not_utf8 = book_to_json(reference_book).replace('"a"', '"\xe9"')
+    path.write_bytes(not_utf8.encode("latin-1"))
+    with pytest.raises(InputError):
+        load_book(str(path))
+    assert main(["analyze", "--book", str(path)]) == 2
+    path.write_text("[" * 200000, encoding="utf-8")
+    with pytest.raises(InputError):
+        load_book(str(path))
+    assert main(["analyze", "--book", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_metrics_grade_has_no_book_to_save(tmp_path, capsys):
