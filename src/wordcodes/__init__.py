@@ -48,7 +48,6 @@ from .source_model import (
     entropy,
     linear_form,
     make_model,
-    non_terminal_count,
     profile_of,
     profile_probability,
     word_probability,
@@ -80,8 +79,6 @@ from .word_sets import (
     ThresholdLowRule,
     UnionRule,
     WindowRule,
-    WordSet,
-    build_word_set,
     check_shift_coverage,
     completeness_defect,
     enumerate_words,

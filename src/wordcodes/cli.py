@@ -80,7 +80,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def cmd_construct_vv(args: argparse.Namespace) -> int:
@@ -186,7 +189,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
     for line in _read_text(args.infile).splitlines():
         line = line.strip()
         if line.startswith(PAD_TRAILER):
-            pad_count = int(line[len(PAD_TRAILER) :])
+            count = line[len(PAD_TRAILER) :]
+            if not count.isdecimal():
+                raise InputError(
+                    f"pad trailer {line!r} does not end in a non-negative "
+                    "integer"
+                )
+            pad_count = int(count)
         elif line.startswith("#"):
             continue
         else:

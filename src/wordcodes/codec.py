@@ -181,6 +181,8 @@ def decode_words(book: CodeBook, digits: str) -> list[Word]:
 
 def decode_message(book: CodeBook, digits: str, pad_count: int = 0) -> list[int]:
     """Decode digits to symbols, trimming `pad_count` padding symbols."""
+    if pad_count < 0:
+        raise InputError(f"pad count must be >= 0, got {pad_count}")
     symbols = [s for w in decode_words(book, digits) for s in w]
     if pad_count:
         if pad_count > len(symbols):

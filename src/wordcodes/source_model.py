@@ -170,8 +170,3 @@ def linear_form(model: SourceModel, profile: Profile) -> float:
             f"profile has {len(profile)} coordinates, model has {model.m} symbols"
         )
     return math.fsum(k * di for k, di in zip(profile, model.d))
-
-
-def non_terminal_count(profile: Profile) -> int:
-    """Total count of all symbols except the last one."""
-    return sum(profile[:-1])

@@ -35,7 +35,8 @@ from .word_sets import (
     DEFAULT_NODE_LIMIT,
     ProfileSet,
     WindowRule,
-    build_word_set,
+    enumerate_words,
+    lattice_metrics,
 )
 
 RATIONAL_LOG_TOL = 1e-12
@@ -92,20 +93,22 @@ def construct_vf(
         pset = ProfileSet(
             model.m, cap, WindowRule(model.d, L - d_max, float(L))
         )
-        word_set = build_word_set(
-            model, pset, enum_limit=enum_limit, node_limit=node_limit,
-            enumerate=True,
-        )
-        if word_set.table.cap_mass != 0.0:
+        table = lattice_metrics(model, pset, node_limit=node_limit)
+        words = enumerate_words(model, pset, limit=enum_limit)
+        if len(words) != table.word_count:
+            raise ValidationError(
+                f"enumeration found {len(words)} words, DP counted "
+                f"{table.word_count}"
+            )
+        if table.cap_mass != 0.0:
             raise ValidationError(
                 "window parse was cut off by the length cap; the window "
                 "bounds are inconsistent"
             )
-        if abs(word_set.total_prob - 1.0) > 1e-9:
+        if abs(table.total_prob - 1.0) > 1e-9:
             raise ValidationError(
-                f"window word set is not complete: mass {word_set.total_prob!r}"
+                f"window word set is not complete: mass {table.total_prob!r}"
             )
-        words = list(word_set.words or [])
         if len(words) > n**L:
             raise ValidationError(
                 "window word set exceeds the codeword space; the window "

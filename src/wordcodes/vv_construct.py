@@ -14,14 +14,16 @@ enumerated: all accounting runs on the profile lattice with exact big-integer
 word counts per profile, and the merge adds whole profile classes at a time,
 splitting only the class where the Kraft sum crosses 1.
 
-Three sweeps cover the lattice: a joint forward DP over both sets, which
-also yields the Kraft sum of their full merge; a backward knockout sweep
-giving the Kraft mass each added word removes; and a forward DP of the
-final word set.  Each sweep classifies a node once, through one shared
-classifier that returns its linear form and both threshold memberships
-(the cap is simply the last level).  The knockout sweep keeps two levels
-at a time; for two symbols each level is a plain list indexed by the
-first count.
+Three sweeps cover the lattice.  A joint forward DP over both sets yields
+the Kraft sums of each set and of their full merge, the cap masses that
+size the cap, and the profile classes the merge may add.  A backward
+knockout sweep gives the Kraft mass each added word removes, and a forward
+DP of the final word set gives its stops.  Both forward DPs run on the
+level walk of `word_sets.lattice_levels` and only route each node.  Each
+sweep classifies a node once, through one shared classifier that returns
+its linear form and both threshold memberships (the cap is simply the last
+level).  The knockout sweep keeps two levels at a time; for two symbols
+each level is a plain list indexed by the first count.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .word_sets import (
     ThresholdLowRule,
     completeness_defect,
     is_prefix_free,
+    lattice_levels,
     threshold_classifier,
     wedge,
 )
@@ -330,45 +333,25 @@ def _profiles_of_length(total: int, m: int) -> Iterator[Profile]:
             yield (first,) + rest
 
 
-_Front = dict[Profile, tuple[int, float]]
-
-
-def _push(src: _Front, probs: Sequence[float]) -> _Front:
-    """Extend every alive (count, mass) entry by each symbol, one level on."""
-    dst: _Front = {}
-    for k, (c, mass) in src.items():
-        for i, p in enumerate(probs):
-            child = k[:i] + (k[i] + 1,) + k[i + 1 :]
-            if child in dst:
-                oc, om = dst[child]
-                dst[child] = (oc + c, om + mass * p)
-            else:
-                dst[child] = (c, mass * p)
-    return dst
-
-
 @dataclass
 class _JointTables:
     """Forward DP over both stopping sets at once.
 
-    stops_first[k] = [clean_count, clean_mass, late_count, late_mass] for
-    words of the first set stopping at profile k; "clean" paths never crossed
-    the second set before stopping, "late" paths did.  stops_second mirrors
-    this with the roles swapped.  The clean counts of stops_second at
-    profiles outside the first set are exactly the words that would join the
-    merged set if that profile's class were added.  Clean paths are the
-    paths alive in the union of both sets, so their stops also give
-    `kraft_merged`, the Kraft sum of the whole merge.
+    Paths are "clean" until they reach a member of either set.  The Kraft
+    sums of the first set, the second set and their full merge (the stops
+    of the clean paths, which are the paths alive in the union of both
+    sets) are exact.  The cap masses are what `choose_cap` sizes the cap
+    by.  `classes` lists (form, profile, clean count) for every profile in
+    the second set but not the first that clean paths reach: the words that
+    would join the merged set if that profile's class were added.
     """
 
-    stops_first: dict[Profile, list]
-    stops_second: dict[Profile, list]
     kraft_first: Fraction
     kraft_second: Fraction
     kraft_merged: Fraction
     cap_mass_first: float
     cap_mass_second: float
-    forms: dict[Profile, float]
+    classes: list[tuple[float, Profile, int]]
 
 
 def _joint_dp(
@@ -377,9 +360,7 @@ def _joint_dp(
     set_high: ProfileSet,
     node_limit: int,
 ) -> _JointTables:
-    m = model.m
-    probs = model.probs
-    origin: Profile = (0,) * m
+    origin: Profile = (0,) * model.m
     for s in (set_low, set_high):
         if s.member(origin):
             raise ValidationError("the empty profile cannot be a member")
@@ -388,40 +369,22 @@ def _joint_dp(
     cap = set_low.cap
     classify = threshold_classifier(set_low, set_high)
 
-    # state: paths that have hit neither set, only the first, only the second
-    clean: _Front = {origin: (1, 1.0)}
-    only_first: _Front = {}
-    only_second: _Front = {}
-
-    stops_first: dict[Profile, list] = {}
-    stops_second: dict[Profile, list] = {}
     # {codeword length: word count} of each word set, for its Kraft sum
     acc_first: Counter[int] = Counter()
     acc_second: Counter[int] = Counter()
     acc_merged: Counter[int] = Counter()
     cap_mass_first = 0.0
     cap_mass_second = 0.0
-    forms: dict[Profile, float] = {}
-    visited = 0
-    level = 0
+    classes: list[tuple[float, Profile, int]] = []
 
-    while clean or only_first or only_second:
-        if level >= cap:
-            raise ValidationError("paths alive beyond the cap")
-        in_clean = _push(clean, probs)
-        in_first = _push(only_first, probs)
-        in_second = _push(only_second, probs)
-        level += 1
+    # fronts: paths that have hit neither set, only the first, only the second
+    walk = lattice_levels(
+        ({origin: (1, 1.0)}, {}, {}), model.probs, cap, node_limit,
+        "joint lattice DP",
+    )
+    for level, (in_clean, in_first, in_second), keys, fronts in walk:
+        clean, only_first, only_second = fronts
         at_cap = level == cap
-        keys = set(in_clean) | set(in_first) | set(in_second)
-        visited += len(keys)
-        if visited > node_limit:
-            raise ResourceError(
-                f"joint lattice DP exceeded {node_limit} nodes at cap {cap}"
-            )
-        clean = {}
-        only_first = {}
-        only_second = {}
         for k in keys:
             c_c, m_c = in_clean.get(k, (0, 0.0))
             c_1, m_1 = in_first.get(k, (0, 0.0))
@@ -437,56 +400,37 @@ def _joint_dp(
                 if c_2:
                     only_second[k] = (c_2, m_2)
                 continue
-            forms[k] = form
             if b1:
-                if c_c or c_2:
-                    rec = stops_first.setdefault(k, [0, 0.0, 0, 0.0])
-                    rec[0] += c_c
-                    rec[1] += m_c
-                    rec[2] += c_2
-                    rec[3] += m_2
-                    if c_c:
-                        length = code_length_for(form, b2)
-                        acc_first[length] += c_c
-                        acc_merged[length] += c_c
-                    if c_2:
-                        acc_first[code_length_for(form, False)] += c_2
-                    if at_cap and not low:
-                        cap_mass_first += m_c + m_2
+                if c_c:
+                    length = code_length_for(form, b2)
+                    acc_first[length] += c_c
+                    acc_merged[length] += c_c
+                if c_2:
+                    acc_first[code_length_for(form, False)] += c_2
+                if at_cap and not low:
+                    cap_mass_first += m_c + m_2
             else:
                 # second-only member: clean paths would stop here if these
                 # words were added to the merged set
                 if c_c or c_2:
-                    moved_c = c_c + c_2
-                    moved_m = m_c + m_2
-                    only_second[k] = (moved_c, moved_m)
+                    only_second[k] = (c_c + c_2, m_c + m_2)
                 if c_c:
                     acc_merged[code_length_for(form, True)] += c_c
+                    classes.append((form, k, c_c))
             if b2:
                 if c_c or c_1:
-                    rec = stops_second.setdefault(k, [0, 0.0, 0, 0.0])
-                    rec[0] += c_c
-                    rec[1] += m_c
-                    rec[2] += c_1
-                    rec[3] += m_1
                     acc_second[code_length_for(form, True)] += c_c + c_1
                     if at_cap and not high:
                         cap_mass_second += m_c + m_1
-            else:
-                if c_c or c_1:
-                    only_first[k] = (
-                        only_first.get(k, (0, 0.0))[0] + c_c + c_1,
-                        only_first.get(k, (0, 0.0))[1] + m_c + m_1,
-                    )
+            elif c_c or c_1:
+                only_first[k] = (c_c + c_1, m_c + m_1)
     return _JointTables(
-        stops_first=stops_first,
-        stops_second=stops_second,
         kraft_first=kraft_of_counts(acc_first, model.arity),
         kraft_second=kraft_of_counts(acc_second, model.arity),
         kraft_merged=kraft_of_counts(acc_merged, model.arity),
         cap_mass_first=cap_mass_first,
         cap_mass_second=cap_mass_second,
-        forms=forms,
+        classes=classes,
     )
 
 
@@ -559,8 +503,7 @@ def _knockout_masses(
 
 def _class_scan(
     model: SourceModel,
-    tables: _JointTables,
-    set_low: ProfileSet,
+    kraft_first: Fraction,
     knockouts: dict[Profile, Fraction],
     classes: list[tuple[float, Profile, int]],
 ) -> tuple[set[Profile], tuple[Profile, int] | None, Fraction, list[MergeStep]]:
@@ -571,7 +514,7 @@ def _class_scan(
     computed in exact rational arithmetic.
     """
     n = model.arity
-    g = tables.kraft_first
+    g = kraft_first
     chosen: set[Profile] = set()
     steps: list[MergeStep] = []
     for form, k, count in classes:
@@ -613,14 +556,14 @@ class _FinalTable:
 
     stops[k] = [clean_count, clean_mass, crossed_count, crossed_mass, form,
     high]; clean stops take the length rule with the second-set membership
-    `high` of k, crossed stops always take the floor length.
+    `high` of k, crossed stops always take the floor length.  The Kraft sum,
+    word count and mass are read off the stops.
     """
 
     stops: dict[Profile, list]
     kraft: Fraction
     word_count: int
     total_mass: float
-    max_length: int
 
 
 def _final_dp(
@@ -639,37 +582,16 @@ def _final_dp(
     boundary class's first j words) stop there too; the rest cross it and
     run on to the primary set at floor lengths.
     """
-    m = model.m
-    probs = model.probs
-    origin: Profile = (0,) * m
-    boundary_profile = boundary[0] if boundary else None
-    boundary_words = boundary[1] if boundary else 0
-
-    clean: _Front = {origin: (1, 1.0)}
-    crossed: _Front = {}
+    origin: Profile = (0,) * model.m
+    boundary_profile, boundary_words = boundary if boundary else (None, 0)
     stops: dict[Profile, list] = {}
-    acc: Counter[int] = Counter()
-    word_count = 0
-    total_mass = 0.0
-    max_length = 0
-    visited = 0
-    level = 0
 
-    while clean or crossed:
-        if level >= cap:
-            raise ValidationError("paths alive beyond the cap")
-        in_clean = _push(clean, probs)
-        in_crossed = _push(crossed, probs)
-        level += 1
+    walk = lattice_levels(
+        ({origin: (1, 1.0)}, {}), model.probs, cap, node_limit,
+        "final lattice DP",
+    )
+    for level, (in_clean, in_crossed), keys, (clean, crossed) in walk:
         at_cap = level == cap
-        keys = set(in_clean) | set(in_crossed)
-        visited += len(keys)
-        if visited > node_limit:
-            raise ResourceError(
-                f"final lattice DP exceeded {node_limit} nodes at cap {cap}"
-            )
-        clean = {}
-        crossed = {}
         for k in keys:
             c_c, m_c = in_clean.get(k, (0, 0.0))
             c_x, m_x = in_crossed.get(k, (0, 0.0))
@@ -677,65 +599,46 @@ def _final_dp(
             b2 = at_cap or high
             b1 = b2 if swapped else at_cap or low
             if b1:
-                rec = stops.setdefault(k, [0, 0.0, 0, 0.0, form, b2])
-                rec[0] += c_c
-                rec[1] += m_c
-                rec[2] += c_x
-                rec[3] += m_x
-                if c_c:
-                    acc[code_length_for(form, b2)] += c_c
-                if c_x:
-                    acc[code_length_for(form, False)] += c_x
-                word_count += c_c + c_x
-                total_mass += m_c + m_x
-                max_length = max(max_length, level)
+                stops[k] = [c_c, m_c, c_x, m_x, form, b2]
                 continue
-            if b2:
+            if not b2:
+                if c_c:
+                    clean[k] = (c_c, m_c)
                 if c_x:
                     crossed[k] = (c_x, m_x)
-                if c_c:
-                    if k in chosen:
-                        rec = stops.setdefault(k, [0, 0.0, 0, 0.0, form, b2])
-                        rec[0] += c_c
-                        rec[1] += m_c
-                        acc[code_length_for(form, True)] += c_c
-                        word_count += c_c
-                        total_mass += m_c
-                        max_length = max(max_length, level)
-                    elif k == boundary_profile:
-                        word_mass = profile_probability(model, k)
-                        stop_c = min(boundary_words, c_c)
-                        if stop_c != boundary_words:
-                            raise ValidationError(
-                                "boundary class smaller than its split"
-                            )
-                        rec = stops.setdefault(k, [0, 0.0, 0, 0.0, form, b2])
-                        rec[0] += stop_c
-                        rec[1] += stop_c * word_mass
-                        acc[code_length_for(form, True)] += stop_c
-                        word_count += stop_c
-                        total_mass += stop_c * word_mass
-                        max_length = max(max_length, level)
-                        rest = c_c - stop_c
-                        if rest:
-                            rest_mass = m_c - stop_c * word_mass
-                            oc, om = crossed.get(k, (0, 0.0))
-                            crossed[k] = (oc + rest, om + rest_mass)
-                    else:
-                        oc, om = crossed.get(k, (0, 0.0))
-                        crossed[k] = (oc + c_c, om + m_c)
                 continue
-            if c_c:
-                clean[k] = (c_c, m_c)
             if c_x:
-                oc, om = crossed.get(k, (0, 0.0))
-                crossed[k] = (oc + c_x, om + m_x)
+                crossed[k] = (c_x, m_x)
+            if not c_c:
+                continue
+            if k in chosen:
+                stops[k] = [c_c, m_c, 0, 0.0, form, True]
+                continue
+            if k == boundary_profile:
+                if c_c < boundary_words:
+                    raise ValidationError(
+                        "boundary class smaller than its split"
+                    )
+                stop_m = boundary_words * profile_probability(model, k)
+                stops[k] = [boundary_words, stop_m, 0, 0.0, form, True]
+                c_c -= boundary_words
+                m_c -= stop_m
+                if not c_c:
+                    continue
+            oc, om = crossed.get(k, (0, 0.0))
+            crossed[k] = (oc + c_c, om + m_c)
+
+    acc: Counter[int] = Counter()
+    for c_c, _, c_x, _, form, high in stops.values():
+        if c_c:
+            acc[code_length_for(form, high)] += c_c
+        if c_x:
+            acc[code_length_for(form, False)] += c_x
     return _FinalTable(
         stops=stops,
         kraft=kraft_of_counts(acc, model.arity),
-        word_count=word_count,
-        total_mass=total_mass,
-        max_length=max_length,
+        word_count=sum(rec[0] + rec[2] for rec in stops.values()),
+        total_mass=math.fsum(rec[1] + rec[3] for rec in stops.values()),
     )
 
 
@@ -956,13 +859,7 @@ def _pipeline(
     else:
         kraft_merged = tables.kraft_merged
         if kraft_merged <= 1:
-            # a clean stop of the high set is outside the low set exactly
-            # when the low set recorded no clean stop at the same profile
-            classes = sorted(
-                (tables.forms[k], k, rec[0])
-                for k, rec in tables.stops_second.items()
-                if rec[0] and k not in tables.stops_first
-            )
+            classes = sorted(tables.classes)
             targets = {k for _, k, _ in classes}
             knockouts = _knockout_masses(
                 model, classify, cap_val, targets, node_limit
@@ -981,7 +878,7 @@ def _pipeline(
                     "class does not reproduce the merged Kraft sum"
                 )
             chosen, boundary, g_final, steps = _class_scan(
-                model, tables, set_low, knockouts, classes
+                model, kraft_first, knockouts, classes
             )
             path = "extended"
             expected_kraft = g_final

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Collection, Iterator, Sequence
 
 from .errors import InputError, ResourceError, ValidationError
 from .source_model import (
     Profile,
     SourceModel,
     Word,
-    linear_form,
     word_probability,
 )
 
@@ -49,9 +48,6 @@ class Rule:
     def member(self, profile: Profile) -> bool:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class EmptyRule(Rule):
@@ -59,9 +55,6 @@ class EmptyRule(Rule):
 
     def member(self, profile: Profile) -> bool:
         return False
-
-    def describe(self) -> str:
-        return "empty"
 
 
 @dataclass(frozen=True)
@@ -81,9 +74,6 @@ class ThresholdLowRule(Rule):
         """Membership of a nonzero profile whose linear form is `form`."""
         return snapped_frac(form, self.tol) <= self.theta + self.tol
 
-    def describe(self) -> str:
-        return f"frac<= {self.theta:.6g}"
-
 
 @dataclass(frozen=True)
 class ThresholdHighRule(Rule):
@@ -102,9 +92,6 @@ class ThresholdHighRule(Rule):
         """Membership of a nonzero profile whose linear form is `form`."""
         return 1.0 - snapped_frac(form, self.tol) <= self.theta + self.tol
 
-    def describe(self) -> str:
-        return f"1-frac<= {self.theta:.6g}"
-
 
 @dataclass(frozen=True)
 class ExplicitProfilesRule(Rule):
@@ -114,9 +101,6 @@ class ExplicitProfilesRule(Rule):
 
     def member(self, profile: Profile) -> bool:
         return profile in self.profiles
-
-    def describe(self) -> str:
-        return f"explicit({len(self.profiles)} profiles)"
 
 
 @dataclass(frozen=True)
@@ -137,9 +121,6 @@ class WindowRule(Rule):
         f = math.fsum(k * di for k, di in zip(profile, self.d))
         return self.lo + self.tol < f <= self.hi + self.tol
 
-    def describe(self) -> str:
-        return f"form in ({self.lo:.6g}, {self.hi:.6g}]"
-
 
 @dataclass(frozen=True)
 class UnionRule(Rule):
@@ -147,9 +128,6 @@ class UnionRule(Rule):
 
     def member(self, profile: Profile) -> bool:
         return any(r.member(profile) for r in self.rules)
-
-    def describe(self) -> str:
-        return " | ".join(r.describe() for r in self.rules)
 
 
 @dataclass(frozen=True)
@@ -172,9 +150,6 @@ class ProfileSet:
                 f"profile has {len(profile)} coordinates, expected {self.m}"
             )
         return sum(profile) == self.cap or self.rule.member(profile)
-
-    def describe(self) -> str:
-        return f"{self.rule.describe()} | cap={self.cap}"
 
 
 NodeClassifier = Callable[[Profile], tuple[float, bool, bool]]
@@ -222,6 +197,70 @@ def threshold_classifier(
     return classify
 
 
+Front = dict[Profile, tuple[int, float]]
+
+
+def _push(src: Front, probs: Sequence[float]) -> Front:
+    """Extend every alive (count, mass) entry by each symbol, one level on."""
+    dst: Front = {}
+    for k, (c, mass) in src.items():
+        for i, p in enumerate(probs):
+            child = k[:i] + (k[i] + 1,) + k[i + 1 :]
+            if child in dst:
+                oc, om = dst[child]
+                dst[child] = (oc + c, om + mass * p)
+            else:
+                dst[child] = (c, mass * p)
+    return dst
+
+
+def lattice_levels(
+    fronts: tuple[Front, ...],
+    probs: Sequence[float],
+    cap: int,
+    node_limit: int,
+    what: str,
+) -> Iterator[tuple[int, list[Front], Collection[Profile], tuple[Front, ...]]]:
+    """The level-by-level forward walk that every stopping DP runs on.
+
+    `fronts` hold the alive paths at the origin, {profile: (count, mass)},
+    one front per path state.  Each level pushes every front one symbol on
+    and yields (level, incoming fronts, keys, next fronts): `keys` holds
+    every profile an incoming front reaches, and the caller routes each of
+    them, stopping its paths or filing them into the next fronts, which
+    start empty.  The walk ends once every front is empty.
+
+    A lone front is its own key set, in push order; several fronts are
+    keyed by `set(a) | set(b) | ...`.  The visiting order, and with it every
+    float sum the DPs make, is therefore fixed.  Raises ValidationError when
+    paths are alive at the cap and ResourceError once more than
+    `node_limit` nodes have been visited; `what` names the DP in both.
+    """
+    visited = 0
+    level = 0
+    while any(fronts):
+        if level >= cap:
+            raise ValidationError(
+                f"{what}: paths alive beyond the cap; the cap must stop "
+                "every profile"
+            )
+        incoming = [_push(front, probs) for front in fronts]
+        level += 1
+        keys: Collection[Profile] = incoming[0]
+        if len(incoming) > 1:
+            keys = set(keys)
+            for front in incoming[1:]:
+                keys = keys | set(front)
+        visited += len(keys)
+        if visited > node_limit:
+            raise ResourceError(
+                f"{what} visited more than {node_limit} nodes (cap={cap}); "
+                "raise node_limit or lower the cap"
+            )
+        fronts = tuple({} for _ in fronts)
+        yield level, incoming, keys, fronts
+
+
 @dataclass
 class LatticeTable:
     """Per-profile stopping counts and probability masses from the DP.
@@ -248,59 +287,30 @@ def lattice_metrics(
 ) -> LatticeTable:
     """Run the stopping DP for one profile set.
 
-    Processes the lattice level by level: a node's incoming paths come from
-    its m predecessors, member nodes absorb them as stopped words, the rest
-    stay alive.  Raises ResourceError when the alive front exceeds
-    `node_limit` visited nodes in total.
+    Member nodes absorb the paths reaching them as stopped words; the rest
+    stay alive.  Raises ResourceError when the walk visits more than
+    `node_limit` nodes in total.
     """
-    m = model.m
-    origin: Profile = (0,) * m
+    origin: Profile = (0,) * model.m
     if pset.member(origin):
         raise ValidationError(
             "the empty profile is a member; the empty word would be a code word"
         )
-    probs = model.probs
-    alive_count: dict[Profile, int] = {origin: 1}
-    alive_mass: dict[Profile, float] = {origin: 1.0}
     stops: dict[Profile, tuple[int, float]] = {}
     cap_mass = 0.0
     visited = 0
-    level = 0
-    while alive_count:
-        if level >= pset.cap:
-            raise ValidationError(
-                "paths alive beyond the cap; the cap must stop every profile"
-            )
-        next_count: dict[Profile, int] = {}
-        next_mass: dict[Profile, float] = {}
-        for k, c in alive_count.items():
-            mass = alive_mass[k]
-            for i in range(m):
-                child = k[:i] + (k[i] + 1,) + k[i + 1 :]
-                if child in next_count:
-                    next_count[child] += c
-                    next_mass[child] += mass * probs[i]
-                else:
-                    next_count[child] = c
-                    next_mass[child] = mass * probs[i]
-        visited += len(next_count)
-        if visited > node_limit:
-            raise ResourceError(
-                f"lattice DP visited more than {node_limit} nodes "
-                f"(cap={pset.cap}); raise node_limit or lower the cap"
-            )
-        level += 1
-        alive_count = {}
-        alive_mass = {}
-        for k, c in next_count.items():
+    walk = lattice_levels(
+        ({origin: (1, 1.0)},), model.probs, pset.cap, node_limit, "lattice DP"
+    )
+    for level, (incoming,), keys, (alive,) in walk:
+        visited += len(keys)
+        for k in keys:
             if pset.member(k):
-                old_c, old_m = stops.get(k, (0, 0.0))
-                stops[k] = (old_c + c, old_m + next_mass[k])
-                if sum(k) == pset.cap and not pset.rule.member(k):
-                    cap_mass += next_mass[k]
+                stops[k] = incoming[k]
+                if level == pset.cap and not pset.rule.member(k):
+                    cap_mass += incoming[k][1]
             else:
-                alive_count[k] = c
-                alive_mass[k] = next_mass[k]
+                alive[k] = incoming[k]
     word_count = sum(c for c, _ in stops.values())
     total_prob = math.fsum(mass for _, mass in stops.values())
     avg_length = math.fsum(sum(k) * mass for k, (_, mass) in stops.items())
@@ -314,40 +324,6 @@ def lattice_metrics(
         cap_mass=cap_mass,
         visited_nodes=visited,
     )
-
-
-@dataclass
-class WordSet:
-    """A word set induced by a profile set, with DP accounting attached.
-
-    `words` holds the explicit word list in lexicographic order when the set
-    is small enough to enumerate, else None (metrics grade).
-    """
-
-    model: SourceModel
-    pset: ProfileSet
-    table: LatticeTable
-    words: list[Word] | None = None
-
-    @property
-    def grade(self) -> str:
-        return "explicit" if self.words is not None else "metrics"
-
-    @property
-    def word_count(self) -> int:
-        return self.table.word_count
-
-    @property
-    def total_prob(self) -> float:
-        return self.table.total_prob
-
-    @property
-    def avg_length(self) -> float:
-        return self.table.avg_length
-
-    @property
-    def max_length(self) -> int:
-        return self.table.max_length
 
 
 def enumerate_words(
@@ -389,31 +365,6 @@ def enumerate_words(
                 )
             stack.append([child, cw, 1])
     return out
-
-
-def build_word_set(
-    model: SourceModel,
-    pset: ProfileSet,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    enumerate: bool | None = None,
-) -> WordSet:
-    """Construct the word set for a profile set.
-
-    Always runs the lattice DP; additionally enumerates the words when their
-    exact count fits under `enum_limit` (or as forced by `enumerate`).
-    """
-    table = lattice_metrics(model, pset, node_limit=node_limit)
-    words: list[Word] | None = None
-    want = table.word_count <= enum_limit if enumerate is None else enumerate
-    if want:
-        words = enumerate_words(model, pset, limit=enum_limit)
-        if len(words) != table.word_count:
-            raise ValidationError(
-                f"enumeration found {len(words)} words, DP counted "
-                f"{table.word_count}"
-            )
-    return WordSet(model=model, pset=pset, table=table, words=words)
 
 
 def is_prefix_free(words: list[Word]) -> bool:

@@ -139,6 +139,28 @@ def test_cli_decode_skips_comment_lines(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_encode_and_decode_reject_malformed_input_files(tmp_path, capsys):
+    book_path = tmp_path / "vf.json"
+    assert main(["construct-vf", *REFERENCE_ARGS, "--L", "3",
+                 "--out", str(book_path)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.txt"
+    out = tmp_path / "out.txt"
+    runs = [
+        ("decode", f"000001010\n{trailer}\n".encode("utf-8"))
+        for trailer in ["#pad=x", "#pad=-3", "#pad=", "#pad=1.5"]
+    ]
+    not_utf8 = "a\xe9".encode("latin-1")
+    runs += [("encode", not_utf8), ("decode", not_utf8)]
+    for command, payload in runs:
+        bad.write_bytes(payload)
+        assert main([command, "--book", str(book_path), "--in", str(bad),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_encode_no_pad_fails_inside_a_word(tmp_path, capsys):
     book_path = tmp_path / "vf.json"
     assert main(["construct-vf", *REFERENCE_ARGS, "--L", "3",

@@ -97,6 +97,13 @@ def test_decode_message_cannot_trim_more_than_it_decoded(reference_book):
         decode_message(reference_book, "0", pad_count=2)
 
 
+def test_decode_message_rejects_a_negative_pad_count(vf3_book):
+    digits, pads = encode_message(vf3_book, [1, 2, 2, 1, 2])
+    assert pads == 2
+    with pytest.raises(InputError):
+        decode_message(vf3_book, digits, pad_count=-3)
+
+
 def test_sample_symbols_match_the_model_frequencies(binary_model, ternary_model):
     for model in (binary_model, ternary_model):
         rng = random.Random(123)

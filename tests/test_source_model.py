@@ -13,7 +13,6 @@ from wordcodes.source_model import (
     entropy,
     linear_form,
     make_model,
-    non_terminal_count,
     profile_of,
     profile_probability,
     word_probability,
@@ -132,8 +131,3 @@ def test_word_text_round_trip(ternary_model):
 def test_unknown_symbol_label_raises(binary_model):
     with pytest.raises(InputError):
         binary_model.word_from_text("abx")
-
-
-def test_non_terminal_count_ignores_last_coordinate():
-    assert non_terminal_count((2, 5, 3)) == 7
-    assert non_terminal_count((0, 4)) == 0

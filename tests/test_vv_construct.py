@@ -32,6 +32,7 @@ from wordcodes.word_sets import (
     threshold_classifier,
 )
 from wordcodes.vv_construct import (
+    _final_dp,
     _joint_dp,
     _profiles_of_length,
     assign_codewords,
@@ -458,6 +459,11 @@ def test_joint_dp_kraft_merged_matches_union_sweep():
             start=Fraction(0),
         )
         assert tables.kraft_merged == reference
+        assert sorted(tables.classes) == sorted(
+            (linear_form(model, k), k, count)
+            for k, (count, _) in union_stops.items()
+            if set_high.member(k) and not set_low.member(k)
+        )
         result = construct_vv(
             model, T=T, cap=cap, grade="metrics", enum_limit=0
         )
@@ -465,3 +471,18 @@ def test_joint_dp_kraft_merged_matches_union_sweep():
         if result.path != "base":
             assert result.provenance["kraft_merged"] == str(reference)
     assert {"extended", "swapped"} <= paths
+
+
+def test_joint_and_final_dps_stop_at_the_node_limit(binary_model):
+    cap = 36
+    set_low, set_high = build_threshold_sets(binary_model, 6, cap)
+    classify = threshold_classifier(set_low, set_high)
+    # levels 1..36 hold 702 nodes in all, so a limit of 703 never trips
+    assert _joint_dp(binary_model, set_low, set_high, 703).kraft_first > 0
+    assert _final_dp(
+        binary_model, classify, cap, False, set(), None, 703
+    ).word_count > 0
+    with pytest.raises(ResourceError, match="joint lattice DP"):
+        _joint_dp(binary_model, set_low, set_high, 40)
+    with pytest.raises(ResourceError, match="final lattice DP"):
+        _final_dp(binary_model, classify, cap, False, set(), None, 40)

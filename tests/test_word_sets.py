@@ -10,12 +10,12 @@ import pytest
 from wordcodes.errors import InputError, ResourceError, ValidationError
 from wordcodes.source_model import profile_of, word_probability
 from wordcodes.word_sets import (
+    DEFAULT_ENUM_LIMIT,
     EmptyRule,
     ExplicitProfilesRule,
     ProfileSet,
     ThresholdHighRule,
     ThresholdLowRule,
-    build_word_set,
     check_shift_coverage,
     completeness_defect,
     enumerate_words,
@@ -76,28 +76,29 @@ def test_lattice_metrics_agree_with_enumeration(binary_model, ternary_model):
                 ]
             )
             pset = ProfileSet(model.m, cap, rule)
-            ws = build_word_set(model, pset, enumerate=True)
-            words = ws.words
+            table = lattice_metrics(model, pset)
+            words = enumerate_words(model, pset, limit=DEFAULT_ENUM_LIMIT)
             assert words is not None
-            assert len(words) == ws.word_count
+            assert len(words) == table.word_count
             assert is_prefix_free(words)
             mass = math.fsum(word_probability(model, w) for w in words)
-            assert mass == pytest.approx(ws.total_prob, abs=1e-12)
+            assert mass == pytest.approx(table.total_prob, abs=1e-12)
             assert mass == pytest.approx(1.0, abs=1e-9)
             avg = math.fsum(
                 len(w) * word_probability(model, w) for w in words
             )
-            assert avg == pytest.approx(ws.avg_length, abs=1e-12)
-            assert max(len(w) for w in words) == ws.max_length
+            assert avg == pytest.approx(table.avg_length, abs=1e-12)
+            assert max(len(w) for w in words) == table.max_length
 
 
 def test_cap_alone_stops_every_path(binary_model):
     pset = ProfileSet(2, 5, EmptyRule())
-    ws = build_word_set(binary_model, pset, enumerate=True)
-    assert ws.word_count == 2**5
-    assert all(len(w) == 5 for w in ws.words)
-    assert ws.table.cap_mass == pytest.approx(1.0, abs=1e-12)
-    assert ws.total_prob == pytest.approx(1.0, abs=1e-12)
+    table = lattice_metrics(binary_model, pset)
+    words = enumerate_words(binary_model, pset, limit=DEFAULT_ENUM_LIMIT)
+    assert table.word_count == len(words) == 2**5
+    assert all(len(w) == 5 for w in words)
+    assert table.cap_mass == pytest.approx(1.0, abs=1e-12)
+    assert table.total_prob == pytest.approx(1.0, abs=1e-12)
 
 
 def test_member_empty_profile_is_rejected(binary_model):
@@ -111,7 +112,7 @@ def test_member_empty_profile_is_rejected(binary_model):
 def test_enumeration_limit_is_enforced(binary_model):
     pset = ProfileSet(2, 12, EmptyRule())
     with pytest.raises(ResourceError):
-        build_word_set(binary_model, pset, enum_limit=100, enumerate=True)
+        enumerate_words(binary_model, pset, limit=100)
 
 
 def test_node_limit_is_enforced(ternary_model):
