@@ -185,10 +185,12 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     book = load_book(args.book)
     digits = []
-    pad_count = 0
+    pad_count = None
     for line in _read_text(args.infile).splitlines():
         line = line.strip()
         if line.startswith(PAD_TRAILER):
+            if pad_count is not None:
+                raise InputError(f"second pad trailer {line!r}")
             count = line[len(PAD_TRAILER) :]
             if not count.isdecimal():
                 raise InputError(
@@ -196,11 +198,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
                     "integer"
                 )
             pad_count = int(count)
-        elif line.startswith("#"):
+        elif not line or line.startswith("#"):
             continue
+        elif pad_count is not None:
+            raise InputError("digits follow the pad trailer; it must come last")
         else:
             digits.append(line)
-    symbols = decode_message(book, "".join(digits), pad_count=pad_count)
+    symbols = decode_message(book, "".join(digits), pad_count=pad_count or 0)
     _write_text(args.out, book.model.word_to_text(tuple(symbols)) + "\n")
     return EXIT_OK
 

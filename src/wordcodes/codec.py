@@ -2,14 +2,15 @@
 
 Encoding parses the source stream greedily through a trie over the input
 words (the word sets are prefix-free and complete, so the parse never
-branches or dead-ends) and emits each word's codeword.  Decoding inverts
-through a trie over codewords, or by fixed-size chunks when every codeword
-has the same length.
+branches or dead-ends) and emits each word's codeword.  Decoding reads
+fixed-size chunks when every codeword has the same length, else walks a
+trie over codewords; one builder makes both tries.
 
 The synchronization experiment flips one output digit and compares decoded
 word sequences: uniform-length codes are structurally confined to one
 damaged word, while variable-length codes can lose synchronization for a
-stretch that the experiment measures.
+stretch that the experiment measures.  It builds its encoder and decoder
+once per call.
 """
 
 from __future__ import annotations
@@ -17,27 +18,28 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .codebook import CodeBook
 from .errors import DecodeError, InputError, ValidationError
-from .source_model import SourceModel, Word
+from .source_model import DIGIT_GLYPHS, SourceModel, Word
 
 PAD_TRAILER = "#pad="
 
 
-def _build_word_trie(book: CodeBook) -> dict:
-    """Trie over input words: symbol -> child dict, or codeword at a leaf."""
+def _build_trie(pairs: Iterable[tuple], what: str) -> dict:
+    """Trie over (key, value) pairs: key item -> child dict, or value at a leaf."""
     root: dict = {}
-    for entry in book.entries:
+    for key, value in pairs:
         node = root
-        for sym in entry.word[:-1]:
-            node = node.setdefault(sym, {})
-            if isinstance(node, str):
-                raise ValidationError("word set is not prefix-free")
-        last = entry.word[-1]
+        for item in key[:-1]:
+            node = node.setdefault(item, {})
+            if not isinstance(node, dict):
+                raise ValidationError(f"{what} are not prefix-free")
+        last = key[-1]
         if last in node:
-            raise ValidationError("word set is not prefix-free")
-        node[last] = entry.codeword
+            raise ValidationError(f"{what} are not prefix-free")
+        node[last] = value
     return root
 
 
@@ -56,39 +58,19 @@ def _check_parse_complete(book: CodeBook, root: dict) -> None:
                 stack.append(child)
 
 
-def _build_digit_trie(book: CodeBook) -> dict:
-    """Trie over codewords: digit character -> child dict, or Word at a leaf."""
-    root: dict = {}
-    for entry in book.entries:
-        node = root
-        for ch in entry.codeword[:-1]:
-            node = node.setdefault(ch, {})
-            if isinstance(node, tuple):
-                raise ValidationError("codewords are not prefix-free")
-        last = entry.codeword[-1]
-        if last in node:
-            raise ValidationError("codewords are not prefix-free")
-        node[last] = entry.word
-    return root
-
-
-def _uniform_length(book: CodeBook) -> int | None:
-    lengths = {len(e.codeword) for e in book.entries}
-    if len(lengths) == 1:
-        return lengths.pop()
-    return None
-
-
 class Encoder:
     """Greedy streaming encoder.
 
     Feed symbols one at a time; digits come out as soon as a word completes.
-    The number of buffered symbols never exceeds the longest word.
+    The number of buffered symbols never exceeds the longest word.  After
+    `finish` the encoder is back at the root, ready for the next message.
     """
 
     def __init__(self, book: CodeBook) -> None:
         self.book = book
-        self._root = _build_word_trie(book)
+        self._root = _build_trie(
+            ((e.word, e.codeword) for e in book.entries), "words"
+        )
         _check_parse_complete(book, self._root)
         self._node = self._root
         self._pending = 0
@@ -128,55 +110,76 @@ class Encoder:
             pads += 1
         return digits, pads
 
+    def encode(self, symbols: list[int], pad: bool = True) -> tuple[str, int]:
+        """Feed a whole message and finish it; returns (digits, pad count)."""
+        parts = [self.feed(s) for s in symbols]
+        tail, pads = self.finish(pad=pad)
+        parts.append(tail)
+        return "".join(parts), pads
+
 
 def encode_message(
     book: CodeBook, symbols: list[int], pad: bool = True
 ) -> tuple[str, int]:
     """Encode a whole message; returns (digit string, pad symbol count)."""
-    enc = Encoder(book)
-    parts = [enc.feed(s) for s in symbols]
-    tail, pads = enc.finish(pad=pad)
-    parts.append(tail)
-    return "".join(parts), pads
+    return Encoder(book).encode(symbols, pad)
+
+
+def _decoder(book: CodeBook) -> Callable[[str], list[Word | None]]:
+    """Build the decode table once; return a decoder that maps bad units to None.
+
+    For uniform-length codes each bad chunk (a short last one too) is one
+    None.  For general codes a dead branch or dangling tail turns the rest
+    of the stream into a single None, as a real decoder loses sync.
+    """
+    lengths = {len(e.codeword) for e in book.entries}
+    if len(lengths) == 1:
+        (uniform,) = lengths
+        table = {e.codeword: e.word for e in book.entries}
+        return lambda digits: [
+            table.get(digits[i : i + uniform]) for i in range(0, len(digits), uniform)
+        ]
+
+    root = _build_trie(((e.codeword, e.word) for e in book.entries), "codewords")
+
+    def decode_trie(digits: str) -> list[Word | None]:
+        node = root
+        out: list[Word | None] = []
+        for ch in digits:
+            nxt = node.get(ch)
+            if nxt is None:
+                out.append(None)
+                return out
+            if isinstance(nxt, tuple):
+                out.append(nxt)
+                node = root
+            else:
+                node = nxt
+        if node is not root:
+            out.append(None)
+        return out
+
+    return decode_trie
 
 
 def decode_words(book: CodeBook, digits: str) -> list[Word]:
     """Strict decode of a digit stream into source words.
 
-    Raises DecodeError on an impossible digit or when the stream ends in the
-    middle of a codeword.
+    Raises DecodeError, naming the digit position where the first
+    undecodable codeword starts, on an impossible digit or when the stream
+    ends in the middle of a codeword.
     """
-    uniform = _uniform_length(book)
-    if uniform is not None:
-        table = {e.codeword: e.word for e in book.entries}
-        if len(digits) % uniform:
-            raise DecodeError(
-                f"digit stream length {len(digits)} is not a multiple of "
-                f"the codeword length {uniform}"
-            )
-        out: list[Word] = []
-        for i in range(0, len(digits), uniform):
-            chunk = digits[i : i + uniform]
-            word = table.get(chunk)
-            if word is None:
-                raise DecodeError(f"chunk {chunk!r} is not a codeword")
-            out.append(word)
-        return out
-    root = _build_digit_trie(book)
-    node = root
-    out = []
-    for pos, ch in enumerate(digits):
-        if ch not in node:
-            raise DecodeError(f"no codeword continues with {ch!r} at {pos}")
-        nxt = node[ch]
-        if isinstance(nxt, tuple):
-            out.append(nxt)
-            node = root
-        else:
-            node = nxt
-    if node is not root:
-        raise DecodeError("digit stream ends inside a codeword")
-    return out
+    words = _decoder(book)(digits)
+    if None in words:
+        lengths = {e.word: len(e.codeword) for e in book.entries}
+        bad = words.index(None)
+        pos = sum(lengths[w] for w in words[:bad])
+        width = max(lengths.values())
+        raise DecodeError(
+            f"no codeword matches the digits at position {pos}: "
+            f"{digits[pos : pos + width]!r}"
+        )
+    return words
 
 
 def decode_message(book: CodeBook, digits: str, pad_count: int = 0) -> list[int]:
@@ -192,38 +195,6 @@ def decode_message(book: CodeBook, digits: str, pad_count: int = 0) -> list[int]
             )
         del symbols[len(symbols) - pad_count :]
     return symbols
-
-
-def _decode_words_tolerant(book: CodeBook, digits: str) -> list[Word | None]:
-    """Decode, mapping each undecodable unit to None instead of raising.
-
-    For uniform-length codes each bad chunk is one None.  For general codes
-    a dead branch or dangling tail turns the rest of the stream into a
-    single None, mirroring how a real decoder loses synchronization.
-    """
-    uniform = _uniform_length(book)
-    if uniform is not None:
-        table = {e.codeword: e.word for e in book.entries}
-        out: list[Word | None] = []
-        for i in range(0, len(digits), uniform):
-            out.append(table.get(digits[i : i + uniform]))
-        return out
-    root = _build_digit_trie(book)
-    node = root
-    out = []
-    for ch in digits:
-        if ch not in node:
-            out.append(None)
-            return out
-        nxt = node[ch]
-        if isinstance(nxt, tuple):
-            out.append(nxt)
-            node = root
-        else:
-            node = nxt
-    if node is not root:
-        out.append(None)
-    return out
 
 
 def sample_symbols(model: SourceModel, rng: random.Random, count: int) -> list[int]:
@@ -287,14 +258,15 @@ def sync_error_experiment(
         raise InputError(f"need a nonempty message, got {message_len}")
     rng = random.Random(seed)
     model = book.model
-    glyphs = "0123456789" + "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    digit_set = glyphs[: model.arity]
+    digit_set = DIGIT_GLYPHS[: model.arity]
+    encoder = Encoder(book)
+    decode = _decoder(book)
     records: list[SyncTrial] = []
     histogram: dict[int, int] = {}
     for _ in range(trials):
         message = sample_symbols(model, rng, message_len)
-        digits, _pads = encode_message(book, message, pad=True)
-        original = _decode_words_tolerant(book, digits)
+        digits, _pads = encoder.encode(message)
+        original = decode(digits)
         if any(w is None for w in original):
             raise ValidationError("clean stream failed to decode")
         position = rng.randrange(len(digits))
@@ -304,7 +276,7 @@ def sync_error_experiment(
             others = [c for c in digit_set if c != digits[position]]
             flipped = rng.choice(others)
         corrupted = digits[:position] + flipped + digits[position + 1 :]
-        decoded = _decode_words_tolerant(book, corrupted)
+        decoded = decode(corrupted)
 
         limit = min(len(original), len(decoded))
         prefix = 0

@@ -150,6 +150,10 @@ def test_cli_encode_and_decode_reject_malformed_input_files(tmp_path, capsys):
         ("decode", f"000001010\n{trailer}\n".encode("utf-8"))
         for trailer in ["#pad=x", "#pad=-3", "#pad=", "#pad=1.5"]
     ]
+    # A trailer is valid only once, as the last non-comment line.
+    runs += [("decode", b"000\n#pad=1\n001\n#pad=0\n"),
+             ("decode", b"000\n#pad=1\n001\n"),
+             ("decode", b"000\n#pad=1\n#pad=1\n")]
     not_utf8 = "a\xe9".encode("latin-1")
     runs += [("encode", not_utf8), ("decode", not_utf8)]
     for command, payload in runs:

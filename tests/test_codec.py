@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from wordcodes.codec import (
     sample_symbols,
     sync_error_experiment,
 )
-from wordcodes.errors import DecodeError, InputError
+from wordcodes.errors import DecodeError, InputError, ValidationError
 
 
 def test_roundtrip_variable_to_variable(binary_model, reference_book):
@@ -82,14 +84,53 @@ def test_feed_rejects_symbols_outside_the_alphabet(reference_book):
         enc.feed(3)
 
 
-def test_strict_decode_rejects_damaged_streams(reference_book, vf3_book):
-    with pytest.raises(DecodeError):
+def test_strict_decode_rejects_damaged_streams(
+    reference_book, vf3_book, make_random_book
+):
+    with pytest.raises(DecodeError, match="position 0: '111'"):
         decode_words(vf3_book, "111")  # unassigned chunk
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="position 3: '0'"):
         decode_words(vf3_book, "0000")  # not a multiple of the chunk size
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="position 0: '1'"):
         decode_words(reference_book, "1")  # ends inside a codeword
+    with pytest.raises(DecodeError, match="position 1: '11'"):
+        decode_words(reference_book, "011")  # ends inside the second codeword
     assert decode_words(reference_book, "") == []
+    # Codewords 0, 10, 11, 12, 200, 2010, ...: Kraft sum 43693/59049 < 1,
+    # so the codeword trie has dead branches, "21" among them.
+    book = make_random_book(random.Random(0), "stretched")
+    assert book.kraft_exact() < 1
+    assert decode_words(book, "012") == [(2, 3, 3), (3,)]
+    with pytest.raises(DecodeError, match="position 3: '21'"):
+        decode_words(book, "01221")
+
+
+def test_codec_tries_reject_books_that_are_not_prefix_free(reference_book):
+    """Books that skipped validate_codebook still meet the tries' own prefix
+    checks, whichever of the two clashing entries comes first."""
+    a, ba, bba, bbb = reference_book.entries  # words 1, 21, 221, 222
+    cases = [
+        (Encoder, dataclasses.replace(bbb, word=(2, 2))),
+        (lambda book: decode_words(book, ""), dataclasses.replace(bbb, codeword="11")),
+    ]
+    for build, clash in cases:
+        for pair in ((bba, clash), (clash, bba)):
+            book = dataclasses.replace(reference_book, entries=(a, ba, *pair))
+            with pytest.raises(ValidationError, match="are not prefix-free"):
+                build(book)
+
+
+def test_one_encoder_encodes_messages_in_a_row(binary_model, reference_book):
+    rng = random.Random(105)
+    messages = [
+        sample_symbols(binary_model, rng, 300),
+        [2],  # ends inside a word: padded to "111" with 2 pad symbols
+        sample_symbols(binary_model, rng, 500),
+    ]
+    enc = Encoder(reference_book)
+    results = [enc.encode(message) for message in messages]
+    assert results[1] == ("111", 2)
+    assert results == [encode_message(reference_book, m) for m in messages]
 
 
 def test_decode_message_cannot_trim_more_than_it_decoded(reference_book):
@@ -142,6 +183,32 @@ def test_sync_experiment_is_deterministic_per_seed(vf3_book):
     b = sync_error_experiment(vf3_book, trials=20, message_len=50, seed=42)
     assert a.histogram == b.histogram
     assert [t.position for t in a.records] == [t.position for t in b.records]
+
+
+def test_sync_experiment_reports_are_pinned(
+    reference_book, vf3_book, make_random_book
+):
+    """Reports recorded from the two-decoder codec, before the decode loops
+    were merged: any change in what the tolerant decoder returns, or in the
+    order of the RNG draws, moves at least one of these values."""
+    stretched = make_random_book(random.Random(0), "stretched")
+    assert stretched.kraft_exact() < 1  # flips can reach dead branches
+    expected = [
+        (reference_book, {1: 74, 2: 97, 3: 23, 4: 4, 5: 2}, 1.815, 5, 0.37,
+         "58fecfbe24782a6efff5d71795fbbad6d2f89d83bb069bd82e2340fce087412b"),
+        (vf3_book, {1: 200}, 1.0, 1, 1.0,
+         "0acc2252f03281aaa1158a04611f5a93b323f3fe8e77fa406cf6c6e93e86bd67"),
+        (stretched, {1: 135, 2: 47, 3: 13, 4: 4, 6: 1}, 1.45, 6, 0.675,
+         "57913269c497353707570d7524bd7d45ce85ecf2876fd034066a24c7477b99e9"),
+    ]
+    for book, histogram, mean, worst, single, records_sha in expected:
+        report = sync_error_experiment(book, trials=200, message_len=200, seed=11)
+        assert report.histogram == histogram
+        assert report.mean_affected == mean
+        assert report.max_affected == worst
+        assert report.single_word_fraction == single
+        rows = repr([dataclasses.astuple(t) for t in report.records])
+        assert hashlib.sha256(rows.encode()).hexdigest() == records_sha
 
 
 def test_sync_experiment_validates_arguments(vf3_book):
