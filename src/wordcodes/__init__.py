@@ -74,6 +74,7 @@ from .vv_construct import (
 )
 from .word_sets import (
     CoverageReport,
+    EmptyRule,
     ProfileSet,
     ThresholdHighRule,
     ThresholdLowRule,
@@ -84,6 +85,7 @@ from .word_sets import (
     enumerate_words,
     is_prefix_free,
     lattice_metrics,
+    node_classifier,
     sentinel_runs,
     wedge,
 )

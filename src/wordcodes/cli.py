@@ -86,12 +86,19 @@ def _read_text(path: str) -> str:
             raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _int_arg(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{flag} takes integers, got {text!r}") from None
+
+
 def cmd_construct_vv(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     first = _words_from_arg(model, args.m1) if args.m1 else None
     second = _words_from_arg(model, args.m2) if args.m2 else None
-    T = args.T if args.T == "auto" else int(args.T)
-    cap = args.cap if args.cap == "auto" else int(args.cap)
+    T = args.T if args.T == "auto" else _int_arg(args.T, "--T")
+    cap = args.cap if args.cap == "auto" else _int_arg(args.cap, "--cap")
     result = construct_vv(
         model,
         T=T,
@@ -213,7 +220,11 @@ def cmd_experiment_scaling(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     t_list = None
     if args.t_list:
-        t_list = [int(tok) for tok in args.t_list.split(",") if tok.strip()]
+        t_list = [
+            _int_arg(tok, "--t-list")
+            for tok in args.t_list.split(",")
+            if tok.strip()
+        ]
     result = scaling_experiment(model, t_list=t_list, t_max=args.t_max)
     for row in result.rows:
         print(

@@ -111,9 +111,18 @@ class Encoder:
         return digits, pads
 
     def encode(self, symbols: list[int], pad: bool = True) -> tuple[str, int]:
-        """Feed a whole message and finish it; returns (digits, pad count)."""
-        parts = [self.feed(s) for s in symbols]
-        tail, pads = self.finish(pad=pad)
+        """Feed a whole message and finish it; returns (digits, pad count).
+
+        On any error the encoder drops the partial word and goes back to
+        the root, so the next message starts clean.
+        """
+        try:
+            parts = [self.feed(s) for s in symbols]
+            tail, pads = self.finish(pad=pad)
+        except BaseException:
+            self._node = self._root
+            self._pending = 0
+            raise
         parts.append(tail)
         return "".join(parts), pads
 

@@ -33,10 +33,11 @@ from .source_model import (
 from .word_sets import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_NODE_LIMIT,
-    ProfileSet,
+    EmptyRule,
     WindowRule,
     enumerate_words,
     lattice_metrics,
+    node_classifier,
 )
 
 RATIONAL_LOG_TOL = 1e-12
@@ -90,11 +91,13 @@ def construct_vf(
         }
     else:
         cap = int((L - d_max) / d_min) + 2
-        pset = ProfileSet(
-            model.m, cap, WindowRule(model.d, L - d_max, float(L))
+        classify = node_classifier(
+            WindowRule(model.d, L - d_max, float(L)), EmptyRule()
         )
-        table = lattice_metrics(model, pset, node_limit=node_limit)
-        words = enumerate_words(model, pset, limit=enum_limit)
+        table = lattice_metrics(model, classify, cap, node_limit)
+        words = [
+            w for w, _, _ in enumerate_words(model, classify, cap, enum_limit)
+        ]
         if len(words) != table.word_count:
             raise ValidationError(
                 f"enumeration found {len(words)} words, DP counted "

@@ -17,13 +17,15 @@ splitting only the class where the Kraft sum crosses 1.
 Three sweeps cover the lattice.  A joint forward DP over both sets yields
 the Kraft sums of each set and of their full merge, the cap masses that
 size the cap, and the profile classes the merge may add.  A backward
-knockout sweep gives the Kraft mass each added word removes, and a forward
-DP of the final word set gives its stops.  Both forward DPs run on the
-level walk of `word_sets.lattice_levels` and only route each node.  Each
-sweep classifies a node once, through one shared classifier that returns
-its linear form and both threshold memberships (the cap is simply the last
-level).  The knockout sweep keeps two levels at a time; for two symbols
-each level is a plain list indexed by the first count.
+knockout sweep gives the Kraft mass each added word removes.  The final
+word set is the one every code family shares: `word_sets.lattice_metrics`
+gives its stops, hence its exact Kraft sum and metrics, with the merge's
+chosen classes and boundary split passed in, and `word_sets.enumerate_words`
+lists it when it is small enough for a book.  On the swapped path the high
+set is both sets.  Every sweep classifies a node once, through
+`word_sets.node_classifier` over the two threshold rules (the cap is simply
+the last level).  The knockout sweep keeps two levels at a time; for two
+symbols each level is a plain list indexed by the first count.
 """
 
 from __future__ import annotations
@@ -53,21 +55,23 @@ from .source_model import (
     Word,
     linear_form,
     profile_of,
-    profile_probability,
     word_probability,
 )
 from .word_sets import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_NODE_LIMIT,
     THRESHOLD_TOL,
+    LatticeTable,
     NodeClassifier,
     ProfileSet,
     ThresholdHighRule,
     ThresholdLowRule,
     completeness_defect,
+    enumerate_words,
     is_prefix_free,
     lattice_levels,
-    threshold_classifier,
+    lattice_metrics,
+    node_classifier,
     wedge,
 )
 
@@ -360,14 +364,10 @@ def _joint_dp(
     set_high: ProfileSet,
     node_limit: int,
 ) -> _JointTables:
-    origin: Profile = (0,) * model.m
-    for s in (set_low, set_high):
-        if s.member(origin):
-            raise ValidationError("the empty profile cannot be a member")
     if set_low.cap != set_high.cap:
         raise InputError("both stopping sets must share one cap")
     cap = set_low.cap
-    classify = threshold_classifier(set_low, set_high)
+    classify = node_classifier(set_low.rule, set_high.rule)
 
     # {codeword length: word count} of each word set, for its Kraft sum
     acc_first: Counter[int] = Counter()
@@ -379,7 +379,7 @@ def _joint_dp(
 
     # fronts: paths that have hit neither set, only the first, only the second
     walk = lattice_levels(
-        ({origin: (1, 1.0)}, {}, {}), model.probs, cap, node_limit,
+        ({(0,) * model.m: (1, 1.0)}, {}, {}), model.probs, cap, node_limit,
         "joint lattice DP",
     )
     for level, (in_clean, in_first, in_second), keys, fronts in walk:
@@ -550,165 +550,6 @@ def _class_scan(
     )
 
 
-@dataclass
-class _FinalTable:
-    """Stop accounting of the merged word set.
-
-    stops[k] = [clean_count, clean_mass, crossed_count, crossed_mass, form,
-    high]; clean stops take the length rule with the second-set membership
-    `high` of k, crossed stops always take the floor length.  The Kraft sum,
-    word count and mass are read off the stops.
-    """
-
-    stops: dict[Profile, list]
-    kraft: Fraction
-    word_count: int
-    total_mass: float
-
-
-def _final_dp(
-    model: SourceModel,
-    classify: NodeClassifier,
-    cap: int,
-    swapped: bool,
-    chosen: set[Profile],
-    boundary: tuple[Profile, int] | None,
-    node_limit: int,
-) -> _FinalTable:
-    """Forward DP of the merged word set.
-
-    The primary set stops every path; it is the low set, or the high set on
-    the swapped path.  Clean paths reaching a chosen high-set class (or the
-    boundary class's first j words) stop there too; the rest cross it and
-    run on to the primary set at floor lengths.
-    """
-    origin: Profile = (0,) * model.m
-    boundary_profile, boundary_words = boundary if boundary else (None, 0)
-    stops: dict[Profile, list] = {}
-
-    walk = lattice_levels(
-        ({origin: (1, 1.0)}, {}), model.probs, cap, node_limit,
-        "final lattice DP",
-    )
-    for level, (in_clean, in_crossed), keys, (clean, crossed) in walk:
-        at_cap = level == cap
-        for k in keys:
-            c_c, m_c = in_clean.get(k, (0, 0.0))
-            c_x, m_x = in_crossed.get(k, (0, 0.0))
-            form, low, high = classify(k)
-            b2 = at_cap or high
-            b1 = b2 if swapped else at_cap or low
-            if b1:
-                stops[k] = [c_c, m_c, c_x, m_x, form, b2]
-                continue
-            if not b2:
-                if c_c:
-                    clean[k] = (c_c, m_c)
-                if c_x:
-                    crossed[k] = (c_x, m_x)
-                continue
-            if c_x:
-                crossed[k] = (c_x, m_x)
-            if not c_c:
-                continue
-            if k in chosen:
-                stops[k] = [c_c, m_c, 0, 0.0, form, True]
-                continue
-            if k == boundary_profile:
-                if c_c < boundary_words:
-                    raise ValidationError(
-                        "boundary class smaller than its split"
-                    )
-                stop_m = boundary_words * profile_probability(model, k)
-                stops[k] = [boundary_words, stop_m, 0, 0.0, form, True]
-                c_c -= boundary_words
-                m_c -= stop_m
-                if not c_c:
-                    continue
-            oc, om = crossed.get(k, (0, 0.0))
-            crossed[k] = (oc + c_c, om + m_c)
-
-    acc: Counter[int] = Counter()
-    for c_c, _, c_x, _, form, high in stops.values():
-        if c_c:
-            acc[code_length_for(form, high)] += c_c
-        if c_x:
-            acc[code_length_for(form, False)] += c_x
-    return _FinalTable(
-        stops=stops,
-        kraft=kraft_of_counts(acc, model.arity),
-        word_count=sum(rec[0] + rec[2] for rec in stops.values()),
-        total_mass=math.fsum(rec[1] + rec[3] for rec in stops.values()),
-    )
-
-
-def _enumerate_final(
-    model: SourceModel,
-    classify: NodeClassifier,
-    cap: int,
-    swapped: bool,
-    chosen: set[Profile],
-    boundary: tuple[Profile, int] | None,
-    limit: int,
-) -> list[tuple[Word, int]]:
-    """List the merged word set in lexicographic order with its lengths.
-
-    Mirrors the stopping semantics of the final lattice DP word by word; at
-    the boundary profile the lexicographically first j entering words stop
-    and the rest continue to their first primary-set stop.
-    """
-    m = model.m
-    boundary_profile = boundary[0] if boundary else None
-    boundary_left = boundary[1] if boundary else 0
-    out: list[tuple[Word, int]] = []
-    origin: Profile = (0,) * m
-    # frame: [word, profile, crossed, next symbol index]
-    stack: list[list] = [[(), origin, False, 0]]
-    while stack:
-        frame = stack[-1]
-        word, profile, crossed, nxt = frame
-        if nxt >= m:
-            stack.pop()
-            continue
-        frame[3] += 1
-        sym = nxt  # 0-based position; symbols are 1-based
-        child_word = word + (sym + 1,)
-        child = (
-            profile[:sym] + (profile[sym] + 1,) + profile[sym + 1 :]
-        )
-        level = len(child_word)
-        if level > cap:
-            raise ValidationError("enumeration ran past the cap")
-        form, low, high = classify(child)
-        b2 = level == cap or high
-        b1 = b2 if swapped else level == cap or low
-        if b1:
-            length = code_length_for(form, b2 and not crossed)
-            out.append((child_word, length))
-            if len(out) > limit:
-                raise ResourceError(f"word set exceeds {limit} words")
-            continue
-        if b2:
-            if crossed:
-                stack.append([child_word, child, True, 0])
-                continue
-            if child in chosen:
-                out.append((child_word, code_length_for(form, True)))
-                if len(out) > limit:
-                    raise ResourceError(f"word set exceeds {limit} words")
-                continue
-            if child == boundary_profile and boundary_left > 0:
-                boundary_left -= 1
-                out.append((child_word, code_length_for(form, True)))
-                if len(out) > limit:
-                    raise ResourceError(f"word set exceeds {limit} words")
-                continue
-            stack.append([child_word, child, True, 0])
-            continue
-        stack.append([child_word, child, crossed, 0])
-    return out
-
-
 def threshold_parameter_candidates(
     model: SourceModel, t_max: int = DEFAULT_T_MAX
 ) -> dict:
@@ -763,6 +604,8 @@ def choose_cap(
     ceil(8 T^3 ln T) is reached.  Returns the lattice tables of the last
     trial so the caller need not recompute them.
     """
+    if T < 1:
+        raise InputError(f"T must be >= 1, got {T}")
     hard = max(T * T, math.ceil(8 * T**3 * math.log(T)) if T >= 2 else 0)
     target = 1.0 / (T * T)
     cap = T * T
@@ -781,19 +624,25 @@ def choose_cap(
         cap = min(2 * cap, hard)
 
 
-def _metrics_classes(
-    table: _FinalTable,
-) -> list[tuple[float, int, int, float]]:
-    """(mass, word length, codeword length, linear form) per stop class."""
-    out: list[tuple[float, int, int, float]] = []
+def _final_classes(
+    table: LatticeTable, arity: int
+) -> tuple[list[tuple[float, int, int, float]], Fraction]:
+    """Metric rows of the final word set, and its exact Kraft sum.
+
+    One (mass, word length, codeword length, linear form) row per stop
+    class.  Clean stops take the length rule with the stop's second-set
+    flag; crossed stops always take the floor length.
+    """
+    rows: list[tuple[float, int, int, float]] = []
+    by_length: Counter[int] = Counter()
     for k in sorted(table.stops):
-        c_c, m_c, c_x, m_x, form, high = table.stops[k]
-        word_len = sum(k)
-        if c_c:
-            out.append((m_c, word_len, code_length_for(form, high), form))
-        if c_x:
-            out.append((m_x, word_len, code_length_for(form, False), form))
-    return out
+        c_c, m_c, c_x, m_x, form, second = table.stops[k]
+        for count, mass, extra in ((c_c, m_c, second), (c_x, m_x, False)):
+            if count:
+                length = code_length_for(form, extra)
+                by_length[length] += count
+                rows.append((mass, sum(k), length, form))
+    return rows, kraft_of_counts(by_length, arity)
 
 
 @dataclass
@@ -843,7 +692,7 @@ def _pipeline(
             (cap_val, max(tables.cap_mass_first, tables.cap_mass_second))
         ]
 
-    classify = threshold_classifier(set_low, set_high)
+    classify = node_classifier(set_low.rule, set_high.rule)
     kraft_first = tables.kraft_first
     kraft_second = tables.kraft_second
     kraft_merged: Fraction | None = None
@@ -851,7 +700,6 @@ def _pipeline(
     steps: list[MergeStep] = []
     chosen: set[Profile] = set()
     boundary: tuple[Profile, int] | None = None
-    swapped = False
 
     if kraft_first <= 1:
         path = "base"
@@ -884,7 +732,8 @@ def _pipeline(
             expected_kraft = g_final
         elif kraft_second <= 1:
             path = "swapped"
-            swapped = True
+            # the high set stops every path, and every stop is clean
+            classify = node_classifier(set_high.rule, set_high.rule)
             expected_kraft = kraft_second
         else:
             raise InfeasibleError(
@@ -892,22 +741,23 @@ def _pipeline(
                 "in either merge order"
             )
 
-    final = _final_dp(
-        model, classify, cap_val, swapped, chosen, boundary, node_limit
+    final = lattice_metrics(
+        model, classify, cap_val, node_limit, chosen, boundary
     )
-    if final.kraft != expected_kraft:
+    stop_rows, kraft_final = _final_classes(final, n)
+    if kraft_final != expected_kraft:
         raise ValidationError(
             "final word set Kraft sum disagrees with the merge accounting"
         )
-    if abs(final.total_mass - 1.0) > 1e-6:
+    if abs(final.total_prob - 1.0) > 1e-6:
         raise ValidationError(
-            f"final word set is not complete: mass {final.total_mass!r}"
+            f"final word set is not complete: mass {final.total_prob!r}"
         )
 
     dp_metrics = analysis.metrics_from_classes(
         model,
-        _metrics_classes(final),
-        kraft_exact=final.kraft,
+        stop_rows,
+        kraft_exact=kraft_final,
         word_count=final.word_count,
     )
 
@@ -923,7 +773,7 @@ def _pipeline(
         "kraft_first": str(kraft_first),
         "kraft_second": str(kraft_second),
         "kraft_merged": None if kraft_merged is None else str(kraft_merged),
-        "kraft_final": str(final.kraft),
+        "kraft_final": str(kraft_final),
         "classes_added": len(chosen) + (1 if boundary else 0),
         "boundary_profile": list(boundary[0]) if boundary else None,
         "boundary_words": boundary[1] if boundary else None,
@@ -933,16 +783,17 @@ def _pipeline(
     book = None
     book_metrics = None
     if final.word_count <= enum_limit:
-        words = _enumerate_final(
-            model, classify, cap_val, swapped, chosen, boundary, enum_limit
+        items = enumerate_words(
+            model, classify, cap_val, enum_limit, chosen, boundary
         )
-        if len(words) != final.word_count:
+        if len(items) != final.word_count:
             raise ValidationError(
                 "enumerated word count disagrees with the lattice DP"
             )
-        items = [
-            (w, word_probability(model, w), length) for w, length in words
-        ]
+        # rewritten in place, so the triples are never held twice
+        for i, (w, form, extra) in enumerate(items):
+            length = code_length_for(form, extra)
+            items[i] = (w, word_probability(model, w), length)
         entries = assign_codewords(model, items, assignment)
         book = CodeBook(
             model=model,
@@ -1126,37 +977,23 @@ def construct_vv(
             enum_limit,
         )
 
+    def build(t: int) -> VVResult:
+        return _pipeline(
+            model, t, cap, theta, grade, assignment, enum_limit, node_limit
+        )
+
     if T == "auto":
         info = threshold_parameter_candidates(model, t_max)
         candidates = info["candidates"]
         if grade == "metrics":
             above = [t for t in candidates if t > 4]
-            choice = above[0] if above else candidates[-1]
-            result = _pipeline(
-                model,
-                choice,
-                cap,
-                theta,
-                grade,
-                assignment,
-                enum_limit,
-                node_limit,
-            )
+            result = build(above[0] if above else candidates[-1])
             result.provenance["t_selection"] = info
             return result
         failures: list[str] = []
         for choice in reversed(candidates):
             try:
-                result = _pipeline(
-                    model,
-                    choice,
-                    cap,
-                    theta,
-                    grade,
-                    assignment,
-                    enum_limit,
-                    node_limit,
-                )
+                result = build(choice)
             except ResourceError as exc:
                 failures.append(f"T={choice}: {exc}")
                 continue
@@ -1172,9 +1009,7 @@ def construct_vv(
         )
 
     choice = int(T)
-    result = _pipeline(
-        model, choice, cap, theta, grade, assignment, enum_limit, node_limit
-    )
+    result = build(choice)
     if grade == "codec" and result.book is None:
         raise ResourceError(
             f"the word set at T={choice} has "

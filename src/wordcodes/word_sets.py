@@ -7,9 +7,19 @@ profile, and the enumeration-free accounting below is a dynamic program over
 lattice nodes that tracks, per profile, how many paths are still alive and how
 many stop there.
 
-Every profile set carries a hard cap: profiles of that total length are always
-members, which forces every infinite symbol stream to stop and makes the word
-set complete (probabilities sum to 1).
+Every walk carries a hard cap: profiles of that total length always stop,
+which forces every infinite symbol stream to stop and makes the word set
+complete (probabilities sum to 1).
+
+Both code families walk the lattice the same way.  `node_classifier` turns
+two rules into one classification per node: its linear form and whether the
+first and the second set hold it.  `lattice_metrics` (the forward stopping
+DP) and `enumerate_words` (the word-by-word enumerator) are the only walks;
+the first set stops every path, and a path that reaches the second set stops
+there only where the caller says so (the classes a Kraft merge takes) and
+otherwise crosses it and runs on.  VF codes pass an empty second set.
+`ProfileSet` keeps profile membership as a plain predicate, for checks and
+tests; no walk calls it.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from .source_model import (
     Profile,
     SourceModel,
     Word,
+    profile_probability,
     word_probability,
 )
 
@@ -43,7 +54,11 @@ def snapped_frac(x: float, tol: float = THRESHOLD_TOL) -> float:
 
 
 class Rule:
-    """Membership rule for profiles; subclasses must be pure and cheap."""
+    """Membership rule for profiles; subclasses must be pure and cheap.
+
+    Rules that look at a profile only through its linear form also answer
+    `admits(form)`, and only those can drive a lattice walk.
+    """
 
     def member(self, profile: Profile) -> bool:
         raise NotImplementedError
@@ -54,6 +69,9 @@ class EmptyRule(Rule):
     """No profile is a member; the cap alone stops every word."""
 
     def member(self, profile: Profile) -> bool:
+        return False
+
+    def admits(self, form: float) -> bool:
         return False
 
 
@@ -118,8 +136,11 @@ class WindowRule(Rule):
     tol: float = THRESHOLD_TOL
 
     def member(self, profile: Profile) -> bool:
-        f = math.fsum(k * di for k, di in zip(profile, self.d))
-        return self.lo + self.tol < f <= self.hi + self.tol
+        return self.admits(math.fsum(k * di for k, di in zip(profile, self.d)))
+
+    def admits(self, form: float) -> bool:
+        """Membership of a profile whose linear form is `form`."""
+        return self.lo + self.tol < form <= self.hi + self.tol
 
 
 @dataclass(frozen=True)
@@ -143,6 +164,11 @@ class ProfileSet:
             raise InputError("profile sets need at least 2 symbol coordinates")
         if self.cap < 1:
             raise InputError(f"cap must be >= 1, got {self.cap}")
+        if self.rule.member((0,) * self.m):
+            raise ValidationError(
+                "the empty profile is a member; the empty word would be a "
+                "code word"
+            )
 
     def member(self, profile: Profile) -> bool:
         if len(profile) != self.m:
@@ -155,35 +181,32 @@ class ProfileSet:
 NodeClassifier = Callable[[Profile], tuple[float, bool, bool]]
 
 
-def threshold_classifier(
-    set_low: ProfileSet, set_high: ProfileSet
-) -> NodeClassifier:
-    """One classification per lattice node: profile -> (form, low, high).
+def node_classifier(first_rule: Rule, second_rule: Rule) -> NodeClassifier:
+    """One classification per lattice node: profile -> (form, first, second).
 
-    `form` is exactly `linear_form` of the profile, and `low` and `high` are
-    what the two sets' threshold rules answer for a nonzero profile, through
-    the rules' own `admits`.  The hard cap is left to the lattice sweeps,
-    which know each node's level.  For two symbols the form is one IEEE
-    addition, which is correctly rounded just as `math.fsum` is, so it gives
-    the same float; three or more symbols keep `fsum`.
+    `form` is exactly `linear_form` of the profile, and `first` and `second`
+    are what the two rules' `admits` answer for it; both rules must decide
+    by the linear form alone, over one source (`EmptyRule` fits any).  The
+    walks never classify the empty profile, and they apply the hard cap
+    themselves, since they know each node's level.  For two symbols the
+    form is one IEEE addition, which is correctly rounded just as
+    `math.fsum` is, so it gives the same float; three or more symbols keep
+    `fsum`.
 
-    Going through `admits` keeps the threshold test in one place, at a
-    cost: inlining it instead made the benchmark's lattice workload about
-    13 % faster (2-core x86-64, Python 3.11).
+    Going through `admits` keeps each rule's test in one place, at a cost:
+    inlining the threshold tests instead made the benchmark's lattice
+    workload about 13 % faster (2-core x86-64, Python 3.11).
     """
-    lo, hi = set_low.rule, set_high.rule
-    if not (
-        isinstance(lo, ThresholdLowRule)
-        and isinstance(hi, ThresholdHighRule)
-        and lo.d == hi.d
-    ):
+    rules = (first_rule, second_rule)
+    sources = {getattr(rule, "d", None) for rule in rules} - {None}
+    if len(sources) != 1 or not all(hasattr(rule, "admits") for rule in rules):
         raise InputError(
-            "the node classifier needs a low and a high threshold rule "
-            "over one source"
+            "the node classifier needs two rules that decide by the linear "
+            "form of one source"
         )
-    lo_admits, hi_admits = lo.admits, hi.admits
+    (d,) = sources
+    first_admits, second_admits = first_rule.admits, second_rule.admits
     fsum = math.fsum
-    d = lo.d
     d0, d1 = d[0], d[1]
     two = len(d) == 2
 
@@ -192,7 +215,7 @@ def threshold_classifier(
             form = k[0] * d0 + k[1] * d1
         else:
             form = fsum(c * di for c, di in zip(k, d))
-        return form, lo_admits(form), hi_admits(form)
+        return form, first_admits(form), second_admits(form)
 
     return classify
 
@@ -261,109 +284,145 @@ def lattice_levels(
         yield level, incoming, keys, fronts
 
 
+Stop = tuple[int, float, int, float, float, bool]
+
+
 @dataclass
 class LatticeTable:
     """Per-profile stopping counts and probability masses from the DP.
 
-    `stops` maps each stopping profile to (number of words, probability mass).
-    Counts are exact big integers; masses are binary64.  `cap_mass` is the
-    mass of words stopped by the hard cap alone (their profiles are members
-    only through the cap), the quantity used to size the cap adaptively.
+    `stops` maps each stopping profile to (clean count, clean mass, crossed
+    count, crossed mass, form, second): crossed paths reached the second
+    set before they stopped, clean ones did not, and `second` says whether
+    the profile is in the second set or at the cap.  Counts are exact big
+    integers; masses are binary64.  `cap_mass` is the mass of words stopped
+    by the hard cap alone (their profiles are not in the first set), the
+    quantity used to size the cap adaptively.
     """
 
-    stops: dict[Profile, tuple[int, float]]
+    stops: dict[Profile, Stop]
     word_count: int
     total_prob: float
-    avg_length: float
-    max_length: int
     cap_mass: float
     visited_nodes: int
 
 
 def lattice_metrics(
     model: SourceModel,
-    pset: ProfileSet,
+    classify: NodeClassifier,
+    cap: int,
     node_limit: int = DEFAULT_NODE_LIMIT,
+    taken: Collection[Profile] = (),
+    boundary: tuple[Profile, int] | None = None,
 ) -> LatticeTable:
-    """Run the stopping DP for one profile set.
+    """The forward stopping DP: every stop of the word set, by profile.
 
-    Member nodes absorb the paths reaching them as stopped words; the rest
-    stay alive.  Raises ResourceError when the walk visits more than
-    `node_limit` nodes in total.
+    A node in the first set, or at the cap, stops every path reaching it.  A
+    clean path reaching a node of the second set stops there only if the
+    node is `taken`, or is the `boundary` profile (profile, j), where its
+    first j words stop; every other such path crosses and runs on.  Raises
+    ResourceError when the walk visits more than `node_limit` nodes.
     """
-    origin: Profile = (0,) * model.m
-    if pset.member(origin):
-        raise ValidationError(
-            "the empty profile is a member; the empty word would be a code word"
-        )
-    stops: dict[Profile, tuple[int, float]] = {}
+    boundary_profile, boundary_words = boundary if boundary else (None, 0)
+    stops: dict[Profile, Stop] = {}
     cap_mass = 0.0
     visited = 0
     walk = lattice_levels(
-        ({origin: (1, 1.0)},), model.probs, pset.cap, node_limit, "lattice DP"
+        ({(0,) * model.m: (1, 1.0)}, {}), model.probs, cap, node_limit,
+        "lattice DP",
     )
-    for level, (incoming,), keys, (alive,) in walk:
+    for level, (in_clean, in_crossed), keys, (clean, crossed) in walk:
         visited += len(keys)
+        at_cap = level == cap
         for k in keys:
-            if pset.member(k):
-                stops[k] = incoming[k]
-                if level == pset.cap and not pset.rule.member(k):
-                    cap_mass += incoming[k][1]
-            else:
-                alive[k] = incoming[k]
-    word_count = sum(c for c, _ in stops.values())
-    total_prob = math.fsum(mass for _, mass in stops.values())
-    avg_length = math.fsum(sum(k) * mass for k, (_, mass) in stops.items())
-    max_length = max((sum(k) for k, (c, _) in stops.items() if c), default=0)
+            c_c, m_c = in_clean.get(k, (0, 0.0))
+            c_x, m_x = in_crossed.get(k, (0, 0.0))
+            form, first, second = classify(k)
+            second = second or at_cap
+            if first or at_cap:
+                stops[k] = (c_c, m_c, c_x, m_x, form, second)
+                if not first:
+                    cap_mass += m_c + m_x
+                continue
+            if c_x:
+                crossed[k] = (c_x, m_x)
+            if not c_c:
+                continue
+            if not second:
+                clean[k] = (c_c, m_c)
+                continue
+            if k in taken:
+                stops[k] = (c_c, m_c, 0, 0.0, form, True)
+                continue
+            if k == boundary_profile:
+                if c_c < boundary_words:
+                    raise ValidationError(
+                        "boundary class smaller than its split"
+                    )
+                stop_m = boundary_words * profile_probability(model, k)
+                stops[k] = (boundary_words, stop_m, 0, 0.0, form, True)
+                c_c -= boundary_words
+                m_c -= stop_m
+                if not c_c:
+                    continue
+            oc, om = crossed.get(k, (0, 0.0))
+            crossed[k] = (oc + c_c, om + m_c)
     return LatticeTable(
         stops=stops,
-        word_count=word_count,
-        total_prob=total_prob,
-        avg_length=avg_length,
-        max_length=max_length,
+        word_count=sum(s[0] + s[2] for s in stops.values()),
+        total_prob=math.fsum(s[1] + s[3] for s in stops.values()),
         cap_mass=cap_mass,
         visited_nodes=visited,
     )
 
 
 def enumerate_words(
-    model: SourceModel, pset: ProfileSet, limit: int
-) -> list[Word]:
-    """Depth-first enumeration of the word set, in lexicographic order.
+    model: SourceModel,
+    classify: NodeClassifier,
+    cap: int,
+    limit: int,
+    taken: Collection[Profile] = (),
+    boundary: tuple[Profile, int] | None = None,
+) -> list[tuple[Word, float, bool]]:
+    """The word set of `lattice_metrics`, word by word, in lexicographic order.
 
-    Walks the symbol tree, emitting a word at the first member profile on
-    each branch.  Iterative so the cap, which bounds the depth, can exceed
-    the interpreter recursion limit.
+    Returns (word, form, extra_digit) per word: `extra_digit` is set for a
+    clean stop in the second set or at the cap, where the construction
+    length gets one digit more.  At the boundary profile the
+    lexicographically first j clean words stop.  Iterative, so the cap,
+    which bounds the depth, can exceed the interpreter recursion limit.
     """
     m = model.m
-    out: list[Word] = []
-    origin: Profile = (0,) * m
-    if pset.member(origin):
-        raise ValidationError(
-            "the empty profile is a member; the empty word would be a code word"
-        )
-    stack: list[list] = [[origin, (), 1]]
+    boundary_profile, boundary_left = boundary if boundary else (None, 0)
+    out: list[tuple[Word, float, bool]] = []
+    # frame: [word, profile, crossed, next symbol index]
+    stack: list[list] = [[(), (0,) * m, False, 0]]
     while stack:
-        top = stack[-1]
-        k, w, i = top
-        if i > m:
+        frame = stack[-1]
+        word, profile, crossed, sym = frame
+        if sym >= m:
             stack.pop()
             continue
-        top[2] = i + 1
-        child = k[: i - 1] + (k[i - 1] + 1,) + k[i:]
-        cw = w + (i,)
-        if pset.member(child):
-            out.append(cw)
-            if len(out) > limit:
-                raise ResourceError(
-                    f"word set exceeds the enumeration limit of {limit}"
-                )
-        else:
-            if len(cw) >= pset.cap:
-                raise ValidationError(
-                    "paths alive beyond the cap; the cap must stop every profile"
-                )
-            stack.append([child, cw, 1])
+        frame[3] = sym + 1
+        child_word = word + (sym + 1,)  # symbols are 1-based
+        child = profile[:sym] + (profile[sym] + 1,) + profile[sym + 1 :]
+        at_cap = len(child_word) == cap
+        form, first, second = classify(child)
+        second = (second or at_cap) and not crossed
+        if not (first or at_cap):
+            if not second:
+                stack.append([child_word, child, crossed, 0])
+                continue
+            if child not in taken:
+                if child != boundary_profile or not boundary_left:
+                    stack.append([child_word, child, True, 0])
+                    continue
+                boundary_left -= 1
+        out.append((child_word, form, second))
+        if len(out) > limit:
+            raise ResourceError(
+                f"word set exceeds the enumeration limit of {limit}"
+            )
     return out
 
 

@@ -1,6 +1,6 @@
-"""Shared fixtures: reference models, hand-checked code books, and a
-seeded generator of random complete prefix codes used by the metric and
-identity property tests."""
+"""Shared fixtures: reference models, hand-checked code books, a seeded
+generator of random complete prefix codes used by the metric and identity
+property tests, and a reference node classifier for the lattice walks."""
 
 from __future__ import annotations
 
@@ -20,12 +20,34 @@ from wordcodes.source_model import (
 )
 from wordcodes.vf_construct import construct_block, construct_vf
 from wordcodes.vv_construct import assign_codewords, construct_vv, floor_form
+from wordcodes.word_sets import EmptyRule
 
 # First and second word sets of the four-word binary reference code used
 # throughout the suite: the merge of these two complete sets yields
 # {a, ba, bba, bbb} with an average delay of 1.96 input symbols.
 REFERENCE_M1 = ["a", "baa", "bab", "bba", "bbb"]
 REFERENCE_M2 = ["ab", "ba", "bbb", "bba", "aab", "aaa"]
+
+
+@pytest.fixture(scope="session")
+def member_classifier():
+    """Build a node classifier that asks each rule's `member` per profile.
+
+    The reference for `word_sets.node_classifier`, and the way to walk
+    rules that cannot decide by the linear form alone.
+    """
+
+    def build(model: SourceModel, first_rule, second_rule=EmptyRule()):
+        def classify(k):
+            return (
+                linear_form(model, k),
+                first_rule.member(k),
+                second_rule.member(k),
+            )
+
+        return classify
+
+    return build
 
 
 @pytest.fixture(scope="session")

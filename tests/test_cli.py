@@ -165,6 +165,21 @@ def test_cli_encode_and_decode_reject_malformed_input_files(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_bad_integer_arguments(capsys):
+    runs = [
+        ["construct-vv", *REFERENCE_ARGS, "--T", "abc"],
+        ["construct-vv", *REFERENCE_ARGS, "--T", "4", "--cap", "x"],
+        ["construct-vv", *REFERENCE_ARGS, "--T", "0"],
+        ["construct-vv", *REFERENCE_ARGS, "--T", "-2", "--cap", "16"],
+        ["experiment", "scaling", *REFERENCE_ARGS, "--t-list", "3,x"],
+        ["experiment", "scaling", *REFERENCE_ARGS, "--t-list", "0"],
+    ]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_encode_no_pad_fails_inside_a_word(tmp_path, capsys):
     book_path = tmp_path / "vf.json"
     assert main(["construct-vf", *REFERENCE_ARGS, "--L", "3",

@@ -133,6 +133,18 @@ def test_one_encoder_encodes_messages_in_a_row(binary_model, reference_book):
     assert results == [encode_message(reference_book, m) for m in messages]
 
 
+def test_encoder_starts_clean_after_a_failed_encode(reference_book):
+    fresh = Encoder(reference_book).encode([1])
+    assert fresh == ("0", 0)
+    # a message ending inside a word without padding, and a bad symbol
+    # after a word prefix, both raise mid-word
+    for message, pad in (([2], False), ([2, 7], True)):
+        enc = Encoder(reference_book)
+        with pytest.raises(InputError):
+            enc.encode(message, pad=pad)
+        assert enc.encode([1]) == fresh
+
+
 def test_decode_message_cannot_trim_more_than_it_decoded(reference_book):
     with pytest.raises(DecodeError):
         decode_message(reference_book, "0", pad_count=2)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from wordcodes.analysis import code_metrics
+from wordcodes.analysis import code_metrics, scaling_experiment
 from wordcodes.errors import (
     InfeasibleError,
     InputError,
@@ -26,13 +26,11 @@ from wordcodes.source_model import (
 from wordcodes.word_sets import (
     DEFAULT_NODE_LIMIT,
     THRESHOLD_TOL,
-    ProfileSet,
     UnionRule,
     lattice_metrics,
-    threshold_classifier,
+    node_classifier,
 )
 from wordcodes.vv_construct import (
-    _final_dp,
     _joint_dp,
     _profiles_of_length,
     assign_codewords,
@@ -162,6 +160,16 @@ def test_threshold_sets_use_width_two_over_t(binary_model):
     assert low.member((16, 0)) and high.member((16, 0))
     with pytest.raises(InputError):
         build_threshold_sets(binary_model, 0, cap=16)
+
+
+def test_threshold_parameter_below_one_is_an_input_error(binary_model):
+    for T in (0, -3):
+        with pytest.raises(InputError):
+            choose_cap(binary_model, T)
+        with pytest.raises(InputError):
+            construct_vv(binary_model, T=T)
+        with pytest.raises(InputError):
+            scaling_experiment(binary_model, t_list=[T])
 
 
 def test_merge_reproduces_reference_trace(binary_model, reference_result):
@@ -426,7 +434,7 @@ def test_node_classifier_agrees_with_profile_set_membership():
     for model, T in _threshold_cases():
         cap = T * T
         set_low, set_high = build_threshold_sets(model, T, cap)
-        classify = threshold_classifier(set_low, set_high)
+        classify = node_classifier(set_low.rule, set_high.rule)
         for level in range(1, cap + 1):
             for k in _profiles_of_length(level, model.m):
                 form, low, high = classify(k)
@@ -435,33 +443,31 @@ def test_node_classifier_agrees_with_profile_set_membership():
                 assert (level == cap or high) == set_high.member(k)
                 snapped += form - math.floor(form) >= 1.0 - THRESHOLD_TOL
     assert snapped
-    with pytest.raises(InputError):
-        threshold_classifier(set_low, set_low)
 
 
-def test_joint_dp_kraft_merged_matches_union_sweep():
+def test_joint_dp_kraft_merged_matches_union_sweep(member_classifier):
     paths = set()
     for model, T in _threshold_cases():
         cap = T * T
         set_low, set_high = build_threshold_sets(model, T, cap)
         tables = _joint_dp(model, set_low, set_high, DEFAULT_NODE_LIMIT)
-        union = ProfileSet(
-            model.m, cap, UnionRule((set_low.rule, set_high.rule))
+        union = member_classifier(
+            model, UnionRule((set_low.rule, set_high.rule))
         )
-        union_stops = lattice_metrics(model, union).stops
+        union_stops = lattice_metrics(model, union, cap).stops
         reference = sum(
             (
                 Fraction(count, model.arity ** code_length_for(
                     linear_form(model, k), set_high.member(k)
                 ))
-                for k, (count, _) in union_stops.items()
+                for k, (count, *_) in union_stops.items()
             ),
             start=Fraction(0),
         )
         assert tables.kraft_merged == reference
         assert sorted(tables.classes) == sorted(
             (linear_form(model, k), k, count)
-            for k, (count, _) in union_stops.items()
+            for k, (count, *_) in union_stops.items()
             if set_high.member(k) and not set_low.member(k)
         )
         result = construct_vv(
@@ -476,13 +482,11 @@ def test_joint_dp_kraft_merged_matches_union_sweep():
 def test_joint_and_final_dps_stop_at_the_node_limit(binary_model):
     cap = 36
     set_low, set_high = build_threshold_sets(binary_model, 6, cap)
-    classify = threshold_classifier(set_low, set_high)
+    classify = node_classifier(set_low.rule, set_high.rule)
     # levels 1..36 hold 702 nodes in all, so a limit of 703 never trips
     assert _joint_dp(binary_model, set_low, set_high, 703).kraft_first > 0
-    assert _final_dp(
-        binary_model, classify, cap, False, set(), None, 703
-    ).word_count > 0
+    assert lattice_metrics(binary_model, classify, cap, 703).word_count > 0
     with pytest.raises(ResourceError, match="joint lattice DP"):
         _joint_dp(binary_model, set_low, set_high, 40)
-    with pytest.raises(ResourceError, match="final lattice DP"):
-        _final_dp(binary_model, classify, cap, False, set(), None, 40)
+    with pytest.raises(ResourceError, match="^lattice DP"):
+        lattice_metrics(binary_model, classify, cap, 40)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from wordcodes.errors import InputError, ResourceError, ValidationError
-from wordcodes.source_model import profile_of, word_probability
+from wordcodes.source_model import make_model, profile_of, word_probability
 from wordcodes.word_sets import (
     DEFAULT_ENUM_LIMIT,
     EmptyRule,
@@ -16,11 +19,13 @@ from wordcodes.word_sets import (
     ProfileSet,
     ThresholdHighRule,
     ThresholdLowRule,
+    WindowRule,
     check_shift_coverage,
     completeness_defect,
     enumerate_words,
     is_prefix_free,
     lattice_metrics,
+    node_classifier,
     sentinel_runs,
     snapped_frac,
     wedge,
@@ -51,15 +56,19 @@ def test_threshold_rules_classify_reference_profiles(binary_model):
     assert not low.member((0, 0)) and not high.member((0, 0))
 
 
-def test_explicit_profile_sets_reproduce_reference_word_sets(binary_model):
-    first = ProfileSet(2, 3, ExplicitProfilesRule(frozenset({(1, 0)})))
-    words = enumerate_words(binary_model, first, limit=100)
-    texts = [binary_model.word_to_text(w) for w in words]
+def test_explicit_profile_sets_reproduce_reference_word_sets(
+    binary_model, member_classifier
+):
+    first = ExplicitProfilesRule(frozenset({(1, 0)}))
+    classify = member_classifier(binary_model, first)
+    words = enumerate_words(binary_model, classify, 3, limit=100)
+    texts = [binary_model.word_to_text(w) for w, _, _ in words]
     assert texts == ["a", "baa", "bab", "bba", "bbb"]
 
-    second = ProfileSet(2, 3, ExplicitProfilesRule(frozenset({(1, 1)})))
-    words = enumerate_words(binary_model, second, limit=100)
-    texts = [binary_model.word_to_text(w) for w in words]
+    second = ExplicitProfilesRule(frozenset({(1, 1)}))
+    classify = member_classifier(binary_model, second)
+    words = enumerate_words(binary_model, classify, 3, limit=100)
+    texts = [binary_model.word_to_text(w) for w, _, _ in words]
     assert sorted(texts) == ["aaa", "aab", "ab", "ba", "bba", "bbb"]
 
 
@@ -75,9 +84,14 @@ def test_lattice_metrics_agree_with_enumeration(binary_model, ternary_model):
                     ThresholdHighRule(model.d, 2.0 / t),
                 ]
             )
-            pset = ProfileSet(model.m, cap, rule)
-            table = lattice_metrics(model, pset)
-            words = enumerate_words(model, pset, limit=DEFAULT_ENUM_LIMIT)
+            classify = node_classifier(rule, EmptyRule())
+            table = lattice_metrics(model, classify, cap)
+            words = [
+                w
+                for w, _, _ in enumerate_words(
+                    model, classify, cap, limit=DEFAULT_ENUM_LIMIT
+                )
+            ]
             assert words is not None
             assert len(words) == table.word_count
             assert is_prefix_free(words)
@@ -87,38 +101,120 @@ def test_lattice_metrics_agree_with_enumeration(binary_model, ternary_model):
             avg = math.fsum(
                 len(w) * word_probability(model, w) for w in words
             )
-            assert avg == pytest.approx(table.avg_length, abs=1e-12)
-            assert max(len(w) for w in words) == table.max_length
+            avg_length = math.fsum(
+                sum(k) * (s[1] + s[3]) for k, s in table.stops.items()
+            )
+            max_length = max(
+                sum(k) for k, s in table.stops.items() if s[0] + s[2]
+            )
+            assert avg == pytest.approx(avg_length, abs=1e-12)
+            assert max(len(w) for w in words) == max_length
 
 
-def test_cap_alone_stops_every_path(binary_model):
-    pset = ProfileSet(2, 5, EmptyRule())
-    table = lattice_metrics(binary_model, pset)
-    words = enumerate_words(binary_model, pset, limit=DEFAULT_ENUM_LIMIT)
+def _walk_case_models(rng: random.Random):
+    for m, n in itertools.product((2, 3), (2, 3)):
+        for _ in range(3):
+            weights = [rng.randint(1, 9) for _ in range(m)]
+            total = sum(weights)
+            yield make_model([Fraction(w, total) for w in weights], n)
+
+
+def test_walks_under_node_classifier_match_member_reference(
+    member_classifier,
+):
+    """Both walks, driven by `admits`, against a classifier that asks
+    `member` per profile: one set (threshold or window) and the two
+    threshold sets of the VV construction, with some classes taken."""
+    rng = random.Random(61)
+    walks = 0
+    for model in _walk_case_models(rng):
+        t = rng.randint(2, 6)
+        low = ThresholdLowRule(model.d, 2.0 / t)
+        high = ThresholdHighRule(model.d, 2.0 / t)
+        d_max = max(model.d)
+        L = math.ceil(d_max) + rng.randint(0, 2)
+        window = WindowRule(model.d, L - d_max, float(L))
+        window_cap = int((L - d_max) / min(model.d)) + 2
+        cap = rng.randint(4, 8)
+        second_only = [
+            k
+            for k in itertools.product(range(cap), repeat=model.m)
+            if 0 < sum(k) < cap and high.member(k) and not low.member(k)
+        ]
+        taken = set(rng.sample(second_only, min(3, len(second_only))))
+        cases = [
+            (low, EmptyRule(), cap, ()),
+            (high, EmptyRule(), cap, ()),
+            (window, EmptyRule(), window_cap, ()),
+            (low, high, cap, ()),
+            (low, high, cap, taken),
+        ]
+        for first, second, walk_cap, walk_taken in cases:
+            classify = node_classifier(first, second)
+            reference = member_classifier(model, first, second)
+            found = enumerate_words(
+                model, classify, walk_cap, DEFAULT_ENUM_LIMIT, walk_taken
+            )
+            assert found == enumerate_words(
+                model, reference, walk_cap, DEFAULT_ENUM_LIMIT, walk_taken
+            )
+            table = lattice_metrics(
+                model, classify, walk_cap, taken=walk_taken
+            )
+            assert len(found) == table.word_count
+            # the words' forms and extra digits, class by class
+            by_class = Counter(
+                (profile_of(w, model.m), form, extra)
+                for w, form, extra in found
+            )
+            expected = Counter()
+            for k, (c_c, _, c_x, _, form, second) in table.stops.items():
+                expected[k, form, second] += c_c
+                expected[k, form, False] += c_x
+            assert by_class == +expected
+            mass = math.fsum(word_probability(model, w) for w, _, _ in found)
+            assert mass == pytest.approx(table.total_prob, abs=1e-12)
+            assert mass == pytest.approx(1.0, abs=1e-9)
+            walks += 1
+    assert walks == 60
+
+
+def test_node_classifier_rejects_rules_it_cannot_walk(binary_model,
+                                                      ternary_model):
+    low = ThresholdLowRule(binary_model.d, 0.5)
+    with pytest.raises(InputError):
+        node_classifier(low, ExplicitProfilesRule(frozenset({(1, 0)})))
+    with pytest.raises(InputError):
+        node_classifier(low, ThresholdHighRule(ternary_model.d, 0.5))
+    with pytest.raises(InputError):
+        node_classifier(EmptyRule(), EmptyRule())
+
+
+def test_cap_alone_stops_every_path(binary_model, member_classifier):
+    classify = member_classifier(binary_model, EmptyRule())
+    table = lattice_metrics(binary_model, classify, 5)
+    words = enumerate_words(binary_model, classify, 5, DEFAULT_ENUM_LIMIT)
     assert table.word_count == len(words) == 2**5
-    assert all(len(w) == 5 for w in words)
+    assert all(len(w) == 5 and extra for w, _, extra in words)
     assert table.cap_mass == pytest.approx(1.0, abs=1e-12)
     assert table.total_prob == pytest.approx(1.0, abs=1e-12)
 
 
-def test_member_empty_profile_is_rejected(binary_model):
-    pset = ProfileSet(2, 3, ExplicitProfilesRule(frozenset({(0, 0)})))
+def test_member_empty_profile_is_rejected():
     with pytest.raises(ValidationError):
-        lattice_metrics(binary_model, pset)
-    with pytest.raises(ValidationError):
-        enumerate_words(binary_model, pset, limit=10)
+        ProfileSet(2, 3, ExplicitProfilesRule(frozenset({(0, 0)})))
 
 
-def test_enumeration_limit_is_enforced(binary_model):
-    pset = ProfileSet(2, 12, EmptyRule())
+def test_enumeration_limit_is_enforced(binary_model, member_classifier):
+    classify = member_classifier(binary_model, EmptyRule())
     with pytest.raises(ResourceError):
-        enumerate_words(binary_model, pset, limit=100)
+        enumerate_words(binary_model, classify, 12, limit=100)
 
 
-def test_node_limit_is_enforced(ternary_model):
-    pset = ProfileSet(3, 200, EmptyRule())
+def test_node_limit_is_enforced(ternary_model, member_classifier):
+    classify = member_classifier(ternary_model, EmptyRule())
     with pytest.raises(ResourceError):
-        lattice_metrics(ternary_model, pset, node_limit=1000)
+        lattice_metrics(ternary_model, classify, 200, node_limit=1000)
 
 
 def test_profile_set_validates_construction():
