@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--accuracy",
         type=float,
         default=None,
-        help="threshold width override (default 2/T)",
+        help="threshold width override, a finite number > 0 (default "
+        "2/T; widths of 1 or more are legal)",
     )
     p.add_argument(
         "--grade",

@@ -2,9 +2,12 @@
 
 Encoding parses the source stream greedily through a trie over the input
 words (the word sets are prefix-free and complete, so the parse never
-branches or dead-ends) and emits each word's codeword.  Decoding reads
-fixed-size chunks when every codeword has the same length, else walks a
-trie over codewords; one builder makes both tries.
+branches or dead-ends) and emits each word's codeword.  One loop over
+locals walks the trie for a whole message; feeding one symbol is the
+one-symbol case of the same loop, and a symbol that is no trie key is an
+InputError.  Decoding reads fixed-size chunks when every codeword has the
+same length, else walks a trie over codewords; one builder makes both
+tries.
 
 The synchronization experiment flips one output digit and compares decoded
 word sequences: uniform-length codes are structurally confined to one
@@ -18,6 +21,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable
 
 from .codebook import CodeBook
@@ -61,8 +65,9 @@ def _check_parse_complete(book: CodeBook, root: dict) -> None:
 class Encoder:
     """Greedy streaming encoder.
 
-    Feed symbols one at a time; digits come out as soon as a word completes.
-    The number of buffered symbols never exceeds the longest word.  After
+    Feed symbols one at a time, or a whole message to `encode`; digits come
+    out as soon as a word completes.  Both run one trie walk, `_walk`.  The
+    number of buffered symbols never exceeds the longest word.  After
     `finish` the encoder is back at the root, ready for the next message.
     """
 
@@ -78,18 +83,48 @@ class Encoder:
         maxp = max(range(book.model.m), key=lambda i: book.model.probs[i])
         self._pad_symbol = maxp + 1
 
+    def _walk(self, symbols: Iterable[int]) -> list[str]:
+        """Parse `symbols` on from the current node; return the codewords.
+
+        The one per-symbol loop.  `start` counts the symbols read before the
+        open word began (negative when it began before this call), so the
+        pending count and `max_pending` are settled once per word.  A symbol
+        that is no trie key (outside 1..m, or not a number) raises
+        InputError with the node and pending count left as they were.
+        """
+        root = self._root
+        node = self._node
+        parts: list[str] = []
+        append = parts.append
+        start = -self._pending
+        longest = self.max_pending
+        read = 0
+        # made before the try, so a message that is not iterable raises its
+        # own TypeError rather than a bad-symbol InputError
+        numbered = enumerate(symbols, 1)
+        try:
+            for read, symbol in numbered:
+                node = node[symbol]
+                if type(node) is str:
+                    append(node)
+                    if read - start > longest:
+                        longest = read - start
+                    start = read
+                    node = root
+        except (KeyError, TypeError):
+            # the symbols read before the bad one still count as buffered
+            self.max_pending = max(longest, read - 1 - start)
+            raise InputError(
+                f"symbol {symbol!r} outside the alphabet"
+            ) from None
+        self._node = node
+        self._pending = read - start
+        self.max_pending = max(longest, self._pending)
+        return parts
+
     def feed(self, symbol: int) -> str:
-        if not 1 <= symbol <= self.book.model.m:
-            raise InputError(f"symbol {symbol} outside the alphabet")
-        nxt = self._node[symbol]
-        self._pending += 1
-        self.max_pending = max(self.max_pending, self._pending)
-        if isinstance(nxt, str):
-            self._node = self._root
-            self._pending = 0
-            return nxt
-        self._node = nxt
-        return ""
+        """Read one symbol; returns its word's codeword if it completes one."""
+        return "".join(self._walk((symbol,)))
 
     def finish(self, pad: bool = True) -> tuple[str, int]:
         """Complete any partial word; returns (digits, pad symbol count).
@@ -111,13 +146,13 @@ class Encoder:
         return digits, pads
 
     def encode(self, symbols: list[int], pad: bool = True) -> tuple[str, int]:
-        """Feed a whole message and finish it; returns (digits, pad count).
+        """Encode a whole message and finish it; returns (digits, pad count).
 
         On any error the encoder drops the partial word and goes back to
         the root, so the next message starts clean.
         """
         try:
-            parts = [self.feed(s) for s in symbols]
+            parts = self._walk(symbols)
             tail, pads = self.finish(pad=pad)
         except BaseException:
             self._node = self._root
@@ -195,7 +230,7 @@ def decode_message(book: CodeBook, digits: str, pad_count: int = 0) -> list[int]
     """Decode digits to symbols, trimming `pad_count` padding symbols."""
     if pad_count < 0:
         raise InputError(f"pad count must be >= 0, got {pad_count}")
-    symbols = [s for w in decode_words(book, digits) for s in w]
+    symbols = list(chain.from_iterable(decode_words(book, digits)))
     if pad_count:
         if pad_count > len(symbols):
             raise DecodeError(
@@ -214,9 +249,9 @@ def sample_symbols(model: SourceModel, rng: random.Random, count: int) -> list[i
         acc += p
         cumulative.append(acc)
     cumulative[-1] = 1.0
-    return [
-        bisect.bisect_left(cumulative, rng.random()) + 1 for _ in range(count)
-    ]
+    draw = rng.random
+    bisect_left = bisect.bisect_left
+    return [bisect_left(cumulative, draw()) + 1 for _ in range(count)]
 
 
 @dataclass

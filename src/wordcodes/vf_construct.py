@@ -72,6 +72,8 @@ def construct_vf(
     n = model.arity
     if L < 1:
         raise InputError(f"output length must be >= 1, got {L}")
+    if enum_limit < 0:
+        raise InputError(f"enumeration limit must be >= 0, got {enum_limit}")
     if n**L < model.m:
         raise InfeasibleError(
             f"{n}^{L} codewords cannot cover {model.m} symbols"

@@ -107,12 +107,18 @@ def build_threshold_sets(
     """Low and high stopping sets with threshold 2/T (or an explicit theta).
 
     Both are unioned with the hard cap at `cap`, so the induced word sets are
-    complete regardless of how sparse the threshold hits are.
+    complete regardless of how sparse the threshold hits are.  An explicit
+    theta must be finite and positive; widths of 1 or more are legal (2/T
+    itself is 2 at T=1).
     """
     if T < 1:
         raise InputError(f"T must be >= 1, got {T}")
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
+    if theta is not None and not (math.isfinite(theta) and theta > 0):
+        raise InputError(
+            f"threshold width must be a finite number > 0, got {theta!r}"
+        )
     width = 2.0 / T if theta is None else theta
     low = ProfileSet(model.m, cap, ThresholdLowRule(model.d, width))
     high = ProfileSet(model.m, cap, ThresholdHighRule(model.d, width))
@@ -962,6 +968,8 @@ def construct_vv(
         raise InputError(f"unknown grade {grade!r}")
     if assignment not in ("huffman", "canonical"):
         raise InputError(f"unknown assignment {assignment!r}")
+    if enum_limit < 0:
+        raise InputError(f"enumeration limit must be >= 0, got {enum_limit}")
 
     if first_words is not None or second_words is not None:
         if first_words is None:

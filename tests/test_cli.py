@@ -173,6 +173,7 @@ def test_cli_rejects_bad_integer_arguments(capsys):
         ["construct-vv", *REFERENCE_ARGS, "--T", "-2", "--cap", "16"],
         ["experiment", "scaling", *REFERENCE_ARGS, "--t-list", "3,x"],
         ["experiment", "scaling", *REFERENCE_ARGS, "--t-list", "0"],
+        ["construct-vv", *REFERENCE_ARGS, "--T", "4", "--enum-limit", "-1"],
     ]
     for argv in runs:
         assert main(argv) == 2, argv
@@ -288,4 +289,16 @@ def test_cli_metrics_grade_has_no_book_to_save(tmp_path, capsys):
                  "--grade", "metrics", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+    capsys.readouterr()
+
+
+def test_cli_rejects_bad_threshold_widths(capsys):
+    for width in ("-1", "nan", "0", "inf"):
+        argv = ["construct-vv", *REFERENCE_ARGS, "--T", "4", "--accuracy", width]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    # a width of 1 or more is legal
+    assert main(["construct-vv", *REFERENCE_ARGS, "--T", "4",
+                 "--accuracy", "1"]) == 0
     capsys.readouterr()

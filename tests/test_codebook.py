@@ -10,6 +10,7 @@ writes text.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from itertools import islice
@@ -171,6 +172,28 @@ def test_book_writer_matches_json_dumps_without_entries(binary_model):
             model=binary_model, kind="vv", entries=(), provenance=provenance
         )
         assert book_to_json(book) == reference_book_json(book)
+
+
+def test_only_the_loader_skips_the_model_probability_check(binary_model):
+    entries = (
+        CodeEntry(word=(1,), codeword="0", probability=0.4),
+        CodeEntry(word=(2,), codeword="1", probability=0.6),
+    )
+    book = CodeBook(model=binary_model, kind="vv", entries=entries)
+    validate_codebook(book)
+    text = book_to_json(book)
+    # a book built in code with a stored probability off the model
+    skewed = dataclasses.replace(
+        book,
+        entries=(dataclasses.replace(entries[0], probability=0.5), entries[1]),
+    )
+    with pytest.raises(ValidationError, match="disagrees with the model"):
+        validate_codebook(skewed)
+    # the loader recomputes every probability from the model itself
+    loaded = book_from_json(text)
+    assert [e.probability for e in loaded.entries] == [0.4, 0.6]
+    with pytest.raises(ValidationError, match="extends shorter codeword"):
+        book_from_json(text.replace('"codeword": "1"', '"codeword": "01"'))
 
 
 def test_kraft_sum_matches_per_entry_fractions():

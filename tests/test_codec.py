@@ -78,10 +78,20 @@ def test_finish_without_padding_rejects_partial_words(reference_book):
 
 def test_feed_rejects_symbols_outside_the_alphabet(reference_book):
     enc = Encoder(reference_book)
-    with pytest.raises(InputError):
-        enc.feed(0)
-    with pytest.raises(InputError):
-        enc.feed(3)
+    clean = enc.encode([2, 1, 2, 2, 1])
+    # out of range, not a number, and unhashable
+    for bad in (0, 3, 1.5, None, "a", (1,), [1]):
+        with pytest.raises(InputError, match="outside the alphabet"):
+            enc.feed(bad)
+        with pytest.raises(InputError, match="outside the alphabet"):
+            enc.encode([2, 2, bad])
+        assert enc.encode([2, 1, 2, 2, 1]) == clean
+        enc.feed(2)
+        with pytest.raises(InputError, match="outside the alphabet"):
+            enc.feed(bad)
+        assert enc.feed(1) == "10"  # the rejected feed left word "2" open
+    # bools and integral floats are symbols, as they always were
+    assert enc.encode([True, 2.0, 1.0, 2, 2, 2]) == enc.encode([1, 2, 1, 2, 2, 2])
 
 
 def test_strict_decode_rejects_damaged_streams(
@@ -143,6 +153,129 @@ def test_encoder_starts_clean_after_a_failed_encode(reference_book):
         with pytest.raises(InputError):
             enc.encode(message, pad=pad)
         assert enc.encode([1]) == fresh
+
+
+class _FeedReference:
+    """The per-symbol encoder that the one-loop walk replaced: one feed call
+    per symbol, the pending count and `max_pending` updated per symbol.  Its
+    alphabet test is `symbol in range(1, m + 1)`, so 1.5, None and "a" are
+    rejected like 0 and m + 1, and True and 1.0 are symbol 1."""
+
+    def __init__(self, book):
+        self.m = book.model.m
+        self.root: dict = {}
+        for e in book.entries:
+            node = self.root
+            for s in e.word[:-1]:
+                node = node.setdefault(s, {})
+            node[e.word[-1]] = e.codeword
+        self.node = self.root
+        self.pending = 0
+        self.max_pending = 0
+        probs = book.model.probs
+        self.pad_symbol = max(range(self.m), key=lambda i: probs[i]) + 1
+
+    def feed(self, symbol):
+        if symbol not in range(1, self.m + 1):
+            raise InputError(f"symbol {symbol!r} outside the alphabet")
+        nxt = self.node[symbol]
+        self.pending += 1
+        self.max_pending = max(self.max_pending, self.pending)
+        if isinstance(nxt, str):
+            self.node = self.root
+            self.pending = 0
+            return nxt
+        self.node = nxt
+        return ""
+
+    def finish(self, pad=True):
+        if self.pending == 0:
+            return "", 0
+        if not pad:
+            raise InputError("message ends inside a word")
+        pads = 0
+        digits = ""
+        while self.pending:
+            digits = self.feed(self.pad_symbol)
+            pads += 1
+        return digits, pads
+
+    def encode(self, symbols, pad=True):
+        try:
+            parts = [self.feed(s) for s in symbols]
+            tail, pads = self.finish(pad)
+        except InputError:
+            self.node = self.root
+            self.pending = 0
+            raise
+        return "".join(parts) + tail, pads
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except InputError:
+        return "InputError"
+
+
+def _run_against_reference(book, ops):
+    """Apply (op, argument, pad) steps to a fresh Encoder and a fresh
+    reference, comparing every result and the state each step leaves."""
+    enc, ref = Encoder(book), _FeedReference(book)
+    for op, arg, pad in ops:
+        if op == "feed":
+            got, want = _outcome(enc.feed, arg), _outcome(ref.feed, arg)
+        elif op == "finish":
+            got, want = _outcome(enc.finish, pad), _outcome(ref.finish, pad)
+        else:
+            got = _outcome(enc.encode, arg, pad)
+            want = _outcome(ref.encode, arg, pad)
+        assert got == want, (book.kind, op, arg, pad)
+        assert enc.max_pending == ref.max_pending, (book.kind, op, arg, pad)
+        # the open word: its trie node (the two tries are equal dicts) and
+        # its buffered symbol count
+        assert (enc._node, enc._pending) == (ref.node, ref.pending)
+
+
+def test_encode_loop_matches_the_per_symbol_feed_reference(
+    reference_book, vf3_book, block_book, make_random_book
+):
+    stretched = make_random_book(random.Random(0), "stretched")
+    assert stretched.model.m == 3 and stretched.model.arity == 3
+    rng = random.Random(106)
+    for book in (reference_book, vf3_book, block_book, stretched):
+        m = book.model.m
+        bad_symbols = (0, m + 1, 1.5, None, "a")
+        # each message on a fresh encoder, so a partial word can set
+        # max_pending, then again after the previous message
+        messages = []
+        for length in (0, 1, 2, 7, 50, 400):
+            message = sample_symbols(book.model, rng, length)
+            messages += [(message, True), (message, False)]
+            for bad in bad_symbols:
+                for where in sorted({0, length // 2, length}):
+                    damaged = message[:where] + [bad] + message[where:]
+                    messages.append((damaged, True))
+        for message, pad in messages:
+            _run_against_reference(book, [("encode", message, pad)])
+        _run_against_reference(book, [("encode", *case) for case in messages])
+        # feed calls interleaved with encode on one instance
+        ops = []
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.6:
+                ops.append(("feed", rng.randint(1, m), None))
+            elif roll < 0.7:
+                ops.append(("feed", rng.choice(bad_symbols), None))
+            elif roll < 0.85:
+                message = sample_symbols(book.model, rng, rng.randrange(12))
+                if rng.random() < 0.3:
+                    message.insert(rng.randrange(len(message) + 1),
+                                   rng.choice(bad_symbols))
+                ops.append(("encode", message, rng.random() < 0.7))
+            else:
+                ops.append(("finish", None, rng.random() < 0.5))
+        _run_against_reference(book, ops)
 
 
 def test_decode_message_cannot_trim_more_than_it_decoded(reference_book):

@@ -77,6 +77,12 @@ def test_vf_requires_room_for_every_symbol(ternary_model):
         construct_vf(ternary_model, 0)
 
 
+def test_vf_rejects_a_negative_enumeration_limit(binary_model):
+    with pytest.raises(InputError, match="enumeration limit"):
+        construct_vf(binary_model, 3, enum_limit=-1)
+    assert construct_vf(binary_model, 3, enum_limit=5).book is not None
+
+
 def test_vf_metrics_delta_matches_unassigned_codewords(binary_model, vf3_book):
     # 5 words in an 8-codeword space: Kraft slack is exactly 3/8
     met = construct_vf(binary_model, 3).metrics

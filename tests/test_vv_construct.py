@@ -172,6 +172,25 @@ def test_threshold_parameter_below_one_is_an_input_error(binary_model):
             scaling_experiment(binary_model, t_list=[T])
 
 
+def test_threshold_width_must_be_finite_and_positive(binary_model):
+    for theta in (0.0, -1.0, -0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="threshold width"):
+            build_threshold_sets(binary_model, 4, cap=16, theta=theta)
+        with pytest.raises(InputError, match="threshold width"):
+            construct_vv(binary_model, T=4, theta=theta)
+    # widths of 1 or more stay legal: 2/T is already 2 at T=1
+    low, high = build_threshold_sets(binary_model, 4, cap=16, theta=1.0)
+    assert low.member((1, 0)) and high.member((1, 0))
+    assert construct_vv(binary_model, T=4, theta=5.0).book is not None
+
+
+def test_negative_enumeration_limit_is_an_input_error(binary_model):
+    with pytest.raises(InputError, match="enumeration limit"):
+        construct_vv(binary_model, T=4, enum_limit=-1)
+    with pytest.raises(InputError, match="enumeration limit"):
+        construct_vv(binary_model, first_words=[(1,), (2,)], enum_limit=-1)
+
+
 def test_merge_reproduces_reference_trace(binary_model, reference_result):
     result = reference_result
     assert result.path == "extended"

@@ -190,6 +190,16 @@ def test_node_classifier_rejects_rules_it_cannot_walk(binary_model,
         node_classifier(EmptyRule(), EmptyRule())
 
 
+def test_window_rule_edges_are_half_open():
+    rule = WindowRule((1.0, 2.0), 3.0, 5.0)
+    left = rule.lo + rule.tol
+    right = rule.hi + rule.tol
+    assert not rule.admits(left)
+    assert rule.admits(math.nextafter(left, math.inf))
+    assert rule.admits(right)
+    assert not rule.admits(math.nextafter(right, math.inf))
+
+
 def test_cap_alone_stops_every_path(binary_model, member_classifier):
     classify = member_classifier(binary_model, EmptyRule())
     table = lattice_metrics(binary_model, classify, 5)
