@@ -139,6 +139,10 @@ def cmd_construct_vf(args: argparse.Namespace) -> int:
 
 
 def cmd_construct_block(args: argparse.Namespace) -> int:
+    for flag, value in (("--pair-index", args.pair_index),
+                        ("--list-pairs", args.list_pairs)):
+        if value < 0:
+            raise InputError(f"{flag} must be >= 0, got {value}")
     if args.list_pairs:
         pairs = find_block_parameters(
             args.input_size, args.arity, count=args.list_pairs

@@ -8,8 +8,10 @@ fraction expansion.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import InfeasibleError, InputError
 from .source_model import Profile, SourceModel, linear_form
@@ -58,6 +60,70 @@ def convergents(x: float, max_terms: int = 64) -> list[tuple[int, int]]:
         q_cur, q_prev = a * q_cur + q_prev, q_cur
         result.append((p_cur, q_cur))
     return result
+
+
+def exact_log(m: int, n: int) -> Fraction | None:
+    """log_n m as p/q with m**q == n**p, or None when it is irrational.
+
+    In lowest terms n is then a q-th power, so q <= log2 n and only a few
+    small powers are compared, in integers.
+    """
+    x = math.log(m) / math.log(n)
+    for q in range(1, n.bit_length() + 1):
+        p = round(q * x)
+        if m**q == n**p:
+            return Fraction(p, q)
+    return None
+
+
+def log_bounds(m: int, n: int, digits: int = 50) -> tuple[Fraction, Fraction]:
+    """Rational bounds lo < log_n m < hi, about `digits` digits apart.
+
+    `Decimal.ln` is correctly rounded, so the quotient of the two logarithms
+    is within a few units of its last digit; the bounds allow a thousand.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        x = Fraction(decimal.Decimal(m).ln() / decimal.Decimal(n).ln())
+    err = abs(x) / 10 ** (digits - 3)
+    return x - err, x + err
+
+
+def interval_convergents(
+    lo: Fraction, hi: Fraction
+) -> Iterator[tuple[int, int]]:
+    """Convergents (p, q) that every number in [lo, hi] shares, in order.
+
+    Expands both ends and stops where their partial quotients part, so
+    each pair is a convergent of any number in the interval; lo == hi
+    yields every convergent of that rational, ending with it.
+    """
+    p_prev, q_prev, p_cur, q_cur = 0, 1, 1, 0
+    while True:
+        a = math.floor(lo)
+        if math.floor(hi) != a:
+            return
+        p_prev, q_prev, p_cur, q_cur = (
+            p_cur, q_cur, a * p_cur + p_prev, a * q_cur + q_prev
+        )
+        yield p_cur, q_cur
+        if lo == a:
+            return
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
+
+
+def power_fits(m: int, x: int, n: int, length: int) -> bool:
+    """Whether m**x <= n**length, decided without building either power."""
+    exact = exact_log(m, n)
+    if exact is not None:
+        return x * exact <= length
+    digits = 40 + 2 * len(str(max(x, length)))
+    lo, hi = log_bounds(m, n, digits)
+    if x * hi <= length:
+        return True
+    if x * lo > length:
+        return False
+    return m**x <= n**length
 
 
 def best_approx_denominators(x: float, q_max: int) -> list[int]:

@@ -16,13 +16,17 @@ decays like 1/X^2.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis
 from .codebook import CodeBook, CodeEntry, fixed_codewords, validate_codebook
-from .diophantine import convergents
+from .diophantine import (
+    exact_log,
+    interval_convergents,
+    log_bounds,
+    power_fits,
+)
 from .errors import InfeasibleError, InputError, ResourceError, ValidationError
 from .source_model import (
     SourceModel,
@@ -39,9 +43,6 @@ from .word_sets import (
     lattice_metrics,
     node_classifier,
 )
-
-RATIONAL_LOG_TOL = 1e-12
-
 
 @dataclass
 class VFResult:
@@ -97,6 +98,10 @@ def construct_vf(
             WindowRule(model.d, L - d_max, float(L)), EmptyRule()
         )
         table = lattice_metrics(model, classify, cap, node_limit)
+        if table.word_count > enum_limit:
+            raise ResourceError(
+                f"word set exceeds the enumeration limit of {enum_limit}"
+            )
         words = [
             w for w, _, _ in enumerate_words(model, classify, cap, enum_limit)
         ]
@@ -157,9 +162,13 @@ def find_block_parameters(
     """Block lengths (X, L) with L/X approaching log_n m from above.
 
     Reads the upper convergents of the continued fraction of log_n m, so
-    each pair satisfies X log_n m <= L <= X log_n m + 1/X and the redundancy
-    L/X - log_n m is at most 1/X^2.  When the logarithm is rational the
-    exact ratio is repeated at multiples.
+    each pair satisfies X log_n m <= L < X log_n m + 1/X and the redundancy
+    L/X - log_n m is below 1/X^2.  An irrational logarithm is expanded from
+    50-digit bounds, and only the convergents both bounds share are used,
+    so fewer than `count` pairs may come back.  When the logarithm is
+    rational (m**q == n**p, checked in integers), its exact ratio follows
+    at every multiple.  The pairs for `count` are always the first `count`
+    pairs for any larger count.
     """
     if input_size < 2:
         raise InputError(f"input alphabet needs >= 2 blocks, got {input_size}")
@@ -167,26 +176,38 @@ def find_block_parameters(
         raise InputError(f"output alphabet needs >= 2 digits, got {arity}")
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
-    target = math.log(input_size) / math.log(arity)
+    exact = exact_log(input_size, arity)
+    if exact is None:
+        lo, hi = log_bounds(input_size, arity)
+    else:
+        lo = hi = exact
     pairs: list[tuple[int, int]] = []
-    for p, q in convergents(target):
-        if p / q < target:
-            continue
-        if abs(p / q - target) <= RATIONAL_LOG_TOL:
-            # exact ratio: every multiple is a valid zero-redundancy block
-            return [(q * k, p * k) for k in range(1, count + 1)]
-        x, length = q, p
-        if not (x * target <= length + 1e-9 and length - 1.0 / x <= x * target + 1e-9):
-            continue
-        pairs.append((x, length))
-        if len(pairs) == count:
+    for index, (p, q) in enumerate(interval_convergents(lo, hi)):
+        if Fraction(p, q) == exact:
+            # exact ratio: every multiple is a zero-redundancy block
+            pairs += [(q * k, p * k) for k in range(1, count - len(pairs) + 1)]
             return pairs
+        # convergents alternate around the logarithm, odd ones above it
+        if index % 2:
+            pairs.append((q, p))
+            if len(pairs) == count:
+                return pairs
     if not pairs:
         raise InfeasibleError(
             "no block parameters found; the logarithm's continued fraction "
             "ran out of precision"
         )
     return pairs
+
+
+def _power_exceeds(base: int, exp: int, bound: int) -> bool:
+    """Whether base**exp > bound, for base >= 2, in O(log bound) steps."""
+    value = 1
+    for _ in range(exp):
+        value *= base
+        if value > bound:
+            return True
+    return False
 
 
 @dataclass
@@ -220,15 +241,18 @@ def construct_block(
         raise InputError(f"output length must be >= 1, got {L}")
     if input_size < 2:
         raise InputError(f"input alphabet needs >= 2 symbols, got {input_size}")
-    block_count = input_size**X
-    if block_count > arity**L:
+    if arity < 2:
+        raise InputError(f"output alphabet needs >= 2 digits, got {arity}")
+    # both limits are checked before m^X or n^L is built: either may be huge
+    if not power_fits(input_size, X, arity, L):
         raise InfeasibleError(
             f"{input_size}^{X} blocks do not fit into {arity}^{L} codewords"
         )
-    if block_count > enum_limit:
+    if _power_exceeds(input_size, X, enum_limit):
         raise ResourceError(
             f"{input_size}^{X} blocks exceed the enumeration limit {enum_limit}"
         )
+    block_count = input_size**X
     model = make_model([Fraction(1, input_size)] * input_size, arity)
     prob = float(Fraction(1, block_count))
     entries = tuple(

@@ -22,10 +22,19 @@ word set is the one every code family shares: `word_sets.lattice_metrics`
 gives its stops, hence its exact Kraft sum and metrics, with the merge's
 chosen classes and boundary split passed in, and `word_sets.enumerate_words`
 lists it when it is small enough for a book.  On the swapped path the high
-set is both sets.  Every sweep classifies a node once, through
-`word_sets.node_classifier` over the two threshold rules (the cap is simply
-the last level).  The knockout sweep keeps two levels at a time; for two
-symbols each level is a plain list indexed by the first count.
+set is both sets.
+
+One `word_sets.NodeClassifier` over the two threshold rules serves a whole
+build (the cap is simply the last level): the cap trials, the knockout
+sweep and the final DP.  For two symbols it keeps a level table, one byte
+of flags per node, so each node is classified once per build.  Two-symbol
+sweeps run on flat per-level lists indexed by the first count
+(`word_sets.flat_levels`), and route a level's paths with masks from the
+table; they replay the dict walk's visiting order only so that the sums
+over the cap level add up in the same order.  The knockout sweep starts at
+the deepest level a path from an addable class reaches, and the merge
+check adds its exact masses as integers scaled by n^E.  Sources with three
+or more symbols walk dicts of profile tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +43,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import compress, islice
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
 from . import analysis
 from .codebook import (
@@ -60,6 +71,14 @@ from .source_model import (
 from .word_sets import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_NODE_LIMIT,
+    FIRST,
+    IN_FIRST,
+    IN_NEITHER,
+    NOT_FIRST,
+    NOT_SECOND,
+    ONLY_FIRST,
+    ONLY_SECOND,
+    SECOND,
     THRESHOLD_TOL,
     LatticeTable,
     NodeClassifier,
@@ -68,10 +87,13 @@ from .word_sets import (
     ThresholdLowRule,
     completeness_defect,
     enumerate_words,
+    flat_carry,
+    flat_levels,
     is_prefix_free,
     lattice_levels,
     lattice_metrics,
     node_classifier,
+    per_node,
     wedge,
 )
 
@@ -353,7 +375,10 @@ class _JointTables:
     sets) are exact.  The cap masses are what `choose_cap` sizes the cap
     by.  `classes` lists (form, profile, clean count) for every profile in
     the second set but not the first that clean paths reach: the words that
-    would join the merged set if that profile's class were added.
+    would join the merged set if that profile's class were added, sorted
+    by form, that is by decreasing word probability.  `classify` is the
+    node classifier the DP ran on; the later sweeps of the same build reuse
+    it, and with it its level table.
     """
 
     kraft_first: Fraction
@@ -362,6 +387,7 @@ class _JointTables:
     cap_mass_first: float
     cap_mass_second: float
     classes: list[tuple[float, Profile, int]]
+    classify: NodeClassifier = field(compare=False, repr=False)
 
 
 def _joint_dp(
@@ -369,11 +395,20 @@ def _joint_dp(
     set_low: ProfileSet,
     set_high: ProfileSet,
     node_limit: int,
+    classify: NodeClassifier | None = None,
 ) -> _JointTables:
+    """The joint DP, with a fresh classifier of the two sets' rules unless
+    `classify` (the same rules) is passed in.  Two-symbol sources with a
+    `NodeClassifier` take the flat walk; both walks give the same tables.
+    """
     if set_low.cap != set_high.cap:
         raise InputError("both stopping sets must share one cap")
     cap = set_low.cap
-    classify = node_classifier(set_low.rule, set_high.rule)
+    if classify is None:
+        classify = node_classifier(set_low.rule, set_high.rule)
+    if model.m == 2 and isinstance(classify, NodeClassifier):
+        return _flat_joint_dp(model, classify, cap, node_limit)
+    table_classify, classify = classify, per_node(classify)
 
     # {codeword length: word count} of each word set, for its Kraft sum
     acc_first: Counter[int] = Counter()
@@ -430,6 +465,7 @@ def _joint_dp(
                         cap_mass_second += m_c + m_1
             elif c_c or c_1:
                 only_first[k] = (c_c + c_1, m_c + m_1)
+    classes.sort()
     return _JointTables(
         kraft_first=kraft_of_counts(acc_first, model.arity),
         kraft_second=kraft_of_counts(acc_second, model.arity),
@@ -437,7 +473,108 @@ def _joint_dp(
         cap_mass_first=cap_mass_first,
         cap_mass_second=cap_mass_second,
         classes=classes,
+        classify=table_classify,
     )
+
+
+def _flat_joint_dp(
+    model: SourceModel, classify: NodeClassifier, cap: int, node_limit: int
+) -> _JointTables:
+    """`_joint_dp` on the flat walk: the same tables, float for float.
+
+    Paths are routed a level at a time with 0/1 masks from the level
+    table.  Only nodes of either set are handled one by one, for the Kraft
+    counts and the classes, and the cap level runs in visiting order, for
+    the cap masses.
+    """
+    d0, d1 = model.d
+    acc_first: Counter[int] = Counter()
+    acc_second: Counter[int] = Counter()
+    acc_merged: Counter[int] = Counter()
+    cap_mass_first = 0.0
+    cap_mass_second = 0.0
+    classes: list[tuple[float, Profile, int]] = []
+    walk = flat_levels(3, model.probs, cap, node_limit, "joint lattice DP")
+    for level, (clean, only_first, only_second), order, nxt in walk:
+        (cc, mc), (c1, m1), (c2, m2) = clean, only_first, only_second
+        flags = classify.level(level)
+        if level == cap:
+            for a in order:
+                c_c, c_1, c_2 = cc[a], c1[a], c2[a]
+                form = a * d0 + (cap - a) * d1
+                if c_c:
+                    length = code_length_for(form, True)
+                    acc_first[length] += c_c
+                    acc_merged[length] += c_c
+                if c_2:
+                    acc_first[code_length_for(form, False)] += c_2
+                if not flags[a] & FIRST:
+                    cap_mass_first += mc[a] + m2[a]
+                if c_c or c_1:
+                    acc_second[code_length_for(form, True)] += c_c + c_1
+                    if not flags[a] & SECOND:
+                        cap_mass_second += mc[a] + m1[a]
+            continue
+        mask = flags.translate
+        nxt.append(flat_carry(clean, mask(IN_NEITHER)))
+        nxt.append(
+            flat_carry(only_first, mask(NOT_SECOND), clean, mask(ONLY_FIRST))
+        )
+        nxt.append(
+            flat_carry(only_second, mask(NOT_FIRST), clean, mask(ONLY_SECOND))
+        )
+        for a in compress(range(level + 1), flags):
+            flag = flags[a]
+            c_c, c_1, c_2 = cc[a], c1[a], c2[a]
+            form = a * d0 + (level - a) * d1
+            if flag & FIRST:
+                if c_c:
+                    length = code_length_for(form, flag > FIRST)
+                    acc_first[length] += c_c
+                    acc_merged[length] += c_c
+                if c_2:
+                    acc_first[code_length_for(form, False)] += c_2
+            elif c_c:
+                acc_merged[code_length_for(form, True)] += c_c
+                classes.append((form, (a, level - a), c_c))
+            if flag & SECOND and (c_c or c_1):
+                acc_second[code_length_for(form, True)] += c_c + c_1
+    classes.sort()
+    return _JointTables(
+        kraft_first=kraft_of_counts(acc_first, model.arity),
+        kraft_second=kraft_of_counts(acc_second, model.arity),
+        kraft_merged=kraft_of_counts(acc_merged, model.arity),
+        cap_mass_first=cap_mass_first,
+        cap_mass_second=cap_mass_second,
+        classes=classes,
+        classify=classify,
+    )
+
+
+def _reach_depth(
+    classify: NodeClassifier, cap: int, by_level: dict[int, list[Profile]]
+) -> int:
+    """The deepest level that a path from a target reaches, two symbols.
+
+    Paths run on from each target until the low set or the cap stops them.
+    A level's live nodes are one int with one byte per first count, so a
+    level costs a few big-integer operations.
+    """
+    last = max(by_level, default=0)
+    depth = 0
+    live = 0
+    for level in range(min(by_level, default=1), cap + 1):
+        for k in by_level.get(level, ()):
+            live |= 1 << (8 * k[0])
+        if live:
+            depth = level
+        elif level > last:
+            break
+        if level < cap:
+            low = classify.level(level).translate(IN_FIRST)
+            going = live & ~int.from_bytes(low, "little")
+            live = going | going << 8
+    return depth
 
 
 def _knockout_masses(
@@ -446,19 +583,22 @@ def _knockout_masses(
     cap: int,
     targets: set[Profile],
     node_limit: int,
-) -> dict[Profile, Fraction]:
+) -> tuple[dict[Profile, int], int]:
     """Kraft mass removed per word when a profile's words join the merged set.
 
     For a profile k outside the low set, W(k) is the Kraft sum over all
     first-low-set stops of paths continuing from k, at floor lengths.  Adding
     one word ending at k knocks exactly those continuation words out.
     Computed for every target profile in a single backward sweep over the
-    lattice, with exact integer arithmetic scaled by n^E.  Each level holds
+    lattice, with exact integer arithmetic scaled by n^E; returns the scaled
+    values of the targets and the scale n^E.  Each level holds
     one value per node: its stop value when it is in the low set, else W;
-    the level above reads its children from it.  Two symbols index a level
-    by the first count, so (a, L - a) has children a + 1 and a one level on;
-    the general dict walk over tuple keys takes about 3.7 times as long on a
-    two-symbol T=28 extended build.
+    the level above reads its children from it.  Two-symbol sources with a
+    `NodeClassifier` index a level by the first count, so (a, L - a) has
+    children a + 1 and a one level on, and read the low set from the level
+    table; their sweep starts at `_reach_depth`, below which no value
+    reaches a target.  The dict walk over every node up to the cap serves
+    every other case.
     """
     n = model.arity
     m = model.m
@@ -474,20 +614,29 @@ def _knockout_masses(
         by_level.setdefault(sum(k), []).append(k)
 
     result: dict[Profile, int] = {}
-    if m == 2:
+    if m == 2 and isinstance(classify, NodeClassifier):
+        d0, d1 = model.d
+        top = _reach_depth(classify, cap, by_level)
         nxt: list[int] = []
-        for level in range(cap, 0, -1):
-            cur: list[int] = []
-            for a in range(level + 1):
-                form, low, _ = classify((a, level - a))
-                if low or level == cap:
-                    cur.append(stop_values[code_length_for(form, False)])
-                else:
-                    cur.append(nxt[a + 1] + nxt[a])
+        for level in range(top, 0, -1):
+            if level == top:
+                # nodes here stop, or no path from a target reaches them
+                cur = [0] * (level + 1)
+            else:
+                cur = list(map(add, islice(nxt, 1, None), nxt))
+            if level == cap:
+                stopping: Iterable[int] = range(cap + 1)
+            else:
+                low = classify.level(level).translate(IN_FIRST)
+                stopping = compress(range(level + 1), low)
+            for a in stopping:
+                form = a * d0 + (level - a) * d1
+                cur[a] = stop_values[code_length_for(form, False)]
             for k in by_level.get(level, ()):
                 result[k] = cur[k[0]]
             nxt = cur
     else:
+        classify = per_node(classify)
         nxt_d: dict[Profile, int] = {}
         for level in range(cap, 0, -1):
             cur_d: dict[Profile, int] = {}
@@ -503,29 +652,27 @@ def _knockout_masses(
             for k in by_level.get(level, ()):
                 result[k] = cur_d[k]
             nxt_d = cur_d
-    denom = n**exp
-    return {k: Fraction(v, denom) for k, v in result.items()}
+    return result, n**exp
 
 
 def _class_scan(
-    model: SourceModel,
     kraft_first: Fraction,
-    knockouts: dict[Profile, Fraction],
+    deltas: dict[Profile, int],
+    scale: int,
     classes: list[tuple[float, Profile, int]],
 ) -> tuple[set[Profile], tuple[Profile, int] | None, Fraction, list[MergeStep]]:
     """Add whole profile classes until the Kraft sum first reaches 1.
 
-    Classes arrive sorted by decreasing word probability.  The class where
+    Classes arrive sorted by decreasing word probability; adding one word
+    of class k changes the Kraft sum by deltas[k] / scale.  The class where
     the sum crosses 1 is split exactly: j words of it are enough, with j
     computed in exact rational arithmetic.
     """
-    n = model.arity
     g = kraft_first
     chosen: set[Profile] = set()
     steps: list[MergeStep] = []
     for form, k, count in classes:
-        length = code_length_for(form, True)
-        delta = Fraction(1, n**length) - knockouts[k]
+        delta = Fraction(deltas[k], scale)
         g_class = g + count * delta
         if g_class <= 1:
             if delta >= 0:
@@ -607,8 +754,10 @@ def choose_cap(
 
     Starts at T^2 and doubles until the probability of a word being stopped
     by the cap rather than a threshold set drops to T^-2, or the budget
-    ceil(8 T^3 ln T) is reached.  Returns the lattice tables of the last
-    trial so the caller need not recompute them.
+    ceil(8 T^3 ln T) is reached.  Every trial runs on one node classifier,
+    since the threshold rules do not depend on the cap, so each lattice
+    level is classified once however often the cap doubles.  Returns the
+    lattice tables of the last trial so the caller need not recompute them.
     """
     if T < 1:
         raise InputError(f"T must be >= 1, got {T}")
@@ -616,13 +765,15 @@ def choose_cap(
     target = 1.0 / (T * T)
     cap = T * T
     history: list[tuple[int, float]] = []
+    classify: NodeClassifier | None = None
     while True:
         if math.comb(cap + model.m, model.m) > node_limit:
             raise ResourceError(
                 f"cap {cap} needs more than {node_limit} lattice nodes"
             )
         set_low, set_high = build_threshold_sets(model, T, cap, theta)
-        tables = _joint_dp(model, set_low, set_high, node_limit)
+        tables = _joint_dp(model, set_low, set_high, node_limit, classify)
+        classify = tables.classify
         worst = max(tables.cap_mass_first, tables.cap_mass_second)
         history.append((cap, worst))
         if worst <= target or cap >= hard:
@@ -698,7 +849,7 @@ def _pipeline(
             (cap_val, max(tables.cap_mass_first, tables.cap_mass_second))
         ]
 
-    classify = node_classifier(set_low.rule, set_high.rule)
+    classify = tables.classify
     kraft_first = tables.kraft_first
     kraft_second = tables.kraft_second
     kraft_merged: Fraction | None = None
@@ -713,18 +864,19 @@ def _pipeline(
     else:
         kraft_merged = tables.kraft_merged
         if kraft_merged <= 1:
-            classes = sorted(tables.classes)
+            classes = tables.classes
             targets = {k for _, k, _ in classes}
-            knockouts = _knockout_masses(
+            knockouts, scale = _knockout_masses(
                 model, classify, cap_val, targets, node_limit
             )
-            full = kraft_first + sum(
-                count
-                * (
-                    Fraction(1, n ** code_length_for(form, True))
-                    - knockouts[k]
-                )
-                for form, k, count in classes
+            # one word of class k adds n^-length and knocks out W(k), both
+            # scaled by `scale`, a power of n at least n^length
+            deltas = {
+                k: scale // n ** code_length_for(form, True) - knockouts[k]
+                for form, k, _ in classes
+            }
+            full = kraft_first + Fraction(
+                sum(count * deltas[k] for _, k, count in classes), scale
             )
             if full != kraft_merged:
                 raise ValidationError(
@@ -732,14 +884,14 @@ def _pipeline(
                     "class does not reproduce the merged Kraft sum"
                 )
             chosen, boundary, g_final, steps = _class_scan(
-                model, kraft_first, knockouts, classes
+                kraft_first, deltas, scale, classes
             )
             path = "extended"
             expected_kraft = g_final
         elif kraft_second <= 1:
             path = "swapped"
             # the high set stops every path, and every stop is clean
-            classify = node_classifier(set_high.rule, set_high.rule)
+            classify = classify.second_as_both()
             expected_kraft = kraft_second
         else:
             raise InfeasibleError(

@@ -20,6 +20,11 @@ there only where the caller says so (the classes a Kraft merge takes) and
 otherwise crosses it and runs on.  VF codes pass an empty second set.
 `ProfileSet` keeps profile membership as a plain predicate, for checks and
 tests; no walk calls it.
+
+The forward DPs walk level by level.  Over dicts of profile tuples
+(`lattice_levels`) they serve any source and any classifier; two-symbol
+sources driven by a `NodeClassifier` walk flat per-level lists instead
+(`flat_levels`), which give the same counts and the same floats.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Collection, Iterator, Sequence
 
 from .errors import InputError, ResourceError, ValidationError
@@ -178,46 +185,172 @@ class ProfileSet:
         return sum(profile) == self.cap or self.rule.member(profile)
 
 
-NodeClassifier = Callable[[Profile], tuple[float, bool, bool]]
+# A node's flags: FIRST when the first rule admits it, SECOND when the
+# second does.
+FIRST, SECOND = 1, 2
 
 
-def node_classifier(first_rule: Rule, second_rule: Rule) -> NodeClassifier:
+def _mask(*flags: int) -> bytes:
+    """A `bytes.translate` table mapping the given flags to 1, others to 0."""
+    return bytes(int(i in flags) for i in range(256))
+
+
+# Masks for the levels of `NodeClassifier.level`: `level.translate(mask)` is
+# 1 on the nodes the mask names and 0 elsewhere, so `map(mul, values,
+# mask)` keeps their values and zeroes the rest.
+IN_NEITHER = _mask(0)
+ONLY_FIRST = _mask(FIRST)
+ONLY_SECOND = _mask(SECOND)
+IN_FIRST = _mask(FIRST, FIRST | SECOND)
+NOT_FIRST = _mask(0, SECOND)
+NOT_SECOND = _mask(0, FIRST)
+_SECOND_AS_BOTH = bytes(3 * (i >> 1) if i < 4 else 0 for i in range(256))
+
+
+def _flag_function(
+    first_rule: Rule, second_rule: Rule
+) -> Callable[[float], int]:
+    """form -> its flags under the two rules.
+
+    Two threshold rules with one tolerance share the snapped fractional part
+    of the form; the tests are `ThresholdLowRule.admits` and
+    `ThresholdHighRule.admits` written out on it.  Any other pair asks each
+    rule's `admits`.
+    """
+    rules = (first_rule, second_rule)
+    if all(
+        type(r) in (ThresholdLowRule, ThresholdHighRule) for r in rules
+    ) and first_rule.tol == second_rule.tol:
+        floor = math.floor
+        one_minus_tol = 1.0 - first_rule.tol
+        bound1 = first_rule.theta + first_rule.tol
+        bound2 = second_rule.theta + second_rule.tol
+        low1 = type(first_rule) is ThresholdLowRule
+        low2 = type(second_rule) is ThresholdLowRule
+
+        def flag(form: float) -> int:
+            f = form - floor(form)
+            if f >= one_minus_tol:
+                f = 0.0
+            g = 1.0 - f
+            return ((f if low1 else g) <= bound1) + 2 * (
+                (f if low2 else g) <= bound2
+            )
+
+        return flag
+    first_admits, second_admits = first_rule.admits, second_rule.admits
+
+    def flag(form: float) -> int:
+        return first_admits(form) + 2 * second_admits(form)
+
+    return flag
+
+
+def _node_function(
+    d: tuple[float, ...], flag: Callable[[float], int]
+) -> Callable[[Profile], tuple[float, bool, bool]]:
+    """profile -> (form, first, second), with the flags of `flag`."""
+    if len(d) == 2:
+        d0, d1 = d
+
+        def node(k: Profile) -> tuple[float, bool, bool]:
+            form = k[0] * d0 + k[1] * d1
+            flags = flag(form)
+            return form, flags & FIRST != 0, flags >= SECOND
+
+        return node
+    fsum = math.fsum
+
+    def node(k: Profile) -> tuple[float, bool, bool]:
+        form = fsum(map(mul, k, d))
+        flags = flag(form)
+        return form, flags & FIRST != 0, flags >= SECOND
+
+    return node
+
+
+class NodeClassifier:
     """One classification per lattice node: profile -> (form, first, second).
 
     `form` is exactly `linear_form` of the profile, and `first` and `second`
-    are what the two rules' `admits` answer for it; both rules must decide
-    by the linear form alone, over one source (`EmptyRule` fits any).  The
-    walks never classify the empty profile, and they apply the hard cap
-    themselves, since they know each node's level.  For two symbols the
-    form is one IEEE addition, which is correctly rounded just as
-    `math.fsum` is, so it gives the same float; three or more symbols keep
-    `fsum`.
+    are what the two rules' `admits` answer for it.  The walks never
+    classify the empty profile, and they apply the hard cap themselves,
+    since they know each node's level.  For two symbols the form is one
+    IEEE addition, which is correctly rounded just as `math.fsum` is, so it
+    gives the same float; three or more symbols keep `fsum`.
 
-    Going through `admits` keeps each rule's test in one place, at a cost:
-    inlining the threshold tests instead made the benchmark's lattice
-    workload about 13 % faster (2-core x86-64, Python 3.11).
+    For two symbols the classifier also holds a level table: `level(L)` is
+    one byte of flags (FIRST, SECOND) per node (a, L - a), indexed by the
+    first count a.  Each level is classified once, when a walk first asks
+    for it, and kept as long as the classifier, so every sweep of one build
+    (the cap trials, the knockout sweep, the final DP) reads the same
+    table; no table outlives its classifier.  At cap 784 the table holds
+    about 0.3 MB.
     """
-    rules = (first_rule, second_rule)
-    sources = {getattr(rule, "d", None) for rule in rules} - {None}
-    if len(sources) != 1 or not all(hasattr(rule, "admits") for rule in rules):
-        raise InputError(
-            "the node classifier needs two rules that decide by the linear "
-            "form of one source"
-        )
-    (d,) = sources
-    first_admits, second_admits = first_rule.admits, second_rule.admits
-    fsum = math.fsum
-    d0, d1 = d[0], d[1]
-    two = len(d) == 2
 
-    def classify(k: Profile) -> tuple[float, bool, bool]:
-        if two:
-            form = k[0] * d0 + k[1] * d1
-        else:
-            form = fsum(c * di for c, di in zip(k, d))
-        return form, first_admits(form), second_admits(form)
+    def __init__(self, first_rule: Rule, second_rule: Rule) -> None:
+        rules = (first_rule, second_rule)
+        sources = {getattr(rule, "d", None) for rule in rules} - {None}
+        if len(sources) != 1 or not all(
+            hasattr(rule, "admits") for rule in rules
+        ):
+            raise InputError(
+                "the node classifier needs two rules that decide by the "
+                "linear form of one source"
+            )
+        (self.d,) = sources
+        self.first_rule = first_rule
+        self.second_rule = second_rule
+        self._flag = _flag_function(first_rule, second_rule)
+        self.node = _node_function(self.d, self._flag)
+        self._levels: list[bytes] = []
 
-    return classify
+    def __call__(self, k: Profile) -> tuple[float, bool, bool]:
+        return self.node(k)
+
+    def level(self, level: int) -> bytes:
+        """Flags of the nodes (a, level - a), a = 0..level; two symbols."""
+        levels = self._levels
+        if len(levels) <= level:
+            if len(self.d) != 2:
+                raise InputError("level tables are for two-symbol sources")
+            d0, d1 = self.d
+            flag = self._flag
+            for n in range(len(levels), level + 1):
+                forms = map(
+                    add,
+                    map(mul, range(n + 1), repeat(d0)),
+                    map(mul, range(n, -1, -1), repeat(d1)),
+                )
+                levels.append(bytes(map(flag, forms)))
+        return levels[level]
+
+    def second_as_both(self) -> NodeClassifier:
+        """The classifier with this second rule as both its rules.
+
+        It starts from this classifier's level table, with every level
+        classified so far translated rather than classified again.
+        """
+        both = NodeClassifier(self.second_rule, self.second_rule)
+        both._levels = [lv.translate(_SECOND_AS_BOTH) for lv in self._levels]
+        return both
+
+
+def per_node(
+    classify: Callable[[Profile], tuple[float, bool, bool]],
+) -> Callable[[Profile], tuple[float, bool, bool]]:
+    """The plain per-node function of a classifier, for the walks that call
+    it once per node: `NodeClassifier.node`, or `classify` itself."""
+    return classify.node if isinstance(classify, NodeClassifier) else classify
+
+
+def node_classifier(first_rule: Rule, second_rule: Rule) -> NodeClassifier:
+    """The classifier of two rules that decide by one source's linear form.
+
+    `EmptyRule` fits any source.  Raises InputError for rules without
+    `admits`, or for two rules over different sources.
+    """
+    return NodeClassifier(first_rule, second_rule)
 
 
 Front = dict[Profile, tuple[int, float]]
@@ -244,7 +377,7 @@ def lattice_levels(
     node_limit: int,
     what: str,
 ) -> Iterator[tuple[int, list[Front], Collection[Profile], tuple[Front, ...]]]:
-    """The level-by-level forward walk that every stopping DP runs on.
+    """The level-by-level forward walk over dicts of profile tuples.
 
     `fronts` hold the alive paths at the origin, {profile: (count, mass)},
     one front per path state.  Each level pushes every front one symbol on
@@ -282,6 +415,125 @@ def lattice_levels(
             )
         fronts = tuple({} for _ in fronts)
         yield level, incoming, keys, fronts
+
+
+FlatFront = tuple[list[int], list[float]]
+
+
+def _flat_push(front: FlatFront, p0: float, p1: float) -> FlatFront:
+    """`_push` for two symbols: node a of a level has parents a - 1 and a."""
+    counts, masses = front
+    return (
+        list(map(add, chain((0,), counts), chain(counts, (0,)))),
+        list(
+            map(
+                add,
+                map(mul, chain((0.0,), masses), repeat(p0)),
+                map(mul, chain(masses, (0.0,)), repeat(p1)),
+            )
+        ),
+    )
+
+
+def flat_carry(
+    front: FlatFront,
+    keep: bytes,
+    joining: FlatFront | None = None,
+    joins: bytes = b"",
+) -> FlatFront:
+    """The paths of `front` where the mask `keep` is 1, plus those of
+    `joining` where `joins` is 1, as the next level's front of one state.
+
+    A masked-out value becomes 0 or 0.0, and adding 0.0 changes no float,
+    so each mass is the dict walks' one- or two-term sum.
+    """
+    counts, masses = front
+    if joining is None:
+        return list(map(mul, counts, keep)), list(map(mul, masses, keep))
+    j_counts, j_masses = joining
+    return (
+        list(map(add, map(mul, counts, keep), map(mul, j_counts, joins))),
+        list(map(add, map(mul, masses, keep), map(mul, j_masses, joins))),
+    )
+
+
+def _visit_order(orders: list[list[int]], level: int) -> list[int]:
+    """The order in which `lattice_levels` visits a level, as first counts.
+
+    `orders` holds each front's profiles one level up, in filing order.  The
+    pushes and the key set are rebuilt from real profile tuples exactly as
+    `lattice_levels` builds them (children a + 1 then a in first-seen
+    order, a dict of the tuples, then `set(f0) | set(f1) | ...`), so the
+    set iterates in the same order.
+    """
+    pushed = []
+    for order in orders:
+        # children a + 1 then a of each profile, deduplicated on the ints
+        firsts = [0] * (2 * len(order))
+        firsts[::2] = map(add, order, repeat(1))
+        firsts[1::2] = order
+        unique = dict.fromkeys(firsts)
+        profiles = zip(unique, map(sub, repeat(level), unique))
+        pushed.append(dict.fromkeys(profiles))
+    keys: Collection[Profile] = pushed[0]
+    if len(pushed) > 1:
+        keys = set(keys)
+        for front in pushed[1:]:
+            keys = keys | set(front)
+    return list(map(itemgetter(0), keys))
+
+
+def flat_levels(
+    states: int,
+    probs: Sequence[float],
+    cap: int,
+    node_limit: int,
+    what: str,
+) -> Iterator[tuple[int, list[FlatFront], list[int], list[FlatFront]]]:
+    """`lattice_levels` for two symbols, on flat per-level lists.
+
+    A front of level L is (counts, masses): two lists of L + 1 entries
+    indexed by the first count a of the node (a, L - a), holding 0 and 0.0
+    where no path of that state is alive.  The walk starts with `states`
+    fronts, all paths in the first, at the origin.  Each level yields
+    (level, incoming fronts, order, next fronts): the caller routes the
+    incoming paths and appends one (counts, masses) per state to the next
+    fronts, which start empty; at the cap it stops every path and appends
+    nothing.  A node's mass is `m[a - 1] * p0 + m[a] * p1`, the same float
+    the dict push gives, since IEEE addition commutes.
+
+    `order` lists the first counts of the nodes some path reaches, in the
+    order `lattice_levels` visits them; only the DPs' running sums over the
+    cap level depend on it.  Node counts and the ResourceError are those of
+    `lattice_levels`.
+    """
+    p0, p1 = probs
+    fronts: list[FlatFront] = [([1], [1.0])]
+    fronts += [([0], [0.0]) for _ in range(states - 1)]
+    orders: list[list[int]] = [[0]] + [[] for _ in range(states - 1)]
+    visited = 0
+    for level in range(1, cap + 1):
+        if not any(orders):
+            return
+        incoming = [
+            _flat_push(front, p0, p1)
+            if order
+            else ([0] * (level + 1), [0.0] * (level + 1))
+            for front, order in zip(fronts, orders)
+        ]
+        order = _visit_order(orders, level)
+        visited += len(order)
+        if visited > node_limit:
+            raise ResourceError(
+                f"{what} visited more than {node_limit} nodes (cap={cap}); "
+                "raise node_limit or lower the cap"
+            )
+        fronts = []
+        yield level, incoming, order, fronts
+        orders = [
+            list(compress(order, map(counts.__getitem__, order)))
+            for counts, _ in fronts
+        ]
 
 
 Stop = tuple[int, float, int, float, float, bool]
@@ -322,7 +574,16 @@ def lattice_metrics(
     node is `taken`, or is the `boundary` profile (profile, j), where its
     first j words stop; every other such path crosses and runs on.  Raises
     ResourceError when the walk visits more than `node_limit` nodes.
+
+    Two-symbol sources with a `NodeClassifier` take the flat walk
+    (`flat_levels`); every other classifier takes the dict walk.  Both
+    give the same table, float for float.
     """
+    if model.m == 2 and isinstance(classify, NodeClassifier):
+        return _flat_lattice_metrics(
+            model, classify, cap, node_limit, taken, boundary
+        )
+    classify = per_node(classify)
     boundary_profile, boundary_words = boundary if boundary else (None, 0)
     stops: dict[Profile, Stop] = {}
     cap_mass = 0.0
@@ -376,6 +637,90 @@ def lattice_metrics(
     )
 
 
+def _flat_lattice_metrics(
+    model: SourceModel,
+    classify: NodeClassifier,
+    cap: int,
+    node_limit: int,
+    taken: Collection[Profile],
+    boundary: tuple[Profile, int] | None,
+) -> LatticeTable:
+    """`lattice_metrics` on the flat walk: the same table, float for float.
+
+    Paths are routed a level at a time with 0/1 masks from the level
+    table; only stop nodes, the taken and boundary classes, and the cap
+    level (in visiting order, for `cap_mass`) are handled node by node.
+    """
+    d0, d1 = model.d
+    boundary_profile, boundary_words = boundary if boundary else (None, 0)
+    marked: dict[int, list[Profile]] = {}
+    for k in {*taken, boundary_profile} - {None}:
+        if len(k) == 2 and 0 <= k[0] and 0 <= k[1]:
+            marked.setdefault(k[0] + k[1], []).append(k)
+    stops: dict[Profile, Stop] = {}
+    cap_mass = 0.0
+    visited = 0
+    walk = flat_levels(2, model.probs, cap, node_limit, "lattice DP")
+    for level, (clean, crossed), order, nxt in walk:
+        (cc, mc), (cx, mx) = clean, crossed
+        visited += len(order)
+        flags = classify.level(level)
+        if level == cap:
+            for a in order:
+                m_c, m_x = mc[a], mx[a]
+                stops[(a, cap - a)] = (
+                    cc[a], m_c, cx[a], m_x, a * d0 + (cap - a) * d1, True
+                )
+                if not flags[a] & FIRST:
+                    cap_mass += m_c + m_x
+            continue
+        n_cx, n_mx = flat_carry(
+            crossed,
+            flags.translate(NOT_FIRST),
+            clean,
+            flags.translate(ONLY_SECOND),
+        )
+        for k in marked.get(level, ()):
+            a = k[0]
+            c_c = cc[a]
+            if flags[a] != SECOND or not c_c:
+                continue
+            m_c = mc[a]
+            form = a * d0 + k[1] * d1
+            if k in taken:
+                stops[k] = (c_c, m_c, 0, 0.0, form, True)
+                c_c = 0
+            else:
+                if c_c < boundary_words:
+                    raise ValidationError(
+                        "boundary class smaller than its split"
+                    )
+                stop_m = boundary_words * profile_probability(model, k)
+                stops[k] = (boundary_words, stop_m, 0, 0.0, form, True)
+                c_c -= boundary_words
+                m_c -= stop_m
+            if c_c:
+                n_cx[a], n_mx[a] = cx[a] + c_c, mx[a] + m_c
+            else:
+                n_cx[a], n_mx[a] = cx[a], mx[a]
+        nxt.append(flat_carry(clean, flags.translate(IN_NEITHER)))
+        nxt.append((n_cx, n_mx))
+        for a in compress(range(level + 1), flags.translate(IN_FIRST)):
+            c_c, c_x = cc[a], cx[a]
+            if c_c or c_x:
+                stops[(a, level - a)] = (
+                    c_c, mc[a], c_x, mx[a], a * d0 + (level - a) * d1,
+                    flags[a] > FIRST,
+                )
+    return LatticeTable(
+        stops=stops,
+        word_count=sum(s[0] + s[2] for s in stops.values()),
+        total_prob=math.fsum(s[1] + s[3] for s in stops.values()),
+        cap_mass=cap_mass,
+        visited_nodes=visited,
+    )
+
+
 def enumerate_words(
     model: SourceModel,
     classify: NodeClassifier,
@@ -393,6 +738,7 @@ def enumerate_words(
     which bounds the depth, can exceed the interpreter recursion limit.
     """
     m = model.m
+    classify = per_node(classify)
     boundary_profile, boundary_left = boundary if boundary else (None, 0)
     out: list[tuple[Word, float, bool]] = []
     # frame: [word, profile, crossed, next symbol index]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -179,6 +180,22 @@ def test_cli_rejects_bad_integer_arguments(capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_block_pair_index_fails_fast_and_names_the_flag(capsys):
+    # the 100000th pair of log2(3) does not exist; before, a float-precision
+    # convergent counted as an exact ratio and 3**X with X ~ 1.9e10 was built
+    start = time.perf_counter()
+    assert main(["construct-block", "--input-size", "3",
+                 "--pair-index", "100000"]) == 3
+    assert main(["construct-block", "--input-size", "4",
+                 "--pair-index", "100000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+    for flag in ("--pair-index", "--list-pairs"):
+        assert main(["construct-block", "--input-size", "3", flag, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
 
 
 def test_cli_encode_no_pad_fails_inside_a_word(tmp_path, capsys):

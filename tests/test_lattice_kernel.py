@@ -1,0 +1,287 @@
+"""The two-symbol flat lattice kernel against the dict walk, field by field.
+
+Every walk takes the flat kernel for a two-symbol source driven by a
+`NodeClassifier`, and the dict walk for any other callable; wrapping the
+classifier in a plain function therefore runs the same rules through the
+dict walk.  Every mass is finite and at least +0.0, so float equality
+below is equality bit for bit.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from wordcodes import vv_construct, word_sets
+from wordcodes.errors import ResourceError, ValidationError
+from wordcodes.source_model import linear_form, make_model
+from wordcodes.vv_construct import (
+    _joint_dp,
+    _knockout_masses,
+    _profiles_of_length,
+    build_threshold_sets,
+    construct_vv,
+)
+from wordcodes.word_sets import (
+    SECOND,
+    EmptyRule,
+    ThresholdHighRule,
+    ThresholdLowRule,
+    WindowRule,
+    lattice_metrics,
+    node_classifier,
+)
+
+NODE_LIMIT = 10**6
+
+
+def _dict_walk(classify):
+    """The same classification as a plain callable: the walks' dict path."""
+    return lambda k: classify(k)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A comparable record of a call: its result's fields, or its error."""
+    try:
+        result = fn(*args, **kwargs)
+    except (ResourceError, ValidationError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    if isinstance(result, word_sets.LatticeTable):
+        return (
+            result.stops,
+            result.word_count,
+            result.total_prob,
+            result.cap_mass,
+            result.visited_nodes,
+        )
+    if isinstance(result, vv_construct._JointTables):
+        return (
+            result.kraft_first,
+            result.kraft_second,
+            result.kraft_merged,
+            result.cap_mass_first,
+            result.cap_mass_second,
+            result.classes,
+        )
+    return result
+
+
+def _two_symbol_sources():
+    """(model, T): a seeded two-symbol source per T in 3..12, arity 2 and 3."""
+    rng = random.Random(808)
+    for T in range(3, 13):
+        w = rng.randint(1, 19)
+        probs = [Fraction(w, 20), Fraction(20 - w, 20)]
+        yield make_model(probs, 2 + T % 2), T
+
+
+def _taken_and_boundary(rng, classes, classify, cap):
+    """Some of the joint DP's classes taken, and a split of another one.
+
+    Two second-set nodes one level above the cap join the taken ones: clean
+    paths rarely get that deep, and a walk must then pass them by.
+    """
+    flags = classify.level(cap - 1)
+    deep = [(a, cap - 1 - a) for a in range(cap) if flags[a] == SECOND]
+    taken = set(rng.sample(deep, min(len(deep), 2)))
+    if len(classes) < 2:
+        return taken, None
+    picked = rng.sample(classes, min(len(classes), 4))
+    _, k, count = picked[0]
+    taken |= {p for _, p, _ in picked[1:]}
+    return taken, (k, rng.randint(1, count + 1))
+
+
+def test_flat_kernel_matches_the_dict_walk_field_by_field():
+    rng = random.Random(9)
+    seen = set()
+    for model, T in _two_symbol_sources():
+        for index, cap in enumerate((T * T, 2 * T * T, T * T + 7)):
+            set_low, set_high = build_threshold_sets(model, T, cap)
+            classify = node_classifier(set_low.rule, set_high.rule)
+            tables = _joint_dp(model, set_low, set_high, NODE_LIMIT, classify)
+            assert _outcome(lambda: tables) == _outcome(
+                _joint_dp, model, set_low, set_high, NODE_LIMIT,
+                _dict_walk(classify),
+            )
+            targets = {k for _, k, _ in tables.classes}
+            if targets:
+                flat = _knockout_masses(
+                    model, classify, cap, targets, NODE_LIMIT
+                )
+                assert flat == _knockout_masses(
+                    model, _dict_walk(classify), cap, targets, NODE_LIMIT
+                )
+                assert set(flat[0]) == targets
+            taken, boundary = _taken_and_boundary(
+                rng, tables.classes, classify, cap
+            )
+            # the split walk, and one of the others in turn
+            walks = [
+                (classify, taken, boundary),
+                [
+                    (classify, (), None),
+                    (classify, taken, None),
+                    (classify.second_as_both(), (), None),
+                ][index],
+            ]
+            for walk_classify, walk_taken, walk_boundary in walks:
+                found = _outcome(
+                    lattice_metrics, model, walk_classify, cap, NODE_LIMIT,
+                    walk_taken, walk_boundary,
+                )
+                assert found == _outcome(
+                    lattice_metrics, model, _dict_walk(walk_classify), cap,
+                    NODE_LIMIT, walk_taken, walk_boundary,
+                )
+                seen.add(found[0] if found[0] == "error" else "table")
+            seen.add("cap mass" if tables.cap_mass_first else "no cap mass")
+            seen.add("classes" if targets else "no classes")
+    assert seen == {"table", "error", "cap mass", "no cap mass", "classes",
+                    "no classes"}
+
+
+def test_flat_kernel_matches_the_dict_walk_on_window_rules():
+    for model, _ in _two_symbol_sources():
+        d_max = max(model.d)
+        for L in range(math.ceil(d_max), math.ceil(d_max) + 6):
+            cap = int((L - d_max) / min(model.d)) + 2
+            classify = node_classifier(
+                WindowRule(model.d, L - d_max, float(L)), EmptyRule()
+            )
+            assert _outcome(lattice_metrics, model, classify, cap) == _outcome(
+                lattice_metrics, model, _dict_walk(classify), cap
+            )
+
+
+def test_flat_kernel_trips_the_node_limit_where_the_dict_walk_does():
+    model = make_model(["0.4", "0.6"], 2)
+    set_low, set_high = build_threshold_sets(model, 6, 36)
+    classify = node_classifier(set_low.rule, set_high.rule)
+    tripped = 0
+    for limit in (1, 2, 3, 10, 40, 100, 300, 700, 702, 703, 10**4):
+        joint = _outcome(_joint_dp, model, set_low, set_high, limit, classify)
+        assert joint == _outcome(
+            _joint_dp, model, set_low, set_high, limit, _dict_walk(classify)
+        )
+        final = _outcome(lattice_metrics, model, classify, 36, limit)
+        assert final == _outcome(
+            lattice_metrics, model, _dict_walk(classify), 36, limit
+        )
+        tripped += (joint[0] == "error") + (final[0] == "error")
+    assert 0 < tripped < 22
+
+
+def _rule_pairs(d):
+    low = ThresholdLowRule(d, 0.3)
+    high = ThresholdHighRule(d, 0.3)
+    wide = ThresholdHighRule(d, 1.5)
+    loose = ThresholdLowRule(d, 0.3, tol=1e-9)
+    window = WindowRule(d, 2.0, 2.0 + max(d))
+    return [
+        (low, high),
+        (high, low),
+        (high, high),
+        (low, wide),
+        (loose, high),
+        (low, EmptyRule()),
+        (window, EmptyRule()),
+    ]
+
+
+def _snapping_sources():
+    """Sources whose exponents are inexact at n=8 and n=32, so some forms
+    land within THRESHOLD_TOL of an integer, plus seeded random ones."""
+    yield make_model(["0.25", "0.75"], 32)
+    yield make_model(["0.5", "0.25", "0.25"], 32)
+    yield make_model(["0.5", "0.25", "0.25"], 8)
+    yield make_model(["0.5", "0.25", "0.125", "0.125"], 32)
+    yield make_model(["0.5", "0.25", "0.125", "0.125"], 8)
+    rng = random.Random(4)
+    for m in (2, 3, 3, 4, 4):
+        weights = [rng.randint(1, 9) for _ in range(m)]
+        total = sum(weights)
+        probs = [Fraction(w, total) for w in weights]
+        yield make_model(probs, rng.choice([2, 3]))
+
+
+def test_node_classifier_agrees_with_each_rule_on_every_node():
+    """`node_classifier` and the level table share one fractional part per
+    node between two threshold rules; each must still answer what each
+    rule's `admits` answers, snapped forms included."""
+    snapped = 0
+    for model in _snapping_sources():
+        top = {2: 40, 3: 14, 4: 9}[model.m]
+        for first, second in _rule_pairs(model.d):
+            classify = node_classifier(first, second)
+            for level in range(1, top + 1):
+                flags = classify.level(level) if model.m == 2 else None
+                for k in _profiles_of_length(level, model.m):
+                    form = linear_form(model, k)
+                    expect = (form, first.admits(form), second.admits(form))
+                    assert classify(k) == expect
+                    if flags is not None:
+                        assert flags[k[0]] == expect[1] + 2 * expect[2]
+                    snapped += form - math.floor(form) >= 1.0 - first.tol
+    assert snapped
+
+
+def test_second_as_both_equals_a_fresh_classifier():
+    model = make_model(["0.25", "0.75"], 32)
+    low = ThresholdLowRule(model.d, 2 / 7)
+    high = ThresholdHighRule(model.d, 2 / 7)
+    classify = node_classifier(low, high)
+    classify.level(30)
+    both = classify.second_as_both()
+    fresh = node_classifier(high, high)
+    for level in range(1, 41):
+        assert both.level(level) == fresh.level(level)
+    for k in itertools.product(range(12), repeat=2):
+        assert both(k) == fresh(k)
+
+
+def test_each_build_classifies_its_own_lattice(monkeypatch):
+    """No level table outlives its build: a second identical build
+    classifies exactly as many nodes as the first, each at most once."""
+    classified = []
+    make_flag = word_sets._flag_function
+
+    def counting_flag_function(first, second):
+        flag = make_flag(first, second)
+
+        def counted(form):
+            classified[-1] += 1
+            return flag(form)
+
+        return counted
+
+    monkeypatch.setattr(word_sets, "_flag_function", counting_flag_function)
+    model = make_model(["0.2", "0.8"], 2)
+    for _ in range(2):
+        classified.append(0)
+        result = construct_vv(model, T=12, grade="metrics", enum_limit=0)
+    cap = result.cap
+    assert result.path == "extended"
+    assert classified[0] == classified[1] > 0
+    assert classified[0] <= (cap + 1) * (cap + 2) // 2
+
+
+@pytest.mark.parametrize("p, T", [("0.3", 3), ("0.3", 8), ("0.2", 12)])
+def test_builds_agree_with_the_dict_walk_end_to_end(monkeypatch, p, T):
+    """A whole build on the flat kernel and on the dict walk, on the base
+    and the extended path: the same provenance and metrics."""
+    model = make_model([p, str(1 - float(p))], 2)
+    flat = construct_vv(model, T=T, grade="metrics", enum_limit=0)
+    make_classifier = word_sets.node_classifier
+
+    def plain_classifier(first, second):
+        return _dict_walk(make_classifier(first, second))
+
+    monkeypatch.setattr(vv_construct, "node_classifier", plain_classifier)
+    dict_walk = construct_vv(model, T=T, grade="metrics", enum_limit=0)
+    assert flat.provenance == dict_walk.provenance
+    assert repr(flat.dp_metrics) == repr(dict_walk.dp_metrics)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
+from wordcodes import vf_construct
 from wordcodes.errors import InfeasibleError, InputError, ResourceError
-from wordcodes.source_model import word_probability
+from wordcodes.source_model import make_model, word_probability
 from wordcodes.vf_construct import (
     construct_block,
     construct_vf,
@@ -96,6 +98,55 @@ def test_block_parameters_for_ternary_input():
 
 def test_block_parameters_exact_when_log_is_rational():
     assert find_block_parameters(4, 2) == [(1, 2), (2, 4), (3, 6)]
+
+
+def test_block_parameters_are_prefix_stable_and_genuine():
+    """Count c gives the first c pairs of any larger count, and every pair
+    has room (m^X <= n^L) and redundancy below 1/X^2, checked in integers."""
+    for m, n in ((3, 2), (4, 2), (32, 8), (2, 3), (5, 3), (10, 2), (6, 4)):
+        pairs = find_block_parameters(m, n, count=40)
+        for count in range(1, 41):
+            assert find_block_parameters(m, n, count=count) == pairs[:count]
+        for X, L in pairs:
+            if X <= 400:
+                assert m**X <= n**L
+                # L - X log_n m < 1/X  <=>  n^(L X - 1) < m^(X^2)
+                assert n ** (L * X - 1) < m ** (X * X)
+
+
+def test_block_parameters_keep_convergents_past_float_precision():
+    # 301994/190537 is within 1e-12 of float log2(3); it used to count as
+    # the exact ratio and replace all six earlier pairs with its multiples
+    seven = find_block_parameters(3, 2, count=7)
+    assert seven == [
+        (1, 2), (5, 8), (41, 65), (306, 485), (15601, 24727),
+        (79335, 125743), (190537, 301994),
+    ]
+    # the irrational logarithm has finitely many certified convergents
+    assert len(find_block_parameters(3, 2, count=10**5)) < 100
+    # an exact ratio repeats at its multiples, after the earlier pairs
+    assert find_block_parameters(32, 8, count=3) == [(1, 2), (3, 5), (6, 10)]
+
+
+def test_block_limits_are_checked_before_building_powers():
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleError):
+        construct_block(3, 2, 10**10, 10**10)
+    with pytest.raises(ResourceError):
+        construct_block(3, 2, 10**10, 2 * 10**10)
+    with pytest.raises(ResourceError):
+        construct_block(4, 2, 10**10, 2 * 10**10)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_vf_trips_the_enumeration_limit_before_enumerating(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the word set was enumerated")
+
+    monkeypatch.setattr(vf_construct, "enumerate_words", no_enumeration)
+    model = make_model(["0.4", "0.6"], 2)
+    with pytest.raises(ResourceError, match="enumeration limit of 100$"):
+        construct_vf(model, 12, enum_limit=100)
 
 
 def test_block_parameters_validate_arguments():
