@@ -16,7 +16,9 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import attrgetter, itemgetter, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .codebook import CodeBook
 from .diophantine import dist_to_int
@@ -75,29 +77,67 @@ def metrics_from_classes(
     only the combined mass matters.
     """
     rows = list(classes)
-    if not rows:
+    masses, word_lengths, code_lengths, forms = (
+        list(map(itemgetter(i), rows)) for i in range(4)
+    )
+    del rows
+    return _column_metrics(
+        model, masses, word_lengths, code_lengths, forms,
+        kraft_exact, word_count, map,
+    )
+
+
+def _map_once(
+    fn: Callable[[float], float], values: Iterable[float]
+) -> Iterator[float]:
+    """`map(fn, values)`, calling `fn` once per distinct value."""
+    values = list(values)
+    table = {v: fn(v) for v in set(values)}
+    return map(table.__getitem__, values)
+
+
+def _column_metrics(
+    model: SourceModel,
+    masses: list[float],
+    word_lengths: list[int],
+    code_lengths: list[int],
+    forms: list[float],
+    kraft_exact: Fraction,
+    word_count: int,
+    per_value: Callable,
+) -> CodeMetrics:
+    """The metrics of rows given as four columns.
+
+    Each sum is one `math.fsum` over per-row terms, the same IEEE operations
+    as the row-by-row expressions in the field descriptions.  The eta,
+    clamped eps^2 and distance^2 factors come from `per_value(fn, values)`:
+    `map` for class rows, which rarely repeat a value, or `_map_once` for a
+    book's word rows, which repeat each class's eps and form.
+    """
+    if not masses:
         raise InputError("cannot compute metrics for an empty code")
     n = model.arity
     ln_n = math.log(n)
+    fsum = math.fsum
 
-    total = math.fsum(mass for mass, _, _, _ in rows)
-    nbar = math.fsum(mass * wl for mass, wl, _, _ in rows)
-    lbar = math.fsum(mass * cl for mass, _, cl, _ in rows)
-    max_delay = max(wl for _, wl, _, _ in rows)
+    def eps() -> Iterator[float]:
+        return map(sub, code_lengths, forms)
 
-    eps_rows = [(mass, cl - form) for mass, _, cl, form in rows]
-    eps_max = max(abs(e) for _, e in eps_rows)
-    sum_p_eps = math.fsum(mass * e for mass, e in eps_rows)
-    sum_p_eps_sq = math.fsum(mass * e * e for mass, e in eps_rows)
-    sum_p_eps_cl_sq = math.fsum(
-        mass * min(1.0, max(-1.0, e)) ** 2 for mass, e in eps_rows
+    total = fsum(masses)
+    nbar = fsum(map(mul, masses, word_lengths))
+    lbar = fsum(map(mul, masses, code_lengths))
+    max_delay = max(word_lengths)
+
+    eps_max = max(map(abs, eps()))
+    sum_p_eps = fsum(map(mul, masses, eps()))
+    sum_p_eps_sq = fsum(map(mul, map(mul, masses, eps()), eps()))
+    sum_p_eps_cl_sq = fsum(
+        map(mul, masses, per_value(_clamped_sq, eps()))
     )
-    sum_p_eta = math.fsum(
-        mass * (n**-e - 1.0 + e * ln_n) for mass, e in eps_rows
+    sum_p_eta = fsum(
+        map(mul, masses, per_value(lambda e: n**-e - 1.0 + e * ln_n, eps()))
     )
-    sum_p_dist_sq = math.fsum(
-        mass * dist_to_int(form) ** 2 for mass, _, _, form in rows
-    )
+    sum_p_dist_sq = fsum(map(mul, masses, per_value(_int_dist_sq, forms)))
 
     defect = float(1 - kraft_exact)
     redundancy = sum_p_eps / nbar
@@ -135,21 +175,40 @@ def metrics_from_classes(
     )
 
 
+def _clamped_sq(e: float) -> float:
+    return min(1.0, max(-1.0, e)) ** 2
+
+
+def _int_dist_sq(form: float) -> float:
+    return dist_to_int(form) ** 2
+
+
 def code_metrics(book: CodeBook) -> CodeMetrics:
-    """Metrics of an explicit code book."""
+    """Metrics of an explicit code book, one row per entry."""
     model = book.model
-    forms: dict = {}
-    rows = []
-    for entry in book.entries:
-        profile = profile_of(entry.word, model.m)
-        form = forms.get(profile)
-        if form is None:
-            form = forms[profile] = linear_form(model, profile)
-        rows.append(
-            (entry.probability, len(entry.word), len(entry.codeword), form)
-        )
-    return metrics_from_classes(
-        model, rows, kraft_exact=book.kraft_exact(), word_count=len(rows)
+    words = list(map(attrgetter("word"), book.entries))
+    word_lengths = list(map(len, words))
+    symbols = range(1, model.m + 1)
+    # each word's profile, tuple(map(word.count, symbols))
+    profiles = list(
+        map(tuple, map(map, map(attrgetter("count"), words), repeat(symbols)))
+    )
+    if sum(map(sum, profiles)) != sum(word_lengths):
+        # some symbol is outside 1..m: profile_of names it
+        for word in words:
+            profile_of(word, model.m)
+    form_of = {k: linear_form(model, k) for k in set(profiles)}
+    forms = list(map(form_of.__getitem__, profiles))
+    del profiles
+    return _column_metrics(
+        model,
+        list(map(attrgetter("probability"), book.entries)),
+        word_lengths,
+        list(map(len, map(attrgetter("codeword"), book.entries))),
+        forms,
+        book.kraft_exact(),
+        len(words),
+        _map_once,
     )
 
 

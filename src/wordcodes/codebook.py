@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Mapping
+from itertools import chain, islice, product, repeat
+from operator import attrgetter, eq, getitem, gt, sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
-from .source_model import DIGIT_GLYPHS, SourceModel, Word, word_probability
+from .source_model import (
+    DIGIT_GLYPHS,
+    SourceModel,
+    Word,
+    word_probabilities,
+    word_probability,
+)
 
 COMPLETENESS_TOL = 1e-9
 PROB_CONSISTENCY_TOL = 1e-9
@@ -53,7 +61,12 @@ def fixed_codewords(arity: int, width: int) -> Iterator[str]:
     return map("".join, product(DIGIT_GLYPHS[:arity], repeat=width))
 
 
-@dataclass(frozen=True)
+_word = attrgetter("word")
+_codeword = attrgetter("codeword")
+_probability = attrgetter("probability")
+
+
+@dataclass(frozen=True, slots=True)
 class CodeEntry:
     word: Word
     codeword: str
@@ -62,6 +75,27 @@ class CodeEntry:
     @property
     def length(self) -> int:
         return len(self.codeword)
+
+
+def code_entries(
+    words: Sequence[Word],
+    codewords: Iterable[str],
+    probabilities: Iterable[float],
+) -> tuple[CodeEntry, ...]:
+    """`tuple(map(CodeEntry, words, codewords, probabilities))`, built in
+    C-level passes: the entries are allocated, then each field is stored
+    through its slot, so no `__init__` runs per entry (it would store the
+    same three fields).  `codewords` and `probabilities` may run longer
+    than `words`; their extra items are not read.
+    """
+    entries = tuple(map(object.__new__, repeat(CodeEntry, len(words))))
+    for name, values in (
+        ("word", words),
+        ("codeword", codewords),
+        ("probability", probabilities),
+    ):
+        deque(map(getattr(CodeEntry, name).__set__, entries, values), 0)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -82,7 +116,7 @@ class CodeBook:
     def kraft_exact(self) -> Fraction:
         """Kraft sum of the codeword lengths, in exact rational arithmetic."""
         return kraft_of_counts(
-            Counter(len(e.codeword) for e in self.entries), self.model.arity
+            Counter(map(len, map(_codeword, self.entries))), self.model.arity
         )
 
     def max_word_length(self) -> int:
@@ -97,6 +131,12 @@ def _assert_prefix_free(items: list, what: str) -> None:
     # (anything sorting between `a` and an extension of `a` starts with
     # `a` too), so comparing neighbours finds every duplicate and extension.
     ordered = sorted(items)
+    # b[:len(a)] of each neighbour pair (a, b), compared with a
+    heads = map(
+        getitem, islice(ordered, 1, None), map(slice, map(len, ordered))
+    )
+    if not any(map(eq, heads, ordered)):
+        return
     for a, b in zip(ordered, ordered[1:]):
         if b[: len(a)] == a:
             if len(b) == len(a):
@@ -104,12 +144,25 @@ def _assert_prefix_free(items: list, what: str) -> None:
             raise ValidationError(f"{what} {b!r} extends shorter {what} {a!r}")
 
 
+def _symbols_in_range(words: Iterable[Word], m: int) -> bool:
+    """Whether every symbol of every word is an integer in 1..m."""
+    symbols = chain.from_iterable(words)
+    try:
+        if m < 256:
+            return not bytes(symbols).translate(None, bytes(range(1, m + 1)))
+        codes = array("q", symbols)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return not codes or (min(codes) >= 1 and max(codes) <= m)
+
+
 def validate_codebook(book: CodeBook, tol: float = COMPLETENESS_TOL) -> None:
     """Check the structural contract every emitted book must satisfy.
 
-    Input words prefix-free and complete, codewords prefix-free and drawn
-    from the digit alphabet, stored probabilities consistent with the model,
-    and Kraft sum at most 1 in exact arithmetic.
+    Input words nonempty, over the symbols 1..m, prefix-free and complete;
+    codewords nonempty, prefix-free and drawn from the digit alphabet;
+    stored probabilities consistent with the model; and Kraft sum at most 1
+    in exact arithmetic.
     """
     _validate(book, against_model=True, tol=tol)
 
@@ -126,11 +179,80 @@ def _validate(
         raise ValidationError(f"unknown book kind {book.kind!r}")
     if not book.entries:
         raise ValidationError("a code book needs at least one entry")
-    n = book.model.arity
+    words = list(map(_word, book.entries))
+    codewords = list(map(_codeword, book.entries))
+    if not _entries_pass(book, words, codewords, against_model):
+        _check_each_entry(book, against_model)
+    _assert_prefix_free(words, "input word")
+    _assert_prefix_free(codewords, "codeword")
+    total = math.fsum(map(_probability, book.entries))
+    if abs(total - 1.0) > tol:
+        raise ValidationError(
+            f"word probabilities sum to {total!r}; the set is not complete"
+        )
+    if book.kind in ("vf", "block"):
+        lengths = set(map(len, codewords))
+        if len(lengths) != 1:
+            raise ValidationError(
+                f"{book.kind} books need uniform codeword length, got {lengths}"
+            )
+    if book.kind == "block":
+        word_lengths = set(map(len, words))
+        if len(word_lengths) != 1:
+            raise ValidationError(
+                f"block books need uniform word length, got {word_lengths}"
+            )
+    if book.kraft_exact() > 1:
+        raise ValidationError(
+            f"Kraft sum {book.kraft_exact()} exceeds 1; not decodable"
+        )
+
+
+def _entries_pass(
+    book: CodeBook, words: list, codewords: list, against_model: bool
+) -> bool:
+    """The per-entry checks of `_validate`, each a C-level pass over all
+    entries: no empty word or codeword, symbols in 1..m, digits in base n,
+    and (against_model) every stored probability within
+    PROB_CONSISTENCY_TOL of the model's.  False means some entry fails
+    one, or a field has a type the passes cannot read."""
+    model = book.model
+    try:
+        ok = (
+            all(words)
+            and all(codewords)
+            and _symbols_in_range(words, model.m)
+            and not "".join(codewords)
+            .encode("ascii", "replace")
+            .translate(None, DIGIT_GLYPHS[: model.arity].encode("ascii"))
+        )
+        if ok and against_model:
+            drift = map(
+                abs,
+                map(
+                    sub,
+                    word_probabilities(model, words),
+                    map(_probability, book.entries),
+                ),
+            )
+            ok = not any(map(gt, drift, repeat(PROB_CONSISTENCY_TOL)))
+    except TypeError:
+        return False
+    return ok
+
+
+def _check_each_entry(book: CodeBook, against_model: bool) -> None:
+    """The per-entry checks of `_validate`, one entry at a time, raising
+    for the first entry that fails one."""
+    m, n = book.model.m, book.model.arity
     glyphs = set(DIGIT_GLYPHS[:n])
     for e in book.entries:
         if not e.word:
             raise ValidationError("the empty word cannot be a code word")
+        if not _symbols_in_range((e.word,), m):
+            raise ValidationError(
+                f"word {e.word!r} uses symbols outside 1..{m}"
+            )
         if not e.codeword:
             raise ValidationError(f"word {e.word!r} has an empty codeword")
         if not set(e.codeword) <= glyphs:
@@ -145,26 +267,3 @@ def _validate(
                 f"stored probability {e.probability!r} for word {e.word!r} "
                 f"disagrees with the model ({expect!r})"
             )
-    _assert_prefix_free([e.word for e in book.entries], "input word")
-    _assert_prefix_free([e.codeword for e in book.entries], "codeword")
-    total = math.fsum(e.probability for e in book.entries)
-    if abs(total - 1.0) > tol:
-        raise ValidationError(
-            f"word probabilities sum to {total!r}; the set is not complete"
-        )
-    if book.kind in ("vf", "block"):
-        lengths = {len(e.codeword) for e in book.entries}
-        if len(lengths) != 1:
-            raise ValidationError(
-                f"{book.kind} books need uniform codeword length, got {lengths}"
-            )
-    if book.kind == "block":
-        word_lengths = {len(e.word) for e in book.entries}
-        if len(word_lengths) != 1:
-            raise ValidationError(
-                f"block books need uniform word length, got {word_lengths}"
-            )
-    if book.kraft_exact() > 1:
-        raise ValidationError(
-            f"Kraft sum {book.kraft_exact()} exceeds 1; not decodable"
-        )

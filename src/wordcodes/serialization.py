@@ -10,13 +10,16 @@ uses sorted keys so equal books produce byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 
-from .codebook import CodeBook, CodeEntry, _validate
+from .codebook import CodeBook, _validate, code_entries
 # Unused here, but perfbench's tracer wraps validate_codebook in every module
 # that imports it, and its self-tests expect to find it in this one.
 from .codebook import validate_codebook  # noqa: F401
 from .errors import InputError
-from .source_model import make_model, word_probability
+from .source_model import SourceModel, Word, make_model, word_probabilities
 
 FORMAT_TAG = "wordcodes-book/1"
 
@@ -25,7 +28,10 @@ def book_to_json(book: CodeBook) -> str:
     """The book file: `json.dumps(payload, sort_keys=True, indent=2)` + "\\n".
 
     The header goes through `json.dumps`; the rows of "words", which sorts
-    last, are laid out here around C-encoded strings, in the same bytes.
+    last, are laid out here around strings quoted by the C encoder that
+    `json.dumps(str)` calls, in the same bytes.  Symbol i is rendered as
+    entry i of the labels padded at index 0, so words must hold symbols in
+    1..m, as `validate_codebook` checks.
     """
     model = book.model
     header = {
@@ -38,10 +44,17 @@ def book_to_json(book: CodeBook) -> str:
         "words": [],
     }
     text = json.dumps(header, sort_keys=True, indent=2)
+    label = (None, *model.labels).__getitem__
+    words = map(attrgetter("word"), book.entries)
+    texts = map("".join, map(map, repeat(label), words))
+    quote = encode_basestring_ascii
+    row = '    {{\n      "codeword": {},\n      "symbols": {}\n    }}'.format
     rows = ",\n".join(
-        f'    {{\n      "codeword": {json.dumps(e.codeword)},\n'
-        f'      "symbols": {json.dumps(model.word_to_text(e.word))}\n    }}'
-        for e in book.entries
+        map(
+            row,
+            map(quote, map(attrgetter("codeword"), book.entries)),
+            map(quote, texts),
+        )
     )
     words = f"[\n{rows}\n  ]" if rows else "[]"
     return f"{text[:-4]}{words}\n}}\n"
@@ -66,23 +79,14 @@ def book_from_json(text: str) -> CodeBook:
                 "malformed code book file: provenance is not an object"
             )
         model = make_model(data["probs"], arity, labels=list(data["alphabet"]))
-        entries = []
-        for row in data["words"]:
-            symbols, codeword = row["symbols"], row["codeword"]
-            if not (isinstance(symbols, str) and isinstance(codeword, str)):
-                raise InputError(f"malformed code book file: row {row!r}")
-            word = model.word_from_text(symbols)
-            entries.append(
-                CodeEntry(
-                    word=word,
-                    codeword=codeword,
-                    probability=word_probability(model, word),
-                )
-            )
+        words, codewords = _read_rows(model, data["words"])
+        entries = code_entries(
+            words, codewords, word_probabilities(model, words)
+        )
         book = CodeBook(
             model=model,
             kind=data["kind"],
-            entries=tuple(entries),
+            entries=entries,
             provenance=dict(provenance),
         )
     except (KeyError, TypeError) as exc:
@@ -90,6 +94,30 @@ def book_from_json(text: str) -> CodeBook:
     # every stored probability was just computed from the model
     _validate(book, against_model=False)
     return book
+
+
+def _read_rows(model: SourceModel, rows) -> tuple[list[Word], list[str]]:
+    """The words and codewords of the file's "words" rows, in order.
+
+    Read in C-level passes.  If a row is not an object with string
+    "symbols" and "codeword", the rows are read again one at a time, which
+    raises for the first bad row.
+    """
+    try:
+        texts = list(map(itemgetter("symbols"), rows))
+        codewords = list(map(itemgetter("codeword"), rows))
+        if all(map(isinstance, chain(texts, codewords), repeat(str))):
+            return model.words_from_texts(texts), codewords
+    except (KeyError, TypeError):
+        pass
+    words, codewords = [], []
+    for row in rows:
+        symbols, codeword = row["symbols"], row["codeword"]
+        if not (isinstance(symbols, str) and isinstance(codeword, str)):
+            raise InputError(f"malformed code book file: row {row!r}")
+        words.append(model.word_from_text(symbols))
+        codewords.append(codeword)
+    return words, codewords
 
 
 def save_book(book: CodeBook, path: str) -> None:

@@ -11,6 +11,8 @@ import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from typing import Iterable
 
 from .errors import InputError
 
@@ -51,6 +53,10 @@ class SourceModel:
     prob_labels: tuple[str, ...] = ()
     d: tuple[float, ...] = field(init=False, repr=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # probs padded at index 0, so that symbol i reads entry i
+    _symbol_probs: tuple[float, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.arity < 2:
@@ -85,6 +91,7 @@ class SourceModel:
         object.__setattr__(
             self, "_index", {s: i for i, s in enumerate(self.labels, 1)}
         )
+        object.__setattr__(self, "_symbol_probs", (0.0, *self.probs))
 
     @property
     def m(self) -> int:
@@ -102,6 +109,15 @@ class SourceModel:
         except (KeyError, TypeError):
             # the per-symbol path raises InputError naming the bad symbol
             return tuple(map(self.index_of, text))
+
+    def words_from_texts(self, texts: list[str]) -> list[Word]:
+        """`word_from_text` of each text, in C-level passes."""
+        try:
+            symbol = self._index.__getitem__
+            return list(map(tuple, map(map, repeat(symbol), texts)))
+        except (KeyError, TypeError):
+            # the per-text path raises InputError naming the bad symbol
+            return list(map(self.word_from_text, texts))
 
     def word_to_text(self, word: Word) -> str:
         return "".join(self.labels[i - 1] for i in word)
@@ -134,11 +150,30 @@ def entropy(model: SourceModel) -> float:
 
 
 def word_probability(model: SourceModel, word: Word) -> float:
-    """Probability of a word under the i.i.d. source; the empty word has p=1."""
+    """Probability of a word under the i.i.d. source; the empty word has p=1.
+
+    Symbols must lie in 1..m.
+    """
+    probs = model._symbol_probs
     p = 1.0
     for i in word:
-        p *= model.probs[i - 1]
+        p *= probs[i]
     return p
+
+
+def word_probabilities(
+    model: SourceModel, words: Iterable[Word]
+) -> list[float]:
+    """`word_probability` of each word: the same products, in one loop."""
+    probs = model._symbol_probs
+    out = []
+    append = out.append
+    for word in words:
+        p = 1.0
+        for i in word:
+            p *= probs[i]
+        append(p)
+    return out
 
 
 def profile_of(word: Word, m: int) -> Profile:

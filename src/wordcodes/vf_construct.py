@@ -18,9 +18,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import analysis
-from .codebook import CodeBook, CodeEntry, fixed_codewords, validate_codebook
+from .codebook import (
+    CodeBook,
+    code_entries,
+    fixed_codewords,
+    validate_codebook,
+)
 from .diophantine import (
     exact_log,
     interval_convergents,
@@ -32,7 +38,7 @@ from .source_model import (
     SourceModel,
     Word,
     make_model,
-    word_probability,
+    word_probabilities,
 )
 from .word_sets import (
     DEFAULT_ENUM_LIMIT,
@@ -102,9 +108,12 @@ def construct_vf(
             raise ResourceError(
                 f"word set exceeds the enumeration limit of {enum_limit}"
             )
-        words = [
-            w for w, _, _ in enumerate_words(model, classify, cap, enum_limit)
-        ]
+        words = list(
+            map(
+                itemgetter(0),
+                enumerate_words(model, classify, cap, enum_limit),
+            )
+        )
         if len(words) != table.word_count:
             raise ValidationError(
                 f"enumeration found {len(words)} words, DP counted "
@@ -132,13 +141,17 @@ def construct_vf(
             "window_hi": float(L),
         }
 
+    # Descending probability, ties in lexicographic order: the words come
+    # lexicographic, and a stable sort keeps that order among equal keys.
     by_prob = sorted(
-        ((word_probability(model, w), w) for w in words),
-        key=lambda pw: (-pw[0], pw[1]),
+        zip(word_probabilities(model, words), words),
+        key=itemgetter(0),
+        reverse=True,
     )
-    entries = tuple(
-        CodeEntry(word=w, codeword=cw, probability=p)
-        for (p, w), cw in zip(by_prob, fixed_codewords(n, L))
+    entries = code_entries(
+        list(map(itemgetter(1), by_prob)),
+        fixed_codewords(n, L),
+        map(itemgetter(0), by_prob),
     )
     provenance["word_count"] = len(entries)
     book = CodeBook(
@@ -255,12 +268,10 @@ def construct_block(
     block_count = input_size**X
     model = make_model([Fraction(1, input_size)] * input_size, arity)
     prob = float(Fraction(1, block_count))
-    entries = tuple(
-        CodeEntry(word=word, codeword=cw, probability=prob)
-        for word, cw in zip(
-            itertools.product(range(1, input_size + 1), repeat=X),
-            fixed_codewords(arity, L),
-        )
+    entries = code_entries(
+        list(itertools.product(range(1, input_size + 1), repeat=X)),
+        fixed_codewords(arity, L),
+        itertools.repeat(prob),
     )
     provenance = {
         "mode": "block",

@@ -44,13 +44,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis
 from .codebook import (
     CodeBook,
     CodeEntry,
+    code_entries,
     format_digits,
     kraft_of_counts,
     validate_codebook,
@@ -230,10 +231,13 @@ def assign_codewords(
         raise InputError(f"unknown assignment {assignment!r}")
     ordered = sorted(items, key=lambda it: (it[2], it[0]))
     codewords = canonical_codewords([length for _, _, length in ordered], n)
-    return [
-        CodeEntry(word=w, codeword=cw, probability=p)
-        for (w, p, _), cw in zip(ordered, codewords)
-    ]
+    return list(
+        code_entries(
+            list(map(itemgetter(0), ordered)),
+            codewords,
+            map(itemgetter(1), ordered),
+        )
+    )
 
 
 @dataclass

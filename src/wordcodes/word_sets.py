@@ -736,7 +736,16 @@ def enumerate_words(
     length gets one digit more.  At the boundary profile the
     lexicographically first j clean words stop.  Iterative, so the cap,
     which bounds the depth, can exceed the interpreter recursion limit.
+    Raises ResourceError as soon as more than `limit` words are found.
+
+    Two-symbol sources with a `NodeClassifier` read the level table
+    (`_flat_enumerate_words`); every other classifier is called per node.
+    Both give the same list, float for float.
     """
+    if model.m == 2 and isinstance(classify, NodeClassifier):
+        return _flat_enumerate_words(
+            model, classify, cap, limit, taken, boundary
+        )
     m = model.m
     classify = per_node(classify)
     boundary_profile, boundary_left = boundary if boundary else (None, 0)
@@ -769,6 +778,63 @@ def enumerate_words(
             raise ResourceError(
                 f"word set exceeds the enumeration limit of {limit}"
             )
+    return out
+
+
+def _flat_enumerate_words(
+    model: SourceModel,
+    classify: NodeClassifier,
+    cap: int,
+    limit: int,
+    taken: Collection[Profile],
+    boundary: tuple[Profile, int] | None,
+) -> list[tuple[Word, float, bool]]:
+    """`enumerate_words` for two symbols: the same list, float for float.
+
+    A depth-first walk over (word, first count, crossed) frames, symbol 1
+    before symbol 2.  A node's flags are one byte of `classify.level`,
+    fetched when the walk first reaches its level, and its form is computed
+    only where a word stops.
+    """
+    d0, d1 = model.d
+    boundary_profile, boundary_left = boundary if boundary else (None, 0)
+    levels: list[bytes | None] = [None] * cap
+    # every node at the cap stops, a clean one with the extra digit: the
+    # flags FIRST | SECOND say exactly that
+    levels.append(bytes((FIRST | SECOND,)) * (cap + 1))
+    out: list[tuple[Word, float, bool]] = []
+    append = out.append
+    stack = [((2,), 0, False), ((1,), 1, False)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        word, a, crossed = pop()
+        n = len(word)
+        try:
+            flags = levels[n][a]
+        except TypeError:  # the first node of level n
+            levels[n] = classify.level(n)
+            flags = levels[n][a]
+        # a clean path at a second-set node stops there, with the extra
+        # digit, if its class is taken or is the boundary with words left
+        if flags == SECOND and not crossed:
+            k = (a, n - a)
+            if k in taken:
+                flags = FIRST | SECOND
+            elif k == boundary_profile and boundary_left:
+                boundary_left -= 1
+                flags = FIRST | SECOND
+            else:
+                crossed = True
+        if flags & FIRST:
+            extra = flags > FIRST and not crossed
+            append((word, a * d0 + (n - a) * d1, extra))
+            if len(out) > limit:
+                raise ResourceError(
+                    f"word set exceeds the enumeration limit of {limit}"
+                )
+            continue
+        push((word + (2,), a, crossed))
+        push((word + (1,), a + 1, crossed))
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 from itertools import islice
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from wordcodes.codebook import (
     format_digits,
     validate_codebook,
 )
-from wordcodes.errors import ValidationError
+from wordcodes.errors import InputError, ValidationError
 from wordcodes.serialization import book_from_json, book_to_json
 from wordcodes.source_model import (
     DIGIT_GLYPHS,
@@ -313,3 +314,159 @@ def test_codeword_clash_raises_wherever_it_sits(make_random_book, extend):
             )
             with pytest.raises(ValidationError, match=CODEWORD_CLASH):
                 validate_codebook(bad)
+
+
+# -- symbols and per-entry faults ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "word, probability",
+    [
+        ((0,), 0.6),  # reads as symbol 2 through probs[-1]: it used to pass
+        ((2, 3), 0.6),  # symbol m + 1
+        ((1.5,), 0.6),  # not an integer
+        ((2.0,), 0.6),  # equal to symbol 2, but no symbol
+        (("b",), 0.6),  # a label, not a symbol index
+    ],
+    ids=["zero", "m+1", "fraction", "float", "label"],
+)
+def test_validation_rejects_symbols_outside_the_alphabet(
+    binary_model, word, probability
+):
+    book = CodeBook(
+        model=binary_model,
+        kind="vv",
+        entries=(
+            CodeEntry(word=(1,), codeword="0", probability=0.4),
+            CodeEntry(word=word, codeword="1", probability=probability),
+        ),
+    )
+    message = rf"word {re.escape(repr(word))} uses symbols outside 1\.\.2"
+    with pytest.raises(ValidationError, match=message):
+        validate_codebook(book)
+
+
+def reference_entry_fault(book: CodeBook) -> str | None:
+    """The first per-entry fault in entry order, checked entry by entry."""
+    model = book.model
+    glyphs = set(DIGIT_GLYPHS[: model.arity])
+    for e in book.entries:
+        if not e.word:
+            return "the empty word cannot be a code word"
+        if not all(type(s) is int and 1 <= s <= model.m for s in e.word):
+            return f"word {e.word!r} uses symbols outside 1..{model.m}"
+        if not e.codeword:
+            return f"word {e.word!r} has an empty codeword"
+        if not set(e.codeword) <= glyphs:
+            return (
+                f"codeword {e.codeword!r} uses digits outside base "
+                f"{model.arity}"
+            )
+        expect = word_probability(model, e.word)
+        if abs(expect - e.probability) > 1e-9:
+            return (
+                f"stored probability {e.probability!r} for word {e.word!r} "
+                f"disagrees with the model ({expect!r})"
+            )
+    return None
+
+
+def _faulty(entry: CodeEntry, fault: str, arity: int) -> CodeEntry:
+    if fault == "empty word":
+        return dataclasses.replace(entry, word=())
+    if fault == "symbol":
+        return dataclasses.replace(entry, word=entry.word + (0,))
+    if fault == "empty codeword":
+        return dataclasses.replace(entry, codeword="")
+    if fault == "digit":
+        return dataclasses.replace(entry, codeword=DIGIT_GLYPHS[arity])
+    return dataclasses.replace(entry, probability=entry.probability + 0.01)
+
+
+def test_validation_names_the_first_faulty_entry(make_random_book):
+    """The passes over all entries, and the one-by-one check they fall
+    back on, report what a one-by-one reference reports: the first
+    faulty entry in entry order, with its first fault."""
+    faults = ["empty word", "symbol", "empty codeword", "digit", "probability"]
+    rng = random.Random(404)
+    books = [make_random_book(rng, "rounded") for _ in range(6)]
+    books.append(construct_vf(make_model(["0.2", "0.3", "0.5"], 3), 4).book)
+    for book in books:
+        validate_codebook(book)
+        for _ in range(12):
+            entries = list(book.entries)
+            for at in rng.sample(range(len(entries)), 2):
+                fault = rng.choice(faults)
+                entries[at] = _faulty(entries[at], fault, book.model.arity)
+            bad = dataclasses.replace(book, entries=tuple(entries))
+            expect = reference_entry_fault(bad)
+            with pytest.raises(ValidationError) as caught:
+                validate_codebook(bad)
+            assert str(caught.value) == expect
+
+
+def reference_row_error(model, rows) -> str | None:
+    """The loader's error for the first bad row, reading rows one by one."""
+    try:
+        for row in rows:
+            symbols, codeword = row["symbols"], row["codeword"]
+            if not (isinstance(symbols, str) and isinstance(codeword, str)):
+                return f"malformed code book file: row {row!r}"
+            model.word_from_text(symbols)
+    except (KeyError, TypeError) as exc:
+        return f"malformed code book file: {exc}"
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_loader_names_the_first_bad_row():
+    """The loader reads rows in passes over all of them; with bad rows
+    anywhere it reports what a one-row-at-a-time reader reports."""
+    edits = [
+        lambda row: row.update(symbols=row["symbols"] + "x"),
+        lambda row: row.pop("codeword"),
+        lambda row: row.pop("symbols"),
+        lambda row: row.update(codeword=7),
+        lambda row: row.update(symbols=None),
+    ]
+    rng = random.Random(77)
+    book = construct_vf(make_model(["0.4", "0.6"], 2), 7).book
+    payload = json.loads(book_to_json(book))
+    seen = set()
+    for _ in range(60):
+        bad = json.loads(json.dumps(payload))
+        rows = bad["words"]
+        for at in rng.sample(range(len(rows)), 2):
+            rng.choice(edits)(rows[at])
+        if rng.random() < 0.2:
+            rows[rng.randrange(len(rows))] = ["not", "an", "object"]
+        expect = reference_row_error(book.model, rows)
+        with pytest.raises(InputError) as caught:
+            book_from_json(json.dumps(bad))
+        assert str(caught.value) == expect
+        seen.add(expect.split(":")[0].split(" ")[0])
+    assert seen == {"malformed", "unknown"}
+
+
+def test_validation_reads_symbols_above_255():
+    """Sources with more than 255 symbols take the range check that does
+    not go through bytes: symbol m passes, m + 1 and 0 do not."""
+    m = 300
+    model = make_model(
+        [Fraction(1, m)] * m, 36, labels=[chr(0x100 + i) for i in range(m)]
+    )
+    entries = tuple(
+        CodeEntry(word=(i,), codeword=format_digits(i - 1, 36, 2),
+                  probability=1 / m)
+        for i in range(1, m + 1)
+    )
+    book = CodeBook(model=model, kind="vv", entries=entries)
+    validate_codebook(book)
+    assert book_from_json(book_to_json(book)) == book
+    for symbol in (m + 1, 0, 2**70):
+        bad = _with_entry(
+            book, m - 1, dataclasses.replace(entries[-1], word=(symbol,))
+        )
+        with pytest.raises(ValidationError, match="outside 1..300"):
+            validate_codebook(bad)

@@ -285,3 +285,128 @@ def test_builds_agree_with_the_dict_walk_end_to_end(monkeypatch, p, T):
     dict_walk = construct_vv(model, T=T, grade="metrics", enum_limit=0)
     assert flat.provenance == dict_walk.provenance
     assert repr(flat.dp_metrics) == repr(dict_walk.dp_metrics)
+
+
+def _enumeration(model, classify, cap, limit, taken=(), boundary=None):
+    """`enumerate_words` as a comparable record: the repr of its list (so
+    forms are compared bit for bit and extra digits as bools), or its
+    error."""
+    found = _outcome(
+        word_sets.enumerate_words, model, classify, cap, limit, taken,
+        boundary,
+    )
+    return found if found[0] == "error" else repr(found)
+
+
+def test_flat_enumeration_matches_the_per_node_walk():
+    """The two-symbol enumerator against the per-node walk: taken classes,
+    boundary splits (some larger than their class), the swapped
+    classifier, VF windows, and a limit that trips on both or on
+    neither."""
+    rng = random.Random(23)
+    limit = 3000
+    seen = set()
+    for model, T in _two_symbol_sources():
+        cap = T * T
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        classify = node_classifier(set_low.rule, set_high.rule)
+        tables = _joint_dp(model, set_low, set_high, NODE_LIMIT, classify)
+        taken, boundary = _taken_and_boundary(
+            rng, tables.classes, classify, cap
+        )
+        for walk_classify, walk_taken, walk_boundary in [
+            (classify, (), None),
+            (classify, taken, None),
+            (classify, taken, boundary),
+            (classify.second_as_both(), (), None),
+        ]:
+            found = _enumeration(
+                model, walk_classify, cap, limit, walk_taken, walk_boundary
+            )
+            assert found == _enumeration(
+                model, _dict_walk(walk_classify), cap, limit, walk_taken,
+                walk_boundary,
+            )
+            seen.add("words" if found[0] != "error" else "limit")
+            if walk_boundary and found[0] != "error":
+                seen.add("boundary")
+        d_max = max(model.d)
+        for L in range(math.ceil(d_max), math.ceil(d_max) + 6):
+            cap = int((L - d_max) / min(model.d)) + 2
+            window = node_classifier(
+                WindowRule(model.d, L - d_max, float(L)), EmptyRule()
+            )
+            found = _enumeration(model, window, cap, limit)
+            assert found == _enumeration(model, _dict_walk(window), cap, limit)
+    assert seen == {"words", "limit", "boundary"}
+
+
+def test_flat_enumeration_trips_the_limit_where_the_per_node_walk_does():
+    model = make_model(["0.4", "0.6"], 2)
+    L = 9
+    cap = int((L - max(model.d)) / min(model.d)) + 2
+    window = node_classifier(
+        WindowRule(model.d, L - max(model.d), float(L)), EmptyRule()
+    )
+    count = len(word_sets.enumerate_words(model, window, cap, 10**6))
+    assert count > 100
+    for limit in (0, 1, 50, count - 1, count, count + 1):
+        found = _enumeration(model, window, cap, limit)
+        assert found == _enumeration(model, _dict_walk(window), cap, limit)
+        assert (found[0] == "error") == (limit < count)
+
+
+def test_shared_threshold_flag_matches_admits_at_the_snapping_edge():
+    """A form whose fractional part is exactly 1 - THRESHOLD_TOL snaps to
+    the integer below; its float neighbours fall either side.  The shared
+    flag of two threshold rules must answer what each rule's `admits`
+    answers at all three."""
+    tol = word_sets.THRESHOLD_TOL
+    edges = [
+        k + (1.0 - tol)
+        for k in range(0, 40)
+        if (k + (1.0 - tol)) - math.floor(k + (1.0 - tol)) == 1.0 - tol
+    ]
+    assert 0.0 + (1.0 - tol) in edges
+    d = (0.5, 1.5)
+    rules = [ThresholdLowRule(d, 0.3), ThresholdHighRule(d, 0.3)]
+    snapped = unsnapped = 0
+    for edge in edges:
+        below, above = math.nextafter(edge, 0.0), math.nextafter(edge, 99.0)
+        for form in (below, edge, above):
+            for first, second in itertools.product(rules, repeat=2):
+                flag = word_sets._flag_function(first, second)(form)
+                assert flag == first.admits(form) + 2 * second.admits(form)
+            snapped += form == edge
+            unsnapped += form < edge
+    assert snapped == len(edges) and unsnapped == len(edges)
+
+
+def test_flat_enumeration_splits_a_class_where_the_per_node_walk_does():
+    """Boundary splits j = 1 and j = c - 1 of second-set nodes that c >= 2
+    clean words reach: the first j stop, the others cross.  Such classes
+    need T >= 10, so the walks run under a cap of 12 (at most 4096
+    words)."""
+    splits = 0
+    for model, T in _two_symbol_sources():
+        if T < 10:
+            continue
+        cap = 12
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        classify = node_classifier(set_low.rule, set_high.rule)
+        for level in range(2, cap):
+            flags = classify.level(level)
+            for a in range(level + 1):
+                k = (a, level - a)
+                if flags[a] != SECOND:
+                    continue
+                table = lattice_metrics(model, classify, cap, taken={k})
+                clean = table.stops.get(k, (0,))[0]
+                for j in sorted({1, clean - 1} - {0}) if clean > 1 else ():
+                    split = (k, j)
+                    found = _enumeration(model, classify, cap, 5000, (), split)
+                    assert found == _enumeration(
+                        model, _dict_walk(classify), cap, 5000, (), split
+                    )
+                    splits += 1
+    assert splits >= 10
