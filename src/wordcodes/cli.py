@@ -203,12 +203,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
             if pad_count is not None:
                 raise InputError(f"second pad trailer {line!r}")
             count = line[len(PAD_TRAILER) :]
-            if not count.isdecimal():
+            try:
+                pad_count = int(count) if count.isdecimal() else None
+            except ValueError:  # more digits than `int` converts
+                pad_count = None
+            if pad_count is None:
                 raise InputError(
                     f"pad trailer {line!r} does not end in a non-negative "
                     "integer"
                 )
-            pad_count = int(count)
         elif not line or line.startswith("#"):
             continue
         elif pad_count is not None:

@@ -29,8 +29,10 @@ def book_to_json(book: CodeBook) -> str:
 
     The header goes through `json.dumps`; the rows of "words", which sorts
     last, are laid out here around strings quoted by the C encoder that
-    `json.dumps(str)` calls, in the same bytes.  Symbol i is rendered as
-    entry i of the labels padded at index 0, so words must hold symbols in
+    `json.dumps(str)` calls, in the same bytes.  With single-character
+    ASCII labels all word texts come from one `bytes.translate`
+    (`SourceModel.texts_from_words`); otherwise symbol i is rendered as
+    entry i of the labels padded at index 0.  Words must hold symbols in
     1..m, as `validate_codebook` checks.
     """
     model = book.model
@@ -44,9 +46,11 @@ def book_to_json(book: CodeBook) -> str:
         "words": [],
     }
     text = json.dumps(header, sort_keys=True, indent=2)
-    label = (None, *model.labels).__getitem__
-    words = map(attrgetter("word"), book.entries)
-    texts = map("".join, map(map, repeat(label), words))
+    words = list(map(attrgetter("word"), book.entries))
+    texts = model.texts_from_words(words)
+    if texts is None:
+        label = (None, *model.labels).__getitem__
+        texts = map("".join, map(map, repeat(label), words))
     quote = encode_basestring_ascii
     row = '    {{\n      "codeword": {},\n      "symbols": {}\n    }}'.format
     rows = ",\n".join(

@@ -57,6 +57,10 @@ class SourceModel:
     _symbol_probs: tuple[float, ...] = field(
         init=False, repr=False, compare=False
     )
+    # (separator, symbol -> label table, label -> symbol table), or None
+    _byte_tables: tuple[str, bytes, bytes] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.arity < 2:
@@ -92,6 +96,7 @@ class SourceModel:
             self, "_index", {s: i for i, s in enumerate(self.labels, 1)}
         )
         object.__setattr__(self, "_symbol_probs", (0.0, *self.probs))
+        object.__setattr__(self, "_byte_tables", _label_tables(self.labels))
 
     @property
     def m(self) -> int:
@@ -111,7 +116,25 @@ class SourceModel:
             return tuple(map(self.index_of, text))
 
     def words_from_texts(self, texts: list[str]) -> list[Word]:
-        """`word_from_text` of each text, in C-level passes."""
+        """`word_from_text` of each text, in C-level passes.
+
+        With single-character ASCII labels, all texts are read in one
+        `bytes.translate` over their join (see `texts_from_words`): any
+        character that is no label becomes the separator, so a bad text
+        splits into too many words and sends every text down the
+        per-text path instead.
+        """
+        tables = self._byte_tables
+        if tables is not None:
+            sep, _, to_symbols = tables
+            try:
+                joined = sep.join(texts).encode("ascii")
+            except (TypeError, UnicodeEncodeError):
+                pass
+            else:
+                words = joined.translate(to_symbols).split(b"\0")
+                if len(words) == len(texts):
+                    return list(map(tuple, words))
         try:
             symbol = self._index.__getitem__
             return list(map(tuple, map(map, repeat(symbol), texts)))
@@ -121,6 +144,49 @@ class SourceModel:
 
     def word_to_text(self, word: Word) -> str:
         return "".join(self.labels[i - 1] for i in word)
+
+    def texts_from_words(self, words: list[Word]) -> list[str] | None:
+        """The text of each word in one `bytes.translate` over their join.
+
+        Needs labels of one ASCII character each and one ASCII character
+        left over as the separator.  Symbols are joined as bytes around
+        byte 0, and every byte that is no symbol 1..m becomes the
+        separator.  Returns None where this does not apply: other labels,
+        no words, or a word that is not a sequence of symbols 1..m (it is
+        no bytes, or it splits into more than one text).
+        """
+        tables = self._byte_tables
+        if tables is None:
+            return None
+        sep, to_labels, _ = tables
+        try:
+            joined = b"\0".join(map(bytes, words))
+        except (TypeError, ValueError):
+            return None
+        texts = joined.translate(to_labels).decode("ascii").split(sep)
+        return texts if len(texts) == len(words) else None
+
+
+def _label_tables(labels: tuple[str, ...]) -> tuple[str, bytes, bytes] | None:
+    """Translation tables between symbols and single-character ASCII labels.
+
+    Returns (separator, symbol -> label, label -> symbol), or None unless
+    every label is one ASCII character and one ASCII character is left for
+    the separator.  Symbol byte 0 and every byte above m map to the
+    separator, and the separator and every non-label byte map to 0.
+    """
+    if not all(len(s) == 1 and s < "\x80" for s in labels):
+        return None
+    spare = [c for c in map(chr, range(128)) if c not in labels]
+    if not spare:
+        return None
+    sep = spare[0]
+    to_labels = bytearray(ord(sep) for _ in range(256))
+    to_symbols = bytearray(256)
+    for i, label in enumerate(labels, 1):
+        to_labels[i] = ord(label)
+        to_symbols[ord(label)] = i
+    return sep, bytes(to_labels), bytes(to_symbols)
 
 
 def make_model(probs, arity: int, labels=None) -> SourceModel:

@@ -22,7 +22,9 @@ word set is the one every code family shares: `word_sets.lattice_metrics`
 gives its stops, hence its exact Kraft sum and metrics, with the merge's
 chosen classes and boundary split passed in, and `word_sets.enumerate_words`
 lists it when it is small enough for a book.  On the swapped path the high
-set is both sets.
+set is both sets.  A build that must emit a book (grade "codec") gives up
+inside the joint DP once the merged set's words pass the enumeration limit,
+since no final word set has fewer.
 
 One `word_sets.NodeClassifier` over the two threshold rules serves a whole
 build (the cap is simply the last level): the cap trials, the knockout
@@ -39,11 +41,12 @@ or more symbols walk dicts of profile tuples.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -67,6 +70,7 @@ from .source_model import (
     Word,
     linear_form,
     profile_of,
+    word_probabilities,
     word_probability,
 )
 from .word_sets import (
@@ -99,6 +103,8 @@ from .word_sets import (
 )
 
 DEFAULT_T_MAX = 50
+
+log = logging.getLogger(__name__)
 
 
 def floor_form(x: float, tol: float = THRESHOLD_TOL) -> int:
@@ -152,37 +158,56 @@ def huffman_lengths(probs: Sequence[float], arity: int) -> list[int]:
     """Codeword lengths of an optimal prefix code over `arity` digits.
 
     Pads with zero-weight dummies so every merge takes exactly `arity` nodes.
-    Ties break on lowest weight first, then earliest creation, which makes
-    the result independent of hash ordering.
+    The two-queue construction (J. van Leeuwen, "On the construction of
+    Huffman trees", ICALP 1976): the leaves wait in one queue, sorted by
+    weight, and merged nodes join a second queue in the order they are
+    made, which is also by weight, since a merge weighs at least as much as
+    each node it takes.  Every merge takes the `arity` lightest queue heads,
+    a leaf first on equal weight; the leaf queue keeps input order among
+    equal weights, with the dummies after every leaf.  So the nodes merge
+    exactly as from a heap keyed by (weight, creation order), and ties never
+    depend on hash ordering.  Each merge weighs the `math.fsum` of its nodes,
+    and depths follow parent pointers from the root down.
     """
-    import heapq
-
+    if arity < 2:
+        raise InputError(f"arity must be >= 2, got {arity}")
     k = len(probs)
     if k == 0:
         raise InputError("cannot build a code for zero words")
     if k == 1:
         return [1]
     dummies = (arity - 1 - (k - 1) % (arity - 1)) % (arity - 1)
-    heap: list[tuple[float, int]] = [(p, i) for i, p in enumerate(probs)]
-    heap += [(0.0, k + j) for j in range(dummies)]
-    heapq.heapify(heap)
-    children: dict[int, list[int]] = {}
-    next_id = k + dummies
-    while len(heap) > 1:
-        group = [heapq.heappop(heap) for _ in range(arity)]
-        children[next_id] = [node for _, node in group]
-        heapq.heappush(heap, (math.fsum(w for w, _ in group), next_id))
-        next_id += 1
-    root = heap[0][1]
-    depth = [0] * k
-    stack = [(root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if node < k:
-            depth[node] = d
-        elif node in children:
-            stack.extend((c, d + 1) for c in children[node])
-    return depth
+    weights = [*probs, *repeat(0.0, dummies)]
+    leaves = sorted(range(len(weights)), key=weights.__getitem__)
+    leaf_w = list(map(weights.__getitem__, leaves))
+    n_leaves = len(leaves)
+    merges = (n_leaves - 1) // (arity - 1)
+    # parent merge of each leaf (by queue position) and of each merge
+    leaf_parent = [0] * n_leaves
+    merge_parent = [0] * merges
+    merge_w: list[float] = []
+    fsum = math.fsum
+    i = j = 0
+    for node in range(merges):
+        group = []
+        for _ in range(arity):
+            if i < n_leaves and (j == node or leaf_w[i] <= merge_w[j]):
+                group.append(leaf_w[i])
+                leaf_parent[i] = node
+                i += 1
+            else:
+                group.append(merge_w[j])
+                merge_parent[j] = node
+                j += 1
+        merge_w.append(fsum(group))
+    depth = [0] * merges
+    for node in range(merges - 2, -1, -1):
+        depth[node] = depth[merge_parent[node]] + 1
+    lengths = [0] * k
+    for pos, leaf in enumerate(leaves):
+        if leaf < k:
+            lengths[leaf] = depth[leaf_parent[pos]] + 1
+    return lengths
 
 
 def canonical_codewords(lengths: Sequence[int], arity: int) -> list[str]:
@@ -217,20 +242,21 @@ def assign_codewords(
     """Turn (word, probability, construction length) triples into entries.
 
     "canonical" keeps the construction lengths; "huffman" replaces them with
-    optimal lengths for the word probabilities.  Codewords are allocated
-    canonically over entries sorted by (length, word) either way.
+    optimal lengths for the word probabilities, computed over the words in
+    lexicographic order.  Codewords are allocated canonically over entries
+    sorted by (length, word) either way: a stable sort by length of the
+    entries in word order.
     """
     n = model.arity
-    if assignment == "huffman":
-        by_prob = sorted(items, key=lambda it: (-it[1], it[0]))
-        lengths = huffman_lengths([p for _, p, _ in by_prob], n)
-        items = [
-            (w, p, length) for (w, p, _), length in zip(by_prob, lengths)
-        ]
-    elif assignment != "canonical":
+    if assignment not in ("huffman", "canonical"):
         raise InputError(f"unknown assignment {assignment!r}")
-    ordered = sorted(items, key=lambda it: (it[2], it[0]))
-    codewords = canonical_codewords([length for _, _, length in ordered], n)
+    by_word = sorted(items, key=itemgetter(0))
+    if assignment == "huffman":
+        probs = list(map(itemgetter(1), by_word))
+        lengths = huffman_lengths(probs, n)
+        by_word = list(zip(map(itemgetter(0), by_word), probs, lengths))
+    ordered = sorted(by_word, key=itemgetter(2))
+    codewords = canonical_codewords(list(map(itemgetter(2), ordered)), n)
     return list(
         code_entries(
             list(map(itemgetter(0), ordered)),
@@ -394,16 +420,39 @@ class _JointTables:
     classify: NodeClassifier = field(compare=False, repr=False)
 
 
+class WordLimitError(ResourceError):
+    """A codec-grade build's word set has more than `limit` words.
+
+    The joint DP raises it once the merged set's stops so far outnumber
+    `limit`, at lattice `level` of cap `cap`.  Every final word set stops
+    each path at or after its first node in the first set, the second set
+    or the cap, so it has at least as many words as the merged set, and
+    more at any larger cap.
+    """
+
+    def __init__(self, limit: int, level: int, cap: int) -> None:
+        super().__init__(
+            f"more than {limit} words: the merged word set passes the "
+            f"enumeration limit at level {level} of cap {cap}"
+        )
+        self.limit = limit
+        self.level = level
+        self.cap = cap
+
+
 def _joint_dp(
     model: SourceModel,
     set_low: ProfileSet,
     set_high: ProfileSet,
     node_limit: int,
     classify: NodeClassifier | None = None,
+    enum_limit: int | None = None,
 ) -> _JointTables:
     """The joint DP, with a fresh classifier of the two sets' rules unless
     `classify` (the same rules) is passed in.  Two-symbol sources with a
     `NodeClassifier` take the flat walk; both walks give the same tables.
+    With an `enum_limit`, raises WordLimitError after the first level where
+    the merged set has more stops than that.
     """
     if set_low.cap != set_high.cap:
         raise InputError("both stopping sets must share one cap")
@@ -411,13 +460,14 @@ def _joint_dp(
     if classify is None:
         classify = node_classifier(set_low.rule, set_high.rule)
     if model.m == 2 and isinstance(classify, NodeClassifier):
-        return _flat_joint_dp(model, classify, cap, node_limit)
+        return _flat_joint_dp(model, classify, cap, node_limit, enum_limit)
     table_classify, classify = classify, per_node(classify)
 
     # {codeword length: word count} of each word set, for its Kraft sum
     acc_first: Counter[int] = Counter()
     acc_second: Counter[int] = Counter()
     acc_merged: Counter[int] = Counter()
+    merged = 0  # words of the merged set so far
     cap_mass_first = 0.0
     cap_mass_second = 0.0
     classes: list[tuple[float, Profile, int]] = []
@@ -450,6 +500,7 @@ def _joint_dp(
                     length = code_length_for(form, b2)
                     acc_first[length] += c_c
                     acc_merged[length] += c_c
+                    merged += c_c
                 if c_2:
                     acc_first[code_length_for(form, False)] += c_2
                 if at_cap and not low:
@@ -461,6 +512,7 @@ def _joint_dp(
                     only_second[k] = (c_c + c_2, m_c + m_2)
                 if c_c:
                     acc_merged[code_length_for(form, True)] += c_c
+                    merged += c_c
                     classes.append((form, k, c_c))
             if b2:
                 if c_c or c_1:
@@ -469,6 +521,8 @@ def _joint_dp(
                         cap_mass_second += m_c + m_1
             elif c_c or c_1:
                 only_first[k] = (c_c + c_1, m_c + m_1)
+        if enum_limit is not None and merged > enum_limit:
+            raise WordLimitError(enum_limit, level, cap)
     classes.sort()
     return _JointTables(
         kraft_first=kraft_of_counts(acc_first, model.arity),
@@ -482,7 +536,11 @@ def _joint_dp(
 
 
 def _flat_joint_dp(
-    model: SourceModel, classify: NodeClassifier, cap: int, node_limit: int
+    model: SourceModel,
+    classify: NodeClassifier,
+    cap: int,
+    node_limit: int,
+    enum_limit: int | None,
 ) -> _JointTables:
     """`_joint_dp` on the flat walk: the same tables, float for float.
 
@@ -495,6 +553,7 @@ def _flat_joint_dp(
     acc_first: Counter[int] = Counter()
     acc_second: Counter[int] = Counter()
     acc_merged: Counter[int] = Counter()
+    merged = 0  # words of the merged set so far
     cap_mass_first = 0.0
     cap_mass_second = 0.0
     classes: list[tuple[float, Profile, int]] = []
@@ -510,6 +569,7 @@ def _flat_joint_dp(
                     length = code_length_for(form, True)
                     acc_first[length] += c_c
                     acc_merged[length] += c_c
+                    merged += c_c
                 if c_2:
                     acc_first[code_length_for(form, False)] += c_2
                 if not flags[a] & FIRST:
@@ -518,31 +578,39 @@ def _flat_joint_dp(
                     acc_second[code_length_for(form, True)] += c_c + c_1
                     if not flags[a] & SECOND:
                         cap_mass_second += mc[a] + m1[a]
-            continue
-        mask = flags.translate
-        nxt.append(flat_carry(clean, mask(IN_NEITHER)))
-        nxt.append(
-            flat_carry(only_first, mask(NOT_SECOND), clean, mask(ONLY_FIRST))
-        )
-        nxt.append(
-            flat_carry(only_second, mask(NOT_FIRST), clean, mask(ONLY_SECOND))
-        )
-        for a in compress(range(level + 1), flags):
-            flag = flags[a]
-            c_c, c_1, c_2 = cc[a], c1[a], c2[a]
-            form = a * d0 + (level - a) * d1
-            if flag & FIRST:
-                if c_c:
-                    length = code_length_for(form, flag > FIRST)
-                    acc_first[length] += c_c
-                    acc_merged[length] += c_c
-                if c_2:
-                    acc_first[code_length_for(form, False)] += c_2
-            elif c_c:
-                acc_merged[code_length_for(form, True)] += c_c
-                classes.append((form, (a, level - a), c_c))
-            if flag & SECOND and (c_c or c_1):
-                acc_second[code_length_for(form, True)] += c_c + c_1
+        else:
+            mask = flags.translate
+            nxt.append(flat_carry(clean, mask(IN_NEITHER)))
+            nxt.append(
+                flat_carry(
+                    only_first, mask(NOT_SECOND), clean, mask(ONLY_FIRST)
+                )
+            )
+            nxt.append(
+                flat_carry(
+                    only_second, mask(NOT_FIRST), clean, mask(ONLY_SECOND)
+                )
+            )
+            for a in compress(range(level + 1), flags):
+                flag = flags[a]
+                c_c, c_1, c_2 = cc[a], c1[a], c2[a]
+                form = a * d0 + (level - a) * d1
+                if flag & FIRST:
+                    if c_c:
+                        length = code_length_for(form, flag > FIRST)
+                        acc_first[length] += c_c
+                        acc_merged[length] += c_c
+                        merged += c_c
+                    if c_2:
+                        acc_first[code_length_for(form, False)] += c_2
+                elif c_c:
+                    acc_merged[code_length_for(form, True)] += c_c
+                    merged += c_c
+                    classes.append((form, (a, level - a), c_c))
+                if flag & SECOND and (c_c or c_1):
+                    acc_second[code_length_for(form, True)] += c_c + c_1
+        if enum_limit is not None and merged > enum_limit:
+            raise WordLimitError(enum_limit, level, cap)
     classes.sort()
     return _JointTables(
         kraft_first=kraft_of_counts(acc_first, model.arity),
@@ -753,6 +821,7 @@ def choose_cap(
     T: int,
     theta: float | None = None,
     node_limit: int = DEFAULT_NODE_LIMIT,
+    enum_limit: int | None = None,
 ) -> tuple[int, ProfileSet, ProfileSet, _JointTables, list[tuple[int, float]]]:
     """Pick the hard stopping cap by doubling until the cap mass is small.
 
@@ -762,6 +831,10 @@ def choose_cap(
     since the threshold rules do not depend on the cap, so each lattice
     level is classified once however often the cap doubles.  Returns the
     lattice tables of the last trial so the caller need not recompute them.
+
+    With an `enum_limit` (codec-grade builds), a trial raises WordLimitError
+    as soon as its merged word set has more words than that: the word set
+    at this cap, or at any larger one, could not be enumerated either.
     """
     if T < 1:
         raise InputError(f"T must be >= 1, got {T}")
@@ -776,7 +849,9 @@ def choose_cap(
                 f"cap {cap} needs more than {node_limit} lattice nodes"
             )
         set_low, set_high = build_threshold_sets(model, T, cap, theta)
-        tables = _joint_dp(model, set_low, set_high, node_limit, classify)
+        tables = _joint_dp(
+            model, set_low, set_high, node_limit, classify, enum_limit
+        )
         classify = tables.classify
         worst = max(tables.cap_mass_first, tables.cap_mass_second)
         history.append((cap, worst))
@@ -841,14 +916,18 @@ def _pipeline(
     node_limit: int,
 ) -> VVResult:
     n = model.arity
+    # a codec-grade word set past the limit is rejected in the joint DP
+    limit = enum_limit if grade == "codec" else None
     if cap == "auto":
         cap_val, set_low, set_high, tables, history = choose_cap(
-            model, T, theta, node_limit
+            model, T, theta, node_limit, limit
         )
     else:
         cap_val = int(cap)
         set_low, set_high = build_threshold_sets(model, T, cap_val, theta)
-        tables = _joint_dp(model, set_low, set_high, node_limit)
+        tables = _joint_dp(
+            model, set_low, set_high, node_limit, enum_limit=limit
+        )
         history = [
             (cap_val, max(tables.cap_mass_first, tables.cap_mass_second))
         ]
@@ -952,10 +1031,13 @@ def _pipeline(
             raise ValidationError(
                 "enumerated word count disagrees with the lattice DP"
             )
-        # rewritten in place, so the triples are never held twice
-        for i, (w, form, extra) in enumerate(items):
-            length = code_length_for(form, extra)
-            items[i] = (w, word_probability(model, w), length)
+        words = list(map(itemgetter(0), items))
+        keys = list(map(itemgetter(1, 2), items))  # (form, extra digit)
+        del items
+        # one length per distinct key, not one per word
+        length_of = {key: code_length_for(*key) for key in set(keys)}
+        lengths = map(length_of.__getitem__, keys)
+        items = list(zip(words, word_probabilities(model, words), lengths))
         entries = assign_codewords(model, items, assignment)
         book = CodeBook(
             model=model,
@@ -1117,6 +1199,13 @@ def construct_vv(
     where the two threshold sets cannot overlap).  The cap ("auto": doubling
     until the cap mass falls below T^-2) bounds word length in every case.
 
+    At grade "codec" a word set of more than `enum_limit` words is rejected
+    inside the joint DP, as soon as the merged set passes the limit, so an
+    oversize auto candidate costs a few lattice levels, not a full build.
+    Each rejected candidate is logged at DEBUG on the
+    `wordcodes.vv_construct` logger, with its reason; nothing of it enters
+    `provenance`.
+
     grade "metrics" skips nothing structural; it only tolerates word sets
     too large to enumerate, returning lattice-level metrics without a book.
     """
@@ -1158,22 +1247,29 @@ def construct_vv(
         for choice in reversed(candidates):
             try:
                 result = build(choice)
+            except WordLimitError as exc:
+                reason, why = f"more than {exc.limit} words", str(exc)
             except ResourceError as exc:
-                failures.append(f"T={choice}: {exc}")
-                continue
-            if result.book is not None:
-                result.provenance["t_selection"] = info
-                return result
-            failures.append(
-                f"T={choice}: {result.provenance['word_count']} words"
-            )
+                reason = why = str(exc)
+            else:
+                if result.book is not None:
+                    result.provenance["t_selection"] = info
+                    return result
+                count = result.provenance["word_count"]
+                reason = f"{count} words"
+                why = f"{reason}, above the enumeration limit {enum_limit}"
+            failures.append(f"T={choice}: {reason}")
+            log.debug("auto T: rejected T=%d: %s", choice, why)
         raise ResourceError(
             "no candidate threshold parameter yields an enumerable word "
             "set: " + "; ".join(failures)
         )
 
     choice = int(T)
-    result = build(choice)
+    try:
+        result = build(choice)
+    except WordLimitError as exc:
+        raise ResourceError(f"the word set at T={choice} has {exc}") from exc
     if grade == "codec" and result.book is None:
         raise ResourceError(
             f"the word set at T={choice} has "

@@ -739,15 +739,17 @@ def enumerate_words(
     Raises ResourceError as soon as more than `limit` words are found.
 
     Two-symbol sources with a `NodeClassifier` read the level table
-    (`_flat_enumerate_words`); every other classifier is called per node.
-    Both give the same list, float for float.
+    (`_flat_enumerate_words`); every other classifier is called once per
+    distinct profile.  Both give the same list, float for float.
     """
     if model.m == 2 and isinstance(classify, NodeClassifier):
         return _flat_enumerate_words(
             model, classify, cap, limit, taken, boundary
         )
     m = model.m
-    classify = per_node(classify)
+    node = per_node(classify)
+    # each profile is classified once per call, however many words reach it
+    seen: dict[Profile, tuple[float, bool, bool]] = {}
     boundary_profile, boundary_left = boundary if boundary else (None, 0)
     out: list[tuple[Word, float, bool]] = []
     # frame: [word, profile, crossed, next symbol index]
@@ -762,7 +764,10 @@ def enumerate_words(
         child_word = word + (sym + 1,)  # symbols are 1-based
         child = profile[:sym] + (profile[sym] + 1,) + profile[sym + 1 :]
         at_cap = len(child_word) == cap
-        form, first, second = classify(child)
+        try:
+            form, first, second = seen[child]
+        except KeyError:
+            form, first, second = seen[child] = node(child)
         second = (second or at_cap) and not crossed
         if not (first or at_cap):
             if not second:

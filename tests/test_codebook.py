@@ -470,3 +470,81 @@ def test_validation_reads_symbols_above_255():
         )
         with pytest.raises(ValidationError, match="outside 1..300"):
             validate_codebook(bad)
+
+
+# -- label rows: one translate over all words, or one join per word ---------
+
+
+def _label_books():
+    """(name, book) for each kind of labels, with the text path it takes."""
+    books = [
+        ("default", construct_vf(make_model(["0.4", "0.6"], 2), 9).book),
+        ("default m=3", construct_vf(make_model(["0.2", "0.3", "0.5"], 2), 6).book),
+        # the escaped quote and backslash, and NUL, so the separator moves
+        ("custom ASCII", construct_vf(
+            make_model(["0.2", "0.3", "0.5"], 3, labels=['"', "\\", "\x00"]), 5
+        ).book),
+        ("non-ASCII", construct_vf(
+            make_model(["1/3", "2/3"], 2, labels=["é", "ж"]), 6
+        ).book),
+        ("multi-character", construct_vf(
+            make_model(["0.4", "0.6"], 2, labels=["ab", "c"]), 5
+        ).book),
+    ]
+    m = 300
+    model = make_model(
+        [Fraction(1, m)] * m, 36, labels=[chr(0x100 + i) for i in range(m)]
+    )
+    entries = tuple(
+        CodeEntry(word=(i,), codeword=format_digits(i - 1, 36, 2),
+                  probability=1 / m)
+        for i in range(1, m + 1)
+    )
+    books.append(("300 symbols", CodeBook(model=model, kind="vv", entries=entries)))
+    return books
+
+
+def test_label_rows_match_the_per_word_path():
+    bulk = set()
+    for name, book in _label_books():
+        model = book.model
+        words = [e.word for e in book.entries]
+        texts = model.texts_from_words(words)
+        if texts is not None:
+            bulk.add(name)
+            assert texts == list(map(model.word_to_text, words)), name
+        text = book_to_json(book)
+        assert text == reference_book_json(book), name
+        if name == "multi-character":
+            # labels of two characters never read back, on either path
+            with pytest.raises(InputError, match="unknown symbol 'a'"):
+                book_from_json(text)
+            continue
+        loaded = book_from_json(text)
+        assert loaded.entries == book.entries, name
+        assert book_to_json(loaded) == text, name
+        assert model.words_from_texts(list(map(model.word_to_text, words))) == words
+    assert bulk == {"default", "default m=3", "custom ASCII"}
+
+
+def test_bulk_texts_fall_back_on_words_outside_the_alphabet(binary_model):
+    model = binary_model
+    good = [(1, 2), (2,), (1, 1, 2)]
+    assert model.texts_from_words(good) == ["ab", "b", "aab"]
+    assert model.texts_from_words([]) is None
+    for bad in [(0,), (3,), (1, 255), (256,), (-1,), ("a",), 2]:
+        for at in range(len(good) + 1):
+            words = good[:at] + [bad] + good[at:]
+            assert model.texts_from_words(words) is None, (bad, at)
+
+
+def test_bulk_words_fall_back_to_the_per_text_error(binary_model):
+    model = binary_model
+    assert model.words_from_texts(["ab", "", "b"]) == [(1, 2), (), (2,)]
+    assert model.words_from_texts([]) == []
+    sep = model._byte_tables[0]
+    for bad, shown in [("c", "'c'"), ("é", "'é'"), (sep, repr(sep)), (" ", "' '")]:
+        for texts in (["a" + bad], ["ab", bad + "b", "a"], [bad]):
+            with pytest.raises(InputError) as caught:
+                model.words_from_texts(texts)
+            assert str(caught.value) == f"unknown symbol {shown}"

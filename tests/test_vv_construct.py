@@ -3,6 +3,7 @@ the Kraft merge, the lattice pipeline, and parameter selection."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -17,6 +18,7 @@ from wordcodes.errors import (
     ResourceError,
     ValidationError,
 )
+from wordcodes.serialization import book_to_json
 from wordcodes.source_model import (
     linear_form,
     make_model,
@@ -100,6 +102,100 @@ def test_huffman_lengths_known_cases():
     assert huffman_lengths([1.0], 2) == [1]
     # quaternary input over a ternary output alphabet needs a dummy leaf
     assert huffman_lengths([0.4, 0.3, 0.2, 0.1], 3) == [1, 1, 2, 2]
+
+
+def reference_huffman_lengths(probs, arity):
+    """The heap construction: pop the `arity` lightest (weight, creation)
+    nodes, push their `fsum`, and read the depths off the finished tree."""
+    import heapq
+
+    k = len(probs)
+    if k == 1:
+        return [1]
+    dummies = (arity - 1 - (k - 1) % (arity - 1)) % (arity - 1)
+    heap = [(p, i) for i, p in enumerate(probs)]
+    heap += [(0.0, k + j) for j in range(dummies)]
+    heapq.heapify(heap)
+    children = {}
+    next_id = k + dummies
+    while len(heap) > 1:
+        group = [heapq.heappop(heap) for _ in range(arity)]
+        children[next_id] = [node for _, node in group]
+        heapq.heappush(heap, (math.fsum(w for w, _ in group), next_id))
+        next_id += 1
+    depth = [0] * k
+    stack = [(heap[0][1], 0)]
+    while stack:
+        node, d = stack.pop()
+        if node < k:
+            depth[node] = d
+        elif node in children:
+            stack.extend((c, d + 1) for c in children[node])
+    return depth
+
+
+def reference_assign_codewords(model, items, assignment):
+    """Huffman over the words sorted by (-probability, word), then
+    canonical codewords over the entries sorted by (length, word)."""
+    if assignment == "huffman":
+        by_prob = sorted(items, key=lambda it: (-it[1], it[0]))
+        lengths = reference_huffman_lengths([p for _, p, _ in by_prob], model.arity)
+        items = [(w, p, n) for (w, p, _), n in zip(by_prob, lengths)]
+    ordered = sorted(items, key=lambda it: (it[2], it[0]))
+    codewords = canonical_codewords([n for _, _, n in ordered], model.arity)
+    return [(w, c, p) for (w, p, _), c in zip(ordered, codewords)]
+
+
+def _tied_weights(rng, k):
+    """k weights with many exact ties: dyadic values, repeated randoms and
+    a few zeros, in shuffled order."""
+    pool = [2.0**-j for j in range(1, 12)] + [rng.random() for _ in range(4)]
+    weights = [rng.choice(pool) for _ in range(k)]
+    if k > 3:
+        weights[rng.randrange(k)] = 0.0
+    rng.shuffle(weights)
+    return weights
+
+
+def test_two_queue_huffman_equals_the_heap_construction():
+    rng = random.Random(1976)
+    for arity in (2, 3, 4, 5):
+        for k in range(1, 301):
+            weights = _tied_weights(rng, k)
+            assert huffman_lengths(weights, arity) == (
+                reference_huffman_lengths(weights, arity)
+            ), (arity, k)
+
+
+def test_assign_codewords_equals_the_sorting_reference():
+    rng = random.Random(1952)
+    for arity in (2, 3, 4, 5):
+        model = make_model(["0.2", "0.3", "0.5"], arity)
+        for k in (1, 2, 3, 7, 40, 150, 300):
+            words = set()
+            while len(words) < k:
+                words.add(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 8))))
+            weights = _tied_weights(rng, k)
+            words = list(words)
+            rng.shuffle(words)
+            lengths = huffman_lengths(weights, arity)
+            items = list(zip(words, weights, lengths))
+            for assignment in ("huffman", "canonical"):
+                got = [
+                    (e.word, e.codeword, e.probability)
+                    for e in assign_codewords(model, items, assignment)
+                ]
+                assert got == reference_assign_codewords(
+                    model, items, assignment
+                ), (arity, k, assignment)
+
+
+@pytest.mark.parametrize("arity", [1, 0, -2])
+def test_huffman_lengths_reject_arity_below_two(arity):
+    with pytest.raises(InputError, match="arity must be >= 2"):
+        huffman_lengths([0.5, 0.25, 0.25], arity)
+    with pytest.raises(InputError, match="arity must be >= 2"):
+        huffman_lengths([1.0], arity)
 
 
 def test_canonical_codewords_are_prefix_free_and_lexicographic():
@@ -509,3 +605,159 @@ def test_joint_and_final_dps_stop_at_the_node_limit(binary_model):
         _joint_dp(binary_model, set_low, set_high, 40)
     with pytest.raises(ResourceError, match="^lattice DP"):
         lattice_metrics(binary_model, classify, cap, 40)
+
+
+# -- early rejection of oversize auto-T candidates ---------------------------
+
+
+def _reference_auto(model, enum_limit, t_max, built):
+    """Auto T at codec grade, the long way: build each candidate at grade
+    "metrics" and keep the first, from the largest, whose word set fits.
+    `built` caches the metrics builds by (model, T)."""
+    info = threshold_parameter_candidates(model, t_max)
+    for t in reversed(info["candidates"]):
+        if (model, t) not in built:
+            try:
+                built[model, t] = construct_vv(
+                    model, T=t, grade="metrics", enum_limit=0
+                )
+            except ResourceError as exc:
+                built[model, t] = exc
+        result = built[model, t]
+        if isinstance(result, ResourceError):
+            continue
+        if result.provenance["word_count"] <= enum_limit:
+            return construct_vv(
+                model, T=t, grade="metrics", enum_limit=enum_limit
+            ), info
+    return None, info
+
+
+def _differential_sources():
+    rng = random.Random(35)
+    sources = [
+        make_model(["0.1", "0.9"], 2),
+        make_model(["0.4", "0.6"], 2),
+        make_model(["0.2", "0.3", "0.5"], 2),
+        make_model(["0.4", "0.6"], 3),
+    ]
+    for _ in range(4):
+        a = rng.randint(5, 95)
+        sources.append(make_model([f"{a}/100", f"{100 - a}/100"], 2))
+    for _ in range(3):
+        a = rng.randint(5, 45)
+        b = rng.randint(5, 95 - a)
+        sources.append(
+            make_model([f"{a}/100", f"{b}/100", f"{100 - a - b}/100"], 2)
+        )
+    return sources
+
+
+def test_codec_auto_rejection_equals_building_every_candidate():
+    built = {}
+    for model in _differential_sources():
+        # keeps every metrics-grade reference build well under a second
+        t_max = 20 if model.m == 2 else 8
+        for limit in (0, 1, 2, 30, 10**6):
+            expect, info = _reference_auto(model, limit, t_max, built)
+            if expect is None:
+                with pytest.raises(ResourceError, match="no candidate"):
+                    construct_vv(model, enum_limit=limit, t_max=t_max)
+                continue
+            got = construct_vv(model, enum_limit=limit, t_max=t_max)
+            assert got.T == expect.T
+            assert got.provenance == {
+                **expect.provenance, "grade": "codec", "t_selection": info
+            }
+            book = dataclasses.replace(
+                expect.book,
+                provenance={**expect.book.provenance, "grade": "codec"},
+            )
+            assert book_to_json(got.book) == book_to_json(book)
+
+
+def test_metrics_grade_never_rejects_in_the_joint_dp(binary_model):
+    result = construct_vv(binary_model, T=19, grade="metrics", enum_limit=0)
+    assert result.provenance["word_count"] > 10**89
+    *_, history = choose_cap(binary_model, 19)
+    assert result.provenance["cap_history"] == [list(h) for h in history]
+
+
+def test_t19_joint_dp_stops_within_forty_levels(binary_model, monkeypatch):
+    import wordcodes.vv_construct as vv
+
+    deepest = []
+    real = vv.flat_levels
+
+    def counting(*args, **kwargs):
+        deepest.append(0)
+        for step in real(*args, **kwargs):
+            deepest[-1] = step[0]
+            yield step
+
+    monkeypatch.setattr(vv, "flat_levels", counting)
+    with pytest.raises(ResourceError, match="more than 1000000 words"):
+        construct_vv(binary_model, T=19)
+    assert deepest == [35]
+    deepest.clear()
+    assert construct_vv(binary_model).T == 4
+    # T=19 (cap 361) stops at level 35; T=4 runs its joint DP to the end
+    assert deepest[0] == 35
+
+
+def test_rejected_candidates_are_logged_not_recorded(binary_model, caplog):
+    quiet = construct_vv(binary_model)
+    with caplog.at_level("DEBUG", logger="wordcodes.vv_construct"):
+        loud = construct_vv(binary_model)
+    records = [
+        r for r in caplog.records if r.name == "wordcodes.vv_construct"
+    ]
+    assert [r.levelname for r in records] == ["DEBUG"]
+    message = records[0].getMessage()
+    assert "T=19" in message
+    assert "more than 1000000 words" in message
+    assert "level 35 of cap 361" in message
+    assert loud.provenance == quiet.provenance
+    assert book_to_json(loud.book) == book_to_json(quiet.book)
+
+
+def test_every_rejection_reason_is_named(binary_model, caplog):
+    with caplog.at_level("DEBUG", logger="wordcodes.vv_construct"):
+        with pytest.raises(ResourceError) as info:
+            construct_vv(binary_model, enum_limit=1)
+    text = str(info.value)
+    for t in (19, 4, 3, 1):
+        assert f"T={t}: more than 1 words" in text
+    assert len(caplog.records) == 4
+    caplog.clear()
+    # 1000 nodes: T=19 (cap 361) trips the node limit, T=4 (cap 16) fits
+    with caplog.at_level("DEBUG", logger="wordcodes.vv_construct"):
+        result = construct_vv(binary_model, node_limit=1000)
+    assert result.T == 4
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1 and "T=19" in messages[0]
+    assert "more than 1000 lattice nodes" in messages[0]
+
+
+def test_final_word_count_rejection_is_logged(caplog):
+    # at T=13 the merged set fits in 20 words and the final one has 2.9e32
+    model = make_model(["0.1", "0.9"], 2)
+    with caplog.at_level("DEBUG", logger="wordcodes.vv_construct"):
+        result = construct_vv(model, enum_limit=20, t_max=13)
+    assert result.T == 6
+    reasons = [r.getMessage() for r in caplog.records]
+    assert len(reasons) == 2
+    assert reasons[0].startswith("auto T: rejected T=13: 2892113928776")
+    assert reasons[0].endswith(" words, above the enumeration limit 20")
+    assert reasons[1] == (
+        "auto T: rejected T=7: 26 words, above the enumeration limit 20"
+    )
+
+
+def test_oversize_candidates_cost_little():
+    import time
+
+    start = time.perf_counter()
+    result = construct_vv(make_model(["0.1", "0.9"], 2))
+    assert result.T == 7 and result.provenance["word_count"] == 26
+    assert time.perf_counter() - start < 5.0
