@@ -45,6 +45,21 @@ def format_digits(value: int, arity: int, width: int) -> str:
         )
     if arity == 2 and width:
         return format(value, f"0{width}b")
+    return _base_digits(value, arity, width)
+
+
+def digit_run(start: int, stop: int, arity: int, width: int) -> list[str]:
+    """`format_digits` of every value in range(start, stop), unchecked.
+
+    The caller has made sure that 0 <= start and stop <= arity**width, as
+    `canonical_codewords` does once per run of equal lengths.
+    """
+    if arity == 2 and width:
+        return list(map(format, range(start, stop), repeat(f"0{width}b")))
+    return [_base_digits(v, arity, width) for v in range(start, stop)]
+
+
+def _base_digits(value: int, arity: int, width: int) -> str:
     digits = []
     for _ in range(width):
         value, r = divmod(value, arity)

@@ -46,7 +46,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import compress, groupby, islice, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -55,7 +55,7 @@ from .codebook import (
     CodeBook,
     CodeEntry,
     code_entries,
-    format_digits,
+    digit_run,
     kraft_of_counts,
     validate_codebook,
 )
@@ -214,22 +214,24 @@ def canonical_codewords(lengths: Sequence[int], arity: int) -> list[str]:
     """Numerically increasing codewords for non-decreasing lengths.
 
     The classic canonical allocation: each codeword is the previous one plus
-    one, left-shifted to the next length.  Raises when the lengths violate
-    the Kraft inequality and the digits run out.
+    one, left-shifted to the next length.  Each run of equal lengths is one
+    range of codes, checked against the codeword space once.  Raises when
+    the lengths violate the Kraft inequality and the digits run out.
     """
     out: list[str] = []
     code = 0
     prev = 0
-    for length in lengths:
+    for length, run in groupby(lengths):
         if length < prev:
             raise InputError("lengths must be sorted in non-decreasing order")
         code *= arity ** (length - prev)
-        if code >= arity**length:
+        end = code + sum(1 for _ in run)
+        if end > arity**length:
             raise InfeasibleError(
                 "codeword space exhausted; lengths violate the Kraft inequality"
             )
-        out.append(format_digits(code, arity, length))
-        code += 1
+        out += digit_run(code, end, arity, length)
+        code = end
         prev = length
     return out
 

@@ -24,7 +24,11 @@ tests; no walk calls it.
 The forward DPs walk level by level.  Over dicts of profile tuples
 (`lattice_levels`) they serve any source and any classifier; two-symbol
 sources driven by a `NodeClassifier` walk flat per-level lists instead
-(`flat_levels`), which give the same counts and the same floats.
+(`flat_levels`), which give the same counts and the same floats.  For three
+symbols `_push` and the classifier's linear form unpack a profile (a, b, c)
+and build its children and its form from the counts, rather than slicing
+the tuple; the keys, the order and every float are those of the slicing
+code, which four or more symbols and every other walk keep.
 """
 
 from __future__ import annotations
@@ -116,16 +120,6 @@ class ThresholdHighRule(Rule):
     def admits(self, form: float) -> bool:
         """Membership of a nonzero profile whose linear form is `form`."""
         return 1.0 - snapped_frac(form, self.tol) <= self.theta + self.tol
-
-
-@dataclass(frozen=True)
-class ExplicitProfilesRule(Rule):
-    """Membership by explicit list of profiles."""
-
-    profiles: frozenset[Profile]
-
-    def member(self, profile: Profile) -> bool:
-        return profile in self.profiles
 
 
 @dataclass(frozen=True)
@@ -260,6 +254,16 @@ def _node_function(
 
         return node
     fsum = math.fsum
+    if len(d) == 3:
+        d0, d1, d2 = d
+
+        def node(k: Profile) -> tuple[float, bool, bool]:
+            a, b, c = k
+            form = fsum((a * d0, b * d1, c * d2))
+            flags = flag(form)
+            return form, flags & FIRST != 0, flags >= SECOND
+
+        return node
 
     def node(k: Profile) -> tuple[float, bool, bool]:
         form = fsum(map(mul, k, d))
@@ -277,7 +281,8 @@ class NodeClassifier:
     classify the empty profile, and they apply the hard cap themselves,
     since they know each node's level.  For two symbols the form is one
     IEEE addition, which is correctly rounded just as `math.fsum` is, so it
-    gives the same float; three or more symbols keep `fsum`.
+    gives the same float; three or more symbols keep `fsum` over the same
+    products in the same order.
 
     For two symbols the classifier also holds a level table: `level(L)` is
     one byte of flags (FIRST, SECOND) per node (a, L - a), indexed by the
@@ -357,8 +362,44 @@ Front = dict[Profile, tuple[int, float]]
 
 
 def _push(src: Front, probs: Sequence[float]) -> Front:
-    """Extend every alive (count, mass) entry by each symbol, one level on."""
+    """Extend every alive (count, mass) entry by each symbol, one level on.
+
+    The order contract every push keeps, and every DP over the fronts
+    relies on: each parent's children come in symbol order, `dst` holds its
+    keys in the order they are first reached, and a child reached from
+    several parents adds their `mass * p` terms left to right in that
+    order.  The cap masses of `choose_cap`, and with them `cap_history`,
+    are float sums over these fronts, so a push that broke any of the three
+    would change a build's provenance.
+
+    Three symbols unpack each parent (a, b, c) and build its children
+    directly: the same keys, order and sums as slicing, which four or more
+    symbols keep.
+    """
     dst: Front = {}
+    if len(probs) == 3:
+        p0, p1, p2 = probs
+        get = dst.get
+        for (a, b, c), (n, mass) in src.items():
+            k = (a + 1, b, c)
+            o = get(k)
+            if o is None:
+                dst[k] = (n, mass * p0)
+            else:
+                dst[k] = (o[0] + n, o[1] + mass * p0)
+            k = (a, b + 1, c)
+            o = get(k)
+            if o is None:
+                dst[k] = (n, mass * p1)
+            else:
+                dst[k] = (o[0] + n, o[1] + mass * p1)
+            k = (a, b, c + 1)
+            o = get(k)
+            if o is None:
+                dst[k] = (n, mass * p2)
+            else:
+                dst[k] = (o[0] + n, o[1] + mass * p2)
+        return dst
     for k, (c, mass) in src.items():
         for i, p in enumerate(probs):
             child = k[:i] + (k[i] + 1,) + k[i + 1 :]
@@ -388,9 +429,13 @@ def lattice_levels(
 
     A lone front is its own key set, in push order; several fronts are
     keyed by `set(a) | set(b) | ...`.  The visiting order, and with it every
-    float sum the DPs make, is therefore fixed.  Raises ValidationError when
-    paths are alive at the cap and ResourceError once more than
-    `node_limit` nodes have been visited; `what` names the DP in both.
+    float sum the DPs make, is therefore fixed, as long as every push keeps
+    the order contract of `_push`: children in symbol order per parent,
+    keys in first-seen order, and masses summed left to right.  The cap
+    masses, and so `cap_history`, depend on all three.  Raises
+    ValidationError when paths are alive at the cap and ResourceError once
+    more than `node_limit` nodes have been visited; `what` names the DP in
+    both.
     """
     visited = 0
     level = 0

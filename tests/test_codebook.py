@@ -24,6 +24,7 @@ from wordcodes.codebook import (
     CodeBook,
     CodeEntry,
     _assert_prefix_free,
+    digit_run,
     fixed_codewords,
     format_digits,
     validate_codebook,
@@ -234,6 +235,21 @@ def test_digit_strings_match_the_divmod_reference():
     with pytest.raises(ValidationError):
         format_digits(8, 2, 3)
     assert len(list(fixed_codewords(3, 4))) == 3**4
+
+
+def test_digit_runs_match_the_divmod_reference():
+    rng = random.Random(5)
+    for arity in (2, 3, 5, 36):
+        for width in (0, 1, 4, 9):
+            space = arity**width
+            start = rng.randrange(space)
+            stop = min(space, start + rng.randint(1, 50))
+            assert digit_run(start, stop, arity, width) == [
+                reference_digits(v, arity, width) for v in range(start, stop)
+            ]
+            assert digit_run(space - 1, space, arity, width) == [
+                reference_digits(space - 1, arity, width)
+            ]
 
 
 # -- violations ------------------------------------------------------------

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from wordcodes.analysis import code_metrics, scaling_experiment
+from wordcodes.codebook import format_digits
 from wordcodes.errors import (
     InfeasibleError,
     InputError,
@@ -208,6 +209,62 @@ def test_canonical_codewords_are_prefix_free_and_lexicographic():
 def test_canonical_codewords_reject_infeasible_lengths():
     with pytest.raises(InfeasibleError):
         canonical_codewords([1, 1, 1], 2)
+
+
+def per_word_canonical_codewords(lengths, arity):
+    """`canonical_codewords` as it was written, one check per word."""
+    out = []
+    code = 0
+    prev = 0
+    for length in lengths:
+        if length < prev:
+            raise InputError("lengths must be sorted in non-decreasing order")
+        code *= arity ** (length - prev)
+        if code >= arity**length:
+            raise InfeasibleError(
+                "codeword space exhausted; lengths violate the Kraft inequality"
+            )
+        out.append(format_digits(code, arity, length))
+        code += 1
+        prev = length
+    return out
+
+
+def _canonical_outcome(fn, lengths, arity):
+    try:
+        return fn(lengths, arity)
+    except (InputError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+def test_canonical_codewords_match_the_per_word_loop():
+    """Seeded Kraft-feasible, Kraft-violating, unsorted and empty length
+    lists, at arity 2 to 5: the same codewords or the same error."""
+    rng = random.Random(41)
+    seen = set()
+    for arity in range(2, 6):
+        for _ in range(60):
+            probs = [rng.random() + 1e-3 for _ in range(rng.randint(1, 60))]
+            lengths = sorted(huffman_lengths(probs, arity))
+            cases = [lengths, [0] + lengths, []]
+            grown = [n + rng.choice([0, 0, 1, 2]) for n in lengths]
+            cases.append(sorted(grown))
+            shrunk = [max(0, n - rng.choice([0, 1])) for n in lengths]
+            cases.append(sorted(shrunk))
+            shuffled = lengths[:]
+            rng.shuffle(shuffled)
+            cases.append(shuffled)
+            # a violation after an unsorted step, and the other way round
+            cases.append(lengths[:1] * (arity + 1) + [0])
+            cases.append([2, 1] + [2] * (arity * arity + 1))
+            for case in cases:
+                expect = _canonical_outcome(
+                    per_word_canonical_codewords, case, arity
+                )
+                got = _canonical_outcome(canonical_codewords, case, arity)
+                assert got == expect
+                seen.add(expect[0] if isinstance(expect, tuple) else list)
+    assert seen == {list, InputError, InfeasibleError}
 
 
 def test_assign_codewords_huffman_relabels_reference_words(binary_model):

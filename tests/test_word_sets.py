@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from wordcodes.source_model import make_model, profile_of, word_probability
 from wordcodes.word_sets import (
     DEFAULT_ENUM_LIMIT,
     EmptyRule,
-    ExplicitProfilesRule,
     ProfileSet,
+    Rule,
     ThresholdHighRule,
     ThresholdLowRule,
     WindowRule,
@@ -30,6 +31,20 @@ from wordcodes.word_sets import (
     snapped_frac,
     wedge,
 )
+
+
+@dataclass(frozen=True)
+class ExplicitProfilesRule(Rule):
+    """Membership by an explicit set of profiles.
+
+    No walk can decide it by the linear form, so the tests walk it through
+    the `member_classifier` fixture.
+    """
+
+    profiles: frozenset
+
+    def member(self, profile) -> bool:
+        return profile in self.profiles
 
 
 def test_snapped_frac_pulls_values_just_below_integers_to_zero():
