@@ -29,14 +29,13 @@ since no final word set has fewer.
 One `word_sets.NodeClassifier` over the two threshold rules serves a whole
 build (the cap is simply the last level): the cap trials, the knockout
 sweep and the final DP.  For two symbols it keeps a level table, one byte
-of flags per node, so each node is classified once per build.  Two-symbol
-sweeps run on flat per-level lists indexed by the first count
-(`word_sets.flat_levels`), and route a level's paths with masks from the
-table; they replay the dict walk's visiting order only so that the sums
-over the cap level add up in the same order.  The knockout sweep starts at
-the deepest level a path from an addable class reaches, and the merge
-check adds its exact masses as integers scaled by n^E.  Sources with three
-or more symbols walk dicts of profile tuples.
+of flags per node, so each node is classified once per build.  The joint
+DP, like the final one, is one body over `word_sets.level_views` (flat
+per-level lists for two symbols, key-ordered ones over dicts of profile
+tuples otherwise) and routes a level's paths with masks of the node
+flags.  The two-symbol knockout sweep starts at the deepest level a path
+from an addable class reaches, and the merge check adds its exact masses
+as integers scaled by n^E.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, groupby, islice, repeat
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis
@@ -93,12 +92,10 @@ from .word_sets import (
     completeness_defect,
     enumerate_words,
     flat_carry,
-    flat_levels,
     is_prefix_free,
-    lattice_levels,
     lattice_metrics,
+    level_views,
     node_classifier,
-    per_node,
     wedge,
 )
 
@@ -451,19 +448,20 @@ def _joint_dp(
     enum_limit: int | None = None,
 ) -> _JointTables:
     """The joint DP, with a fresh classifier of the two sets' rules unless
-    `classify` (the same rules) is passed in.  Two-symbol sources with a
-    `NodeClassifier` take the flat walk; both walks give the same tables.
-    With an `enum_limit`, raises WordLimitError after the first level where
-    the merged set has more stops than that.
+    `classify` (the same rules) is passed in.  With an `enum_limit`, raises
+    WordLimitError after the first level where the merged set has more
+    stops than that.
+
+    One body over `word_sets.level_views`: paths are routed a level at a
+    time with 0/1 masks of the routing flags, and only nodes of either set
+    are handled one by one, for the Kraft counts and the classes.  The cap
+    masses read the real flags of the cap level, in visiting order.
     """
     if set_low.cap != set_high.cap:
         raise InputError("both stopping sets must share one cap")
     cap = set_low.cap
     if classify is None:
         classify = node_classifier(set_low.rule, set_high.rule)
-    if model.m == 2 and isinstance(classify, NodeClassifier):
-        return _flat_joint_dp(model, classify, cap, node_limit, enum_limit)
-    table_classify, classify = classify, per_node(classify)
 
     # {codeword length: word count} of each word set, for its Kraft sum
     acc_first: Counter[int] = Counter()
@@ -474,145 +472,49 @@ def _joint_dp(
     cap_mass_second = 0.0
     classes: list[tuple[float, Profile, int]] = []
 
-    # fronts: paths that have hit neither set, only the first, only the second
-    walk = lattice_levels(
-        ({(0,) * model.m: (1, 1.0)}, {}, {}), model.probs, cap, node_limit,
-        "joint lattice DP",
+    # states: paths that have hit neither set, only the first, only the second
+    walk = level_views(
+        model, classify, 3, cap, node_limit, "joint lattice DP"
     )
-    for level, (in_clean, in_first, in_second), keys, fronts in walk:
-        clean, only_first, only_second = fronts
-        at_cap = level == cap
-        for k in keys:
-            c_c, m_c = in_clean.get(k, (0, 0.0))
-            c_1, m_1 = in_first.get(k, (0, 0.0))
-            c_2, m_2 = in_second.get(k, (0, 0.0))
-            form, low, high = classify(k)
-            b1 = at_cap or low
-            b2 = at_cap or high
-            if not (b1 or b2):
+    for view in walk:
+        clean, only_first, only_second = view.states
+        (cc, mc), (c1, m1), (c2, m2) = clean, only_first, only_second
+        ids, flags = view.ids, view.flags
+        route = view.routing(cap)
+        mask = route.translate
+        view.next += [
+            flat_carry(clean, mask(IN_NEITHER)),
+            flat_carry(only_first, mask(NOT_SECOND), clean, mask(ONLY_FIRST)),
+            flat_carry(
+                only_second, mask(NOT_FIRST), clean, mask(ONLY_SECOND)
+            ),
+        ]
+        for i in compress(ids, map(route.__getitem__, ids)):
+            flag = route[i]
+            c_c, c_1, c_2 = cc[i], c1[i], c2[i]
+            k, form = view.node(i)
+            if flag & FIRST:
                 if c_c:
-                    clean[k] = (c_c, m_c)
-                if c_1:
-                    only_first[k] = (c_1, m_1)
-                if c_2:
-                    only_second[k] = (c_2, m_2)
-                continue
-            if b1:
-                if c_c:
-                    length = code_length_for(form, b2)
+                    length = code_length_for(form, flag > FIRST)
                     acc_first[length] += c_c
                     acc_merged[length] += c_c
                     merged += c_c
                 if c_2:
                     acc_first[code_length_for(form, False)] += c_2
-                if at_cap and not low:
-                    cap_mass_first += m_c + m_2
-            else:
+                if not flags[i] & FIRST:  # a node the cap alone stops
+                    cap_mass_first += mc[i] + m2[i]
+            elif c_c:
                 # second-only member: clean paths would stop here if these
                 # words were added to the merged set
-                if c_c or c_2:
-                    only_second[k] = (c_c + c_2, m_c + m_2)
-                if c_c:
-                    acc_merged[code_length_for(form, True)] += c_c
-                    merged += c_c
-                    classes.append((form, k, c_c))
-            if b2:
-                if c_c or c_1:
-                    acc_second[code_length_for(form, True)] += c_c + c_1
-                    if at_cap and not high:
-                        cap_mass_second += m_c + m_1
-            elif c_c or c_1:
-                only_first[k] = (c_c + c_1, m_c + m_1)
+                acc_merged[code_length_for(form, True)] += c_c
+                merged += c_c
+                classes.append((form, k, c_c))
+            if flag & SECOND and (c_c or c_1):
+                acc_second[code_length_for(form, True)] += c_c + c_1
+                if not flags[i] & SECOND:
+                    cap_mass_second += mc[i] + m1[i]
         if enum_limit is not None and merged > enum_limit:
-            raise WordLimitError(enum_limit, level, cap)
-    classes.sort()
-    return _JointTables(
-        kraft_first=kraft_of_counts(acc_first, model.arity),
-        kraft_second=kraft_of_counts(acc_second, model.arity),
-        kraft_merged=kraft_of_counts(acc_merged, model.arity),
-        cap_mass_first=cap_mass_first,
-        cap_mass_second=cap_mass_second,
-        classes=classes,
-        classify=table_classify,
-    )
-
-
-def _flat_joint_dp(
-    model: SourceModel,
-    classify: NodeClassifier,
-    cap: int,
-    node_limit: int,
-    enum_limit: int | None,
-) -> _JointTables:
-    """`_joint_dp` on the flat walk: the same tables, float for float.
-
-    Paths are routed a level at a time with 0/1 masks from the level
-    table.  Only nodes of either set are handled one by one, for the Kraft
-    counts and the classes, and the cap level runs in visiting order, for
-    the cap masses.
-    """
-    d0, d1 = model.d
-    acc_first: Counter[int] = Counter()
-    acc_second: Counter[int] = Counter()
-    acc_merged: Counter[int] = Counter()
-    merged = 0  # words of the merged set so far
-    cap_mass_first = 0.0
-    cap_mass_second = 0.0
-    classes: list[tuple[float, Profile, int]] = []
-    walk = flat_levels(3, model.probs, cap, node_limit, "joint lattice DP")
-    for level, (clean, only_first, only_second), order, nxt in walk:
-        (cc, mc), (c1, m1), (c2, m2) = clean, only_first, only_second
-        flags = classify.level(level)
-        if level == cap:
-            for a in order:
-                c_c, c_1, c_2 = cc[a], c1[a], c2[a]
-                form = a * d0 + (cap - a) * d1
-                if c_c:
-                    length = code_length_for(form, True)
-                    acc_first[length] += c_c
-                    acc_merged[length] += c_c
-                    merged += c_c
-                if c_2:
-                    acc_first[code_length_for(form, False)] += c_2
-                if not flags[a] & FIRST:
-                    cap_mass_first += mc[a] + m2[a]
-                if c_c or c_1:
-                    acc_second[code_length_for(form, True)] += c_c + c_1
-                    if not flags[a] & SECOND:
-                        cap_mass_second += mc[a] + m1[a]
-        else:
-            mask = flags.translate
-            nxt.append(flat_carry(clean, mask(IN_NEITHER)))
-            nxt.append(
-                flat_carry(
-                    only_first, mask(NOT_SECOND), clean, mask(ONLY_FIRST)
-                )
-            )
-            nxt.append(
-                flat_carry(
-                    only_second, mask(NOT_FIRST), clean, mask(ONLY_SECOND)
-                )
-            )
-            for a in compress(range(level + 1), flags):
-                flag = flags[a]
-                c_c, c_1, c_2 = cc[a], c1[a], c2[a]
-                form = a * d0 + (level - a) * d1
-                if flag & FIRST:
-                    if c_c:
-                        length = code_length_for(form, flag > FIRST)
-                        acc_first[length] += c_c
-                        acc_merged[length] += c_c
-                        merged += c_c
-                    if c_2:
-                        acc_first[code_length_for(form, False)] += c_2
-                elif c_c:
-                    acc_merged[code_length_for(form, True)] += c_c
-                    merged += c_c
-                    classes.append((form, (a, level - a), c_c))
-                if flag & SECOND and (c_c or c_1):
-                    acc_second[code_length_for(form, True)] += c_c + c_1
-        if enum_limit is not None and merged > enum_limit:
-            raise WordLimitError(enum_limit, level, cap)
+            raise WordLimitError(enum_limit, view.level, cap)
     classes.sort()
     return _JointTables(
         kraft_first=kraft_of_counts(acc_first, model.arity),
@@ -710,7 +612,6 @@ def _knockout_masses(
                 result[k] = cur[k[0]]
             nxt = cur
     else:
-        classify = per_node(classify)
         nxt_d: dict[Profile, int] = {}
         for level in range(cap, 0, -1):
             cur_d: dict[Profile, int] = {}

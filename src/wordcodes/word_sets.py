@@ -21,24 +21,31 @@ otherwise crosses it and runs on.  VF codes pass an empty second set.
 `ProfileSet` keeps profile membership as a plain predicate, for checks and
 tests; no walk calls it.
 
-The forward DPs walk level by level.  Over dicts of profile tuples
-(`lattice_levels`) they serve any source and any classifier; two-symbol
-sources driven by a `NodeClassifier` walk flat per-level lists instead
-(`flat_levels`), which give the same counts and the same floats.  For three
-symbols `_push` and the classifier's linear form unpack a profile (a, b, c)
-and build its children and its form from the counts, rather than slicing
-the tuple; the keys, the order and every float are those of the slicing
-code, which four or more symbols and every other walk keep.
+The forward DPs walk level by level, and both lattice drivers yield the
+same view of a level (`LevelView`): node ids in visiting order, each path
+state's incoming (counts, masses) lists aligned to those ids, one byte of
+FIRST/SECOND flags per node, and a node's profile and form on demand.
+Two-symbol sources under a `NodeClassifier` take `flat_levels`, where a
+node's id is its first count; every other case takes `keyed_levels`, where
+it is the node's position in the dict walk's key order.  Both visit the same
+nodes in the same order, so `lattice_metrics` (and the joint DP of
+`vv_construct`) is written once over the view: it routes a level's paths
+with 0/1 masks (`flat_carry`) and handles only stop nodes one by one.  For
+three symbols `_push` unpacks a profile (a, b, c) and builds its children
+from the counts, rather than slicing the tuple; the keys, the order and
+every float are those of the slicing code, which four or more symbols and
+the enumerator keep.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, reduce
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul, sub
-from typing import Callable, Collection, Iterator, Sequence
+from operator import add, itemgetter, mul, or_, sub
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceError, ValidationError
 from .source_model import (
@@ -240,57 +247,23 @@ def _flag_function(
     return flag
 
 
-def _node_function(
-    d: tuple[float, ...], flag: Callable[[float], int]
-) -> Callable[[Profile], tuple[float, bool, bool]]:
-    """profile -> (form, first, second), with the flags of `flag`."""
-    if len(d) == 2:
-        d0, d1 = d
-
-        def node(k: Profile) -> tuple[float, bool, bool]:
-            form = k[0] * d0 + k[1] * d1
-            flags = flag(form)
-            return form, flags & FIRST != 0, flags >= SECOND
-
-        return node
-    fsum = math.fsum
-    if len(d) == 3:
-        d0, d1, d2 = d
-
-        def node(k: Profile) -> tuple[float, bool, bool]:
-            a, b, c = k
-            form = fsum((a * d0, b * d1, c * d2))
-            flags = flag(form)
-            return form, flags & FIRST != 0, flags >= SECOND
-
-        return node
-
-    def node(k: Profile) -> tuple[float, bool, bool]:
-        form = fsum(map(mul, k, d))
-        flags = flag(form)
-        return form, flags & FIRST != 0, flags >= SECOND
-
-    return node
-
-
 class NodeClassifier:
     """One classification per lattice node: profile -> (form, first, second).
 
-    `form` is exactly `linear_form` of the profile, and `first` and `second`
-    are what the two rules' `admits` answer for it.  The walks never
-    classify the empty profile, and they apply the hard cap themselves,
-    since they know each node's level.  For two symbols the form is one
-    IEEE addition, which is correctly rounded just as `math.fsum` is, so it
-    gives the same float; three or more symbols keep `fsum` over the same
-    products in the same order.
+    `form` is exactly `linear_form` of the profile, the `math.fsum` of its
+    products k_i * d_i, and `first` and `second` are what the two rules'
+    `admits` answer for it; `flag` maps a form to its flags.  The walks
+    never classify the empty profile, and they apply the hard cap
+    themselves, since they know each node's level.
 
     For two symbols the classifier also holds a level table: `level(L)` is
     one byte of flags (FIRST, SECOND) per node (a, L - a), indexed by the
-    first count a.  Each level is classified once, when a walk first asks
-    for it, and kept as long as the classifier, so every sweep of one build
-    (the cap trials, the knockout sweep, the final DP) reads the same
-    table; no table outlives its classifier.  At cap 784 the table holds
-    about 0.3 MB.
+    first count a.  Each form there is one IEEE addition, which is
+    correctly rounded just as `math.fsum` is, so it gives the same float.
+    Each level is classified once, when a walk first asks for it, and kept
+    as long as the classifier, so every sweep of one build (the cap trials,
+    the knockout sweep, the final DP) reads the same table; no table
+    outlives its classifier.  At cap 784 the table holds about 0.3 MB.
     """
 
     def __init__(self, first_rule: Rule, second_rule: Rule) -> None:
@@ -306,12 +279,13 @@ class NodeClassifier:
         (self.d,) = sources
         self.first_rule = first_rule
         self.second_rule = second_rule
-        self._flag = _flag_function(first_rule, second_rule)
-        self.node = _node_function(self.d, self._flag)
+        self.flag = _flag_function(first_rule, second_rule)
         self._levels: list[bytes] = []
 
     def __call__(self, k: Profile) -> tuple[float, bool, bool]:
-        return self.node(k)
+        form = math.fsum(map(mul, k, self.d))
+        flags = self.flag(form)
+        return form, flags & FIRST != 0, flags >= SECOND
 
     def level(self, level: int) -> bytes:
         """Flags of the nodes (a, level - a), a = 0..level; two symbols."""
@@ -320,7 +294,7 @@ class NodeClassifier:
             if len(self.d) != 2:
                 raise InputError("level tables are for two-symbol sources")
             d0, d1 = self.d
-            flag = self._flag
+            flag = self.flag
             for n in range(len(levels), level + 1):
                 forms = map(
                     add,
@@ -341,14 +315,6 @@ class NodeClassifier:
         return both
 
 
-def per_node(
-    classify: Callable[[Profile], tuple[float, bool, bool]],
-) -> Callable[[Profile], tuple[float, bool, bool]]:
-    """The plain per-node function of a classifier, for the walks that call
-    it once per node: `NodeClassifier.node`, or `classify` itself."""
-    return classify.node if isinstance(classify, NodeClassifier) else classify
-
-
 def node_classifier(first_rule: Rule, second_rule: Rule) -> NodeClassifier:
     """The classifier of two rules that decide by one source's linear form.
 
@@ -359,18 +325,22 @@ def node_classifier(first_rule: Rule, second_rule: Rule) -> NodeClassifier:
 
 
 Front = dict[Profile, tuple[int, float]]
+FlatFront = tuple[list[int], list[float]]
 
 
-def _push(src: Front, probs: Sequence[float]) -> Front:
-    """Extend every alive (count, mass) entry by each symbol, one level on.
+def _push(
+    parents: Iterable[tuple[Profile, int, float]], probs: Sequence[float]
+) -> Front:
+    """Extend every alive (profile, count, mass) parent by each symbol.
 
     The order contract every push keeps, and every DP over the fronts
-    relies on: each parent's children come in symbol order, `dst` holds its
-    keys in the order they are first reached, and a child reached from
-    several parents adds their `mass * p` terms left to right in that
-    order.  The cap masses of `choose_cap`, and with them `cap_history`,
-    are float sums over these fronts, so a push that broke any of the three
-    would change a build's provenance.
+    relies on: each parent's children come in symbol order, parents come
+    in the order given, `dst` holds its keys in the order they are first
+    reached, and a child reached from several parents adds their
+    `mass * p` terms left to right in that order.  The cap masses of
+    `choose_cap`, and with them `cap_history`, are float sums over these
+    fronts, so a push that broke any of this would change a build's
+    provenance.
 
     Three symbols unpack each parent (a, b, c) and build its children
     directly: the same keys, order and sums as slicing, which four or more
@@ -380,7 +350,7 @@ def _push(src: Front, probs: Sequence[float]) -> Front:
     if len(probs) == 3:
         p0, p1, p2 = probs
         get = dst.get
-        for (a, b, c), (n, mass) in src.items():
+        for (a, b, c), n, mass in parents:
             k = (a + 1, b, c)
             o = get(k)
             if o is None:
@@ -400,7 +370,7 @@ def _push(src: Front, probs: Sequence[float]) -> Front:
             else:
                 dst[k] = (o[0] + n, o[1] + mass * p2)
         return dst
-    for k, (c, mass) in src.items():
+    for k, c, mass in parents:
         for i, p in enumerate(probs):
             child = k[:i] + (k[i] + 1,) + k[i + 1 :]
             if child in dst:
@@ -409,60 +379,6 @@ def _push(src: Front, probs: Sequence[float]) -> Front:
             else:
                 dst[child] = (c, mass * p)
     return dst
-
-
-def lattice_levels(
-    fronts: tuple[Front, ...],
-    probs: Sequence[float],
-    cap: int,
-    node_limit: int,
-    what: str,
-) -> Iterator[tuple[int, list[Front], Collection[Profile], tuple[Front, ...]]]:
-    """The level-by-level forward walk over dicts of profile tuples.
-
-    `fronts` hold the alive paths at the origin, {profile: (count, mass)},
-    one front per path state.  Each level pushes every front one symbol on
-    and yields (level, incoming fronts, keys, next fronts): `keys` holds
-    every profile an incoming front reaches, and the caller routes each of
-    them, stopping its paths or filing them into the next fronts, which
-    start empty.  The walk ends once every front is empty.
-
-    A lone front is its own key set, in push order; several fronts are
-    keyed by `set(a) | set(b) | ...`.  The visiting order, and with it every
-    float sum the DPs make, is therefore fixed, as long as every push keeps
-    the order contract of `_push`: children in symbol order per parent,
-    keys in first-seen order, and masses summed left to right.  The cap
-    masses, and so `cap_history`, depend on all three.  Raises
-    ValidationError when paths are alive at the cap and ResourceError once
-    more than `node_limit` nodes have been visited; `what` names the DP in
-    both.
-    """
-    visited = 0
-    level = 0
-    while any(fronts):
-        if level >= cap:
-            raise ValidationError(
-                f"{what}: paths alive beyond the cap; the cap must stop "
-                "every profile"
-            )
-        incoming = [_push(front, probs) for front in fronts]
-        level += 1
-        keys: Collection[Profile] = incoming[0]
-        if len(incoming) > 1:
-            keys = set(keys)
-            for front in incoming[1:]:
-                keys = keys | set(front)
-        visited += len(keys)
-        if visited > node_limit:
-            raise ResourceError(
-                f"{what} visited more than {node_limit} nodes (cap={cap}); "
-                "raise node_limit or lower the cap"
-            )
-        fronts = tuple({} for _ in fronts)
-        yield level, incoming, keys, fronts
-
-
-FlatFront = tuple[list[int], list[float]]
 
 
 def _flat_push(front: FlatFront, p0: float, p1: float) -> FlatFront:
@@ -487,10 +403,10 @@ def flat_carry(
     joins: bytes = b"",
 ) -> FlatFront:
     """The paths of `front` where the mask `keep` is 1, plus those of
-    `joining` where `joins` is 1, as the next level's front of one state.
+    `joining` where `joins` is 1, as the next level's lists of one state.
 
     A masked-out value becomes 0 or 0.0, and adding 0.0 changes no float,
-    so each mass is the dict walks' one- or two-term sum.
+    so each mass is the same one- or two-term sum a per-node walk makes.
     """
     counts, masses = front
     if joining is None:
@@ -502,14 +418,168 @@ def flat_carry(
     )
 
 
+@dataclass
+class LevelView:
+    """One level of a forward walk, as both lattice drivers yield it.
+
+    `ids` lists the nodes some path reaches, in visiting order.  `states`
+    holds each path state's incoming (counts, masses) and `flags` each
+    node's FIRST/SECOND byte, both indexed by node id, with 0 and 0.0 where
+    no path of a state arrives.  `node(i)` gives node i's (profile, form),
+    and `id_of(k)` the id of profile k, or None where the level has no
+    such node.  The caller appends each state's next (counts, masses),
+    indexed the same way, to `next`; the walk carries on from the nonzero
+    counts.
+    """
+
+    level: int
+    ids: Sequence[int]
+    states: list[FlatFront]
+    flags: bytes
+    node: Callable[[int], tuple[Profile, float]]
+    id_of: Callable[[Profile], int | None]
+    next: list[FlatFront] = field(default_factory=list)
+
+    def routing(self, cap: int) -> bytes:
+        """The flags a DP routes paths by: `flags` below the cap, and
+        FIRST | SECOND on every node at the cap, where every path stops."""
+        if self.level < cap:
+            return self.flags
+        return bytes((FIRST | SECOND,)) * len(self.flags)
+
+
+def level_views(
+    model: SourceModel,
+    classify: NodeClassifier,
+    states: int,
+    cap: int,
+    node_limit: int,
+    what: str,
+) -> Iterator[LevelView]:
+    """The forward walk of `states` path states, one `LevelView` a level.
+
+    Every path starts in the first state, at the origin.  Two-symbol
+    sources under a `NodeClassifier` take `flat_levels`, every other case
+    `keyed_levels`; both visit the same nodes in the same order, so a DP
+    written over the view gives the same counts and floats on either.  The
+    walk ends once no path is alive.  Raises InputError for a cap below 1,
+    before any walk starts; ValidationError when paths are alive beyond
+    the cap; ResourceError once more than `node_limit` nodes have been
+    visited.  `what` names the DP in both.
+    """
+    if cap < 1:
+        raise InputError(f"cap must be >= 1, got {cap}")
+    flat = model.m == 2 and isinstance(classify, NodeClassifier)
+    walk = flat_levels if flat else keyed_levels
+    visited = 0
+    for view in walk(model, classify, states):
+        if view.level > cap:
+            raise ValidationError(
+                f"{what}: paths alive beyond the cap; the cap must stop "
+                "every profile"
+            )
+        visited += len(view.ids)
+        if visited > node_limit:
+            raise ResourceError(
+                f"{what} visited more than {node_limit} nodes (cap={cap}); "
+                "raise node_limit or lower the cap"
+            )
+        yield view
+
+
+def keyed_levels(
+    model: SourceModel,
+    classify: Callable[[Profile], tuple[float, bool, bool]],
+    states: int,
+) -> Iterator[LevelView]:
+    """The walk over dicts of profile tuples, for every other case.
+
+    Each level pushes every state's alive paths one symbol on (`_push`)
+    and keys the level by `set(f0) | set(f1) | ...` over the pushed fronts;
+    a node's id is its position in that key order.  The next level pushes
+    the alive entries of the caller's lists in id order, so each push sees
+    its parents in key order.  With the order contract of `_push` (children
+    in symbol order per parent, parents in key order, keys in first-seen
+    order, masses summed left to right) the visiting order, and with it
+    every float sum a DP makes, is fixed.  A state with no paths is
+    zero-filled rather than looked up.
+
+    A `NodeClassifier`'s forms are computed a level at a time, the `fsum`
+    of each node's products as in the classifier itself, and mapped to
+    flags by its `flag`; any other classifier is called once per node.
+    On 3 000-node levels (x86-64, Python 3.11) a level's forms and flags
+    cost about 460 ns a node, a call per node about 840 ns.
+    """
+    probs = model.probs
+    if isinstance(classify, NodeClassifier):
+        flag, fsum = classify.flag, math.fsum
+
+        def classified(keys: list[Profile]) -> tuple[list[float], bytes]:
+            # each node's form is the fsum of its products, in symbol order
+            products = zip(
+                *(
+                    map(mul, map(itemgetter(j), keys), repeat(dj))
+                    for j, dj in enumerate(classify.d)
+                )
+            )
+            forms = list(map(fsum, products))
+            return forms, bytes(map(flag, forms))
+
+    else:
+
+        def classified(keys: list[Profile]) -> tuple[list[float], bytes]:
+            nodes = list(map(classify, keys))
+            return [node[0] for node in nodes], bytes(
+                FIRST * bool(first) | SECOND * bool(second)
+                for _, first, second in nodes
+            )
+
+    alive: list[Iterable] = [[((0,) * model.m, 1, 1.0)]]
+    alive += [() for _ in range(states - 1)]
+    empty = (0, 0.0)
+    level = 0
+    while True:
+        incoming = [_push(parents, probs) for parents in alive]
+        if not any(incoming):
+            return
+        level += 1
+        keys = list(reduce(or_, map(set, incoming)))
+        zeros = ([0] * len(keys), [0.0] * len(keys))
+        # each alive state's (counts, masses), looked up in key order
+        aligned = [zeros] * states
+        for s, front in enumerate(incoming):
+            if front:
+                pairs = list(map(front.get, keys, repeat(empty)))
+                aligned[s] = (
+                    list(map(itemgetter(0), pairs)),
+                    list(map(itemgetter(1), pairs)),
+                )
+        forms, flags = classified(keys)
+        # the id dict is built on the level's first `id_of`
+        index = cache(lambda keys=keys: dict(zip(keys, range(len(keys)))))
+        view = LevelView(
+            level,
+            range(len(keys)),
+            aligned,
+            flags,
+            lambda i, keys=keys, forms=forms: (keys[i], forms[i]),
+            lambda k, index=index: index().get(k),
+        )
+        yield view
+        alive = [
+            compress(zip(keys, counts, masses), counts)
+            for counts, masses in view.next
+        ]
+
+
 def _visit_order(orders: list[list[int]], level: int) -> list[int]:
-    """The order in which `lattice_levels` visits a level, as first counts.
+    """The order in which `keyed_levels` visits a level, as first counts.
 
     `orders` holds each front's profiles one level up, in filing order.  The
     pushes and the key set are rebuilt from real profile tuples exactly as
-    `lattice_levels` builds them (children a + 1 then a in first-seen
-    order, a dict of the tuples, then `set(f0) | set(f1) | ...`), so the
-    set iterates in the same order.
+    `keyed_levels` builds them (children a + 1 then a in first-seen order,
+    a dict of the tuples, then `set(f0) | set(f1) | ...`), so the set
+    iterates in the same order.
     """
     pushed = []
     for order in orders:
@@ -520,61 +590,48 @@ def _visit_order(orders: list[list[int]], level: int) -> list[int]:
         unique = dict.fromkeys(firsts)
         profiles = zip(unique, map(sub, repeat(level), unique))
         pushed.append(dict.fromkeys(profiles))
-    keys: Collection[Profile] = pushed[0]
-    if len(pushed) > 1:
-        keys = set(keys)
-        for front in pushed[1:]:
-            keys = keys | set(front)
-    return list(map(itemgetter(0), keys))
+    return list(map(itemgetter(0), reduce(or_, map(set, pushed))))
 
 
 def flat_levels(
-    states: int,
-    probs: Sequence[float],
-    cap: int,
-    node_limit: int,
-    what: str,
-) -> Iterator[tuple[int, list[FlatFront], list[int], list[FlatFront]]]:
-    """`lattice_levels` for two symbols, on flat per-level lists.
+    model: SourceModel, classify: NodeClassifier, states: int
+) -> Iterator[LevelView]:
+    """The walk for two symbols under a `NodeClassifier`, on flat lists.
 
-    A front of level L is (counts, masses): two lists of L + 1 entries
-    indexed by the first count a of the node (a, L - a), holding 0 and 0.0
-    where no path of that state is alive.  The walk starts with `states`
-    fronts, all paths in the first, at the origin.  Each level yields
-    (level, incoming fronts, order, next fronts): the caller routes the
-    incoming paths and appends one (counts, masses) per state to the next
-    fronts, which start empty; at the cap it stops every path and appends
-    nothing.  A node's mass is `m[a - 1] * p0 + m[a] * p1`, the same float
-    the dict push gives, since IEEE addition commutes.
-
-    `order` lists the first counts of the nodes some path reaches, in the
-    order `lattice_levels` visits them; only the DPs' running sums over the
-    cap level depend on it.  Node counts and the ResourceError are those of
-    `lattice_levels`.
+    Node (a, L - a) has id a, and each state's lists hold L + 1 entries,
+    so a node's parents one level up are ids a - 1 and a: its mass is
+    `m[a - 1] * p0 + m[a] * p1`, the same float `_push` gives, since IEEE
+    addition commutes.  Flags come from the classifier's level table, and
+    a form is computed only when `node` asks for it.  `ids` replays the
+    keyed walk's visiting order (`_visit_order`); only the DPs' running
+    sums over the cap level depend on it.
     """
-    p0, p1 = probs
-    fronts: list[FlatFront] = [([1], [1.0])]
-    fronts += [([0], [0.0]) for _ in range(states - 1)]
+    p0, p1 = model.probs
+    d0, d1 = model.d
+    fronts: list[FlatFront] = [([1], [1.0])] + [([0], [0.0])] * (states - 1)
     orders: list[list[int]] = [[0]] + [[] for _ in range(states - 1)]
-    visited = 0
-    for level in range(1, cap + 1):
-        if not any(orders):
-            return
+    level = 0
+    while any(orders):
+        level += 1
+        zeros = ([0] * (level + 1), [0.0] * (level + 1))
         incoming = [
-            _flat_push(front, p0, p1)
-            if order
-            else ([0] * (level + 1), [0.0] * (level + 1))
+            _flat_push(front, p0, p1) if order else zeros
             for front, order in zip(fronts, orders)
         ]
         order = _visit_order(orders, level)
-        visited += len(order)
-        if visited > node_limit:
-            raise ResourceError(
-                f"{what} visited more than {node_limit} nodes (cap={cap}); "
-                "raise node_limit or lower the cap"
-            )
-        fronts = []
-        yield level, incoming, order, fronts
+
+        def node(a: int, level: int = level) -> tuple[Profile, float]:
+            return (a, level - a), a * d0 + (level - a) * d1
+
+        def id_of(k: Profile, level: int = level) -> int | None:
+            on_level = len(k) == 2 and 0 <= k[0] <= level == k[0] + k[1]
+            return k[0] if on_level else None
+
+        view = LevelView(
+            level, order, incoming, classify.level(level), node, id_of
+        )
+        yield view
+        fronts = view.next
         orders = [
             list(compress(order, map(counts.__getitem__, order)))
             for counts, _ in fronts
@@ -620,118 +677,34 @@ def lattice_metrics(
     first j words stop; every other such path crosses and runs on.  Raises
     ResourceError when the walk visits more than `node_limit` nodes.
 
-    Two-symbol sources with a `NodeClassifier` take the flat walk
-    (`flat_levels`); every other classifier takes the dict walk.  Both
-    give the same table, float for float.
+    One body over `level_views`: paths are routed a level at a time with
+    0/1 masks of the routing flags, and only stop nodes and the taken and
+    boundary classes are handled one by one.  The cap mass reads the real
+    flags of the cap level, in visiting order.
     """
-    if model.m == 2 and isinstance(classify, NodeClassifier):
-        return _flat_lattice_metrics(
-            model, classify, cap, node_limit, taken, boundary
-        )
-    classify = per_node(classify)
-    boundary_profile, boundary_words = boundary if boundary else (None, 0)
-    stops: dict[Profile, Stop] = {}
-    cap_mass = 0.0
-    visited = 0
-    walk = lattice_levels(
-        ({(0,) * model.m: (1, 1.0)}, {}), model.probs, cap, node_limit,
-        "lattice DP",
-    )
-    for level, (in_clean, in_crossed), keys, (clean, crossed) in walk:
-        visited += len(keys)
-        at_cap = level == cap
-        for k in keys:
-            c_c, m_c = in_clean.get(k, (0, 0.0))
-            c_x, m_x = in_crossed.get(k, (0, 0.0))
-            form, first, second = classify(k)
-            second = second or at_cap
-            if first or at_cap:
-                stops[k] = (c_c, m_c, c_x, m_x, form, second)
-                if not first:
-                    cap_mass += m_c + m_x
-                continue
-            if c_x:
-                crossed[k] = (c_x, m_x)
-            if not c_c:
-                continue
-            if not second:
-                clean[k] = (c_c, m_c)
-                continue
-            if k in taken:
-                stops[k] = (c_c, m_c, 0, 0.0, form, True)
-                continue
-            if k == boundary_profile:
-                if c_c < boundary_words:
-                    raise ValidationError(
-                        "boundary class smaller than its split"
-                    )
-                stop_m = boundary_words * profile_probability(model, k)
-                stops[k] = (boundary_words, stop_m, 0, 0.0, form, True)
-                c_c -= boundary_words
-                m_c -= stop_m
-                if not c_c:
-                    continue
-            oc, om = crossed.get(k, (0, 0.0))
-            crossed[k] = (oc + c_c, om + m_c)
-    return LatticeTable(
-        stops=stops,
-        word_count=sum(s[0] + s[2] for s in stops.values()),
-        total_prob=math.fsum(s[1] + s[3] for s in stops.values()),
-        cap_mass=cap_mass,
-        visited_nodes=visited,
-    )
-
-
-def _flat_lattice_metrics(
-    model: SourceModel,
-    classify: NodeClassifier,
-    cap: int,
-    node_limit: int,
-    taken: Collection[Profile],
-    boundary: tuple[Profile, int] | None,
-) -> LatticeTable:
-    """`lattice_metrics` on the flat walk: the same table, float for float.
-
-    Paths are routed a level at a time with 0/1 masks from the level
-    table; only stop nodes, the taken and boundary classes, and the cap
-    level (in visiting order, for `cap_mass`) are handled node by node.
-    """
-    d0, d1 = model.d
     boundary_profile, boundary_words = boundary if boundary else (None, 0)
     marked: dict[int, list[Profile]] = {}
     for k in {*taken, boundary_profile} - {None}:
-        if len(k) == 2 and 0 <= k[0] and 0 <= k[1]:
-            marked.setdefault(k[0] + k[1], []).append(k)
+        marked.setdefault(sum(k), []).append(k)
     stops: dict[Profile, Stop] = {}
     cap_mass = 0.0
     visited = 0
-    walk = flat_levels(2, model.probs, cap, node_limit, "lattice DP")
-    for level, (clean, crossed), order, nxt in walk:
+    for view in level_views(model, classify, 2, cap, node_limit, "lattice DP"):
+        clean, crossed = view.states
         (cc, mc), (cx, mx) = clean, crossed
-        visited += len(order)
-        flags = classify.level(level)
-        if level == cap:
-            for a in order:
-                m_c, m_x = mc[a], mx[a]
-                stops[(a, cap - a)] = (
-                    cc[a], m_c, cx[a], m_x, a * d0 + (cap - a) * d1, True
-                )
-                if not flags[a] & FIRST:
-                    cap_mass += m_c + m_x
-            continue
+        ids, flags = view.ids, view.flags
+        visited += len(ids)
+        route = view.routing(cap)
+        mask = route.translate
         n_cx, n_mx = flat_carry(
-            crossed,
-            flags.translate(NOT_FIRST),
-            clean,
-            flags.translate(ONLY_SECOND),
+            crossed, mask(NOT_FIRST), clean, mask(ONLY_SECOND)
         )
-        for k in marked.get(level, ()):
-            a = k[0]
-            c_c = cc[a]
-            if flags[a] != SECOND or not c_c:
+        for k in marked.get(view.level, ()):
+            i = view.id_of(k)
+            if i is None or route[i] != SECOND or not cc[i]:
                 continue
-            m_c = mc[a]
-            form = a * d0 + k[1] * d1
+            c_c, m_c = cc[i], mc[i]
+            form = view.node(i)[1]
             if k in taken:
                 stops[k] = (c_c, m_c, 0, 0.0, form, True)
                 c_c = 0
@@ -744,19 +717,14 @@ def _flat_lattice_metrics(
                 stops[k] = (boundary_words, stop_m, 0, 0.0, form, True)
                 c_c -= boundary_words
                 m_c -= stop_m
-            if c_c:
-                n_cx[a], n_mx[a] = cx[a] + c_c, mx[a] + m_c
-            else:
-                n_cx[a], n_mx[a] = cx[a], mx[a]
-        nxt.append(flat_carry(clean, flags.translate(IN_NEITHER)))
-        nxt.append((n_cx, n_mx))
-        for a in compress(range(level + 1), flags.translate(IN_FIRST)):
-            c_c, c_x = cc[a], cx[a]
-            if c_c or c_x:
-                stops[(a, level - a)] = (
-                    c_c, mc[a], c_x, mx[a], a * d0 + (level - a) * d1,
-                    flags[a] > FIRST,
-                )
+            n_cx[i] = cx[i] + c_c
+            n_mx[i] = mx[i] + m_c if c_c else mx[i]
+        view.next += [flat_carry(clean, mask(IN_NEITHER)), (n_cx, n_mx)]
+        for i in compress(ids, map(mask(IN_FIRST).__getitem__, ids)):
+            k, form = view.node(i)
+            stops[k] = (cc[i], mc[i], cx[i], mx[i], form, route[i] > FIRST)
+            if not flags[i] & FIRST:  # a node the cap alone stops
+                cap_mass += mc[i] + mx[i]
     return LatticeTable(
         stops=stops,
         word_count=sum(s[0] + s[2] for s in stops.values()),
@@ -781,18 +749,20 @@ def enumerate_words(
     length gets one digit more.  At the boundary profile the
     lexicographically first j clean words stop.  Iterative, so the cap,
     which bounds the depth, can exceed the interpreter recursion limit.
-    Raises ResourceError as soon as more than `limit` words are found.
+    Raises InputError for a cap below 1, and ResourceError as soon as more
+    than `limit` words are found.
 
     Two-symbol sources with a `NodeClassifier` read the level table
     (`_flat_enumerate_words`); every other classifier is called once per
     distinct profile.  Both give the same list, float for float.
     """
+    if cap < 1:
+        raise InputError(f"cap must be >= 1, got {cap}")
     if model.m == 2 and isinstance(classify, NodeClassifier):
         return _flat_enumerate_words(
             model, classify, cap, limit, taken, boundary
         )
     m = model.m
-    node = per_node(classify)
     # each profile is classified once per call, however many words reach it
     seen: dict[Profile, tuple[float, bool, bool]] = {}
     boundary_profile, boundary_left = boundary if boundary else (None, 0)
@@ -812,7 +782,7 @@ def enumerate_words(
         try:
             form, first, second = seen[child]
         except KeyError:
-            form, first, second = seen[child] = node(child)
+            form, first, second = seen[child] = classify(child)
         second = (second or at_cap) and not crossed
         if not (first or at_cap):
             if not second:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -139,10 +140,24 @@ def test_flat_kernel_matches_the_dict_walk_field_by_field():
                     NODE_LIMIT, walk_taken, walk_boundary,
                 )
                 seen.add(found[0] if found[0] == "error" else "table")
+                if found[0] != "error":
+                    # the cap mass: every path the cap alone stops, crossed
+                    # ones included
+                    cap_stops = [
+                        (m_c, m_x)
+                        for k, (_, m_c, _, m_x, form, _) in found[0].items()
+                        if sum(k) == cap
+                        and not walk_classify.first_rule.admits(form)
+                    ]
+                    assert found[3] == pytest.approx(
+                        math.fsum(map(sum, cap_stops)), rel=1e-12, abs=0
+                    )
+                    if any(m_x for _, m_x in cap_stops):
+                        seen.add("crossed at the cap")
             seen.add("cap mass" if tables.cap_mass_first else "no cap mass")
             seen.add("classes" if targets else "no classes")
     assert seen == {"table", "error", "cap mass", "no cap mass", "classes",
-                    "no classes"}
+                    "no classes", "crossed at the cap"}
 
 
 def test_flat_kernel_matches_the_dict_walk_on_window_rules():
@@ -159,21 +174,42 @@ def test_flat_kernel_matches_the_dict_walk_on_window_rules():
 
 
 def test_flat_kernel_trips_the_node_limit_where_the_dict_walk_does():
+    """Node limits, and enumeration limits on the joint DP: both walks
+    raise the same error, a WordLimitError at the same level, or neither.
+    The merged set of T=8 at cap 64 passes 0..8 words at levels 2..6."""
     model = make_model(["0.4", "0.6"], 2)
-    set_low, set_high = build_threshold_sets(model, 6, 36)
-    classify = node_classifier(set_low.rule, set_high.rule)
     tripped = 0
-    for limit in (1, 2, 3, 10, 40, 100, 300, 700, 702, 703, 10**4):
-        joint = _outcome(_joint_dp, model, set_low, set_high, limit, classify)
-        assert joint == _outcome(
-            _joint_dp, model, set_low, set_high, limit, _dict_walk(classify)
-        )
-        final = _outcome(lattice_metrics, model, classify, 36, limit)
-        assert final == _outcome(
-            lattice_metrics, model, _dict_walk(classify), 36, limit
-        )
-        tripped += (joint[0] == "error") + (final[0] == "error")
+    word_limit_levels = set()
+    for T, limits, enum_limits in [
+        (6, (1, 2, 3, 10, 40, 100, 300, 700, 702, 703, 10**4), (0, 1, 2)),
+        (8, (10, 100, 10**4), range(10)),
+    ]:
+        cap = T * T
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        classify = node_classifier(set_low.rule, set_high.rule)
+        for limit in limits:
+            for enum_limit in (None, *enum_limits):
+                joint = _outcome(
+                    _joint_dp, model, set_low, set_high, limit, classify,
+                    enum_limit,
+                )
+                assert joint == _outcome(
+                    _joint_dp, model, set_low, set_high, limit,
+                    _dict_walk(classify), enum_limit,
+                )
+                if joint[:2] == ("error", "WordLimitError"):
+                    level = re.search(r"at level (\d+) ", joint[2])[1]
+                    word_limit_levels.add((T, int(level)))
+                elif T == 6 and enum_limit is None:
+                    tripped += joint[0] == "error"
+            final = _outcome(lattice_metrics, model, classify, cap, limit)
+            assert final == _outcome(
+                lattice_metrics, model, _dict_walk(classify), cap, limit
+            )
+            tripped += T == 6 and final[0] == "error"
     assert 0 < tripped < 22
+    # T=6 trips at level 1 only, T=8 at each of levels 2..6
+    assert len(word_limit_levels) == 6
 
 
 def _rule_pairs(d):

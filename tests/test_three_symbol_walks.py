@@ -1,11 +1,11 @@
-"""The unpacked three-symbol steps of the dict walks against slicing.
+"""The unpacked three-symbol push of the keyed walk against slicing.
 
-For three symbols `_push` and the classifier's linear form build a
-profile's children and form from its unpacked counts.  The references below
-are the slicing push and the `fsum` over `map(mul, k, d)` those steps
-replaced, which four or more symbols still run.  Keys, key order, counts
-and every float must match; floats are compared by `float.hex`, so bit for
-bit.
+For three symbols `_push` builds a profile's children from its unpacked
+counts.  The reference below is the slicing push it replaced, which four or
+more symbols still run.  The forms the keyed walk yields are checked
+against the `fsum` over `map(mul, k, d)` of the slicing code.  Keys, key order,
+counts and every float must match; floats are compared by `float.hex`, so
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +20,14 @@ import pytest
 from wordcodes.source_model import linear_form, make_model
 from wordcodes.vv_construct import _profiles_of_length
 from wordcodes.word_sets import (
+    FIRST,
+    SECOND,
     EmptyRule,
     ThresholdHighRule,
     ThresholdLowRule,
     WindowRule,
     _push,
+    keyed_levels,
     node_classifier,
 )
 
@@ -41,6 +44,12 @@ def slicing_push(src, probs):
             else:
                 dst[child] = (c, mass * p)
     return dst
+
+
+def _parents(front):
+    """A front's entries as the (profile, count, mass) parents `_push`
+    takes, in the front's order."""
+    return [(k, c, mass) for k, (c, mass) in front.items()]
 
 
 def _front_record(front):
@@ -83,14 +92,16 @@ def test_push_matches_the_slicing_push_key_for_key(m):
         probs = _random_model(rng, m).probs
         front = _random_front(rng, m, rng.randint(0, 7 if m == 3 else 4))
         expect = slicing_push(front, probs)
-        assert _front_record(_push(front, probs)) == _front_record(expect)
+        assert _front_record(_push(_parents(front), probs)) == _front_record(
+            expect
+        )
     # several levels on, keeping a seeded part of each front, as the DPs do
     for _ in range(5):
         probs = _random_model(rng, m).probs
         front = got = {(0,) * m: (1, 1.0)}
         for _ in range(12 if m == 3 else 6):
             front = slicing_push(front, probs)
-            got = _push(got, probs)
+            got = _push(_parents(got), probs)
             assert _front_record(got) == _front_record(front)
             front = got = {
                 k: v for k, v in front.items() if rng.random() < 0.8
@@ -102,7 +113,7 @@ def test_only_three_symbols_skip_the_slicing_push():
         probs = _random_model(random.Random(m), m).probs
         SlicedProfile.indexed = 0
         src = {SlicedProfile((1,) * m): (3, 0.25)}
-        assert _front_record(_push(src, probs)) == _front_record(
+        assert _front_record(_push(_parents(src), probs)) == _front_record(
             slicing_push({(1,) * m: (3, 0.25)}, probs)
         )
         assert (SlicedProfile.indexed == 0) == (m == 3)
@@ -119,15 +130,27 @@ def _rule_pairs(d):
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_classifier_form_is_the_slicing_fsum_bit_for_bit(m):
+    """Every node the keyed walk yields carries the slicing code's form,
+    and the flags the two rules' `admits` give it."""
     rng = random.Random(700 + m)
     for _ in range(4):
         model = _random_model(rng, m)
         for first, second in _rule_pairs(model.d):
-            node = node_classifier(first, second).node
-            for level in range(1, {3: 14, 4: 8, 5: 6}[m] + 1):
-                for k in _profiles_of_length(level, m):
+            top = {3: 14, 4: 8, 5: 6}[m]
+            classify = node_classifier(first, second)
+            for view in keyed_levels(model, classify, 1):
+                profiles = []
+                for i in view.ids:
+                    k, got = view.node(i)
                     form = math.fsum(map(mul, k, model.d))
                     assert form.hex() == linear_form(model, k).hex()
-                    got = node(k)
-                    assert got[0].hex() == form.hex()
-                    assert got[1:] == (first.admits(form), second.admits(form))
+                    assert got.hex() == form.hex()
+                    flags = FIRST * first.admits(form)
+                    flags |= SECOND * second.admits(form)
+                    assert view.flags[i] == flags
+                    assert view.id_of(k) == i
+                    profiles.append(k)
+                level = list(_profiles_of_length(view.level, m))
+                assert sorted(profiles) == level
+                if view.level < top:
+                    view.next.append(view.states[0])

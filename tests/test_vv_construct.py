@@ -741,18 +741,18 @@ def test_metrics_grade_never_rejects_in_the_joint_dp(binary_model):
 
 
 def test_t19_joint_dp_stops_within_forty_levels(binary_model, monkeypatch):
-    import wordcodes.vv_construct as vv
+    import wordcodes.word_sets as ws
 
     deepest = []
-    real = vv.flat_levels
+    real = ws.flat_levels
 
     def counting(*args, **kwargs):
         deepest.append(0)
-        for step in real(*args, **kwargs):
-            deepest[-1] = step[0]
-            yield step
+        for view in real(*args, **kwargs):
+            deepest[-1] = view.level
+            yield view
 
-    monkeypatch.setattr(vv, "flat_levels", counting)
+    monkeypatch.setattr(ws, "flat_levels", counting)
     with pytest.raises(ResourceError, match="more than 1000000 words"):
         construct_vv(binary_model, T=19)
     assert deepest == [35]

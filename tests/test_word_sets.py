@@ -139,7 +139,10 @@ def test_walks_under_node_classifier_match_member_reference(
 ):
     """Both walks, driven by `admits`, against a classifier that asks
     `member` per profile: one set (threshold or window) and the two
-    threshold sets of the VV construction, with some classes taken."""
+    threshold sets of the VV construction, with some classes taken.  The
+    stopping DP's table under the reference equals its table under the
+    node classifier field by field, so both classification entry points of
+    the keyed walk agree on the three-symbol models."""
     rng = random.Random(61)
     walks = 0
     for model in _walk_case_models(rng):
@@ -176,6 +179,14 @@ def test_walks_under_node_classifier_match_member_reference(
             table = lattice_metrics(
                 model, classify, walk_cap, taken=walk_taken
             )
+            expect = lattice_metrics(
+                model, reference, walk_cap, taken=walk_taken
+            )
+            assert table.stops == expect.stops
+            assert table.word_count == expect.word_count
+            assert table.total_prob == expect.total_prob
+            assert table.cap_mass == expect.cap_mass
+            assert table.visited_nodes == expect.visited_nodes
             assert len(found) == table.word_count
             # the words' forms and extra digits, class by class
             by_class = Counter(
@@ -240,6 +251,26 @@ def test_node_limit_is_enforced(ternary_model, member_classifier):
     classify = member_classifier(ternary_model, EmptyRule())
     with pytest.raises(ResourceError):
         lattice_metrics(ternary_model, classify, 200, node_limit=1000)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_walks_reject_a_cap_below_one(
+    binary_model, ternary_model, member_classifier, cap
+):
+    """A cap below 1 would stop no path: both walks reject it before they
+    start, on the flat and the keyed walk alike.  The limit of 10 words
+    keeps a walk that does start short."""
+    message = f"cap must be >= 1, got {cap}"
+    for model in (binary_model, ternary_model):
+        low = ThresholdLowRule(model.d, 0.3)
+        for classify in (
+            node_classifier(low, EmptyRule()),
+            member_classifier(model, low),
+        ):
+            with pytest.raises(InputError, match=message):
+                lattice_metrics(model, classify, cap)
+            with pytest.raises(InputError, match=message):
+                enumerate_words(model, classify, cap, limit=10)
 
 
 def test_profile_set_validates_construction():
