@@ -83,15 +83,14 @@ def metrics_from_classes(
     del rows
     return _column_metrics(
         model, masses, word_lengths, code_lengths, forms,
-        kraft_exact, word_count, map,
+        kraft_exact, word_count, repeated=False,
     )
 
 
 def _map_once(
-    fn: Callable[[float], float], values: Iterable[float]
+    fn: Callable[[float], float], values: list[float]
 ) -> Iterator[float]:
     """`map(fn, values)`, calling `fn` once per distinct value."""
-    values = list(values)
     table = {v: fn(v) for v in set(values)}
     return map(table.__getitem__, values)
 
@@ -104,23 +103,28 @@ def _column_metrics(
     forms: list[float],
     kraft_exact: Fraction,
     word_count: int,
-    per_value: Callable,
+    repeated: bool,
 ) -> CodeMetrics:
     """The metrics of rows given as four columns.
 
     Each sum is one `math.fsum` over per-row terms, the same IEEE operations
-    as the row-by-row expressions in the field descriptions.  The eta,
-    clamped eps^2 and distance^2 factors come from `per_value(fn, values)`:
-    `map` for class rows, which rarely repeat a value, or `_map_once` for a
-    book's word rows, which repeat each class's eps and form.
+    as the row-by-row expressions in the field descriptions.  A book's word
+    rows (`repeated`) repeat each class's eps and form: their eps column is
+    built once, and the eta, clamped eps^2 and distance^2 factors are
+    computed once per distinct value (`_map_once`).  Class rows rarely
+    repeat a value; they keep no per-row eps column and map every row.
     """
     if not masses:
         raise InputError("cannot compute metrics for an empty code")
     n = model.arity
     ln_n = math.log(n)
     fsum = math.fsum
+    per_value = _map_once if repeated else map
+    eps_column = list(map(sub, code_lengths, forms)) if repeated else None
 
-    def eps() -> Iterator[float]:
+    def eps() -> Iterable[float]:
+        if eps_column is not None:
+            return eps_column
         return map(sub, code_lengths, forms)
 
     total = fsum(masses)
@@ -183,8 +187,38 @@ def _int_dist_sq(form: float) -> float:
     return dist_to_int(form) ** 2
 
 
+def word_metrics(
+    model: SourceModel,
+    probabilities: list[float],
+    word_lengths: list[int],
+    code_lengths: list[int],
+    forms: list[float],
+    kraft_exact: Fraction,
+) -> CodeMetrics:
+    """Metrics of a code book given as four per-word columns, in any one
+    row order: every sum is a `math.fsum`, correctly rounded whatever the
+    order, so the columns of a book's words give `code_metrics(book)`
+    field for field.  Fresh VF and VV books pass the probabilities and
+    forms their enumerator computed."""
+    return _column_metrics(
+        model,
+        probabilities,
+        word_lengths,
+        code_lengths,
+        forms,
+        kraft_exact,
+        len(probabilities),
+        repeated=True,
+    )
+
+
 def code_metrics(book: CodeBook) -> CodeMetrics:
-    """Metrics of an explicit code book, one row per entry."""
+    """Metrics of an explicit code book, one row per entry.
+
+    Rebuilds every word's profile and linear form from the model: the path
+    for loaded, explicit and block books.  Fresh VF and VV books take
+    `word_metrics` over the forms their enumerator already computed.
+    """
     model = book.model
     words = list(map(attrgetter("word"), book.entries))
     word_lengths = list(map(len, words))
@@ -200,15 +234,13 @@ def code_metrics(book: CodeBook) -> CodeMetrics:
     form_of = {k: linear_form(model, k) for k in set(profiles)}
     forms = list(map(form_of.__getitem__, profiles))
     del profiles
-    return _column_metrics(
+    return word_metrics(
         model,
         list(map(attrgetter("probability"), book.entries)),
         word_lengths,
         list(map(len, map(attrgetter("codeword"), book.entries))),
         forms,
         book.kraft_exact(),
-        len(words),
-        _map_once,
     )
 
 

@@ -159,16 +159,49 @@ def _assert_prefix_free(items: list, what: str) -> None:
             raise ValidationError(f"{what} {b!r} extends shorter {what} {a!r}")
 
 
-def _symbols_in_range(words: Iterable[Word], m: int) -> bool:
-    """Whether every symbol of every word is an integer in 1..m."""
+def _symbols_in_range(
+    words: Iterable[Word], m: int, keys: list[bytes] | None = None
+) -> bool:
+    """Whether every symbol of every word is an integer in 1..m.
+
+    `keys`, the words as `_word_keys` gives them, are read instead of the
+    words where there are some.
+    """
     symbols = chain.from_iterable(words)
     try:
         if m < 256:
-            return not bytes(symbols).translate(None, bytes(range(1, m + 1)))
+            joined = bytes(symbols) if keys is None else b"".join(keys)
+            return not joined.translate(None, bytes(range(1, m + 1)))
         codes = array("q", symbols)
     except (TypeError, ValueError, OverflowError):
         return False
     return not codes or (min(codes) >= 1 and max(codes) <= m)
+
+
+def _word_keys(words: list, m: int) -> list[bytes] | None:
+    """Each word as one `bytes`, sorted, or None where that cannot stand
+    in for the words.
+
+    A key is the word's symbols as bytes, for m < 256 and words that are
+    tuples of integers in 0..255.  Those keys are equal, and sort, exactly
+    as the tuples do, so the range and prefix passes of `_validate` can
+    read them in place of the words.
+    """
+    if m >= 256 or not all(map(isinstance, words, repeat(tuple))):
+        return None
+    try:
+        return sorted(map(bytes, words))
+    except (TypeError, ValueError):
+        return None
+
+
+def _has_prefix_pair(ordered: list) -> bool:
+    """Whether some item of a sorted list of `bytes`, or of `str`, starts
+    with another (or equals it).  The neighbour test of
+    `_assert_prefix_free`, made with `startswith` rather than with a slice
+    per neighbour."""
+    starts = type(ordered[0]).startswith
+    return any(map(starts, islice(ordered, 1, None), ordered))
 
 
 def validate_codebook(book: CodeBook, tol: float = COMPLETENESS_TOL) -> None:
@@ -177,7 +210,9 @@ def validate_codebook(book: CodeBook, tol: float = COMPLETENESS_TOL) -> None:
     Input words nonempty, over the symbols 1..m, prefix-free and complete;
     codewords nonempty, prefix-free and drawn from the digit alphabet;
     stored probabilities consistent with the model; and Kraft sum at most 1
-    in exact arithmetic.
+    in exact arithmetic.  Fresh VF and VV books store the probabilities
+    their enumerator carried, so the model check here is the one check of
+    those products that does not come from the walk.
     """
     _validate(book, against_model=True, tol=tol)
 
@@ -189,6 +224,12 @@ def _validate(
 
     against_model=False skips comparing each stored probability with the
     model, for the book loader, which has just computed each one from it.
+
+    For m < 256 each word becomes one `bytes` key (`_word_keys`), read by
+    the symbol-range pass and by a prefix pass over the sorted keys;
+    codewords take the same prefix pass as strings.  Where a pass finds a
+    fault, or a word has no key, the one-entry-at-a-time and tuple-slice
+    checks run and raise the message naming the fault.
     """
     if book.kind not in ("vv", "vf", "block"):
         raise ValidationError(f"unknown book kind {book.kind!r}")
@@ -196,10 +237,15 @@ def _validate(
         raise ValidationError("a code book needs at least one entry")
     words = list(map(_word, book.entries))
     codewords = list(map(_codeword, book.entries))
-    if not _entries_pass(book, words, codewords, against_model):
+    keys = _word_keys(words, book.model.m)
+    passed = _entries_pass(book, words, keys, codewords, against_model)
+    if not passed:
         _check_each_entry(book, against_model)
-    _assert_prefix_free(words, "input word")
-    _assert_prefix_free(codewords, "codeword")
+    if keys is None or _has_prefix_pair(keys):
+        _assert_prefix_free(words, "input word")
+    # the codewords are all strings once the entry passes have read them
+    if not passed or _has_prefix_pair(sorted(codewords)):
+        _assert_prefix_free(codewords, "codeword")
     total = math.fsum(map(_probability, book.entries))
     if abs(total - 1.0) > tol:
         raise ValidationError(
@@ -224,7 +270,11 @@ def _validate(
 
 
 def _entries_pass(
-    book: CodeBook, words: list, codewords: list, against_model: bool
+    book: CodeBook,
+    words: list,
+    keys: list[bytes] | None,
+    codewords: list,
+    against_model: bool,
 ) -> bool:
     """The per-entry checks of `_validate`, each a C-level pass over all
     entries: no empty word or codeword, symbols in 1..m, digits in base n,
@@ -236,7 +286,7 @@ def _entries_pass(
         ok = (
             all(words)
             and all(codewords)
-            and _symbols_in_range(words, model.m)
+            and _symbols_in_range(words, model.m, keys)
             and not "".join(codewords)
             .encode("ascii", "replace")
             .translate(None, DIGIT_GLYPHS[: model.arity].encode("ascii"))

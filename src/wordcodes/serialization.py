@@ -95,6 +95,7 @@ def book_from_json(text: str) -> CodeBook:
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed code book file: {exc}") from exc
+    del data, words, codewords  # the book holds what validation reads
     # every stored probability was just computed from the model
     _validate(book, against_model=False)
     return book

@@ -34,20 +34,17 @@ from .diophantine import (
     power_fits,
 )
 from .errors import InfeasibleError, InputError, ResourceError, ValidationError
-from .source_model import (
-    SourceModel,
-    Word,
-    make_model,
-    word_probabilities,
-)
+from .source_model import SourceModel, Word, make_model
 from .word_sets import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_NODE_LIMIT,
     EmptyRule,
+    NodeClassifier,
     WindowRule,
     enumerate_words,
     lattice_metrics,
     node_classifier,
+    node_limit_error,
 )
 
 @dataclass
@@ -81,7 +78,8 @@ def construct_vf(
         raise InputError(f"output length must be >= 1, got {L}")
     if enum_limit < 0:
         raise InputError(f"enumeration limit must be >= 0, got {enum_limit}")
-    if n**L < model.m:
+    # n**L is never built: L may be far too large for it
+    if not power_fits(model.m, 1, n, L):
         raise InfeasibleError(
             f"{n}^{L} codewords cannot cover {model.m} symbols"
         )
@@ -90,6 +88,9 @@ def construct_vf(
     fallback = L < d_max
     if fallback:
         words: list[Word] = [(i,) for i in range(1, model.m + 1)]
+        # the one-symbol word (i,) has probability p_i and form d_i
+        probs = list(model.probs)
+        forms = list(model.d)
         provenance: dict = {
             "mode": "single_symbol",
             "L": L,
@@ -103,17 +104,19 @@ def construct_vf(
         classify = node_classifier(
             WindowRule(model.d, L - d_max, float(L)), EmptyRule()
         )
+        _check_walk_fits(model, classify, cap, node_limit)
         table = lattice_metrics(model, classify, cap, node_limit)
         if table.word_count > enum_limit:
             raise ResourceError(
                 f"word set exceeds the enumeration limit of {enum_limit}"
             )
-        words = list(
-            map(
-                itemgetter(0),
-                enumerate_words(model, classify, cap, enum_limit),
-            )
+        probs = []
+        items = enumerate_words(
+            model, classify, cap, enum_limit, probabilities=probs
         )
+        words = list(map(itemgetter(0), items))
+        forms = list(map(itemgetter(1), items))
+        del items
         if len(words) != table.word_count:
             raise ValidationError(
                 f"enumeration found {len(words)} words, DP counted "
@@ -128,7 +131,7 @@ def construct_vf(
             raise ValidationError(
                 f"window word set is not complete: mass {table.total_prob!r}"
             )
-        if len(words) > n**L:
+        if not power_fits(len(words), 1, n, L):
             raise ValidationError(
                 "window word set exceeds the codeword space; the window "
                 "bounds are inconsistent"
@@ -143,22 +146,29 @@ def construct_vf(
 
     # Descending probability, ties in lexicographic order: the words come
     # lexicographic, and a stable sort keeps that order among equal keys.
-    by_prob = sorted(
-        zip(word_probabilities(model, words), words),
-        key=itemgetter(0),
-        reverse=True,
-    )
+    by_prob = sorted(zip(probs, words), key=itemgetter(0), reverse=True)
     entries = code_entries(
         list(map(itemgetter(1), by_prob)),
         fixed_codewords(n, L),
         map(itemgetter(0), by_prob),
     )
+    del by_prob
     provenance["word_count"] = len(entries)
     book = CodeBook(
         model=model, kind="vf", entries=entries, provenance=dict(provenance)
     )
+    # the rows in the walk's order: the sums do not depend on it
+    metrics = analysis.word_metrics(
+        model,
+        probs,
+        list(map(len, words)),
+        [L] * len(words),
+        forms,
+        book.kraft_exact(),
+    )
+    # the columns go before validation builds its own
+    del probs, forms, words
     validate_codebook(book)
-    metrics = analysis.code_metrics(book)
     return VFResult(
         model=model,
         L=L,
@@ -167,6 +177,28 @@ def construct_vf(
         fallback=fallback,
         provenance=provenance,
     )
+
+
+def _check_walk_fits(
+    model: SourceModel, classify: NodeClassifier, cap: int, node_limit: int
+) -> None:
+    """Raise the walk's node-limit ResourceError before a window walk that
+    would raise it.
+
+    The path that repeats the most likely symbol has forms k * min(d),
+    rising with its length k, and it stops at the first form the window
+    admits.  If its node at level `node_limit` is still below the window
+    (and below the cap), the path is alive on every level up to there, so
+    the walk visits more than `node_limit` nodes.  One classification
+    decides it, however long the walk would be.
+    """
+    if cap <= node_limit:
+        return
+    ray = [0] * model.m
+    ray[model.d.index(min(model.d))] = node_limit
+    form, first, _ = classify(tuple(ray))
+    if not first and form <= classify.first_rule.hi:
+        raise node_limit_error("lattice DP", node_limit, cap)
 
 
 def find_block_parameters(

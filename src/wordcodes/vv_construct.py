@@ -69,7 +69,6 @@ from .source_model import (
     Word,
     linear_form,
     profile_of,
-    word_probabilities,
     word_probability,
 )
 from .word_sets import (
@@ -237,6 +236,7 @@ def assign_codewords(
     model: SourceModel,
     items: list[tuple[Word, float, int]],
     assignment: str,
+    code_lengths: list[int] | None = None,
 ) -> list[CodeEntry]:
     """Turn (word, probability, construction length) triples into entries.
 
@@ -244,7 +244,8 @@ def assign_codewords(
     optimal lengths for the word probabilities, computed over the words in
     lexicographic order.  Codewords are allocated canonically over entries
     sorted by (length, word) either way: a stable sort by length of the
-    entries in word order.
+    entries in word order.  Given a list as `code_lengths`, it receives
+    each word's codeword length, in lexicographic word order.
     """
     n = model.arity
     if assignment not in ("huffman", "canonical"):
@@ -254,6 +255,8 @@ def assign_codewords(
         probs = list(map(itemgetter(1), by_word))
         lengths = huffman_lengths(probs, n)
         by_word = list(zip(map(itemgetter(0), by_word), probs, lengths))
+    if code_lengths is not None:
+        code_lengths[:] = map(itemgetter(2), by_word)
     ordered = sorted(by_word, key=itemgetter(2))
     codewords = canonical_codewords(list(map(itemgetter(2), ordered)), n)
     return list(
@@ -927,29 +930,44 @@ def _pipeline(
     book = None
     book_metrics = None
     if final.word_count <= enum_limit:
+        probs: list[float] = []
         items = enumerate_words(
-            model, classify, cap_val, enum_limit, chosen, boundary
+            model, classify, cap_val, enum_limit, chosen, boundary, probs
         )
         if len(items) != final.word_count:
             raise ValidationError(
                 "enumerated word count disagrees with the lattice DP"
             )
         words = list(map(itemgetter(0), items))
+        forms = list(map(itemgetter(1), items))
         keys = list(map(itemgetter(1, 2), items))  # (form, extra digit)
         del items
         # one length per distinct key, not one per word
         length_of = {key: code_length_for(*key) for key in set(keys)}
         lengths = map(length_of.__getitem__, keys)
-        items = list(zip(words, word_probabilities(model, words), lengths))
-        entries = assign_codewords(model, items, assignment)
+        # the words come in lexicographic order, so `code_lengths` lines
+        # up with them, with their probabilities and with their forms
+        code_lengths: list[int] = []
+        entries = assign_codewords(
+            model, list(zip(words, probs, lengths)), assignment, code_lengths
+        )
         book = CodeBook(
             model=model,
             kind="vv",
             entries=tuple(entries),
             provenance=dict(provenance),
         )
+        book_metrics = analysis.word_metrics(
+            model,
+            probs,
+            list(map(len, words)),
+            code_lengths,
+            forms,
+            book.kraft_exact(),
+        )
+        # the columns go before validation builds its own
+        del probs, words, forms, keys, code_lengths, entries
         validate_codebook(book)
-        book_metrics = analysis.code_metrics(book)
 
     trace = MergeTrace(
         path=path,

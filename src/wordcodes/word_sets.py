@@ -480,11 +480,17 @@ def level_views(
             )
         visited += len(view.ids)
         if visited > node_limit:
-            raise ResourceError(
-                f"{what} visited more than {node_limit} nodes (cap={cap}); "
-                "raise node_limit or lower the cap"
-            )
+            raise node_limit_error(what, node_limit, cap)
         yield view
+
+
+def node_limit_error(what: str, node_limit: int, cap: int) -> ResourceError:
+    """The error of a walk `what` that visited more than `node_limit`
+    nodes below `cap`."""
+    return ResourceError(
+        f"{what} visited more than {node_limit} nodes (cap={cap}); "
+        "raise node_limit or lower the cap"
+    )
 
 
 def keyed_levels(
@@ -741,6 +747,7 @@ def enumerate_words(
     limit: int,
     taken: Collection[Profile] = (),
     boundary: tuple[Profile, int] | None = None,
+    probabilities: list[float] | None = None,
 ) -> list[tuple[Word, float, bool]]:
     """The word set of `lattice_metrics`, word by word, in lexicographic order.
 
@@ -752,31 +759,41 @@ def enumerate_words(
     Raises InputError for a cap below 1, and ResourceError as soon as more
     than `limit` words are found.
 
+    Each frame carries its word's prefix product, multiplied left to right
+    from 1.0 as `word_probability` multiplies, so it is the same float.
+    Given a list as `probabilities`, the walk appends each word's product
+    to it, in the order of the returned list: fresh VF and VV books take
+    their probabilities from there, and their metrics from these forms.
+
     Two-symbol sources with a `NodeClassifier` read the level table
     (`_flat_enumerate_words`); every other classifier is called once per
     distinct profile.  Both give the same list, float for float.
     """
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
+    if probabilities is None:
+        probabilities = []
     if model.m == 2 and isinstance(classify, NodeClassifier):
         return _flat_enumerate_words(
-            model, classify, cap, limit, taken, boundary
+            model, classify, cap, limit, taken, boundary, probabilities
         )
     m = model.m
+    symbol_probs = model._symbol_probs
     # each profile is classified once per call, however many words reach it
     seen: dict[Profile, tuple[float, bool, bool]] = {}
     boundary_profile, boundary_left = boundary if boundary else (None, 0)
     out: list[tuple[Word, float, bool]] = []
-    # frame: [word, profile, crossed, next symbol index]
-    stack: list[list] = [[(), (0,) * m, False, 0]]
+    # frame: [word, profile, crossed, next symbol index, probability]
+    stack: list[list] = [[(), (0,) * m, False, 0, 1.0]]
     while stack:
         frame = stack[-1]
-        word, profile, crossed, sym = frame
+        word, profile, crossed, sym, p = frame
         if sym >= m:
             stack.pop()
             continue
         frame[3] = sym + 1
         child_word = word + (sym + 1,)  # symbols are 1-based
+        child_p = p * symbol_probs[sym + 1]
         child = profile[:sym] + (profile[sym] + 1,) + profile[sym + 1 :]
         at_cap = len(child_word) == cap
         try:
@@ -786,14 +803,15 @@ def enumerate_words(
         second = (second or at_cap) and not crossed
         if not (first or at_cap):
             if not second:
-                stack.append([child_word, child, crossed, 0])
+                stack.append([child_word, child, crossed, 0, child_p])
                 continue
             if child not in taken:
                 if child != boundary_profile or not boundary_left:
-                    stack.append([child_word, child, True, 0])
+                    stack.append([child_word, child, True, 0, child_p])
                     continue
                 boundary_left -= 1
         out.append((child_word, form, second))
+        probabilities.append(child_p)
         if len(out) > limit:
             raise ResourceError(
                 f"word set exceeds the enumeration limit of {limit}"
@@ -808,26 +826,28 @@ def _flat_enumerate_words(
     limit: int,
     taken: Collection[Profile],
     boundary: tuple[Profile, int] | None,
+    probabilities: list[float],
 ) -> list[tuple[Word, float, bool]]:
     """`enumerate_words` for two symbols: the same list, float for float.
 
-    A depth-first walk over (word, first count, crossed) frames, symbol 1
-    before symbol 2.  A node's flags are one byte of `classify.level`,
-    fetched when the walk first reaches its level, and its form is computed
-    only where a word stops.
+    A depth-first walk over (word, first count, crossed, probability)
+    frames, symbol 1 before symbol 2.  A node's flags are one byte of
+    `classify.level`, fetched when the walk first reaches its level, and
+    its form is computed only where a word stops.
     """
     d0, d1 = model.d
+    p0, p1 = model.probs
     boundary_profile, boundary_left = boundary if boundary else (None, 0)
     levels: list[bytes | None] = [None] * cap
     # every node at the cap stops, a clean one with the extra digit: the
     # flags FIRST | SECOND say exactly that
     levels.append(bytes((FIRST | SECOND,)) * (cap + 1))
     out: list[tuple[Word, float, bool]] = []
-    append = out.append
-    stack = [((2,), 0, False), ((1,), 1, False)]
+    append, append_p = out.append, probabilities.append
+    stack = [((2,), 0, False, p1), ((1,), 1, False, p0)]
     pop, push = stack.pop, stack.append
     while stack:
-        word, a, crossed = pop()
+        word, a, crossed, p = pop()
         n = len(word)
         try:
             flags = levels[n][a]
@@ -848,13 +868,14 @@ def _flat_enumerate_words(
         if flags & FIRST:
             extra = flags > FIRST and not crossed
             append((word, a * d0 + (n - a) * d1, extra))
+            append_p(p)
             if len(out) > limit:
                 raise ResourceError(
                     f"word set exceeds the enumeration limit of {limit}"
                 )
             continue
-        push((word + (2,), a, crossed))
-        push((word + (1,), a + 1, crossed))
+        push((word + (2,), a, crossed, p * p1))
+        push((word + (1,), a + 1, crossed, p * p0))
     return out
 
 
