@@ -28,13 +28,14 @@ since no final word set has fewer.
 
 One `word_sets.NodeClassifier` over the two threshold rules serves a whole
 build (the cap is simply the last level): the cap trials, the knockout
-sweep and the final DP.  For two symbols it keeps a level table, one byte
-of flags per node, so each node is classified once per build.  The joint
-DP, like the final one, is one body over `word_sets.level_views` (flat
-per-level lists for two symbols, key-ordered ones over dicts of profile
-tuples otherwise) and routes a level's paths with masks of the node
-flags.  The two-symbol knockout sweep starts at the deepest level a path
-from an addable class reaches, and the merge check adds its exact masses
+sweep, the final DP and the enumeration.  For two symbols it keeps a level
+table, one byte of flags per node, so the forward sweeps classify each node
+once per build.  The joint DP, like the final one, is one body over
+`word_sets.level_views` (flat per-level lists for two symbols, key-ordered
+ones over dicts of profile tuples otherwise) and routes a level's paths
+with masks of the node flags.  The knockout sweep is one body for every
+source: it visits only the nodes that paths from the addable classes reach
+before the low set or the cap, and the merge check adds its exact masses
 as integers scaled by n^E.
 """
 
@@ -45,9 +46,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, groupby, islice, repeat
-from operator import add, itemgetter
-from typing import Iterable, Iterator, Sequence
+from itertools import compress, groupby, repeat
+from operator import itemgetter
+from typing import Sequence
 
 from . import analysis
 from .codebook import (
@@ -75,7 +76,6 @@ from .word_sets import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_NODE_LIMIT,
     FIRST,
-    IN_FIRST,
     IN_NEITHER,
     NOT_FIRST,
     NOT_SECOND,
@@ -95,6 +95,7 @@ from .word_sets import (
     lattice_metrics,
     level_views,
     node_classifier,
+    node_limit_error,
     wedge,
 )
 
@@ -388,15 +389,6 @@ def merge_to_kraft(
     )
 
 
-def _profiles_of_length(total: int, m: int) -> Iterator[Profile]:
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _profiles_of_length(total - first, m - 1):
-            yield (first,) + rest
-
-
 @dataclass
 class _JointTables:
     """Forward DP over both stopping sets at once.
@@ -530,32 +522,6 @@ def _joint_dp(
     )
 
 
-def _reach_depth(
-    classify: NodeClassifier, cap: int, by_level: dict[int, list[Profile]]
-) -> int:
-    """The deepest level that a path from a target reaches, two symbols.
-
-    Paths run on from each target until the low set or the cap stops them.
-    A level's live nodes are one int with one byte per first count, so a
-    level costs a few big-integer operations.
-    """
-    last = max(by_level, default=0)
-    depth = 0
-    live = 0
-    for level in range(min(by_level, default=1), cap + 1):
-        for k in by_level.get(level, ()):
-            live |= 1 << (8 * k[0])
-        if live:
-            depth = level
-        elif level > last:
-            break
-        if level < cap:
-            low = classify.level(level).translate(IN_FIRST)
-            going = live & ~int.from_bytes(low, "little")
-            live = going | going << 8
-    return depth
-
-
 def _knockout_masses(
     model: SourceModel,
     classify: NodeClassifier,
@@ -568,69 +534,48 @@ def _knockout_masses(
     For a profile k outside the low set, W(k) is the Kraft sum over all
     first-low-set stops of paths continuing from k, at floor lengths.  Adding
     one word ending at k knocks exactly those continuation words out.
-    Computed for every target profile in a single backward sweep over the
-    lattice, with exact integer arithmetic scaled by n^E; returns the scaled
-    values of the targets and the scale n^E.  Each level holds
-    one value per node: its stop value when it is in the low set, else W;
-    the level above reads its children from it.  Two-symbol sources with a
-    `NodeClassifier` index a level by the first count, so (a, L - a) has
-    children a + 1 and a one level on, and read the low set from the level
-    table; their sweep starts at `_reach_depth`, below which no value
-    reaches a target.  The dict walk over every node up to the cap serves
-    every other case.
+    Computed for every target profile at once, with exact integer arithmetic
+    scaled by n^E; returns the scaled values of the targets and the scale
+    n^E.
+
+    One body for every source.  A forward pass collects, level by level,
+    the nodes that paths from the targets reach before the low set or the
+    cap stops them; a backward pass gives each of them its stop value when
+    it stops, else the sum of its m children's values.  The sums are exact
+    integers, so no visiting order changes a value.  Raises ResourceError
+    once the forward pass has visited more than `node_limit` nodes.
     """
     n = model.arity
     m = model.m
-    if math.comb(cap + m, m) > node_limit:
-        raise ResourceError(
-            f"backward sweep needs the full lattice up to {cap}, "
-            f"exceeding {node_limit} nodes"
-        )
     exp = int(cap * max(model.d)) + 3
-    stop_values = [n ** (exp - length) for length in range(exp + 1)]
-    by_level: dict[int, list[Profile]] = {}
+    by_level: dict[int, set[Profile]] = {}
     for k in targets:
-        by_level.setdefault(sum(k), []).append(k)
-
-    result: dict[Profile, int] = {}
-    if m == 2 and isinstance(classify, NodeClassifier):
-        d0, d1 = model.d
-        top = _reach_depth(classify, cap, by_level)
-        nxt: list[int] = []
-        for level in range(top, 0, -1):
-            if level == top:
-                # nodes here stop, or no path from a target reaches them
-                cur = [0] * (level + 1)
+        by_level.setdefault(sum(k), set()).add(k)
+    value: dict[Profile, int] = {}
+    # each node a path runs on from, with its children, level by level
+    going: list[tuple[Profile, list[Profile]]] = []
+    live: set[Profile] = set()
+    visited = 0
+    for level in range(1, cap + 1):
+        live |= by_level.pop(level, set())
+        if not live and not by_level:
+            break
+        visited += len(live)
+        if visited > node_limit:
+            raise node_limit_error("knockout sweep", node_limit, cap)
+        reached: set[Profile] = set()
+        for k in live:
+            form, low, _ = classify(k)
+            if low or level == cap:
+                value[k] = n ** (exp - code_length_for(form, False))
             else:
-                cur = list(map(add, islice(nxt, 1, None), nxt))
-            if level == cap:
-                stopping: Iterable[int] = range(cap + 1)
-            else:
-                low = classify.level(level).translate(IN_FIRST)
-                stopping = compress(range(level + 1), low)
-            for a in stopping:
-                form = a * d0 + (level - a) * d1
-                cur[a] = stop_values[code_length_for(form, False)]
-            for k in by_level.get(level, ()):
-                result[k] = cur[k[0]]
-            nxt = cur
-    else:
-        nxt_d: dict[Profile, int] = {}
-        for level in range(cap, 0, -1):
-            cur_d: dict[Profile, int] = {}
-            for k in _profiles_of_length(level, m):
-                form, low, _ = classify(k)
-                if low or level == cap:
-                    cur_d[k] = stop_values[code_length_for(form, False)]
-                else:
-                    cur_d[k] = sum(
-                        nxt_d[k[:i] + (k[i] + 1,) + k[i + 1 :]]
-                        for i in range(m)
-                    )
-            for k in by_level.get(level, ()):
-                result[k] = cur_d[k]
-            nxt_d = cur_d
-    return result, n**exp
+                children = [k[:i] + (k[i] + 1,) + k[i + 1 :] for i in range(m)]
+                going.append((k, children))
+                reached.update(children)
+        live = reached
+    for k, children in reversed(going):
+        value[k] = sum(map(value.__getitem__, children))
+    return {k: value[k] for k in targets}, n**exp
 
 
 def _class_scan(

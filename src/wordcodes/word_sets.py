@@ -33,8 +33,9 @@ nodes in the same order, so `lattice_metrics` (and the joint DP of
 with 0/1 masks (`flat_carry`) and handles only stop nodes one by one.  For
 three symbols `_push` unpacks a profile (a, b, c) and builds its children
 from the counts, rather than slicing the tuple; the keys, the order and
-every float are those of the slicing code, which four or more symbols and
-the enumerator keep.
+every float are those of the slicing code, which four or more symbols keep.
+The enumerator is one depth-first walk for every source, over int node
+keys, and visits only the nodes its words pass through.
 """
 
 from __future__ import annotations
@@ -261,9 +262,10 @@ class NodeClassifier:
     first count a.  Each form there is one IEEE addition, which is
     correctly rounded just as `math.fsum` is, so it gives the same float.
     Each level is classified once, when a walk first asks for it, and kept
-    as long as the classifier, so every sweep of one build (the cap trials,
-    the knockout sweep, the final DP) reads the same table; no table
-    outlives its classifier.  At cap 784 the table holds about 0.3 MB.
+    as long as the classifier, so the forward DPs of one build (the cap
+    trials, the final DP) read the same table; no table outlives its
+    classifier.  The enumerator and the knockout sweep call the classifier
+    per node they reach.  At cap 784 the table holds about 0.3 MB.
     """
 
     def __init__(self, first_rule: Rule, second_rule: Rule) -> None:
@@ -759,123 +761,82 @@ def enumerate_words(
     Raises InputError for a cap below 1, and ResourceError as soon as more
     than `limit` words are found.
 
+    One depth-first walk for every source and classifier, over (word, key,
+    crossed, probability) frames, symbol 1 popped first.  A node's key is
+    the int `sum(k_i * (cap + 1) ** i)`, so a child's key is its parent's
+    plus `(cap + 1) ** i`; `classify` is called once per distinct profile
+    reached, decoded from the key then, and the cap stops every path.
+
     Each frame carries its word's prefix product, multiplied left to right
     from 1.0 as `word_probability` multiplies, so it is the same float.
     Given a list as `probabilities`, the walk appends each word's product
     to it, in the order of the returned list: fresh VF and VV books take
     their probabilities from there, and their metrics from these forms.
-
-    Two-symbol sources with a `NodeClassifier` read the level table
-    (`_flat_enumerate_words`); every other classifier is called once per
-    distinct profile.  Both give the same list, float for float.
     """
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
     if probabilities is None:
         probabilities = []
-    if model.m == 2 and isinstance(classify, NodeClassifier):
-        return _flat_enumerate_words(
-            model, classify, cap, limit, taken, boundary, probabilities
-        )
     m = model.m
-    symbol_probs = model._symbol_probs
-    # each profile is classified once per call, however many words reach it
-    seen: dict[Profile, tuple[float, bool, bool]] = {}
-    boundary_profile, boundary_left = boundary if boundary else (None, 0)
-    out: list[tuple[Word, float, bool]] = []
-    # frame: [word, profile, crossed, next symbol index, probability]
-    stack: list[list] = [[(), (0,) * m, False, 0, 1.0]]
-    while stack:
-        frame = stack[-1]
-        word, profile, crossed, sym, p = frame
-        if sym >= m:
-            stack.pop()
-            continue
-        frame[3] = sym + 1
-        child_word = word + (sym + 1,)  # symbols are 1-based
-        child_p = p * symbol_probs[sym + 1]
-        child = profile[:sym] + (profile[sym] + 1,) + profile[sym + 1 :]
-        at_cap = len(child_word) == cap
-        try:
-            form, first, second = seen[child]
-        except KeyError:
-            form, first, second = seen[child] = classify(child)
-        second = (second or at_cap) and not crossed
-        if not (first or at_cap):
-            if not second:
-                stack.append([child_word, child, crossed, 0, child_p])
-                continue
-            if child not in taken:
-                if child != boundary_profile or not boundary_left:
-                    stack.append([child_word, child, True, 0, child_p])
-                    continue
-                boundary_left -= 1
-        out.append((child_word, form, second))
-        probabilities.append(child_p)
-        if len(out) > limit:
-            raise ResourceError(
-                f"word set exceeds the enumeration limit of {limit}"
-            )
-    return out
+    radix = cap + 1
+    steps = [radix**i for i in range(m)]
 
+    def key_of(k: Profile) -> int | None:
+        """The key of profile k, or None where no walk under the cap
+        reaches k (and its key could name another profile)."""
+        on_lattice = len(k) == m and min(k) >= 0 and sum(k) <= cap
+        return sum(map(mul, k, steps)) if on_lattice else None
 
-def _flat_enumerate_words(
-    model: SourceModel,
-    classify: NodeClassifier,
-    cap: int,
-    limit: int,
-    taken: Collection[Profile],
-    boundary: tuple[Profile, int] | None,
-    probabilities: list[float],
-) -> list[tuple[Word, float, bool]]:
-    """`enumerate_words` for two symbols: the same list, float for float.
+    taken_keys = set(map(key_of, taken))
+    boundary_key, boundary_left = (
+        (key_of(boundary[0]), boundary[1]) if boundary else (None, 0)
+    )
+    # key -> (flags, form), one classification per distinct profile; the
+    # origin is in neither set
+    nodes: dict[int, tuple[int, float]] = {0: (0, 0.0)}
 
-    A depth-first walk over (word, first count, crossed, probability)
-    frames, symbol 1 before symbol 2.  A node's flags are one byte of
-    `classify.level`, fetched when the walk first reaches its level, and
-    its form is computed only where a word stops.
-    """
-    d0, d1 = model.d
-    p0, p1 = model.probs
-    boundary_profile, boundary_left = boundary if boundary else (None, 0)
-    levels: list[bytes | None] = [None] * cap
-    # every node at the cap stops, a clean one with the extra digit: the
-    # flags FIRST | SECOND say exactly that
-    levels.append(bytes((FIRST | SECOND,)) * (cap + 1))
+    def classified(key: int) -> tuple[int, float]:
+        k = tuple(key // step % radix for step in steps)
+        form, first, second = classify(k)
+        flags = FIRST * bool(first) | SECOND * bool(second)
+        if sum(k) == cap:  # a clean stop here takes the extra digit
+            flags = FIRST | SECOND
+        nodes[key] = flags, form
+        return flags, form
+
+    # each frame's children, pushed last symbol first
+    children = [((i + 1,), steps[i], p) for i, p in enumerate(model.probs)]
+    children.reverse()
     out: list[tuple[Word, float, bool]] = []
     append, append_p = out.append, probabilities.append
-    stack = [((2,), 0, False, p1), ((1,), 1, False, p0)]
+    stack: list[tuple[Word, int, bool, float]] = [((), 0, False, 1.0)]
     pop, push = stack.pop, stack.append
     while stack:
-        word, a, crossed, p = pop()
-        n = len(word)
+        word, key, crossed, p = pop()
         try:
-            flags = levels[n][a]
-        except TypeError:  # the first node of level n
-            levels[n] = classify.level(n)
-            flags = levels[n][a]
+            flags, form = nodes[key]
+        except KeyError:
+            flags, form = classified(key)
         # a clean path at a second-set node stops there, with the extra
         # digit, if its class is taken or is the boundary with words left
         if flags == SECOND and not crossed:
-            k = (a, n - a)
-            if k in taken:
+            if key in taken_keys:
                 flags = FIRST | SECOND
-            elif k == boundary_profile and boundary_left:
+            elif key == boundary_key and boundary_left:
                 boundary_left -= 1
                 flags = FIRST | SECOND
             else:
                 crossed = True
         if flags & FIRST:
-            extra = flags > FIRST and not crossed
-            append((word, a * d0 + (n - a) * d1, extra))
+            append((word, form, flags > FIRST and not crossed))
             append_p(p)
             if len(out) > limit:
                 raise ResourceError(
                     f"word set exceeds the enumeration limit of {limit}"
                 )
             continue
-        push((word + (2,), a, crossed, p * p1))
-        push((word + (1,), a + 1, crossed, p * p0))
+        for symbol, step, p_s in children:
+            push((word + symbol, key + step, crossed, p * p_s))
     return out
 
 

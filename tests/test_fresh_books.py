@@ -78,14 +78,16 @@ def _assert_fresh_book(book, metrics) -> None:
 
 
 def _plain(classify):
-    """The classifier as a plain callable: the enumerator's per-node walk."""
+    """The classifier as a plain callable, as rules a `NodeClassifier`
+    cannot hold are walked."""
     return lambda k: classify(k)
 
 
 def test_both_enumerators_carry_the_model_products():
-    """The two-symbol walk and the per-node walk (taken classes, boundary
-    splits, the swapped classifier and VF windows) hand back one product
-    per word, equal to `word_probabilities` bit for bit."""
+    """The enumerator, under a `NodeClassifier` and under a plain callable
+    (taken classes, boundary splits, the swapped classifier and VF
+    windows), hands back one product per word, equal to
+    `word_probabilities` bit for bit."""
     rng = random.Random(61)
     seen = set()
     for case in range(12):

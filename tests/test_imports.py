@@ -1,0 +1,75 @@
+"""Every library module imports only the standard library and itself, and
+uses every name it imports.
+
+The package has no third-party dependency; an import that is left behind
+once the code using it is gone reads as a dependency it does not have.
+`__init__.py` re-exports its imports, and a line marked `# noqa: F401`
+keeps an import on purpose.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wordcodes"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imports(tree):
+    """(module's top-level name or None for a relative import, bound names,
+    line) of every import statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield alias.name.split(".")[0], [bound], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            top = None if node.level else node.module.split(".")[0]
+            bound = [alias.asname or alias.name for alias in node.names]
+            yield top, bound, node.lineno
+
+
+def _annotations(tree):
+    """Every annotation in the module: of arguments, returns and targets."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns:
+                yield node.returns
+
+
+def _used_names(tree):
+    """Every name the module reads, quoted annotations included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def test_the_package_has_modules():
+    assert PACKAGE / "__init__.py" in MODULES and len(MODULES) > 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_are_stdlib_and_used(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = _used_names(tree)
+    for top, bound, lineno in _imports(tree):
+        assert top is None or top == "wordcodes" or (
+            top in sys.stdlib_module_names
+        ), f"{path.name}:{lineno} imports {top}, outside the standard library"
+        if path.name == "__init__.py" or top == "__future__":
+            continue
+        if "# noqa: F401" in lines[lineno - 1]:
+            continue
+        unused = [name for name in bound if name not in used]
+        assert not unused, f"{path.name}:{lineno} imports unused {unused}"

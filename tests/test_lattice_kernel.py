@@ -1,10 +1,14 @@
-"""The two-symbol flat lattice kernel against the dict walk, field by field.
+"""The lattice walks against references, field by field.
 
-Every walk takes the flat kernel for a two-symbol source driven by a
+The forward DPs take the flat kernel for a two-symbol source driven by a
 `NodeClassifier`, and the dict walk for any other callable; wrapping the
 classifier in a plain function therefore runs the same rules through the
-dict walk.  Every mass is finite and at least +0.0, so float equality
-below is equality bit for bit.
+dict walk.  The word enumerator and the knockout sweep are one body for
+every source, so they are checked against frozen copies of the walks they
+replaced: the per-node enumerator that slices each child profile out of
+its parent, and the backward sweep over every node of the lattice.  Every
+mass is finite and at least +0.0, so float equality below is equality bit
+for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,8 +28,8 @@ from wordcodes.source_model import linear_form, make_model
 from wordcodes.vv_construct import (
     _joint_dp,
     _knockout_masses,
-    _profiles_of_length,
     build_threshold_sets,
+    code_length_for,
     construct_vv,
 )
 from wordcodes.word_sets import (
@@ -43,6 +48,93 @@ NODE_LIMIT = 10**6
 def _dict_walk(classify):
     """The same classification as a plain callable: the walks' dict path."""
     return lambda k: classify(k)
+
+
+def _profiles_of_length(total, m):
+    """Every profile of m counts summing to `total`, in lexicographic order."""
+    if m == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _profiles_of_length(total - first, m - 1):
+            yield (first,) + rest
+
+
+def reference_enumeration(
+    model, classify, cap, limit, taken, boundary, probabilities
+):
+    """The per-node enumerator over profile tuples, as it was before the
+    keyed walk: each child profile sliced out of its parent, each distinct
+    profile classified once, every path stopped at the cap.  Returns its
+    (word, form, extra digit) list and appends the carried products to
+    `probabilities`."""
+    m = model.m
+    symbol_probs = model._symbol_probs
+    seen = {}
+    boundary_profile, boundary_left = boundary if boundary else (None, 0)
+    out = []
+    # frame: [word, profile, crossed, next symbol index, probability]
+    stack = [[(), (0,) * m, False, 0, 1.0]]
+    while stack:
+        frame = stack[-1]
+        word, profile, crossed, sym, p = frame
+        if sym >= m:
+            stack.pop()
+            continue
+        frame[3] = sym + 1
+        child_word = word + (sym + 1,)
+        child_p = p * symbol_probs[sym + 1]
+        child = profile[:sym] + (profile[sym] + 1,) + profile[sym + 1 :]
+        at_cap = len(child_word) == cap
+        try:
+            form, first, second = seen[child]
+        except KeyError:
+            form, first, second = seen[child] = classify(child)
+        second = (second or at_cap) and not crossed
+        if not (first or at_cap):
+            if not second:
+                stack.append([child_word, child, crossed, 0, child_p])
+                continue
+            if child not in taken:
+                if child != boundary_profile or not boundary_left:
+                    stack.append([child_word, child, True, 0, child_p])
+                    continue
+                boundary_left -= 1
+        out.append((child_word, form, second))
+        probabilities.append(child_p)
+        if len(out) > limit:
+            raise ResourceError(
+                f"word set exceeds the enumeration limit of {limit}"
+            )
+    return out
+
+
+def reference_knockout_masses(model, classify, cap, targets):
+    """The backward knockout sweep over every node up to the cap, as it was
+    before the sweep walked only the nodes the targets reach."""
+    n = model.arity
+    m = model.m
+    exp = int(cap * max(model.d)) + 3
+    stop_values = [n ** (exp - length) for length in range(exp + 1)]
+    by_level = {}
+    for k in targets:
+        by_level.setdefault(sum(k), []).append(k)
+    result = {}
+    nxt = {}
+    for level in range(cap, 0, -1):
+        cur = {}
+        for k in _profiles_of_length(level, m):
+            form, low, _ = classify(k)
+            if low or level == cap:
+                cur[k] = stop_values[code_length_for(form, False)]
+            else:
+                cur[k] = sum(
+                    nxt[k[:i] + (k[i] + 1,) + k[i + 1 :]] for i in range(m)
+                )
+        for k in by_level.get(level, ()):
+            result[k] = cur[k]
+        nxt = cur
+    return result, n**exp
 
 
 def _outcome(fn, *args, **kwargs):
@@ -80,14 +172,27 @@ def _two_symbol_sources():
         yield make_model(probs, 2 + T % 2), T
 
 
+def _many_symbol_sources():
+    """(model, T): seeded three- and four-symbol sources, arity 2 and 3."""
+    rng = random.Random(910)
+    for m, T in [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4)]:
+        weights = [rng.randint(1, 9) for _ in range(m)]
+        total = sum(weights)
+        probs = [Fraction(w, total) for w in weights]
+        yield make_model(probs, 2 + T % 2), T
+
+
 def _taken_and_boundary(rng, classes, classify, cap):
     """Some of the joint DP's classes taken, and a split of another one.
 
     Two second-set nodes one level above the cap join the taken ones: clean
     paths rarely get that deep, and a walk must then pass them by.
     """
-    flags = classify.level(cap - 1)
-    deep = [(a, cap - 1 - a) for a in range(cap) if flags[a] == SECOND]
+    deep = [
+        k
+        for k in _profiles_of_length(cap - 1, len(classify.d))
+        if classify(k)[1:] == (False, True)
+    ]
     taken = set(rng.sample(deep, min(len(deep), 2)))
     if len(classes) < 2:
         return taken, None
@@ -111,13 +216,13 @@ def test_flat_kernel_matches_the_dict_walk_field_by_field():
             )
             targets = {k for _, k, _ in tables.classes}
             if targets:
-                flat = _knockout_masses(
+                found = _knockout_masses(
                     model, classify, cap, targets, NODE_LIMIT
                 )
-                assert flat == _knockout_masses(
-                    model, _dict_walk(classify), cap, targets, NODE_LIMIT
+                assert found == reference_knockout_masses(
+                    model, classify, cap, targets
                 )
-                assert set(flat[0]) == targets
+                assert set(found[0]) == targets
             taken, boundary = _taken_and_boundary(
                 rng, tables.classes, classify, cap
             )
@@ -158,6 +263,65 @@ def test_flat_kernel_matches_the_dict_walk_field_by_field():
             seen.add("classes" if targets else "no classes")
     assert seen == {"table", "error", "cap mass", "no cap mass", "classes",
                     "no classes", "crossed at the cap"}
+
+
+def test_knockout_sweep_matches_the_full_lattice_reference():
+    """Two-, three- and four-symbol sources: the joint DP's classes as
+    targets, plus seeded nodes of any kind (low-set nodes, nodes at the
+    cap, nodes no class reaches)."""
+    rng = random.Random(31)
+    seen = set()
+    for model, T in [*_two_symbol_sources(), *_many_symbol_sources()]:
+        cap = T * T
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        classify = node_classifier(set_low.rule, set_high.rule)
+        tables = _joint_dp(model, set_low, set_high, NODE_LIMIT, classify)
+        targets = {k for _, k, _ in tables.classes}
+        for level in [*rng.sample(range(1, cap), 2), cap]:
+            profiles = list(_profiles_of_length(level, model.m))
+            targets |= set(rng.sample(profiles, 2))
+        found = _knockout_masses(model, classify, cap, targets, NODE_LIMIT)
+        assert found == reference_knockout_masses(
+            model, classify, cap, targets
+        )
+        assert set(found[0]) == targets
+        seen |= {model.m} | {classify(k)[1] for k in targets}
+    assert seen == {2, 3, 4, False, True}
+
+
+def test_the_knockout_sweep_counts_the_nodes_it_visits():
+    """(0.2, 0.4, 0.4), T=7, cap 98: an extended build, whose knockout sweep
+    over the full lattice would visit C(101, 3) nodes.  The sweep visits
+    only what paths from the classes reach, and counts those against the
+    node limit."""
+    model = make_model(["0.2", "0.4", "0.4"], 2)
+    cap = 98
+    expect = construct_vv(model, T=7, cap=cap, grade="metrics", enum_limit=0)
+    assert expect.path == "extended"
+    for limit in (math.comb(cap + 3, 3) - 1, 1000):
+        found = construct_vv(
+            model, T=7, cap=cap, grade="metrics", enum_limit=0,
+            node_limit=limit,
+        )
+        assert found.provenance == expect.provenance
+        assert repr(found.dp_metrics) == repr(expect.dp_metrics)
+    set_low, set_high = build_threshold_sets(model, 7, cap)
+    tables = _joint_dp(model, set_low, set_high, NODE_LIMIT)
+    targets = {k for _, k, _ in tables.classes}
+    visited = []
+
+    def counting(k):
+        visited.append(k)
+        return tables.classify(k)
+
+    found = _knockout_masses(model, counting, cap, targets, NODE_LIMIT)
+    sweep = len(visited)
+    assert sweep == len(set(visited)) < 1000
+    assert _knockout_masses(model, tables.classify, cap, targets, sweep) == found
+    message = str(word_sets.node_limit_error("knockout sweep", sweep - 1, cap))
+    assert message.startswith("knockout sweep visited more than")
+    with pytest.raises(ResourceError, match=re.escape(message)):
+        _knockout_masses(model, tables.classify, cap, targets, sweep - 1)
 
 
 def test_flat_kernel_matches_the_dict_walk_on_window_rules():
@@ -323,75 +487,6 @@ def test_builds_agree_with_the_dict_walk_end_to_end(monkeypatch, p, T):
     assert repr(flat.dp_metrics) == repr(dict_walk.dp_metrics)
 
 
-def _enumeration(model, classify, cap, limit, taken=(), boundary=None):
-    """`enumerate_words` as a comparable record: the repr of its list (so
-    forms are compared bit for bit and extra digits as bools), or its
-    error."""
-    found = _outcome(
-        word_sets.enumerate_words, model, classify, cap, limit, taken,
-        boundary,
-    )
-    return found if found[0] == "error" else repr(found)
-
-
-def test_flat_enumeration_matches_the_per_node_walk():
-    """The two-symbol enumerator against the per-node walk: taken classes,
-    boundary splits (some larger than their class), the swapped
-    classifier, VF windows, and a limit that trips on both or on
-    neither."""
-    rng = random.Random(23)
-    limit = 3000
-    seen = set()
-    for model, T in _two_symbol_sources():
-        cap = T * T
-        set_low, set_high = build_threshold_sets(model, T, cap)
-        classify = node_classifier(set_low.rule, set_high.rule)
-        tables = _joint_dp(model, set_low, set_high, NODE_LIMIT, classify)
-        taken, boundary = _taken_and_boundary(
-            rng, tables.classes, classify, cap
-        )
-        for walk_classify, walk_taken, walk_boundary in [
-            (classify, (), None),
-            (classify, taken, None),
-            (classify, taken, boundary),
-            (classify.second_as_both(), (), None),
-        ]:
-            found = _enumeration(
-                model, walk_classify, cap, limit, walk_taken, walk_boundary
-            )
-            assert found == _enumeration(
-                model, _dict_walk(walk_classify), cap, limit, walk_taken,
-                walk_boundary,
-            )
-            seen.add("words" if found[0] != "error" else "limit")
-            if walk_boundary and found[0] != "error":
-                seen.add("boundary")
-        d_max = max(model.d)
-        for L in range(math.ceil(d_max), math.ceil(d_max) + 6):
-            cap = int((L - d_max) / min(model.d)) + 2
-            window = node_classifier(
-                WindowRule(model.d, L - d_max, float(L)), EmptyRule()
-            )
-            found = _enumeration(model, window, cap, limit)
-            assert found == _enumeration(model, _dict_walk(window), cap, limit)
-    assert seen == {"words", "limit", "boundary"}
-
-
-def test_flat_enumeration_trips_the_limit_where_the_per_node_walk_does():
-    model = make_model(["0.4", "0.6"], 2)
-    L = 9
-    cap = int((L - max(model.d)) / min(model.d)) + 2
-    window = node_classifier(
-        WindowRule(model.d, L - max(model.d), float(L)), EmptyRule()
-    )
-    count = len(word_sets.enumerate_words(model, window, cap, 10**6))
-    assert count > 100
-    for limit in (0, 1, 50, count - 1, count, count + 1):
-        found = _enumeration(model, window, cap, limit)
-        assert found == _enumeration(model, _dict_walk(window), cap, limit)
-        assert (found[0] == "error") == (limit < count)
-
-
 def test_shared_threshold_flag_matches_admits_at_the_snapping_edge():
     """A form whose fractional part is exactly 1 - THRESHOLD_TOL snaps to
     the integer below; its float neighbours fall either side.  The shared
@@ -418,7 +513,105 @@ def test_shared_threshold_flag_matches_admits_at_the_snapping_edge():
     assert snapped == len(edges) and unsnapped == len(edges)
 
 
-def test_flat_enumeration_splits_a_class_where_the_per_node_walk_does():
+def _enumeration(
+    enumerate_words, model, classify, cap, limit, taken=(), boundary=None
+):
+    """An enumeration as a comparable record: the repr of its list (so
+    forms are compared bit for bit and extra digits as bools) and its
+    carried products as hex strings, or its error."""
+    probs = []
+    found = _outcome(
+        enumerate_words, model, classify, cap, limit, taken, boundary, probs
+    )
+    if found[0] == "error":
+        return found
+    return repr(found), [p.hex() for p in probs]
+
+
+def _checked_enumeration(*args):
+    """`enumerate_words`' record, after checking it equals the reference's."""
+    found = _enumeration(word_sets.enumerate_words, *args)
+    assert found == _enumeration(reference_enumeration, *args)
+    return found
+
+
+def test_enumeration_matches_the_per_node_reference():
+    """The one enumerator against the per-node reference on two-, three-
+    and four-symbol sources: taken classes, boundary splits (some larger
+    than their class), the swapped classifier, VF windows, and a limit
+    that trips on both or on neither."""
+    rng = random.Random(23)
+    limit = 3000
+    seen = set()
+    for model, T in [*_two_symbol_sources(), *_many_symbol_sources()]:
+        cap = T * T
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        classify = node_classifier(set_low.rule, set_high.rule)
+        tables = _joint_dp(model, set_low, set_high, NODE_LIMIT, classify)
+        taken, boundary = _taken_and_boundary(
+            rng, tables.classes, classify, cap
+        )
+        for walk_classify, walk_taken, walk_boundary in [
+            (classify, (), None),
+            (classify, taken, None),
+            (classify, taken, boundary),
+            (classify.second_as_both(), (), None),
+        ]:
+            found = _checked_enumeration(
+                model, walk_classify, cap, limit, walk_taken, walk_boundary
+            )
+            seen.add("words" if found[0] != "error" else "limit")
+            if walk_boundary and found[0] != "error":
+                seen.add(("boundary", model.m))
+            if walk_taken and found[0] != "error":
+                seen.add(("taken", model.m))
+        d_max = max(model.d)
+        for L in range(math.ceil(d_max), math.ceil(d_max) + 6):
+            cap = int((L - d_max) / min(model.d)) + 2
+            window = node_classifier(
+                WindowRule(model.d, L - d_max, float(L)), EmptyRule()
+            )
+            if _checked_enumeration(model, window, cap, limit)[0] != "error":
+                seen.add(("window", model.m))
+    assert seen == {"words", "limit"} | {
+        (what, m)
+        for what in ("boundary", "taken", "window")
+        for m in (2, 3, 4)
+    }
+
+
+def test_enumeration_trips_the_limit_where_the_reference_does():
+    model = make_model(["0.4", "0.6"], 2)
+    L = 9
+    cap = int((L - max(model.d)) / min(model.d)) + 2
+    window = node_classifier(
+        WindowRule(model.d, L - max(model.d), float(L)), EmptyRule()
+    )
+    count = len(word_sets.enumerate_words(model, window, cap, 10**6))
+    assert count > 100
+    for limit in (0, 1, 50, count - 1, count, count + 1):
+        found = _checked_enumeration(model, window, cap, limit)
+        assert (found[0] == "error") == (limit < count)
+
+
+def test_enumeration_of_a_sparse_window_is_fast():
+    """p = (0.001, 0.999), L = 14: a cap of 2 796 levels with about two
+    live nodes each.  The walk visits only those nodes."""
+    model = make_model(["0.001", "0.999"], 2)
+    L = 14
+    d_max = max(model.d)
+    cap = int((L - d_max) / min(model.d)) + 2
+    assert cap == 2796
+    window = node_classifier(
+        WindowRule(model.d, L - d_max, float(L)), EmptyRule()
+    )
+    start = time.perf_counter()
+    words = word_sets.enumerate_words(model, window, cap, 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert len(words) == 2796
+
+
+def test_enumeration_splits_a_class_where_the_reference_does():
     """Boundary splits j = 1 and j = c - 1 of second-set nodes that c >= 2
     clean words reach: the first j stop, the others cross.  Such classes
     need T >= 10, so the walks run under a cap of 12 (at most 4096
@@ -440,9 +633,6 @@ def test_flat_enumeration_splits_a_class_where_the_per_node_walk_does():
                 clean = table.stops.get(k, (0,))[0]
                 for j in sorted({1, clean - 1} - {0}) if clean > 1 else ():
                     split = (k, j)
-                    found = _enumeration(model, classify, cap, 5000, (), split)
-                    assert found == _enumeration(
-                        model, _dict_walk(classify), cap, 5000, (), split
-                    )
+                    _checked_enumeration(model, classify, cap, 5000, (), split)
                     splits += 1
     assert splits >= 10

@@ -18,7 +18,6 @@ from operator import mul
 import pytest
 
 from wordcodes.source_model import linear_form, make_model
-from wordcodes.vv_construct import _profiles_of_length
 from wordcodes.word_sets import (
     FIRST,
     SECOND,
@@ -61,6 +60,16 @@ def _random_model(rng, m):
     weights = [rng.randint(1, 20) for _ in range(m)]
     total = sum(weights)
     return make_model([Fraction(w, total) for w in weights], rng.choice([2, 3]))
+
+
+def _profiles_of_length(total, m):
+    """Every profile of m counts summing to `total`, in lexicographic order."""
+    if m == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _profiles_of_length(total - first, m - 1):
+            yield (first,) + rest
 
 
 def _random_front(rng, m, level):

@@ -35,7 +35,6 @@ from wordcodes.word_sets import (
 )
 from wordcodes.vv_construct import (
     _joint_dp,
-    _profiles_of_length,
     assign_codewords,
     build_threshold_sets,
     canonical_codewords,
@@ -573,6 +572,16 @@ def test_construction_lengths_follow_membership_rule(binary_model):
         w = binary_model.word_from_text(text)
         form = linear_form(binary_model, profile_of(w, 2))
         assert code_length_for(form, w in m2) == expected
+
+
+def _profiles_of_length(total, m):
+    """Every profile of m counts summing to `total`, in lexicographic order."""
+    if m == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _profiles_of_length(total - first, m - 1):
+            yield (first,) + rest
 
 
 def _threshold_cases():
