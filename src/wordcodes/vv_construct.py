@@ -9,10 +9,12 @@ usually violates the Kraft inequality, so its word set is merged with the
 high set's words, added in decreasing probability order, until the Kraft sum
 first drops to 1 or below.
 
-Small word sets are handled explicitly, word by word.  Large ones never get
-enumerated: all accounting runs on the profile lattice with exact big-integer
-word counts per profile, and the merge adds whole profile classes at a time,
-splitting only the class where the Kraft sum crosses 1.
+Threshold word sets never get enumerated for the merge: all accounting
+runs on the profile lattice with exact big-integer word counts per profile,
+and the merge adds whole profile classes at a time, splitting only the class
+where the Kraft sum crosses 1.  Explicit word lists take the same class
+merge, with one word per class.  Every build that emits a book ends in one
+tail: codewords, the book, its metrics from the words' columns, validation.
 
 Three sweeps cover the lattice.  A joint forward DP over both sets yields
 the Kraft sums of each set and of their full merge, the cap masses that
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,6 +57,7 @@ from . import analysis
 from .codebook import (
     CodeBook,
     CodeEntry,
+    _assert_prefix_free,
     code_entries,
     digit_run,
     kraft_of_counts,
@@ -308,23 +312,37 @@ def merge_to_kraft(
     Lengths follow the construction rule, with membership in the second set
     deciding the extra digit.  Returns the final (word, length) list in
     lexicographic order, the trace, and the Kraft sums of both inputs and of
-    their full merge.
+    their full merge.  Raises ValidationError unless each list is
+    prefix-free and free of duplicates.
+
+    The extended path is `_class_scan` with one word per class.  The only
+    rule that differs from the lattice merge is the order: second-set words
+    go by (-p, word), p the word's float probability; lattice classes go by
+    (form, profile), and a split class gives its words lexicographically.
+    So the two agree unless two profiles share a probability, or the floats
+    of a split class's words are out of lexicographic order.  A word enters the merged set iff neither it nor a proper prefix of it
+    is in the union so far; it then adds n^-L(w) and knocks out the first
+    words that extend w.  No earlier word can have removed one of those (a
+    prefix of w would keep w out, an extension of w comes later), so every
+    step is fixed before the scan, exact in integers scaled by n^E.
     """
+    _assert_prefix_free(first_words, "first word")
+    _assert_prefix_free(second_words, "second word")
     n = model.arity
     second_set = set(second_words)
+    length_of = {
+        w: code_length_for(
+            linear_form(model, profile_of(w, model.m)), w in second_set
+        )
+        for w in {*first_words, *second_words}
+    }
 
-    def length_of(w: Word) -> int:
-        form = linear_form(model, profile_of(w, model.m))
-        return code_length_for(form, w in second_set)
+    def kraft(words: list[Word]) -> Fraction:
+        return kraft_sum(list(map(length_of.__getitem__, words)), n)
 
-    kraft_first = kraft_sum([length_of(w) for w in first_words], n)
-    kraft_second = (
-        kraft_sum([length_of(w) for w in second_words], n)
-        if second_words
-        else None
-    )
-    merged_all = wedge(first_words, second_words)
-    kraft_merged = kraft_sum([length_of(w) for w in merged_all], n)
+    kraft_first = kraft(first_words)
+    kraft_second = kraft(second_words) if second_words else None
+    kraft_merged = kraft(wedge(first_words, second_words))
     report = {
         "kraft_first": kraft_first,
         "kraft_second": kraft_second,
@@ -332,61 +350,53 @@ def merge_to_kraft(
     }
 
     if kraft_first <= 1:
-        final = sorted(first_words)
-        return (
-            [(w, length_of(w)) for w in final],
-            MergeTrace(path="base"),
-            report,
+        final, trace = sorted(first_words), MergeTrace(path="base")
+    elif kraft_merged <= 1:
+        classes = sorted(
+            (-word_probability(model, w), w, 1) for w in second_words
         )
-
-    if kraft_merged <= 1:
-        order = sorted(
-            second_words,
-            key=lambda w: (-word_probability(model, w), w),
-        )
+        exp = max(length_of.values())
+        ordered_first = sorted(first_words)
         union = set(first_words)
-        added: list[Word] = []
-        trace = MergeTrace(path="extended")
-        for idx, w in enumerate(order, start=1):
-            entered = w not in union and not any(
+        entered: set[Word] = set()
+        deltas: dict[Word, int] = {}
+        for _, w, _ in classes:
+            deltas[w] = 0
+            if w not in union and not any(
                 w[:cut] in union for cut in range(1, len(w))
-            )
-            union.add(w)
-            added.append(w)
-            current = wedge(first_words, added)
-            g = kraft_sum([length_of(x) for x in current], n)
-            if entered:
-                trace.nontrivial.append(w)
-            trace.steps.append(
-                MergeStep(
-                    profile=profile_of(w, model.m),
-                    word=w,
-                    added=1,
-                    entered=entered,
-                    kraft_after=g,
+            ):
+                entered.add(w)
+                # the first words that extend w, a run in sorted order
+                lo = bisect_left(ordered_first, w)
+                hi = bisect_left(ordered_first, w + (model.m + 1,), lo)
+                deltas[w] = n ** (exp - length_of[w]) - sum(
+                    n ** (exp - length_of[u]) for u in ordered_first[lo:hi]
                 )
-            )
-            if g <= 1:
-                trace.k0 = idx
-                final = wedge(first_words, added)
-                return [(w, length_of(w)) for w in final], trace, report
-        raise ValidationError(
-            "merge consumed the whole second set without crossing Kraft 1, "
-            "yet the full merge was feasible; inputs are inconsistent"
+            union.add(w)
+        _, _, _, scanned = _class_scan(
+            kraft_first, kraft_merged, deltas, n**exp, classes
         )
-
-    if kraft_second is not None and kraft_second <= 1:
-        final = sorted(second_words)
-        return (
-            [(w, length_of(w)) for w in final],
-            MergeTrace(path="swapped", k0=0),
-            report,
+        added = [w for _, w, _ in classes[: len(scanned)]]
+        trace = MergeTrace(
+            path="extended",
+            steps=[
+                MergeStep(
+                    profile_of(w, model.m), w, 1, w in entered, step.kraft_after
+                )
+                for w, step in zip(added, scanned)
+            ],
+            k0=len(added),
+            nontrivial=[w for w in added if w in entered],
         )
-
-    raise InfeasibleError(
-        "neither the first set, nor the merge, nor the second set satisfies "
-        "the Kraft inequality with the assigned lengths"
-    )
+        final = wedge(first_words, added)
+    elif kraft_second is not None and kraft_second <= 1:
+        final, trace = sorted(second_words), MergeTrace(path="swapped", k0=0)
+    else:
+        raise InfeasibleError(
+            "neither the first set, nor the merge, nor the second set "
+            "satisfies the Kraft inequality with the assigned lengths"
+        )
+    return [(w, length_of[w]) for w in final], trace, report
 
 
 @dataclass
@@ -580,21 +590,32 @@ def _knockout_masses(
 
 def _class_scan(
     kraft_first: Fraction,
+    kraft_merged: Fraction,
     deltas: dict[Profile, int],
     scale: int,
     classes: list[tuple[float, Profile, int]],
 ) -> tuple[set[Profile], tuple[Profile, int] | None, Fraction, list[MergeStep]]:
-    """Add whole profile classes until the Kraft sum first reaches 1.
+    """Add whole classes until the Kraft sum first reaches 1.
 
-    Classes arrive sorted by decreasing word probability; adding one word
-    of class k changes the Kraft sum by deltas[k] / scale.  The class where
-    the sum crosses 1 is split exactly: j words of it are enough, with j
-    computed in exact rational arithmetic.
+    Classes arrive as (order key, class, word count), in the merge's order,
+    by decreasing word probability: (form, profile) for lattice classes,
+    (-p, word) for the one-word classes of `merge_to_kraft`, whose class is
+    a word (a tuple, like a profile).
+    Adding one word of class k changes the Kraft sum by deltas[k] / scale.
+    The class where the sum crosses 1 is split exactly: j words of it are
+    enough, with j computed in exact rational arithmetic.  Raises
+    ValidationError unless adding every class gives `kraft_merged`.
     """
+    added_all = sum(count * deltas[k] for _, k, count in classes)
+    if kraft_first + Fraction(added_all, scale) != kraft_merged:
+        raise ValidationError(
+            "merge bookkeeping is inconsistent: adding every class does not "
+            "reproduce the merged Kraft sum"
+        )
     g = kraft_first
     chosen: set[Profile] = set()
     steps: list[MergeStep] = []
-    for form, k, count in classes:
+    for _, k, count in classes:
         delta = Fraction(deltas[k], scale)
         g_class = g + count * delta
         if g_class <= 1:
@@ -604,23 +625,11 @@ def _class_scan(
                 )
             j = math.ceil((g - 1) / (-delta))
             g_final = g + j * delta
-            steps.append(
-                MergeStep(
-                    profile=k,
-                    word=None,
-                    added=j,
-                    entered=True,
-                    kraft_after=g_final,
-                )
-            )
+            steps.append(MergeStep(k, None, j, True, g_final))
             return chosen, (k, j), g_final, steps
         g = g_class
         chosen.add(k)
-        steps.append(
-            MergeStep(
-                profile=k, word=None, added=count, entered=True, kraft_after=g
-            )
-        )
+        steps.append(MergeStep(k, None, count, True, g))
     raise ValidationError(
         "class scan exhausted the second set without reaching Kraft 1"
     )
@@ -756,6 +765,37 @@ class VVResult:
     provenance: dict
 
 
+def _fresh_book(
+    model: SourceModel, assignment: str, provenance: dict, columns: list
+) -> tuple[CodeBook, "analysis.CodeMetrics"]:
+    """Codewords, book, metrics and validation: the tail of every build.
+
+    `columns` holds the words in lexicographic order, their probabilities,
+    linear forms and construction lengths.  The tail empties it, so the
+    columns are gone before validation builds its own; the metrics are
+    `analysis.word_metrics` over them, equal to `code_metrics(book)`.
+    """
+    words, probs, forms, lengths = columns
+    columns.clear()
+    # `code_lengths` lines up with the words, in lexicographic order
+    code_lengths: list[int] = []
+    entries = assign_codewords(
+        model, list(zip(words, probs, lengths)), assignment, code_lengths
+    )
+    book = CodeBook(model, "vv", tuple(entries), dict(provenance))
+    metrics = analysis.word_metrics(
+        model,
+        probs,
+        list(map(len, words)),
+        code_lengths,
+        forms,
+        book.kraft_exact(),
+    )
+    del words, probs, forms, lengths, code_lengths, entries
+    validate_codebook(book)
+    return book, metrics
+
+
 def _pipeline(
     model: SourceModel,
     T: int,
@@ -787,7 +827,6 @@ def _pipeline(
     kraft_first = tables.kraft_first
     kraft_second = tables.kraft_second
     kraft_merged: Fraction | None = None
-    g_final: Fraction | None = None
     steps: list[MergeStep] = []
     chosen: set[Profile] = set()
     boundary: tuple[Profile, int] | None = None
@@ -809,19 +848,10 @@ def _pipeline(
                 k: scale // n ** code_length_for(form, True) - knockouts[k]
                 for form, k, _ in classes
             }
-            full = kraft_first + Fraction(
-                sum(count * deltas[k] for _, k, count in classes), scale
-            )
-            if full != kraft_merged:
-                raise ValidationError(
-                    "lattice merge bookkeeping is inconsistent: adding every "
-                    "class does not reproduce the merged Kraft sum"
-                )
-            chosen, boundary, g_final, steps = _class_scan(
-                kraft_first, deltas, scale, classes
+            chosen, boundary, expected_kraft, steps = _class_scan(
+                kraft_first, kraft_merged, deltas, scale, classes
             )
             path = "extended"
-            expected_kraft = g_final
         elif kraft_second <= 1:
             path = "swapped"
             # the high set stops every path, and every stop is clean
@@ -883,36 +913,21 @@ def _pipeline(
             raise ValidationError(
                 "enumerated word count disagrees with the lattice DP"
             )
-        words = list(map(itemgetter(0), items))
-        forms = list(map(itemgetter(1), items))
         keys = list(map(itemgetter(1, 2), items))  # (form, extra digit)
-        del items
         # one length per distinct key, not one per word
         length_of = {key: code_length_for(*key) for key in set(keys)}
-        lengths = map(length_of.__getitem__, keys)
-        # the words come in lexicographic order, so `code_lengths` lines
-        # up with them, with their probabilities and with their forms
-        code_lengths: list[int] = []
-        entries = assign_codewords(
-            model, list(zip(words, probs, lengths)), assignment, code_lengths
-        )
-        book = CodeBook(
-            model=model,
-            kind="vv",
-            entries=tuple(entries),
-            provenance=dict(provenance),
-        )
-        book_metrics = analysis.word_metrics(
-            model,
+        # the words come in lexicographic order, with their probabilities
+        # and forms
+        columns = [
+            list(map(itemgetter(0), items)),
             probs,
-            list(map(len, words)),
-            code_lengths,
-            forms,
-            book.kraft_exact(),
+            list(map(itemgetter(1), items)),
+            list(map(length_of.__getitem__, keys)),
+        ]
+        del items, probs, keys
+        book, book_metrics = _fresh_book(
+            model, assignment, provenance, columns
         )
-        # the columns go before validation builds its own
-        del probs, words, forms, keys, code_lengths, entries
-        validate_codebook(book)
 
     trace = MergeTrace(
         path=path,
@@ -976,25 +991,22 @@ def _explicit(
     final_pairs, trace, report = merge_to_kraft(
         model, first_words, second_words
     )
-    final_words = [w for w, _ in final_pairs]
-    defect = completeness_defect(model, final_words)
+    words = list(map(itemgetter(0), final_pairs))
+    lengths = list(map(itemgetter(1), final_pairs))
+    probs = [word_probability(model, w) for w in words]
+    forms = [linear_form(model, profile_of(w, model.m)) for w in words]
+    defect = abs(1.0 - math.fsum(probs))
     if defect > 1e-9:
         raise ValidationError(
             f"merged word set lost completeness: defect {defect!r}"
         )
 
-    rows = [
-        (
-            word_probability(model, w),
-            len(w),
-            length,
-            linear_form(model, profile_of(w, model.m)),
-        )
-        for w, length in final_pairs
-    ]
-    kraft_exact = kraft_sum([length for _, length in final_pairs], model.arity)
+    kraft_exact = kraft_sum(lengths, model.arity)
     dp_metrics = analysis.metrics_from_classes(
-        model, rows, kraft_exact=kraft_exact, word_count=len(final_pairs)
+        model,
+        list(zip(probs, map(len, words), lengths, forms)),
+        kraft_exact=kraft_exact,
+        word_count=len(words),
     )
 
     provenance = {
@@ -1002,14 +1014,8 @@ def _explicit(
         "path": trace.path,
         "grade": grade,
         "assignment": assignment,
-        "word_count": len(final_pairs),
-        "kraft_first": str(report["kraft_first"]),
-        "kraft_second": (
-            None
-            if report["kraft_second"] is None
-            else str(report["kraft_second"])
-        ),
-        "kraft_merged": str(report["kraft_merged"]),
+        "word_count": len(words),
+        **{key: None if v is None else str(v) for key, v in report.items()},
         "kraft_final": str(kraft_exact),
         "k0": trace.k0,
         "nontrivial_words": [
@@ -1017,15 +1023,9 @@ def _explicit(
         ],
     }
 
-    items = [
-        (w, word_probability(model, w), length) for w, length in final_pairs
-    ]
-    entries = assign_codewords(model, items, assignment)
-    book = CodeBook(
-        model=model, kind="vv", entries=tuple(entries), provenance=dict(provenance)
-    )
-    validate_codebook(book)
-    book_metrics = analysis.code_metrics(book)
+    columns = [words, probs, forms, lengths]
+    del final_pairs, words, probs, forms, lengths
+    book, book_metrics = _fresh_book(model, assignment, provenance, columns)
 
     return VVResult(
         model=model,
@@ -1057,8 +1057,8 @@ def construct_vv(
 ) -> VVResult:
     """Construct a variable-to-variable code for a memoryless source.
 
-    With explicit word lists the merge runs word by word and the result
-    always carries a code book.  Otherwise the stopping sets come from the
+    With explicit word lists the merge takes one word per class and the
+    result always carries a code book.  Otherwise the stopping sets come from the
     near-integer thresholds at parameter T ("auto" picks it from the
     source's exponents: at grade "codec" the largest candidate whose word
     set still enumerates, at grade "metrics" the first candidate above 4,

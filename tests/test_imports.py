@@ -5,6 +5,9 @@ The package has no third-party dependency; an import that is left behind
 once the code using it is gone reads as a dependency it does not have.
 `__init__.py` re-exports its imports, and a line marked `# noqa: F401`
 keeps an import on purpose.
+
+Every module of the package and of the tests also parses as Python 3.10,
+the oldest version the project supports.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wordcodes"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imports(tree):
@@ -73,3 +77,15 @@ def test_imports_are_stdlib_and_used(path):
             continue
         unused = [name for name in bound if name not in used]
         assert not unused, f"{path.name}:{lineno} imports unused {unused}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TESTS,
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_sources_parse_as_python_3_10(path):
+    """A syntax check only: `feature_version` makes the parser reject
+    grammar newer than 3.10, such as `except*`, as far as `ast` tracks it.
+    Library calls and behaviour that differ on 3.10 are not checked."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

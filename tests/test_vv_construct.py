@@ -30,10 +30,14 @@ from wordcodes.word_sets import (
     DEFAULT_NODE_LIMIT,
     THRESHOLD_TOL,
     UnionRule,
+    enumerate_words,
     lattice_metrics,
     node_classifier,
+    wedge,
 )
 from wordcodes.vv_construct import (
+    MergeStep,
+    MergeTrace,
     _joint_dp,
     assign_codewords,
     build_threshold_sets,
@@ -383,6 +387,276 @@ def test_merge_base_path_when_first_set_is_feasible(binary_model):
         ("a", 1),
         ("b", 1),
     ]
+
+
+# -- the word-level merge against its frozen quadratic reference ------------
+
+
+def reference_merge_to_kraft(model, first_words, second_words):
+    """The word-level merge as it was before it became the one-word-per-class
+    case of the class scan: after each added word it rebuilds the merged
+    set and its exact Kraft sum, so a merge costs O(k0 * N).  Frozen here
+    as the reference for the merge's pairs, trace and Kraft report."""
+    n = model.arity
+    second_set = set(second_words)
+
+    def length_of(w):
+        form = linear_form(model, profile_of(w, model.m))
+        return code_length_for(form, w in second_set)
+
+    kraft_first = kraft_sum([length_of(w) for w in first_words], n)
+    kraft_second = (
+        kraft_sum([length_of(w) for w in second_words], n)
+        if second_words
+        else None
+    )
+    merged_all = wedge(first_words, second_words)
+    kraft_merged = kraft_sum([length_of(w) for w in merged_all], n)
+    report = {
+        "kraft_first": kraft_first,
+        "kraft_second": kraft_second,
+        "kraft_merged": kraft_merged,
+    }
+
+    if kraft_first <= 1:
+        final = sorted(first_words)
+        return (
+            [(w, length_of(w)) for w in final],
+            MergeTrace(path="base"),
+            report,
+        )
+
+    if kraft_merged <= 1:
+        order = sorted(
+            second_words,
+            key=lambda w: (-word_probability(model, w), w),
+        )
+        union = set(first_words)
+        added = []
+        trace = MergeTrace(path="extended")
+        for idx, w in enumerate(order, start=1):
+            entered = w not in union and not any(
+                w[:cut] in union for cut in range(1, len(w))
+            )
+            union.add(w)
+            added.append(w)
+            current = wedge(first_words, added)
+            g = kraft_sum([length_of(x) for x in current], n)
+            if entered:
+                trace.nontrivial.append(w)
+            trace.steps.append(
+                MergeStep(
+                    profile=profile_of(w, model.m),
+                    word=w,
+                    added=1,
+                    entered=entered,
+                    kraft_after=g,
+                )
+            )
+            if g <= 1:
+                trace.k0 = idx
+                final = wedge(first_words, added)
+                return [(w, length_of(w)) for w in final], trace, report
+        raise ValidationError(
+            "merge consumed the whole second set without crossing Kraft 1, "
+            "yet the full merge was feasible; inputs are inconsistent"
+        )
+
+    if kraft_second is not None and kraft_second <= 1:
+        final = sorted(second_words)
+        return (
+            [(w, length_of(w)) for w in final],
+            MergeTrace(path="swapped", k0=0),
+            report,
+        )
+
+    raise InfeasibleError(
+        "neither the first set, nor the merge, nor the second set satisfies "
+        "the Kraft inequality with the assigned lengths"
+    )
+
+
+def _random_tree_words(rng, model, size, weighted=True):
+    """Leaves of a random complete m-ary trie grown to at least `size`
+    leaves, each step splitting a leaf picked at random, by probability
+    when `weighted`; returned in random order."""
+    leaves, probs = [()], [1.0]
+    while len(leaves) < size:
+        if weighted:
+            i = rng.choices(range(len(leaves)), weights=probs)[0]
+        else:
+            i = rng.randrange(len(leaves))
+        w, p = leaves.pop(i), probs.pop(i)
+        leaves += [w + (s,) for s in range(1, model.m + 1)]
+        probs += [p * q for q in model.probs]
+    rng.shuffle(leaves)
+    return leaves
+
+
+def _merge_outcome(merge, model, first, second):
+    try:
+        return repr(merge(model, first, second))
+    except InfeasibleError as exc:
+        return f"InfeasibleError: {exc}"
+
+
+def test_merge_to_kraft_equals_the_frozen_reference():
+    """Seeded valid pairs of complete prefix-free lists: two to four
+    symbols, two or three digits, equiprobable sources, words in both
+    lists, an empty second list, and long two-symbol merges with k0 of
+    100 or more."""
+    rng = random.Random(15)
+    seen = set()
+    cases = []
+    for _ in range(400):
+        m = rng.choice((2, 3, 4))
+        equal = rng.random() < 0.2
+        weights = [1] * m if equal else [rng.randint(1, 20) for _ in range(m)]
+        model = make_model(
+            [Fraction(w, sum(weights)) for w in weights], rng.choice((2, 3))
+        )
+        top = rng.choice((12, 40))
+        first = _random_tree_words(rng, model, rng.randint(1, top))
+        second = (
+            _random_tree_words(rng, model, rng.randint(1, top))
+            if rng.random() < 0.95
+            else []
+        )
+        cases.append((model, first, second, equal))
+    while sum(1 for c in cases if len(c[1]) > 250) < 12:
+        weights = [rng.randint(1, 20) for _ in range(2)]
+        model = make_model([Fraction(w, sum(weights)) for w in weights], 2)
+        first = _random_tree_words(rng, model, rng.randint(250, 400))
+        second = _random_tree_words(rng, model, rng.randint(250, 400))
+        cases.append((model, first, second, False))
+    for model, first, second, equal in cases:
+        expected = _merge_outcome(
+            reference_merge_to_kraft, model, first, second
+        )
+        assert _merge_outcome(merge_to_kraft, model, first, second) == expected
+        if expected.startswith("InfeasibleError"):
+            continue
+        _, trace, _ = merge_to_kraft(model, first, second)
+        seen.add(trace.path)
+        if trace.path == "extended":
+            seen.add(("m", model.m))
+            seen.add(("arity", model.arity))
+            if equal:
+                seen.add("equiprobable")
+            if set(first) & set(second):
+                seen.add("shared words")
+            if trace.k0 >= 100:
+                seen.add("k0 >= 100")
+    assert seen >= {
+        "base",
+        "extended",
+        "swapped",
+        ("m", 2),
+        ("m", 3),
+        ("m", 4),
+        ("arity", 2),
+        ("arity", 3),
+        "equiprobable",
+        "shared words",
+        "k0 >= 100",
+    }
+
+
+def test_merge_to_kraft_rejects_duplicates_and_extensions(binary_model):
+    """Each list must be prefix-free and free of duplicates: otherwise its
+    Kraft sum would count a word and its extension both."""
+    a, b, ab = ((1,), (2,), (1, 2))
+    valid = [a, b]
+    for faulty, what in (([a, a, b], "duplicate"), ([a, ab, b], "extends")):
+        with pytest.raises(ValidationError, match=f"{what}.*first word"):
+            merge_to_kraft(binary_model, faulty, valid)
+        with pytest.raises(ValidationError, match=f"{what}.*second word"):
+            merge_to_kraft(binary_model, valid, faulty)
+
+
+def test_a_long_word_merge_is_fast():
+    """About 2 000 words per list with k0 of 100 or more merge in well
+    under a second; the quadratic reference takes several."""
+    import time
+
+    rng = random.Random(3)
+    model = make_model([Fraction(8, 27), Fraction(19, 27)], 2)
+    first = _random_tree_words(rng, model, 2000)
+    second = _random_tree_words(rng, model, 2000)
+    start = time.perf_counter()
+    _, trace, _ = merge_to_kraft(model, first, second)
+    elapsed = time.perf_counter() - start
+    assert trace.path == "extended" and trace.k0 >= 100
+    assert elapsed < 1.0
+
+
+# -- one tie-break: the word merge against the lattice ----------------------
+
+
+def _profile_probabilities_tie(weights, cap):
+    """Whether two profiles of at most `cap` symbols share one exact
+    probability under the symbol weights."""
+    probs = [Fraction(w, sum(weights)) for w in weights]
+    seen = set()
+    for length in range(1, cap + 1):
+        for combo in itertools.combinations_with_replacement(probs, length):
+            p = math.prod(combo)
+            if p in seen:
+                return True
+            seen.add(p)
+    return False
+
+
+def test_word_and_lattice_merges_differ_only_where_profiles_tie():
+    """The threshold build, and the explicit build of its own low and high
+    word sets at the same cap, give one book on every seeded source where
+    no two profiles share a word probability.  The merges differ only in
+    their order: (form, profile) for lattice classes and (-p, word) for
+    words, so where profiles tie some book differs."""
+    rng = random.Random(2)
+    built = agreed = 0
+    tied_differ = False
+    for _ in range(300):
+        m = rng.choice((2, 3, 4))
+        weights = [rng.randint(1, 6) for _ in range(m)]
+        model = make_model(
+            [Fraction(w, sum(weights)) for w in weights], rng.choice((2, 3))
+        )
+        T = rng.randint(2, 6)
+        cap = rng.randint(2, {2: 12, 3: 7, 4: 5}[m])
+        low, high = build_threshold_sets(model, T, cap)
+        classify = node_classifier(low.rule, high.rule)
+        try:
+            first, second = (
+                [w for w, _, _ in enumerate_words(model, walk, cap, 400)]
+                for walk in (classify, classify.second_as_both())
+            )
+        except ResourceError:
+            continue
+        outcomes = []
+        for how in (
+            {"first_words": first, "second_words": second},
+            {"T": T, "cap": cap},
+        ):
+            try:
+                result = construct_vv(
+                    model, assignment="canonical", enum_limit=400, **how
+                )
+            except InfeasibleError:
+                outcomes.append("infeasible")
+                continue
+            entries = result.book.entries
+            outcomes.append(
+                (result.path, [(e.word, e.codeword) for e in entries])
+            )
+        built += 1
+        if outcomes[0] == outcomes[1]:
+            agreed += 1
+        elif _profile_probabilities_tie(weights, cap):
+            tied_differ = True
+        else:
+            pytest.fail(f"untied source {weights}, n={model.arity} differs")
+    assert built >= 250 and agreed < built and tied_differ
 
 
 def test_second_set_lengths_always_satisfy_kraft(make_random_book):
