@@ -73,14 +73,11 @@ from .vv_construct import (
     threshold_parameter_candidates,
 )
 from .word_sets import (
-    CoverageReport,
     EmptyRule,
     ProfileSet,
     ThresholdHighRule,
     ThresholdLowRule,
-    UnionRule,
     WindowRule,
-    check_shift_coverage,
     completeness_defect,
     enumerate_words,
     is_prefix_free,

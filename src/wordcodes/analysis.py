@@ -24,6 +24,7 @@ from .codebook import CodeBook
 from .diophantine import dist_to_int
 from .errors import InputError
 from .source_model import SourceModel, entropy, linear_form, profile_of
+from .word_sets import DEFAULT_NODE_LIMIT, DEFAULT_T_MAX
 
 EPS_WITHIN_ONE_TOL = 1e-12
 
@@ -297,8 +298,8 @@ def scaling_slope(rows: Sequence[ScalingRow]) -> float | None:
 def scaling_experiment(
     model: SourceModel,
     t_list: Sequence[int] | None = None,
-    t_max: int = 50,
-    node_limit: int | None = None,
+    t_max: int = DEFAULT_T_MAX,
+    node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> ScalingResult:
     """Construct codes over a ladder of threshold parameters and fit a slope.
 
@@ -313,13 +314,14 @@ def scaling_experiment(
         t_list = info["candidates"]
     if not t_list:
         raise InputError("no threshold parameters to scan")
-    kwargs = {}
-    if node_limit is not None:
-        kwargs["node_limit"] = node_limit
     rows = []
     for t in t_list:
         result = vv_construct.construct_vv(
-            model, T=t, grade="metrics", assignment="canonical", **kwargs
+            model,
+            T=t,
+            grade="metrics",
+            assignment="canonical",
+            node_limit=node_limit,
         )
         met = result.dp_metrics
         rows.append(

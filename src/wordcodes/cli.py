@@ -33,6 +33,7 @@ from .serialization import load_book, save_book
 from .source_model import SourceModel, make_model
 from .vf_construct import construct_block, construct_vf, find_block_parameters
 from .vv_construct import construct_vv
+from .word_sets import DEFAULT_ENUM_LIMIT, DEFAULT_T_MAX
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--enum-limit",
         type=int,
-        default=10**6,
+        default=DEFAULT_ENUM_LIMIT,
         help="largest word set to enumerate",
     )
     p.add_argument("--out", default=None, help="save the code book here")
@@ -417,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated threshold parameters (default: auto ladder)",
     )
     e.add_argument(
-        "--t-max", type=int, default=50, help="largest auto threshold"
+        "--t-max",
+        type=int,
+        default=DEFAULT_T_MAX,
+        help="largest auto threshold",
     )
     e.add_argument("--csv", default=None, help="write rows as CSV here")
     e.add_argument("--json", default=None, help="write rows as JSON here")

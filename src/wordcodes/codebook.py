@@ -142,6 +142,9 @@ class CodeBook:
 
 
 def _assert_prefix_free(items: list, what: str) -> None:
+    """Raise ValidationError for the first duplicate, or item that starts
+    with another, among `items` (words or codewords), naming both; the
+    library's one prefix test.  The empty word starts every word."""
     # In sorted order every item that starts with `a` directly follows `a`
     # (anything sorting between `a` and an extension of `a` starts with
     # `a` too), so comparing neighbours finds every duplicate and extension.

@@ -58,6 +58,7 @@ from .codebook import (
     CodeBook,
     CodeEntry,
     _assert_prefix_free,
+    _symbols_in_range,
     code_entries,
     digit_run,
     kraft_of_counts,
@@ -79,6 +80,7 @@ from .source_model import (
 from .word_sets import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_NODE_LIMIT,
+    DEFAULT_T_MAX,
     FIRST,
     IN_NEITHER,
     NOT_FIRST,
@@ -95,15 +97,12 @@ from .word_sets import (
     completeness_defect,
     enumerate_words,
     flat_carry,
-    is_prefix_free,
     lattice_metrics,
     level_views,
     node_classifier,
     node_limit_error,
     wedge,
 )
-
-DEFAULT_T_MAX = 50
 
 log = logging.getLogger(__name__)
 
@@ -320,7 +319,9 @@ def merge_to_kraft(
     go by (-p, word), p the word's float probability; lattice classes go by
     (form, profile), and a split class gives its words lexicographically.
     So the two agree unless two profiles share a probability, or the floats
-    of a split class's words are out of lexicographic order.  A word enters the merged set iff neither it nor a proper prefix of it
+    of a split class's words are out of lexicographic order.
+
+    A word enters the merged set iff neither it nor a proper prefix of it
     is in the union so far; it then adds n^-L(w) and knocks out the first
     words that extend w.  No earlier word can have removed one of those (a
     prefix of w would keep w out, an extension of w comes later), so every
@@ -956,17 +957,13 @@ def _validate_word_list(
 ) -> None:
     if not words:
         raise InputError(f"the {what} word list is empty")
-    if len(set(words)) != len(words):
-        raise ValidationError(f"the {what} word list has duplicates")
-    for w in words:
-        if not w:
-            raise ValidationError(f"the {what} word list contains an empty word")
-        if any(s < 1 or s > model.m for s in w):
-            raise ValidationError(
-                f"the {what} word list uses symbols outside the alphabet"
-            )
-    if not is_prefix_free(words):
-        raise ValidationError(f"the {what} word set is not prefix-free")
+    if not all(words):
+        raise ValidationError(f"the {what} word list contains an empty word")
+    if not _symbols_in_range(words, model.m):
+        raise ValidationError(
+            f"the {what} word list uses symbols outside the alphabet"
+        )
+    _assert_prefix_free(words, f"{what} word")
     defect = completeness_defect(model, words)
     if defect > 1e-9:
         raise ValidationError(

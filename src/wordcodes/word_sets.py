@@ -21,6 +21,13 @@ otherwise crosses it and runs on.  VF codes pass an empty second set.
 `ProfileSet` keeps profile membership as a plain predicate, for checks and
 tests; no walk calls it.
 
+A `FormRule` decides a profile by its linear form alone, and writes
+`member` once over its subclass's `admits(form)`; `ThresholdRule` adds,
+for the two threshold rules, that the empty profile is never a member.
+Every word set obeys one prefix rule, the neighbour scan of
+`codebook._assert_prefix_free`, under which the empty word is a prefix of
+every word.
+
 The forward DPs walk level by level, and both lattice drivers yield the
 same view of a level (`LevelView`): node ids in visiting order, each path
 state's incoming (counts, masses) lists aligned to those ids, one byte of
@@ -41,13 +48,13 @@ keys, and visits only the nodes its words pass through.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, mul, or_, sub
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
+from .codebook import _assert_prefix_free
 from .errors import InputError, ResourceError, ValidationError
 from .source_model import (
     Profile,
@@ -60,6 +67,7 @@ from .source_model import (
 THRESHOLD_TOL = 1e-12
 DEFAULT_ENUM_LIMIT = 10**6
 DEFAULT_NODE_LIMIT = 4 * 10**6
+DEFAULT_T_MAX = 50
 
 
 def snapped_frac(x: float, tol: float = THRESHOLD_TOL) -> float:
@@ -95,17 +103,31 @@ class EmptyRule(Rule):
 
 
 @dataclass(frozen=True)
-class ThresholdLowRule(Rule):
-    """Nonzero profiles whose linear form sits just above an integer."""
+class FormRule(Rule):
+    """A rule that decides a profile by its linear form over the costs `d`:
+    a subclass answers `admits(form)`, and `member` asks it."""
 
     d: tuple[float, ...]
+
+    def member(self, profile: Profile) -> bool:
+        return self.admits(math.fsum(map(mul, profile, self.d)))
+
+
+@dataclass(frozen=True)
+class ThresholdRule(FormRule):
+    """A threshold of width `theta` on the snapped fractional part of the
+    form; the empty profile is never a member."""
+
     theta: float
     tol: float = THRESHOLD_TOL
 
     def member(self, profile: Profile) -> bool:
-        if not any(profile):
-            return False
-        return self.admits(math.fsum(k * di for k, di in zip(profile, self.d)))
+        return any(profile) and super().member(profile)
+
+
+@dataclass(frozen=True)
+class ThresholdLowRule(ThresholdRule):
+    """Nonzero profiles whose linear form sits just above an integer."""
 
     def admits(self, form: float) -> bool:
         """Membership of a nonzero profile whose linear form is `form`."""
@@ -113,17 +135,8 @@ class ThresholdLowRule(Rule):
 
 
 @dataclass(frozen=True)
-class ThresholdHighRule(Rule):
+class ThresholdHighRule(ThresholdRule):
     """Nonzero profiles whose linear form sits just below an integer."""
-
-    d: tuple[float, ...]
-    theta: float
-    tol: float = THRESHOLD_TOL
-
-    def member(self, profile: Profile) -> bool:
-        if not any(profile):
-            return False
-        return self.admits(math.fsum(k * di for k, di in zip(profile, self.d)))
 
     def admits(self, form: float) -> bool:
         """Membership of a nonzero profile whose linear form is `form`."""
@@ -131,7 +144,7 @@ class ThresholdHighRule(Rule):
 
 
 @dataclass(frozen=True)
-class WindowRule(Rule):
+class WindowRule(FormRule):
     """Profiles whose linear form lies in the half-open window (lo, hi].
 
     Used by the fixed-output-length construction: lo = L - max(d), hi = L.
@@ -139,25 +152,13 @@ class WindowRule(Rule):
     form by at most max(d), so only the left edge decides stopping.
     """
 
-    d: tuple[float, ...]
     lo: float
     hi: float
     tol: float = THRESHOLD_TOL
 
-    def member(self, profile: Profile) -> bool:
-        return self.admits(math.fsum(k * di for k, di in zip(profile, self.d)))
-
     def admits(self, form: float) -> bool:
         """Membership of a profile whose linear form is `form`."""
         return self.lo + self.tol < form <= self.hi + self.tol
-
-
-@dataclass(frozen=True)
-class UnionRule(Rule):
-    rules: tuple[Rule, ...]
-
-    def member(self, profile: Profile) -> bool:
-        return any(r.member(profile) for r in self.rules)
 
 
 @dataclass(frozen=True)
@@ -841,14 +842,13 @@ def enumerate_words(
 
 
 def is_prefix_free(words: list[Word]) -> bool:
-    """True when no word is a proper prefix of another."""
-    wordset = set(words)
-    if len(wordset) != len(words):
+    """True when no word equals or starts with another; the empty word
+    starts every word.  The neighbour scan of `codebook._assert_prefix_free`,
+    which the book checks run."""
+    try:
+        _assert_prefix_free(words, "word")
+    except ValidationError:
         return False
-    for w in words:
-        for cut in range(1, len(w)):
-            if w[:cut] in wordset:
-                return False
     return True
 
 
@@ -860,18 +860,18 @@ def completeness_defect(model: SourceModel, words: list[Word]) -> float:
 def wedge(words_a: list[Word], words_b: list[Word]) -> list[Word]:
     """Merge two word sets, dropping words that extend another union word.
 
-    Keeps exactly the union words with no proper nonempty prefix in the
-    union.  The result is prefix-free, and complete whenever either input
-    was.  Commutative, associative, idempotent; output in lexicographic
-    order.
+    Keeps exactly the union words with no proper prefix in the union.  The
+    result is prefix-free, and complete whenever either input was.
+    Commutative, associative, idempotent; output in lexicographic order.
+
+    One pass over the sorted union: in sorted order the words that start
+    with a word `u` come right after `u`, so a word has a proper prefix in
+    the union iff it starts with the last word kept.
     """
-    union = set(words_a) | set(words_b)
-    kept = [
-        w
-        for w in union
-        if not any(w[:cut] in union for cut in range(1, len(w)))
-    ]
-    kept.sort()
+    kept: list[Word] = []
+    for w in sorted(set(words_a) | set(words_b)):
+        if not kept or w[: len(kept[-1])] != kept[-1]:
+            kept.append(w)
     return kept
 
 
@@ -919,62 +919,3 @@ def sentinel_runs(
             break
     return words, tail
 
-
-@dataclass
-class CoverageReport:
-    """Outcome of sampling last-coordinate shift coverage for a profile set."""
-
-    ok: bool
-    checked: int
-    T: int
-    counterexample: Profile | None = None
-
-
-def check_shift_coverage(
-    model: SourceModel,
-    pset: ProfileSet,
-    T: int,
-    s_values: tuple[int, ...] = (1, 2),
-    samples: int = 50,
-    seed: int = 0,
-    last_max: int | None = None,
-) -> CoverageReport:
-    """Sample profiles and verify each admits a member within T shifts.
-
-    For each s in `s_values`, draws `samples` random profiles whose first
-    m-1 coordinates sum to s*T^2 and checks that some shift k' in [0, T) of
-    the last coordinate lands in the set.  This is the reachability property
-    the threshold construction relies on for bounded stopping delays.
-    """
-    if T < 1:
-        raise InputError(f"T must be >= 1, got {T}")
-    rng = random.Random(seed)
-    m = model.m
-    hi = last_max if last_max is not None else 3 * T * T
-    checked = 0
-    for s in s_values:
-        total = s * T * T
-        for _ in range(samples):
-            if m == 2:
-                head = (total,)
-            else:
-                cuts = sorted(rng.sample(range(total + m - 2), m - 2))
-                bounds = [-1, *cuts, total + m - 2]
-                head = tuple(
-                    bounds[j + 1] - bounds[j] - 1 for j in range(m - 1)
-                )
-            k_last = rng.randrange(hi + 1)
-            checked += 1
-            found = False
-            for shift in range(T):
-                if pset.member(head + (k_last + shift,)):
-                    found = True
-                    break
-            if not found:
-                return CoverageReport(
-                    ok=False,
-                    checked=checked,
-                    T=T,
-                    counterexample=head + (k_last,),
-                )
-    return CoverageReport(ok=True, checked=checked, T=T)

@@ -8,6 +8,9 @@ keeps an import on purpose.
 
 Every module of the package and of the tests also parses as Python 3.10,
 the oldest version the project supports.
+
+Every name `wordcodes` exports has a caller in the library, or serves a
+README acceptance criterion or reference that names it.
 """
 
 from __future__ import annotations
@@ -89,3 +92,57 @@ def test_sources_parse_as_python_3_10(path):
     grammar newer than 3.10, such as `except*`, as far as `ast` tracks it.
     Library calls and behaviour that differ on 3.10 are not checked."""
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+# Exports no library module calls, each with the README criterion or
+# reference it serves.
+TEST_FACING_EXPORTS = {
+    "is_prefix_free": "criterion 4: prefix-free words and codewords",
+    "find_shift": "criterion 8: the shift search",
+    "sentinel_runs": "criterion 9: sentinel-run word families",
+    "format_digits": "the checked reference for `codebook.digit_run`",
+}
+
+
+def _names_outside(tree, skip):
+    """Every name and attribute the module reads, outside the definition
+    of `skip`."""
+    defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, defines) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_export_has_a_caller_in_the_library():
+    """A name `wordcodes` exports is read by some library module outside
+    its own definition, or is a test-facing export named above."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    trees = [
+        ast.parse(path.read_text())
+        for path in MODULES
+        if path.name != "__init__.py"
+    ]
+    orphans = {
+        name
+        for name in exported
+        if not any(name in _names_outside(tree, name) for tree in trees)
+    }
+    unlisted = sorted(orphans - set(TEST_FACING_EXPORTS))
+    assert not unlisted, f"no library module reads the exports {unlisted}"
+    stale = sorted(set(TEST_FACING_EXPORTS) - orphans)
+    assert not stale, f"the library reads the test-facing exports {stale}"

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+from lattice_helpers import profiles_of_length
 from wordcodes import vv_construct, word_sets
 from wordcodes.errors import ResourceError, ValidationError
 from wordcodes.source_model import linear_form, make_model
@@ -48,16 +49,6 @@ NODE_LIMIT = 10**6
 def _dict_walk(classify):
     """The same classification as a plain callable: the walks' dict path."""
     return lambda k: classify(k)
-
-
-def _profiles_of_length(total, m):
-    """Every profile of m counts summing to `total`, in lexicographic order."""
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _profiles_of_length(total - first, m - 1):
-            yield (first,) + rest
 
 
 def reference_enumeration(
@@ -123,7 +114,7 @@ def reference_knockout_masses(model, classify, cap, targets):
     nxt = {}
     for level in range(cap, 0, -1):
         cur = {}
-        for k in _profiles_of_length(level, m):
+        for k in profiles_of_length(level, m):
             form, low, _ = classify(k)
             if low or level == cap:
                 cur[k] = stop_values[code_length_for(form, False)]
@@ -190,7 +181,7 @@ def _taken_and_boundary(rng, classes, classify, cap):
     """
     deep = [
         k
-        for k in _profiles_of_length(cap - 1, len(classify.d))
+        for k in profiles_of_length(cap - 1, len(classify.d))
         if classify(k)[1:] == (False, True)
     ]
     taken = set(rng.sample(deep, min(len(deep), 2)))
@@ -278,7 +269,7 @@ def test_knockout_sweep_matches_the_full_lattice_reference():
         tables = _joint_dp(model, set_low, set_high, NODE_LIMIT, classify)
         targets = {k for _, k, _ in tables.classes}
         for level in [*rng.sample(range(1, cap), 2), cap]:
-            profiles = list(_profiles_of_length(level, model.m))
+            profiles = list(profiles_of_length(level, model.m))
             targets |= set(rng.sample(profiles, 2))
         found = _knockout_masses(model, classify, cap, targets, NODE_LIMIT)
         assert found == reference_knockout_masses(
@@ -420,7 +411,7 @@ def test_node_classifier_agrees_with_each_rule_on_every_node():
             classify = node_classifier(first, second)
             for level in range(1, top + 1):
                 flags = classify.level(level) if model.m == 2 else None
-                for k in _profiles_of_length(level, model.m):
+                for k in profiles_of_length(level, model.m):
                     form = linear_form(model, k)
                     expect = (form, first.admits(form), second.admits(form))
                     assert classify(k) == expect

@@ -17,6 +17,7 @@ from operator import mul
 
 import pytest
 
+from lattice_helpers import profiles_of_length
 from wordcodes.source_model import linear_form, make_model
 from wordcodes.word_sets import (
     FIRST,
@@ -62,20 +63,10 @@ def _random_model(rng, m):
     return make_model([Fraction(w, total) for w in weights], rng.choice([2, 3]))
 
 
-def _profiles_of_length(total, m):
-    """Every profile of m counts summing to `total`, in lexicographic order."""
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _profiles_of_length(total - first, m - 1):
-            yield (first,) + rest
-
-
 def _random_front(rng, m, level):
     """Some profiles of one level, inserted in a shuffled order, with
     big-integer counts and masses spread over many binades."""
-    profiles = list(_profiles_of_length(level, m))
+    profiles = list(profiles_of_length(level, m))
     rng.shuffle(profiles)
     keep = profiles[: rng.randint(1, len(profiles))]
     return {
@@ -159,7 +150,7 @@ def test_classifier_form_is_the_slicing_fsum_bit_for_bit(m):
                     assert view.flags[i] == flags
                     assert view.id_of(k) == i
                     profiles.append(k)
-                level = list(_profiles_of_length(view.level, m))
+                level = list(profiles_of_length(view.level, m))
                 assert sorted(profiles) == level
                 if view.level < top:
                     view.next.append(view.states[0])

@@ -7,12 +7,14 @@ import dataclasses
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from lattice_helpers import profiles_of_length
 from wordcodes.analysis import code_metrics, scaling_experiment
-from wordcodes.codebook import format_digits
+from wordcodes.codebook import _assert_prefix_free, format_digits
 from wordcodes.errors import (
     InfeasibleError,
     InputError,
@@ -29,8 +31,9 @@ from wordcodes.source_model import (
 from wordcodes.word_sets import (
     DEFAULT_NODE_LIMIT,
     THRESHOLD_TOL,
-    UnionRule,
+    Rule,
     enumerate_words,
+    is_prefix_free,
     lattice_metrics,
     node_classifier,
     wedge,
@@ -51,6 +54,17 @@ from wordcodes.vv_construct import (
     merge_to_kraft,
     threshold_parameter_candidates,
 )
+
+
+@dataclass(frozen=True)
+class UnionRule(Rule):
+    """Membership in any of `rules`: the union of the low and high sets,
+    walked through the `member_classifier` fixture."""
+
+    rules: tuple[Rule, ...]
+
+    def member(self, profile) -> bool:
+        return any(r.member(profile) for r in self.rules)
 
 
 def test_floor_form_snaps_values_just_below_integers():
@@ -790,14 +804,36 @@ def test_explicit_mode_validates_word_lists(binary_model):
     a = binary_model.word_from_text("a")
     b = binary_model.word_from_text("b")
     ab = binary_model.word_from_text("ab")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"duplicate first word \(1,\)"):
         construct_vv(binary_model, first_words=[a, a, b])
-    with pytest.raises(ValidationError):
+    with pytest.raises(
+        ValidationError, match=r"first word \(1, 2\) extends shorter first"
+    ):
         construct_vv(binary_model, first_words=[a, ab, b])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not complete"):
         construct_vv(binary_model, first_words=[a])  # incomplete
     with pytest.raises(InputError):
         construct_vv(binary_model, second_words=[a, b])
+    # symbols must be integers in 1..m, in either list
+    for faulty in ([a, ("x",)], [a, (3,)], [a, (1.0,)]):
+        with pytest.raises(ValidationError, match="outside the alphabet"):
+            construct_vv(binary_model, first_words=faulty)
+        with pytest.raises(ValidationError, match="second word list uses"):
+            construct_vv(binary_model, first_words=[a, b], second_words=faulty)
+    with pytest.raises(ValidationError, match="empty word"):
+        construct_vv(binary_model, first_words=[(), a, b])
+
+
+def test_the_empty_word_is_a_prefix_of_every_word(binary_model):
+    """One prefix rule: the empty word starts every word, in the prefix
+    test, in `wedge`, and so in the Kraft sum of the full merge."""
+    a, b = (1,), (2,)
+    assert not is_prefix_free([(), a])
+    with pytest.raises(ValidationError, match=r"word \(1,\) extends shorter"):
+        _assert_prefix_free([(), a], "word")
+    assert wedge([()], [a, b]) == wedge([a, b], [()]) == [()]
+    _, _, report = merge_to_kraft(binary_model, [a, b], [()])
+    assert report["kraft_merged"] == Fraction(1, 2)
 
 
 def test_unknown_grade_and_assignment_are_rejected(binary_model):
@@ -848,16 +884,6 @@ def test_construction_lengths_follow_membership_rule(binary_model):
         assert code_length_for(form, w in m2) == expected
 
 
-def _profiles_of_length(total, m):
-    """Every profile of m counts summing to `total`, in lexicographic order."""
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _profiles_of_length(total - first, m - 1):
-            yield (first,) + rest
-
-
 def _threshold_cases():
     """(model, T) pairs for checking the lattice sweeps against the rules.
 
@@ -891,7 +917,7 @@ def test_node_classifier_agrees_with_profile_set_membership():
         set_low, set_high = build_threshold_sets(model, T, cap)
         classify = node_classifier(set_low.rule, set_high.rule)
         for level in range(1, cap + 1):
-            for k in _profiles_of_length(level, model.m):
+            for k in profiles_of_length(level, model.m):
                 form, low, high = classify(k)
                 assert form == linear_form(model, k)
                 assert (level == cap or low) == set_low.member(k)

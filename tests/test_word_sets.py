@@ -21,7 +21,6 @@ from wordcodes.word_sets import (
     ThresholdHighRule,
     ThresholdLowRule,
     WindowRule,
-    check_shift_coverage,
     completeness_defect,
     enumerate_words,
     is_prefix_free,
@@ -46,6 +45,65 @@ class ExplicitProfilesRule(Rule):
     def member(self, profile) -> bool:
         return profile in self.profiles
 
+
+@dataclass
+class CoverageReport:
+    """Outcome of sampling last-coordinate shift coverage for a profile set."""
+
+    ok: bool
+    checked: int
+    T: int
+    counterexample: tuple | None = None
+
+
+def check_shift_coverage(
+    model,
+    pset: ProfileSet,
+    T: int,
+    s_values: tuple[int, ...] = (1, 2),
+    samples: int = 50,
+    seed: int = 0,
+    last_max: int | None = None,
+) -> CoverageReport:
+    """Sample profiles and verify each admits a member within T shifts.
+
+    For each s in `s_values`, draws `samples` random profiles whose first
+    m-1 coordinates sum to s*T^2 and checks that some shift k' in [0, T) of
+    the last coordinate lands in the set.  This is the reachability property
+    the threshold construction relies on for bounded stopping delays.
+    """
+    if T < 1:
+        raise InputError(f"T must be >= 1, got {T}")
+    rng = random.Random(seed)
+    m = model.m
+    hi = last_max if last_max is not None else 3 * T * T
+    checked = 0
+    for s in s_values:
+        total = s * T * T
+        for _ in range(samples):
+            if m == 2:
+                head = (total,)
+            else:
+                cuts = sorted(rng.sample(range(total + m - 2), m - 2))
+                bounds = [-1, *cuts, total + m - 2]
+                head = tuple(
+                    bounds[j + 1] - bounds[j] - 1 for j in range(m - 1)
+                )
+            k_last = rng.randrange(hi + 1)
+            checked += 1
+            found = False
+            for shift in range(T):
+                if pset.member(head + (k_last + shift,)):
+                    found = True
+                    break
+            if not found:
+                return CoverageReport(
+                    ok=False,
+                    checked=checked,
+                    T=T,
+                    counterexample=head + (k_last,),
+                )
+    return CoverageReport(ok=True, checked=checked, T=T)
 
 def test_snapped_frac_pulls_values_just_below_integers_to_zero():
     assert snapped_frac(2.3) == pytest.approx(0.3)
@@ -313,6 +371,13 @@ def test_wedge_is_commutative_associative_idempotent(binary_model):
         assert wedge(a, b) == wedge(b, a)
         assert wedge(a, a) == sorted(set(a))
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+        union = set(a) | set(b)
+        # the union words with no proper prefix in the union
+        assert wedge(a, b) == sorted(
+            w
+            for w in union
+            if all(w[:cut] not in union for cut in range(len(w)))
+        )
         merged = wedge(a, b)
         assert is_prefix_free(merged)
         assert completeness_defect(binary_model, merged) <= 1e-12
