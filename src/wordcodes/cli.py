@@ -21,14 +21,7 @@ from .codec import (
     encode_message,
     sync_error_experiment,
 )
-from .errors import (
-    DecodeError,
-    InfeasibleError,
-    InputError,
-    ResourceError,
-    ValidationError,
-    WordCodesError,
-)
+from .errors import InfeasibleError, InputError, WordCodesError
 from .serialization import load_book, save_book
 from .source_model import SourceModel, make_model
 from .vf_construct import construct_block, construct_vf, find_block_parameters
@@ -327,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--accuracy",
         type=float,
         default=None,
-        help="threshold width override, a finite number > 0 (default "
-        "2/T; widths of 1 or more are legal)",
+        help="threshold width override (theta), a finite number > 0 "
+        "(default 2/T; widths of 1 or more are legal)",
     )
     p.add_argument(
         "--grade",
@@ -446,9 +439,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleError, ValidationError, DecodeError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except WordCodesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

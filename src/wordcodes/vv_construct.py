@@ -36,9 +36,10 @@ once per build.  The joint DP, like the final one, is one body over
 `word_sets.level_views` (flat per-level lists for two symbols, key-ordered
 ones over dicts of profile tuples otherwise) and routes a level's paths
 with masks of the node flags.  The knockout sweep is one body for every
-source: it visits only the nodes that paths from the addable classes reach
-before the low set or the cap, and the merge check adds its exact masses
-as integers scaled by n^E.
+source, over the int node keys the enumerator uses (`word_sets.NodeKeys`):
+it visits only the nodes that paths from the addable classes reach before
+the low set or the cap, and the merge check adds its exact masses as
+integers scaled by n^E.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ from .word_sets import (
     THRESHOLD_TOL,
     LatticeTable,
     NodeClassifier,
+    NodeKeys,
     ProfileSet,
     ThresholdHighRule,
     ThresholdLowRule,
@@ -549,23 +551,25 @@ def _knockout_masses(
     scaled by n^E; returns the scaled values of the targets and the scale
     n^E.
 
-    One body for every source.  A forward pass collects, level by level,
-    the nodes that paths from the targets reach before the low set or the
-    cap stops them; a backward pass gives each of them its stop value when
-    it stops, else the sum of its m children's values.  The sums are exact
-    integers, so no visiting order changes a value.  Raises ResourceError
-    once the forward pass has visited more than `node_limit` nodes.
+    One body for every source, over the int node keys of
+    `word_sets.NodeKeys`, where the low set and the cap are one FIRST flag.
+    A forward pass collects, level by level, the nodes that paths from the
+    targets reach before that flag stops them, each classified once; a
+    backward pass gives each of them its stop value when it stops, else the
+    sum of its m children's values.  The sums are exact integers, so no
+    visiting order changes a value.  Raises ResourceError once the forward
+    pass has visited more than `node_limit` nodes.
     """
     n = model.arity
-    m = model.m
     exp = int(cap * max(model.d)) + 3
-    by_level: dict[int, set[Profile]] = {}
+    keys = NodeKeys(model.m, cap, classify)
+    by_level: dict[int, set[int]] = {}
     for k in targets:
-        by_level.setdefault(sum(k), set()).add(k)
-    value: dict[Profile, int] = {}
-    # each node a path runs on from, with its children, level by level
-    going: list[tuple[Profile, list[Profile]]] = []
-    live: set[Profile] = set()
+        by_level.setdefault(sum(k), set()).add(keys.key_of(k))
+    value: dict[int, int] = {}
+    # each node a path runs on from, level by level
+    going: list[int] = []
+    live: set[int] = set()
     visited = 0
     for level in range(1, cap + 1):
         live |= by_level.pop(level, set())
@@ -574,19 +578,18 @@ def _knockout_masses(
         visited += len(live)
         if visited > node_limit:
             raise node_limit_error("knockout sweep", node_limit, cap)
-        reached: set[Profile] = set()
-        for k in live:
-            form, low, _ = classify(k)
-            if low or level == cap:
-                value[k] = n ** (exp - code_length_for(form, False))
+        reached: set[int] = set()
+        for key in live:
+            flags, form = keys.node(key)
+            if flags & FIRST:
+                value[key] = n ** (exp - code_length_for(form, False))
             else:
-                children = [k[:i] + (k[i] + 1,) + k[i + 1 :] for i in range(m)]
-                going.append((k, children))
-                reached.update(children)
+                going.append(key)
+                reached.update(keys.children(key))
         live = reached
-    for k, children in reversed(going):
-        value[k] = sum(map(value.__getitem__, children))
-    return {k: value[k] for k in targets}, n**exp
+    for key in reversed(going):
+        value[key] = sum(map(value.__getitem__, keys.children(key)))
+    return {k: value[keys.key_of(k)] for k in targets}, n**exp
 
 
 def _class_scan(
@@ -963,6 +966,9 @@ def _validate_word_list(
         raise ValidationError(
             f"the {what} word list uses symbols outside the alphabet"
         )
+    for word in words:
+        if not isinstance(word, tuple):
+            raise ValidationError(f"the {what} word {word!r} is not a tuple")
     _assert_prefix_free(words, f"{what} word")
     defect = completeness_defect(model, words)
     if defect > 1e-9:
@@ -1055,12 +1061,14 @@ def construct_vv(
     """Construct a variable-to-variable code for a memoryless source.
 
     With explicit word lists the merge takes one word per class and the
-    result always carries a code book.  Otherwise the stopping sets come from the
-    near-integer thresholds at parameter T ("auto" picks it from the
-    source's exponents: at grade "codec" the largest candidate whose word
-    set still enumerates, at grade "metrics" the first candidate above 4,
-    where the two threshold sets cannot overlap).  The cap ("auto": doubling
-    until the cap mass falls below T^-2) bounds word length in every case.
+    result always carries a code book; T, cap and theta do not apply, and
+    setting any of them raises InputError.  Otherwise the stopping sets
+    come from the near-integer thresholds at parameter T ("auto" picks it
+    from the source's exponents: at grade "codec" the largest candidate
+    whose word set still enumerates, at grade "metrics" the first candidate
+    above 4, where the two threshold sets cannot overlap).  The cap
+    ("auto": doubling until the cap mass falls below T^-2) bounds word
+    length in every case.
 
     At grade "codec" a word set of more than `enum_limit` words is rejected
     inside the joint DP, as soon as the merged set passes the limit, so an
@@ -1084,6 +1092,10 @@ def construct_vv(
             raise InputError(
                 "a second word list was given without a first one"
             )
+        given = {"T": T != "auto", "cap": cap != "auto", "theta": theta is not None}
+        ignored = [name for name in given if given[name]]
+        if ignored:
+            raise InputError(f"explicit word lists take no {', '.join(ignored)}")
         return _explicit(
             model,
             list(first_words),

@@ -41,8 +41,13 @@ with 0/1 masks (`flat_carry`) and handles only stop nodes one by one.  For
 three symbols `_push` unpacks a profile (a, b, c) and builds its children
 from the counts, rather than slicing the tuple; the keys, the order and
 every float are those of the slicing code, which four or more symbols keep.
-The enumerator is one depth-first walk for every source, over int node
-keys, and visits only the nodes its words pass through.
+
+The walks that follow paths rather than levels, the enumerator here and the
+knockout sweep of `vv_construct`, share one node key, `NodeKeys`: the
+mixed-radix int `sum(k_i * (cap + 1) ** i)` of a profile k, its children
+one step each, and a node's flags and form, with every node at the cap in
+both sets.  The enumerator is one depth-first walk for every source over
+those keys, and visits only the nodes its words pass through.
 """
 
 from __future__ import annotations
@@ -743,6 +748,41 @@ def lattice_metrics(
     )
 
 
+class NodeKeys:
+    """The int keys of the nodes of one walk under a hard cap.
+
+    The key of the node with profile k is `sum(k_i * (cap + 1) ** i)`, so
+    the key of the child one symbol i further is the parent's plus
+    `steps[i]`.  `node(key)` classifies the node: `classify` gives its form
+    and the two rules' flags, and every node at the cap is in both sets, so
+    a path stops there and a clean stop takes the extra digit.  Raises
+    InputError for a cap below 1.
+    """
+
+    def __init__(self, m: int, cap: int, classify: NodeClassifier) -> None:
+        if cap < 1:
+            raise InputError(f"cap must be >= 1, got {cap}")
+        self.m, self.cap, self.radix, self.classify = m, cap, cap + 1, classify
+        self.steps = [self.radix**i for i in range(m)]
+
+    def key_of(self, k: Profile) -> int | None:
+        """The key of profile k, or None where no walk under the cap
+        reaches k (and its key could name another profile)."""
+        on_lattice = len(k) == self.m and min(k) >= 0 and sum(k) <= self.cap
+        return sum(map(mul, k, self.steps)) if on_lattice else None
+
+    def children(self, key: int) -> list[int]:
+        """The keys one symbol further, symbol 1 first."""
+        return [key + step for step in self.steps]
+
+    def node(self, key: int) -> tuple[int, float]:
+        """(flags, form) of a node other than the origin."""
+        k = tuple([key // step % self.radix for step in self.steps])
+        form, first, second = self.classify(k)
+        flags = (FIRST if first else 0) | (SECOND if second else 0)
+        return (FIRST | SECOND if sum(k) == self.cap else flags), form
+
+
 def enumerate_words(
     model: SourceModel,
     classify: NodeClassifier,
@@ -763,10 +803,9 @@ def enumerate_words(
     than `limit` words are found.
 
     One depth-first walk for every source and classifier, over (word, key,
-    crossed, probability) frames, symbol 1 popped first.  A node's key is
-    the int `sum(k_i * (cap + 1) ** i)`, so a child's key is its parent's
-    plus `(cap + 1) ** i`; `classify` is called once per distinct profile
-    reached, decoded from the key then, and the cap stops every path.
+    crossed, probability) frames keyed by `NodeKeys`, symbol 1 popped
+    first; `classify` is called once per distinct profile reached, and the
+    cap stops every path.
 
     Each frame carries its word's prefix product, multiplied left to right
     from 1.0 as `word_probability` multiplies, so it is the same float.
@@ -774,39 +813,20 @@ def enumerate_words(
     to it, in the order of the returned list: fresh VF and VV books take
     their probabilities from there, and their metrics from these forms.
     """
-    if cap < 1:
-        raise InputError(f"cap must be >= 1, got {cap}")
+    keys = NodeKeys(model.m, cap, classify)
     if probabilities is None:
         probabilities = []
-    m = model.m
-    radix = cap + 1
-    steps = [radix**i for i in range(m)]
-
-    def key_of(k: Profile) -> int | None:
-        """The key of profile k, or None where no walk under the cap
-        reaches k (and its key could name another profile)."""
-        on_lattice = len(k) == m and min(k) >= 0 and sum(k) <= cap
-        return sum(map(mul, k, steps)) if on_lattice else None
-
-    taken_keys = set(map(key_of, taken))
+    taken_keys = set(map(keys.key_of, taken))
     boundary_key, boundary_left = (
-        (key_of(boundary[0]), boundary[1]) if boundary else (None, 0)
+        (keys.key_of(boundary[0]), boundary[1]) if boundary else (None, 0)
     )
     # key -> (flags, form), one classification per distinct profile; the
     # origin is in neither set
     nodes: dict[int, tuple[int, float]] = {0: (0, 0.0)}
-
-    def classified(key: int) -> tuple[int, float]:
-        k = tuple(key // step % radix for step in steps)
-        form, first, second = classify(k)
-        flags = FIRST * bool(first) | SECOND * bool(second)
-        if sum(k) == cap:  # a clean stop here takes the extra digit
-            flags = FIRST | SECOND
-        nodes[key] = flags, form
-        return flags, form
-
-    # each frame's children, pushed last symbol first
-    children = [((i + 1,), steps[i], p) for i, p in enumerate(model.probs)]
+    # each frame's children, pushed last symbol first; the walk adds the
+    # steps itself, since a `children` call per frame made the `build`
+    # benchmark's round about 10 % slower
+    children = [((i + 1,), keys.steps[i], p) for i, p in enumerate(model.probs)]
     children.reverse()
     out: list[tuple[Word, float, bool]] = []
     append, append_p = out.append, probabilities.append
@@ -814,10 +834,7 @@ def enumerate_words(
     pop, push = stack.pop, stack.append
     while stack:
         word, key, crossed, p = pop()
-        try:
-            flags, form = nodes[key]
-        except KeyError:
-            flags, form = classified(key)
+        flags, form = nodes.get(key) or nodes.setdefault(key, keys.node(key))
         # a clean path at a second-set node stops there, with the extra
         # digit, if its class is taken or is the boundary with words left
         if flags == SECOND and not crossed:

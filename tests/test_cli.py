@@ -97,6 +97,12 @@ def test_cli_construct_vv_explicit_sets(tmp_path, capsys):
     book = load_book(str(out))
     words = sorted(book.model.word_to_text(e.word) for e in book.entries)
     assert words == ["a", "ba", "bba", "bbb"]
+    # threshold options have no effect on explicit sets, so they are refused
+    for flag, value in (("--T", "3"), ("--cap", "4"), ("--accuracy", "0.1")):
+        code = main(["construct-vv", *REFERENCE_ARGS, "--m1", "a,b", flag,
+                     value])
+        assert code == 2
+        assert "explicit word lists take no" in capsys.readouterr().err
 
 
 def test_cli_construct_vf_reports_mode_and_metrics(tmp_path, capsys):

@@ -177,7 +177,9 @@ def _taken_and_boundary(rng, classes, classify, cap):
     """Some of the joint DP's classes taken, and a split of another one.
 
     Two second-set nodes one level above the cap join the taken ones: clean
-    paths rarely get that deep, and a walk must then pass them by.
+    paths rarely get that deep, and a walk must then pass them by.  So does
+    a profile off the lattice, whose int key, were it not checked, would
+    name a class that is not taken.
     """
     deep = [
         k
@@ -190,6 +192,10 @@ def _taken_and_boundary(rng, classes, classify, cap):
     picked = rng.sample(classes, min(len(classes), 4))
     _, k, count = picked[0]
     taken |= {p for _, p, _ in picked[1:]}
+    for _, q, _ in classes:
+        if q not in taken and q != k and q[1]:
+            taken.add((q[0] + cap + 1, q[1] - 1, *q[2:]))
+            break
     return taken, (k, rng.randint(1, count + 1))
 
 
@@ -313,6 +319,27 @@ def test_the_knockout_sweep_counts_the_nodes_it_visits():
     assert message.startswith("knockout sweep visited more than")
     with pytest.raises(ResourceError, match=re.escape(message)):
         _knockout_masses(model, tables.classify, cap, targets, sweep - 1)
+
+
+def test_the_knockout_sweep_costs_less_than_the_joint_dp():
+    """(0.4, 0.6), T=41, cap 841: an extended build whose sweep visits about
+    276k nodes.  Its CPU time stays below 1.1 times that of the joint DP of
+    the same build, best of two runs each; timing both in one process
+    cancels most of the machine's own speed.  A sweep that slices profile
+    tuples and keeps sets of them took 1.24-1.55 times the joint DP."""
+    model = make_model(["0.4", "0.6"], 2)
+    cap = 841
+    set_low, set_high = build_threshold_sets(model, 41, cap)
+    joint, sweep = [], []
+    for _ in range(2):
+        start = time.process_time()
+        tables = _joint_dp(model, set_low, set_high, NODE_LIMIT)
+        joint.append(time.process_time() - start)
+        targets = {k for _, k, _ in tables.classes}
+        start = time.process_time()
+        _knockout_masses(model, tables.classify, cap, targets, NODE_LIMIT)
+        sweep.append(time.process_time() - start)
+    assert min(sweep) < 1.1 * min(joint), (joint, sweep)
 
 
 def test_flat_kernel_matches_the_dict_walk_on_window_rules():

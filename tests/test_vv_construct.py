@@ -822,6 +822,27 @@ def test_explicit_mode_validates_word_lists(binary_model):
             construct_vv(binary_model, first_words=[a, b], second_words=faulty)
     with pytest.raises(ValidationError, match="empty word"):
         construct_vv(binary_model, first_words=[(), a, b])
+    # words are tuples, in either list
+    with pytest.raises(ValidationError, match=r"first word \[1\] is not a"):
+        construct_vv(binary_model, first_words=[[1], [2]])
+    with pytest.raises(ValidationError, match=r"second word \[2\] is not a"):
+        construct_vv(binary_model, first_words=[a, b], second_words=[a, [2]])
+
+
+def test_explicit_word_lists_take_no_threshold_options(binary_model):
+    """T, cap and theta shape threshold builds only; with word lists they
+    would go unused, so any of them set is refused."""
+    words = {"first_words": [(1,), (2,)]}
+    for options, named in (
+        ({"T": 3}, "T"),
+        ({"cap": 4}, "cap"),
+        ({"theta": 0.1}, "theta"),
+        ({"T": 3, "cap": "auto", "theta": 0.0}, "T, theta"),
+    ):
+        with pytest.raises(InputError, match=f"take no {named}$"):
+            construct_vv(binary_model, **options, **words)
+    defaults = {"T": "auto", "cap": "auto", "theta": None}
+    assert construct_vv(binary_model, **defaults, **words).path == "base"
 
 
 def test_the_empty_word_is_a_prefix_of_every_word(binary_model):
