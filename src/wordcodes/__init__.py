@@ -27,8 +27,6 @@ from .codec import (
 )
 from .diophantine import (
     best_approx_denominators,
-    continued_fraction,
-    convergents,
     denominator_of_rational_form,
     dist_to_int,
     find_shift,
@@ -74,6 +72,7 @@ from .vv_construct import (
 )
 from .word_sets import (
     EmptyRule,
+    NodeClassifier,
     ProfileSet,
     ThresholdHighRule,
     ThresholdLowRule,
@@ -82,7 +81,6 @@ from .word_sets import (
     enumerate_words,
     is_prefix_free,
     lattice_metrics,
-    node_classifier,
     sentinel_runs,
     wedge,
 )

@@ -72,6 +72,18 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _save_book(book, path: str) -> None:
+    """Save a code book to `path` and report it."""
+    save_book(book, path)
+    print(f"saved={path}")
+
+
+def _save_json(payload: dict, path: str) -> None:
+    """Write `payload` to `path` as sorted, indented JSON and report it."""
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    print(f"saved={path}")
+
+
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -115,8 +127,7 @@ def cmd_construct_vv(args: argparse.Namespace) -> int:
                 "the word set was not enumerated; nothing to save "
                 "(use --grade codec)"
             )
-        save_book(result.book, args.out)
-        print(f"saved={args.out}")
+        _save_book(result.book, args.out)
     return EXIT_OK
 
 
@@ -127,40 +138,49 @@ def cmd_construct_vf(args: argparse.Namespace) -> int:
     print(f"kind=vf mode={mode} L={result.L}")
     _print_metrics(result.metrics)
     if args.out:
-        save_book(result.book, args.out)
-        print(f"saved={args.out}")
+        _save_book(result.book, args.out)
     return EXIT_OK
 
 
 def cmd_construct_block(args: argparse.Namespace) -> int:
     for flag, value in (("--pair-index", args.pair_index),
                         ("--list-pairs", args.list_pairs)):
-        if value < 0:
+        if value is not None and value < 0:
             raise InputError(f"{flag} must be >= 0, got {value}")
     if args.list_pairs:
+        given = {"--X": args.X, "--L": args.L, "--pair-index": args.pair_index,
+                 "--out": args.out}
+        unread = [flag for flag, value in given.items() if value is not None]
+        if unread:
+            raise InputError(f"--list-pairs takes no {', '.join(unread)}")
         pairs = find_block_parameters(
             args.input_size, args.arity, count=args.list_pairs
         )
         for x, length in pairs:
             print(f"X={x} L={length} r_bound={1.0 / (x * x):.6g}")
         return EXIT_OK
-    if args.X is None or args.L is None:
+    if (args.X is None) != (args.L is None):
+        flag, other = ("--X", "--L") if args.L is None else ("--L", "--X")
+        raise InputError(f"{flag} needs {other}; give both or neither")
+    if args.X is not None:
+        if args.pair_index is not None:
+            raise InputError("--pair-index does not apply with --X and --L")
+        x, length = args.X, args.L
+    else:
+        index = args.pair_index or 0
         pairs = find_block_parameters(
-            args.input_size, args.arity, count=args.pair_index + 1
+            args.input_size, args.arity, count=index + 1
         )
-        if args.pair_index >= len(pairs):
+        if index >= len(pairs):
             raise InfeasibleError(
                 f"only {len(pairs)} block parameter pairs are available"
             )
-        x, length = pairs[args.pair_index]
-    else:
-        x, length = args.X, args.L
+        x, length = pairs[index]
     result = construct_block(args.input_size, args.arity, x, length)
     print(f"kind=block X={result.X} L={result.L}")
     _print_metrics(result.metrics)
     if args.out:
-        save_book(result.book, args.out)
-        print(f"saved={args.out}")
+        _save_book(result.book, args.out)
     return EXIT_OK
 
 
@@ -226,7 +246,10 @@ def cmd_experiment_scaling(args: argparse.Namespace) -> int:
             for tok in args.t_list.split(",")
             if tok.strip()
         ]
-    result = scaling_experiment(model, t_list=t_list, t_max=args.t_max)
+        if args.t_max is not None:
+            raise InputError("--t-max does not apply with --t-list")
+    t_max = DEFAULT_T_MAX if args.t_max is None else args.t_max
+    result = scaling_experiment(model, t_list=t_list, t_max=t_max)
     for row in result.rows:
         print(
             f"T={row.T} cap={row.cap} N̄={row.avg_delay:.6g} "
@@ -256,8 +279,7 @@ def cmd_experiment_scaling(args: argparse.Namespace) -> int:
             ],
             "slope": result.slope,
         }
-        _write_text(args.json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"saved={args.json}")
+        _save_json(payload, args.json)
     return EXIT_OK
 
 
@@ -287,8 +309,7 @@ def cmd_experiment_sync(args: argparse.Namespace) -> int:
             "single_word_fraction": report.single_word_fraction,
             "histogram": {str(k): v for k, v in report.histogram.items()},
         }
-        _write_text(args.json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"saved={args.json}")
+        _save_json(payload, args.json)
     return EXIT_OK
 
 
@@ -366,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pair-index",
         type=int,
-        default=0,
+        default=None,
         help="use the i-th recommended (X, L) pair instead of explicit --X/--L",
     )
     p.add_argument(
@@ -413,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument(
         "--t-max",
         type=int,
-        default=DEFAULT_T_MAX,
+        default=None,
         help="largest auto threshold",
     )
     e.add_argument("--csv", default=None, help="write rows as CSV here")

@@ -134,12 +134,6 @@ class CodeBook:
             Counter(map(len, map(_codeword, self.entries))), self.model.arity
         )
 
-    def max_word_length(self) -> int:
-        return max(len(e.word) for e in self.entries)
-
-    def words(self) -> list[Word]:
-        return [e.word for e in self.entries]
-
 
 def _assert_prefix_free(items: list, what: str) -> None:
     """Raise ValidationError for the first duplicate, or item that starts
@@ -207,22 +201,21 @@ def _has_prefix_pair(ordered: list) -> bool:
     return any(map(starts, islice(ordered, 1, None), ordered))
 
 
-def validate_codebook(book: CodeBook, tol: float = COMPLETENESS_TOL) -> None:
+def validate_codebook(book: CodeBook) -> None:
     """Check the structural contract every emitted book must satisfy.
 
     Input words nonempty, over the symbols 1..m, prefix-free and complete;
     codewords nonempty, prefix-free and drawn from the digit alphabet;
-    stored probabilities consistent with the model; and Kraft sum at most 1
-    in exact arithmetic.  Fresh VF and VV books store the probabilities
+    probabilities within COMPLETENESS_TOL of summing to 1; stored
+    probabilities consistent with the model; and Kraft sum at most 1 in
+    exact arithmetic.  Fresh VF and VV books store the probabilities
     their enumerator carried, so the model check here is the one check of
     those products that does not come from the walk.
     """
-    _validate(book, against_model=True, tol=tol)
+    _validate(book, against_model=True)
 
 
-def _validate(
-    book: CodeBook, against_model: bool, tol: float = COMPLETENESS_TOL
-) -> None:
+def _validate(book: CodeBook, against_model: bool) -> None:
     """The checks of `validate_codebook`.
 
     against_model=False skips comparing each stored probability with the
@@ -250,7 +243,7 @@ def _validate(
     if not passed or _has_prefix_pair(sorted(codewords)):
         _assert_prefix_free(codewords, "codeword")
     total = math.fsum(map(_probability, book.entries))
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > COMPLETENESS_TOL:
         raise ValidationError(
             f"word probabilities sum to {total!r}; the set is not complete"
         )

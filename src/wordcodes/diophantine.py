@@ -17,7 +17,8 @@ from .errors import InfeasibleError, InputError
 from .source_model import Profile, SourceModel, linear_form
 
 INTEGRALITY_TOL = 1e-12
-DEFAULT_RATIONAL_TOL = 1e-9
+RATIONAL_TOL = 1e-9
+RATIONAL_MAX_DENOMINATOR = 10_000
 
 
 def frac(x: float) -> float:
@@ -29,37 +30,6 @@ def dist_to_int(x: float) -> float:
     """Distance from x to the nearest integer, in [0, 1/2]."""
     f = frac(x)
     return min(f, 1.0 - f)
-
-
-def continued_fraction(x: float, max_terms: int = 64) -> list[int]:
-    """Partial quotients [a0; a1, a2, ...] of x.
-
-    Stops early when the remainder is exhausted at float precision, which is
-    the effective rational cutoff for binary64 inputs.
-    """
-    terms: list[int] = []
-    value = x
-    for _ in range(max_terms):
-        a = math.floor(value)
-        terms.append(a)
-        rem = value - a
-        # 1/rem amplifies float error by rem^-2; stop once rem is pure noise.
-        if rem < 1e-12:
-            break
-        value = 1.0 / rem
-    return terms
-
-
-def convergents(x: float, max_terms: int = 64) -> list[tuple[int, int]]:
-    """Convergent fractions (p, q) of x from its continued fraction."""
-    result = []
-    p_prev, q_prev = 0, 1
-    p_cur, q_cur = 1, 0
-    for a in continued_fraction(x, max_terms):
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        result.append((p_cur, q_cur))
-    return result
 
 
 def exact_log(m: int, n: int) -> Fraction | None:
@@ -130,8 +100,9 @@ def best_approx_denominators(x: float, q_max: int) -> list[int]:
     """Denominators q <= q_max with dist_to_int(q*x) strictly below all q' < q.
 
     These are the continued-fraction convergent denominators of x (q=1 is
-    always included, vacuously best).  Raises for x within INTEGRALITY_TOL of
-    an integer, where every q already gives distance ~0.
+    always included, vacuously best), from the exact expansion of the float
+    x (`interval_convergents`).  Raises for x within INTEGRALITY_TOL of an
+    integer, where every q already gives distance ~0.
     """
     if q_max < 1:
         raise InputError(f"q_max must be >= 1, got {q_max}")
@@ -142,11 +113,10 @@ def best_approx_denominators(x: float, q_max: int) -> list[int]:
         )
     out: list[int] = []
     best = math.inf
-    for _, q in convergents(x):
-        if q < 1 or q > q_max:
-            if q > q_max:
-                break
-            continue
+    exact = Fraction(x)
+    for _, q in interval_convergents(exact, exact):
+        if q > q_max:
+            break
         err = dist_to_int(q * x)
         if q == 1 or err < best:
             if not out or q != out[-1]:
@@ -183,19 +153,19 @@ def find_shift(
     )
 
 
-def denominator_of_rational_form(
-    values, max_denominator: int = 10_000, tol: float = DEFAULT_RATIONAL_TOL
-) -> int | None:
-    """Least common denominator of `values` if all are rational at `tol`.
+def denominator_of_rational_form(values) -> int | None:
+    """Least common denominator of `values` if all are rational.
 
-    Returns None as soon as one value has no fraction with denominator up to
-    `max_denominator` within `tol`.  Used to route sources whose digit costs
-    are all rational into the exact-hit construction.
+    A value counts as rational when a fraction with denominator up to
+    RATIONAL_MAX_DENOMINATOR lies within RATIONAL_TOL (relative, for
+    values above 1) of it; returns None as soon as one value has none.
+    Used to route sources whose digit costs are all rational into the
+    exact-hit construction.
     """
     lcm = 1
     for x in values:
-        approx = Fraction(x).limit_denominator(max_denominator)
-        if abs(float(approx) - x) > tol * max(1.0, abs(x)):
+        approx = Fraction(x).limit_denominator(RATIONAL_MAX_DENOMINATOR)
+        if abs(float(approx) - x) > RATIONAL_TOL * max(1.0, abs(x)):
             return None
         lcm = lcm * approx.denominator // math.gcd(lcm, approx.denominator)
     return lcm

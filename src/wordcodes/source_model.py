@@ -220,17 +220,14 @@ def word_probability(model: SourceModel, word: Word) -> float:
 
     Symbols must lie in 1..m.
     """
-    probs = model._symbol_probs
-    p = 1.0
-    for i in word:
-        p *= probs[i]
-    return p
+    return word_probabilities(model, (word,))[0]
 
 
 def word_probabilities(
     model: SourceModel, words: Iterable[Word]
 ) -> list[float]:
-    """`word_probability` of each word: the same products, in one loop."""
+    """`word_probability` of each word: its symbols' probabilities
+    multiplied left to right from 1.0."""
     probs = model._symbol_probs
     out = []
     append = out.append

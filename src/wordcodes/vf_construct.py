@@ -22,6 +22,7 @@ from operator import itemgetter
 
 from . import analysis
 from .codebook import (
+    COMPLETENESS_TOL,
     CodeBook,
     code_entries,
     fixed_codewords,
@@ -43,7 +44,6 @@ from .word_sets import (
     WindowRule,
     enumerate_words,
     lattice_metrics,
-    node_classifier,
     node_limit_error,
 )
 
@@ -101,7 +101,7 @@ def construct_vf(
         }
     else:
         cap = int((L - d_max) / d_min) + 2
-        classify = node_classifier(
+        classify = NodeClassifier(
             WindowRule(model.d, L - d_max, float(L)), EmptyRule()
         )
         _check_walk_fits(model, classify, cap, node_limit)
@@ -127,7 +127,7 @@ def construct_vf(
                 "window parse was cut off by the length cap; the window "
                 "bounds are inconsistent"
             )
-        if abs(table.total_prob - 1.0) > 1e-9:
+        if abs(table.total_prob - 1.0) > COMPLETENESS_TOL:
             raise ValidationError(
                 f"window word set is not complete: mass {table.total_prob!r}"
             )

@@ -56,6 +56,7 @@ from typing import Sequence
 
 from . import analysis
 from .codebook import (
+    COMPLETENESS_TOL,
     CodeBook,
     CodeEntry,
     _assert_prefix_free,
@@ -101,7 +102,6 @@ from .word_sets import (
     flat_carry,
     lattice_metrics,
     level_views,
-    node_classifier,
     node_limit_error,
     wedge,
 )
@@ -109,10 +109,11 @@ from .word_sets import (
 log = logging.getLogger(__name__)
 
 
-def floor_form(x: float, tol: float = THRESHOLD_TOL) -> int:
-    """Integer part of a linear-form value, snapping near-integers upward."""
+def floor_form(x: float) -> int:
+    """Integer part of a linear-form value, snapping values within
+    THRESHOLD_TOL below an integer upward."""
     fl = math.floor(x)
-    if x - fl >= 1.0 - tol:
+    if x - fl >= 1.0 - THRESHOLD_TOL:
         fl += 1
     return int(fl)
 
@@ -449,28 +450,20 @@ class WordLimitError(ResourceError):
 
 def _joint_dp(
     model: SourceModel,
-    set_low: ProfileSet,
-    set_high: ProfileSet,
+    classify: NodeClassifier,
+    cap: int,
     node_limit: int,
-    classify: NodeClassifier | None = None,
     enum_limit: int | None = None,
 ) -> _JointTables:
-    """The joint DP, with a fresh classifier of the two sets' rules unless
-    `classify` (the same rules) is passed in.  With an `enum_limit`, raises
-    WordLimitError after the first level where the merged set has more
-    stops than that.
+    """The joint DP of the low and high rules of `classify` under the hard
+    cap `cap`.  With an `enum_limit`, raises WordLimitError after the first
+    level where the merged set has more stops than that.
 
     One body over `word_sets.level_views`: paths are routed a level at a
     time with 0/1 masks of the routing flags, and only nodes of either set
     are handled one by one, for the Kraft counts and the classes.  The cap
     masses read the real flags of the cap level, in visiting order.
     """
-    if set_low.cap != set_high.cap:
-        raise InputError("both stopping sets must share one cap")
-    cap = set_low.cap
-    if classify is None:
-        classify = node_classifier(set_low.rule, set_high.rule)
-
     # {codeword length: word count} of each word set, for its Kraft sum
     acc_first: Counter[int] = Counter()
     acc_second: Counter[int] = Counter()
@@ -692,34 +685,31 @@ def choose_cap(
     Starts at T^2 and doubles until the probability of a word being stopped
     by the cap rather than a threshold set drops to T^-2, or the budget
     ceil(8 T^3 ln T) is reached.  Every trial runs on one node classifier,
-    since the threshold rules do not depend on the cap, so each lattice
-    level is classified once however often the cap doubles.  Returns the
-    lattice tables of the last trial so the caller need not recompute them.
+    built before the first, since the threshold rules do not depend on the
+    cap, so each lattice level is classified once however often the cap
+    doubles.  Returns the stopping sets at the chosen cap and the lattice
+    tables of the last trial, so the caller need not recompute them.
 
     With an `enum_limit` (codec-grade builds), a trial raises WordLimitError
     as soon as its merged word set has more words than that: the word set
     at this cap, or at any larger one, could not be enumerated either.
     """
-    if T < 1:
-        raise InputError(f"T must be >= 1, got {T}")
-    hard = max(T * T, math.ceil(8 * T**3 * math.log(T)) if T >= 2 else 0)
-    target = 1.0 / (T * T)
     cap = T * T
+    set_low, set_high = build_threshold_sets(model, T, cap, theta)
+    classify = NodeClassifier(set_low.rule, set_high.rule)
+    hard = max(cap, math.ceil(8 * T**3 * math.log(T)) if T >= 2 else 0)
+    target = 1.0 / cap
     history: list[tuple[int, float]] = []
-    classify: NodeClassifier | None = None
     while True:
         if math.comb(cap + model.m, model.m) > node_limit:
             raise ResourceError(
                 f"cap {cap} needs more than {node_limit} lattice nodes"
             )
-        set_low, set_high = build_threshold_sets(model, T, cap, theta)
-        tables = _joint_dp(
-            model, set_low, set_high, node_limit, classify, enum_limit
-        )
-        classify = tables.classify
+        tables = _joint_dp(model, classify, cap, node_limit, enum_limit)
         worst = max(tables.cap_mass_first, tables.cap_mass_second)
         history.append((cap, worst))
         if worst <= target or cap >= hard:
+            set_low, set_high = build_threshold_sets(model, T, cap, theta)
             return cap, set_low, set_high, tables, history
         cap = min(2 * cap, hard)
 
@@ -814,15 +804,14 @@ def _pipeline(
     # a codec-grade word set past the limit is rejected in the joint DP
     limit = enum_limit if grade == "codec" else None
     if cap == "auto":
-        cap_val, set_low, set_high, tables, history = choose_cap(
+        cap_val, _, _, tables, history = choose_cap(
             model, T, theta, node_limit, limit
         )
     else:
         cap_val = int(cap)
         set_low, set_high = build_threshold_sets(model, T, cap_val, theta)
-        tables = _joint_dp(
-            model, set_low, set_high, node_limit, enum_limit=limit
-        )
+        classify = NodeClassifier(set_low.rule, set_high.rule)
+        tables = _joint_dp(model, classify, cap_val, node_limit, limit)
         history = [
             (cap_val, max(tables.cap_mass_first, tables.cap_mass_second))
         ]
@@ -971,7 +960,7 @@ def _validate_word_list(
             raise ValidationError(f"the {what} word {word!r} is not a tuple")
     _assert_prefix_free(words, f"{what} word")
     defect = completeness_defect(model, words)
-    if defect > 1e-9:
+    if defect > COMPLETENESS_TOL:
         raise ValidationError(
             f"the {what} word set is not complete: defect {defect!r}"
         )
@@ -999,7 +988,7 @@ def _explicit(
     probs = [word_probability(model, w) for w in words]
     forms = [linear_form(model, profile_of(w, model.m)) for w in words]
     defect = abs(1.0 - math.fsum(probs))
-    if defect > 1e-9:
+    if defect > COMPLETENESS_TOL:
         raise ValidationError(
             f"merged word set lost completeness: defect {defect!r}"
         )

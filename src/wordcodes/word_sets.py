@@ -11,7 +11,7 @@ Every walk carries a hard cap: profiles of that total length always stop,
 which forces every infinite symbol stream to stop and makes the word set
 complete (probabilities sum to 1).
 
-Both code families walk the lattice the same way.  `node_classifier` turns
+Both code families walk the lattice the same way.  `NodeClassifier` turns
 two rules into one classification per node: its linear form and whether the
 first and the second set hold it.  `lattice_metrics` (the forward stopping
 DP) and `enumerate_words` (the word-by-word enumerator) are the only walks;
@@ -75,14 +75,14 @@ DEFAULT_NODE_LIMIT = 4 * 10**6
 DEFAULT_T_MAX = 50
 
 
-def snapped_frac(x: float, tol: float = THRESHOLD_TOL) -> float:
-    """Fractional part with values within `tol` of 1 snapped to 0.
+def snapped_frac(x: float) -> float:
+    """Fractional part with values within THRESHOLD_TOL of 1 snapped to 0.
 
     Exact integer values of a linear form often land just below an integer in
     binary64; snapping keeps them on the 'low side' where they belong.
     """
     f = x - math.floor(x)
-    return 0.0 if f >= 1.0 - tol else f
+    return 0.0 if f >= 1.0 - THRESHOLD_TOL else f
 
 
 class Rule:
@@ -121,10 +121,9 @@ class FormRule(Rule):
 @dataclass(frozen=True)
 class ThresholdRule(FormRule):
     """A threshold of width `theta` on the snapped fractional part of the
-    form; the empty profile is never a member."""
+    form, widened by THRESHOLD_TOL; the empty profile is never a member."""
 
     theta: float
-    tol: float = THRESHOLD_TOL
 
     def member(self, profile: Profile) -> bool:
         return any(profile) and super().member(profile)
@@ -136,7 +135,7 @@ class ThresholdLowRule(ThresholdRule):
 
     def admits(self, form: float) -> bool:
         """Membership of a nonzero profile whose linear form is `form`."""
-        return snapped_frac(form, self.tol) <= self.theta + self.tol
+        return snapped_frac(form) <= self.theta + THRESHOLD_TOL
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ class ThresholdHighRule(ThresholdRule):
 
     def admits(self, form: float) -> bool:
         """Membership of a nonzero profile whose linear form is `form`."""
-        return 1.0 - snapped_frac(form, self.tol) <= self.theta + self.tol
+        return 1.0 - snapped_frac(form) <= self.theta + THRESHOLD_TOL
 
 
 @dataclass(frozen=True)
@@ -154,16 +153,16 @@ class WindowRule(FormRule):
 
     Used by the fixed-output-length construction: lo = L - max(d), hi = L.
     A parse can never jump over the window because one symbol advances the
-    form by at most max(d), so only the left edge decides stopping.
+    form by at most max(d), so only the left edge decides stopping.  Both
+    edges are shifted up by THRESHOLD_TOL.
     """
 
     lo: float
     hi: float
-    tol: float = THRESHOLD_TOL
 
     def admits(self, form: float) -> bool:
         """Membership of a profile whose linear form is `form`."""
-        return self.lo + self.tol < form <= self.hi + self.tol
+        return self.lo + THRESHOLD_TOL < form <= self.hi + THRESHOLD_TOL
 
 
 @dataclass(frozen=True)
@@ -220,19 +219,16 @@ def _flag_function(
 ) -> Callable[[float], int]:
     """form -> its flags under the two rules.
 
-    Two threshold rules with one tolerance share the snapped fractional part
-    of the form; the tests are `ThresholdLowRule.admits` and
-    `ThresholdHighRule.admits` written out on it.  Any other pair asks each
-    rule's `admits`.
+    Two threshold rules share the snapped fractional part of the form; the
+    tests are `ThresholdLowRule.admits` and `ThresholdHighRule.admits`
+    written out on it.  Any other pair asks each rule's `admits`.
     """
-    rules = (first_rule, second_rule)
-    if all(
-        type(r) in (ThresholdLowRule, ThresholdHighRule) for r in rules
-    ) and first_rule.tol == second_rule.tol:
+    threshold_types = {ThresholdLowRule, ThresholdHighRule}
+    if {type(first_rule), type(second_rule)} <= threshold_types:
         floor = math.floor
-        one_minus_tol = 1.0 - first_rule.tol
-        bound1 = first_rule.theta + first_rule.tol
-        bound2 = second_rule.theta + second_rule.tol
+        one_minus_tol = 1.0 - THRESHOLD_TOL
+        bound1 = first_rule.theta + THRESHOLD_TOL
+        bound2 = second_rule.theta + THRESHOLD_TOL
         low1 = type(first_rule) is ThresholdLowRule
         low2 = type(second_rule) is ThresholdLowRule
 
@@ -261,7 +257,9 @@ class NodeClassifier:
     products k_i * d_i, and `first` and `second` are what the two rules'
     `admits` answer for it; `flag` maps a form to its flags.  The walks
     never classify the empty profile, and they apply the hard cap
-    themselves, since they know each node's level.
+    themselves, since they know each node's level.  Both rules must decide
+    by the linear form of one source (`EmptyRule` fits any source); raises
+    InputError otherwise.
 
     For two symbols the classifier also holds a level table: `level(L)` is
     one byte of flags (FIRST, SECOND) per node (a, L - a), indexed by the
@@ -321,15 +319,6 @@ class NodeClassifier:
         both = NodeClassifier(self.second_rule, self.second_rule)
         both._levels = [lv.translate(_SECOND_AS_BOTH) for lv in self._levels]
         return both
-
-
-def node_classifier(first_rule: Rule, second_rule: Rule) -> NodeClassifier:
-    """The classifier of two rules that decide by one source's linear form.
-
-    `EmptyRule` fits any source.  Raises InputError for rules without
-    `admits`, or for two rules over different sources.
-    """
-    return NodeClassifier(first_rule, second_rule)
 
 
 Front = dict[Profile, tuple[int, float]]

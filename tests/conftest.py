@@ -33,7 +33,7 @@ REFERENCE_M2 = ["ab", "ba", "bbb", "bba", "aab", "aaa"]
 def member_classifier():
     """Build a node classifier that asks each rule's `member` per profile.
 
-    The reference for `word_sets.node_classifier`, and the way to walk
+    The reference for `word_sets.NodeClassifier`, and the way to walk
     rules that cannot decide by the linear form alone.
     """
 

@@ -202,6 +202,17 @@ def test_cli_block_pair_index_fails_fast_and_names_the_flag(capsys):
         assert main(["construct-block", "--input-size", "3", flag, "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
+    # a flag the command would ignore is an error naming it
+    for flag, argv in [
+        ("--X", ["--X", "5"]),
+        ("--L", ["--L", "8"]),
+        ("--pair-index", ["--X", "5", "--L", "8", "--pair-index", "0"]),
+        ("--X, --L", ["--list-pairs", "2", "--X", "5", "--L", "8"]),
+    ]:
+        assert main(["construct-block", "--input-size", "3", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and flag in captured.err
 
 
 def test_cli_encode_no_pad_fails_inside_a_word(tmp_path, capsys):
@@ -241,6 +252,13 @@ def test_cli_scaling_writes_csv(tmp_path, capsys):
     )
     assert len(lines) == 4
     assert lines[1].startswith("1,")
+    # --t-max sets the auto ladder, so it is an error next to --t-list
+    code = main(["experiment", "scaling", *REFERENCE_ARGS,
+                 "--t-list", "1,3,4", "--t-max", "5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--t-max" in captured.err
 
 
 def test_cli_sync_writes_json_summary(tmp_path, capsys):

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from wordcodes.diophantine import (
     best_approx_denominators,
-    convergents,
     denominator_of_rational_form,
     dist_to_int,
     find_shift,
     frac,
+    interval_convergents,
 )
 from wordcodes.errors import InfeasibleError, InputError
 from wordcodes.source_model import make_model
@@ -29,8 +31,13 @@ def test_frac_and_dist_to_int_basics():
     assert dist_to_int(3.0) == 0.0
 
 
+def _convergents(x):
+    """The convergents of the float x, expanded exactly."""
+    return interval_convergents(Fraction(x), Fraction(x))
+
+
 def test_convergents_of_log2_3_match_known_table():
-    got = convergents(LOG2_3)[:7]
+    got = list(islice(_convergents(LOG2_3), 7))
     assert got == [(1, 1), (2, 1), (3, 2), (8, 5), (19, 12), (65, 41), (84, 53)]
 
 
@@ -40,7 +47,7 @@ def test_convergents_satisfy_inverse_square_error_bound():
         x = rng.uniform(0.1, 3.0)
         if dist_to_int(x) < 1e-6:
             continue
-        for p, q in convergents(x)[:10]:
+        for p, q in islice(_convergents(x), 10):
             assert abs(x - p / q) < 1.0 / (q * q) + 1e-15
 
 
@@ -50,10 +57,21 @@ def test_best_denominators_for_reference_exponent(binary_model):
     assert best_approx_denominators(x, 2000) == [1, 3, 4, 19, 422, 1707]
 
 
+def _rational_source_exponents():
+    """The exponents -log_n p_i of seeded sources with rational
+    probabilities, at arity 3, 8 and 32."""
+    rng = random.Random(19)
+    for n in (3, 8, 32):
+        for _ in range(4):
+            weights = [rng.randint(1, 9) for _ in range(rng.choice([2, 3]))]
+            probs = [Fraction(w, sum(weights)) for w in weights]
+            yield from make_model(probs, n).d
+
+
 def test_best_denominators_match_brute_force_scan():
     rng = random.Random(17)
-    for _ in range(20):
-        x = rng.uniform(0.05, 4.0)
+    samples = [rng.uniform(0.05, 4.0) for _ in range(20)]
+    for x in [*samples, *_rational_source_exponents()]:
         if dist_to_int(x) < 1e-7:
             continue
         q_max = 10_000

@@ -48,10 +48,10 @@ from wordcodes.vv_construct import (
 )
 from wordcodes.word_sets import (
     EmptyRule,
+    NodeClassifier,
     WindowRule,
     enumerate_words,
     lattice_metrics,
-    node_classifier,
 )
 
 
@@ -68,7 +68,7 @@ def _random_model(rng: random.Random, m: int, arity: int):
 def _assert_fresh_book(book, metrics) -> None:
     """The book's stored probabilities are the model's products, and its
     metrics are those `code_metrics` rebuilds from the model."""
-    words = book.words()
+    words = [e.word for e in book.entries]
     stored = [e.probability for e in book.entries]
     assert _hex(stored) == _hex(word_probabilities(book.model, words))
     assert repr(metrics) == repr(code_metrics(book))
@@ -96,14 +96,14 @@ def test_both_enumerators_carry_the_model_products():
         T = rng.randint(3, 5)
         cap = T * T
         set_low, set_high = build_threshold_sets(model, T, cap)
-        classify = node_classifier(set_low.rule, set_high.rule)
-        tables = _joint_dp(model, set_low, set_high, 10**6, classify)
+        classify = NodeClassifier(set_low.rule, set_high.rule)
+        tables = _joint_dp(model, classify, cap, 10**6)
         classes = [k for _, k, _ in tables.classes]
         taken = set(classes[1:3])
         boundary = (classes[0], 1) if classes else None
         d_max = max(model.d)
         L = math.ceil(d_max) + 2
-        window = node_classifier(
+        window = NodeClassifier(
             WindowRule(model.d, L - d_max, float(L)), EmptyRule()
         )
         walks = [
@@ -437,7 +437,7 @@ def test_the_early_node_limit_error_is_the_walks_error(monkeypatch):
         d_max = max(model.d)
         L = math.ceil(d_max) + rng.randint(0, 3)
         cap = int((L - d_max) / min(model.d)) + 2
-        window = node_classifier(
+        window = NodeClassifier(
             WindowRule(model.d, L - d_max, float(L)), EmptyRule()
         )
         visited = lattice_metrics(model, window, cap, 10**6).visited_nodes

@@ -10,18 +10,21 @@ Every module of the package and of the tests also parses as Python 3.10,
 the oldest version the project supports.
 
 Every name `wordcodes` exports has a caller in the library, or serves a
-README acceptance criterion or reference that names it.
+README acceptance criterion or reference that names it; and the README's
+Python examples run as written.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wordcodes"
+README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = README.parent / "src" / "wordcodes"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -146,3 +149,13 @@ def test_every_export_has_a_caller_in_the_library():
     assert not unlisted, f"no library module reads the exports {unlisted}"
     stale = sorted(set(TEST_FACING_EXPORTS) - orphans)
     assert not stale, f"the library reads the test-facing exports {stale}"
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of README.md runs, each in a fresh namespace,
+    so an example that names a removed or renamed export fails here."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})

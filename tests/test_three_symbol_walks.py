@@ -23,12 +23,12 @@ from wordcodes.word_sets import (
     FIRST,
     SECOND,
     EmptyRule,
+    NodeClassifier,
     ThresholdHighRule,
     ThresholdLowRule,
     WindowRule,
     _push,
     keyed_levels,
-    node_classifier,
 )
 
 
@@ -123,7 +123,7 @@ def _rule_pairs(d):
     return [
         (ThresholdLowRule(d, 0.3), ThresholdHighRule(d, 0.3)),
         (ThresholdHighRule(d, 0.3), ThresholdLowRule(d, 0.3)),
-        (ThresholdLowRule(d, 0.3, tol=1e-9), ThresholdHighRule(d, 1.5)),
+        (ThresholdLowRule(d, 0.3), WindowRule(d, 2.0, 2.0 + max(d))),
         (WindowRule(d, 2.0, 2.0 + max(d)), EmptyRule()),
     ]
 
@@ -137,7 +137,7 @@ def test_classifier_form_is_the_slicing_fsum_bit_for_bit(m):
         model = _random_model(rng, m)
         for first, second in _rule_pairs(model.d):
             top = {3: 14, 4: 8, 5: 6}[m]
-            classify = node_classifier(first, second)
+            classify = NodeClassifier(first, second)
             for view in keyed_levels(model, classify, 1):
                 profiles = []
                 for i in view.ids:

@@ -31,11 +31,11 @@ from wordcodes.source_model import (
 from wordcodes.word_sets import (
     DEFAULT_NODE_LIMIT,
     THRESHOLD_TOL,
+    NodeClassifier,
     Rule,
     enumerate_words,
     is_prefix_free,
     lattice_metrics,
-    node_classifier,
     wedge,
 )
 from wordcodes.vv_construct import (
@@ -639,7 +639,7 @@ def test_word_and_lattice_merges_differ_only_where_profiles_tie():
         T = rng.randint(2, 6)
         cap = rng.randint(2, {2: 12, 3: 7, 4: 5}[m])
         low, high = build_threshold_sets(model, T, cap)
-        classify = node_classifier(low.rule, high.rule)
+        classify = NodeClassifier(low.rule, high.rule)
         try:
             first, second = (
                 [w for w, _, _ in enumerate_words(model, walk, cap, 400)]
@@ -936,7 +936,7 @@ def test_node_classifier_agrees_with_profile_set_membership():
     for model, T in _threshold_cases():
         cap = T * T
         set_low, set_high = build_threshold_sets(model, T, cap)
-        classify = node_classifier(set_low.rule, set_high.rule)
+        classify = NodeClassifier(set_low.rule, set_high.rule)
         for level in range(1, cap + 1):
             for k in profiles_of_length(level, model.m):
                 form, low, high = classify(k)
@@ -952,7 +952,8 @@ def test_joint_dp_kraft_merged_matches_union_sweep(member_classifier):
     for model, T in _threshold_cases():
         cap = T * T
         set_low, set_high = build_threshold_sets(model, T, cap)
-        tables = _joint_dp(model, set_low, set_high, DEFAULT_NODE_LIMIT)
+        classify = NodeClassifier(set_low.rule, set_high.rule)
+        tables = _joint_dp(model, classify, cap, DEFAULT_NODE_LIMIT)
         union = member_classifier(
             model, UnionRule((set_low.rule, set_high.rule))
         )
@@ -984,12 +985,12 @@ def test_joint_dp_kraft_merged_matches_union_sweep(member_classifier):
 def test_joint_and_final_dps_stop_at_the_node_limit(binary_model):
     cap = 36
     set_low, set_high = build_threshold_sets(binary_model, 6, cap)
-    classify = node_classifier(set_low.rule, set_high.rule)
+    classify = NodeClassifier(set_low.rule, set_high.rule)
     # levels 1..36 hold 702 nodes in all, so a limit of 703 never trips
-    assert _joint_dp(binary_model, set_low, set_high, 703).kraft_first > 0
+    assert _joint_dp(binary_model, classify, cap, 703).kraft_first > 0
     assert lattice_metrics(binary_model, classify, cap, 703).word_count > 0
     with pytest.raises(ResourceError, match="joint lattice DP"):
-        _joint_dp(binary_model, set_low, set_high, 40)
+        _joint_dp(binary_model, classify, cap, 40)
     with pytest.raises(ResourceError, match="^lattice DP"):
         lattice_metrics(binary_model, classify, cap, 40)
 

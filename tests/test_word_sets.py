@@ -15,7 +15,9 @@ from wordcodes.errors import InputError, ResourceError, ValidationError
 from wordcodes.source_model import make_model, profile_of, word_probability
 from wordcodes.word_sets import (
     DEFAULT_ENUM_LIMIT,
+    THRESHOLD_TOL,
     EmptyRule,
+    NodeClassifier,
     ProfileSet,
     Rule,
     ThresholdHighRule,
@@ -25,7 +27,6 @@ from wordcodes.word_sets import (
     enumerate_words,
     is_prefix_free,
     lattice_metrics,
-    node_classifier,
     sentinel_runs,
     snapped_frac,
     wedge,
@@ -157,7 +158,7 @@ def test_lattice_metrics_agree_with_enumeration(binary_model, ternary_model):
                     ThresholdHighRule(model.d, 2.0 / t),
                 ]
             )
-            classify = node_classifier(rule, EmptyRule())
+            classify = NodeClassifier(rule, EmptyRule())
             table = lattice_metrics(model, classify, cap)
             words = [
                 w
@@ -226,7 +227,7 @@ def test_walks_under_node_classifier_match_member_reference(
             (low, high, cap, taken),
         ]
         for first, second, walk_cap, walk_taken in cases:
-            classify = node_classifier(first, second)
+            classify = NodeClassifier(first, second)
             reference = member_classifier(model, first, second)
             found = enumerate_words(
                 model, classify, walk_cap, DEFAULT_ENUM_LIMIT, walk_taken
@@ -267,17 +268,17 @@ def test_node_classifier_rejects_rules_it_cannot_walk(binary_model,
                                                       ternary_model):
     low = ThresholdLowRule(binary_model.d, 0.5)
     with pytest.raises(InputError):
-        node_classifier(low, ExplicitProfilesRule(frozenset({(1, 0)})))
+        NodeClassifier(low, ExplicitProfilesRule(frozenset({(1, 0)})))
     with pytest.raises(InputError):
-        node_classifier(low, ThresholdHighRule(ternary_model.d, 0.5))
+        NodeClassifier(low, ThresholdHighRule(ternary_model.d, 0.5))
     with pytest.raises(InputError):
-        node_classifier(EmptyRule(), EmptyRule())
+        NodeClassifier(EmptyRule(), EmptyRule())
 
 
 def test_window_rule_edges_are_half_open():
     rule = WindowRule((1.0, 2.0), 3.0, 5.0)
-    left = rule.lo + rule.tol
-    right = rule.hi + rule.tol
+    left = rule.lo + THRESHOLD_TOL
+    right = rule.hi + THRESHOLD_TOL
     assert not rule.admits(left)
     assert rule.admits(math.nextafter(left, math.inf))
     assert rule.admits(right)
@@ -322,7 +323,7 @@ def test_walks_reject_a_cap_below_one(
     for model in (binary_model, ternary_model):
         low = ThresholdLowRule(model.d, 0.3)
         for classify in (
-            node_classifier(low, EmptyRule()),
+            NodeClassifier(low, EmptyRule()),
             member_classifier(model, low),
         ):
             with pytest.raises(InputError, match=message):
