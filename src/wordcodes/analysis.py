@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter, itemgetter, mul, sub
@@ -268,13 +268,8 @@ class ScalingResult:
 
 
 def _scaling_csv(rows: Sequence[ScalingRow]) -> str:
-    lines = [SCALING_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.T},{r.cap},{r.avg_delay!r},{r.max_delay},"
-            f"{r.redundancy!r},{r.r_times_nbar_5_3!r},{r.r_times_nbar!r}"
-        )
-    return "\n".join(lines) + "\n"
+    lines = [",".join(map(repr, astuple(r))) for r in rows]
+    return "\n".join([SCALING_CSV_HEADER, *lines]) + "\n"
 
 
 def scaling_slope(rows: Sequence[ScalingRow]) -> float | None:

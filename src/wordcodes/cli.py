@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple, fields
 
-from .analysis import code_metrics, scaling_experiment
+from .analysis import SCALING_CSV_HEADER, code_metrics, scaling_experiment
 from .codec import (
     PAD_TRAILER,
     decode_message,
@@ -264,19 +265,9 @@ def cmd_experiment_scaling(args: argparse.Namespace) -> int:
         _write_text(args.csv, result.csv_text)
         print(f"saved={args.csv}")
     if args.json:
+        names = SCALING_CSV_HEADER.split(",")
         payload = {
-            "rows": [
-                {
-                    "T": r.T,
-                    "T2": r.cap,
-                    "avg_delay": r.avg_delay,
-                    "max_delay": r.max_delay,
-                    "redundancy": r.redundancy,
-                    "r_times_nbar_5_3": r.r_times_nbar_5_3,
-                    "r_times_nbar": r.r_times_nbar,
-                }
-                for r in result.rows
-            ],
+            "rows": [dict(zip(names, astuple(r))) for r in result.rows],
             "slope": result.slope,
         }
         _save_json(payload, args.json)
@@ -299,16 +290,9 @@ def cmd_experiment_sync(args: argparse.Namespace) -> int:
     print(f"max_affected={report.max_affected}")
     print(f"single_word_fraction={report.single_word_fraction:.4f}")
     if args.json:
-        payload = {
-            "kind": report.kind,
-            "trials": report.trials,
-            "message_len": report.message_len,
-            "seed": report.seed,
-            "mean_affected": report.mean_affected,
-            "max_affected": report.max_affected,
-            "single_word_fraction": report.single_word_fraction,
-            "histogram": {str(k): v for k, v in report.histogram.items()},
-        }
+        payload = {f.name: getattr(report, f.name) for f in fields(report)}
+        del payload["records"]
+        payload["histogram"] = {str(k): v for k, v in report.histogram.items()}
         _save_json(payload, args.json)
     return EXIT_OK
 

@@ -38,18 +38,18 @@ def kraft_of_counts(counts: Mapping[int, int], arity: int) -> Fraction:
 
 
 def format_digits(value: int, arity: int, width: int) -> str:
-    """Render `value` as a fixed-width base-`arity` digit string."""
+    """Render `value` as a fixed-width base-`arity` digit string: the
+    range-checked form of `digit_run` for one value."""
     if value < 0 or value >= arity**width:
         raise ValidationError(
             f"value {value} does not fit in {width} base-{arity} digits"
         )
-    if arity == 2 and width:
-        return format(value, f"0{width}b")
-    return _base_digits(value, arity, width)
+    return digit_run(value, value + 1, arity, width)[0]
 
 
 def digit_run(start: int, stop: int, arity: int, width: int) -> list[str]:
-    """`format_digits` of every value in range(start, stop), unchecked.
+    """The fixed-width base-`arity` digit strings of every value in
+    range(start, stop), unchecked.
 
     The caller has made sure that 0 <= start and stop <= arity**width, as
     `canonical_codewords` does once per run of equal lengths.

@@ -97,12 +97,17 @@ def power_fits(m: int, x: int, n: int, length: int) -> bool:
 
 
 def best_approx_denominators(x: float, q_max: int) -> list[int]:
-    """Denominators q <= q_max with dist_to_int(q*x) strictly below all q' < q.
+    """Convergent denominators q <= q_max of x that improve the distance.
 
-    These are the continued-fraction convergent denominators of x (q=1 is
-    always included, vacuously best), from the exact expansion of the float
-    x (`interval_convergents`).  Raises for x within INTEGRALITY_TOL of an
-    integer, where every q already gives distance ~0.
+    The continued-fraction convergent denominators of the float's exact
+    expansion (`interval_convergents`), each kept when its float
+    dist_to_int(q*x) is strictly below the best of those kept before it;
+    q=1 is always kept.  In exact arithmetic these are the q whose
+    distance beats that of every smaller q; a scan of every q by float
+    distance can keep more next to a rational, where rounding makes a q
+    that is no convergent denominator look exact (25 for the float just
+    below 0.2).  Raises for x within INTEGRALITY_TOL of an integer, where
+    every q already gives distance ~0.
     """
     if q_max < 1:
         raise InputError(f"q_max must be >= 1, got {q_max}")

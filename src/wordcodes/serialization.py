@@ -31,9 +31,9 @@ def book_to_json(book: CodeBook) -> str:
     last, are laid out here around strings quoted by the C encoder that
     `json.dumps(str)` calls, in the same bytes.  With single-character
     ASCII labels all word texts come from one `bytes.translate`
-    (`SourceModel.texts_from_words`); otherwise symbol i is rendered as
-    entry i of the labels padded at index 0.  Words must hold symbols in
-    1..m, as `validate_codebook` checks.
+    (`SourceModel.texts_from_words`); otherwise each text is
+    `SourceModel.word_to_text`.  Words must hold symbols in 1..m, as
+    `validate_codebook` checks.
     """
     model = book.model
     header = {
@@ -49,8 +49,7 @@ def book_to_json(book: CodeBook) -> str:
     words = list(map(attrgetter("word"), book.entries))
     texts = model.texts_from_words(words)
     if texts is None:
-        label = (None, *model.labels).__getitem__
-        texts = map("".join, map(map, repeat(label), words))
+        texts = map(model.word_to_text, words)
     quote = encode_basestring_ascii
     row = '    {{\n      "codeword": {},\n      "symbols": {}\n    }}'.format
     rows = ",\n".join(

@@ -11,7 +11,6 @@ import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable
 
 from .errors import InputError
@@ -121,8 +120,8 @@ class SourceModel:
         With single-character ASCII labels, all texts are read in one
         `bytes.translate` over their join (see `texts_from_words`): any
         character that is no label becomes the separator, so a bad text
-        splits into too many words and sends every text down the
-        per-text path instead.
+        splits into too many words and sends every text to
+        `word_from_text` instead, as other labels are.
         """
         tables = self._byte_tables
         if tables is not None:
@@ -135,12 +134,7 @@ class SourceModel:
                 words = joined.translate(to_symbols).split(b"\0")
                 if len(words) == len(texts):
                     return list(map(tuple, words))
-        try:
-            symbol = self._index.__getitem__
-            return list(map(tuple, map(map, repeat(symbol), texts)))
-        except (KeyError, TypeError):
-            # the per-text path raises InputError naming the bad symbol
-            return list(map(self.word_from_text, texts))
+        return list(map(self.word_from_text, texts))
 
     def word_to_text(self, word: Word) -> str:
         return "".join(self.labels[i - 1] for i in word)

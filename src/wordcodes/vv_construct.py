@@ -108,6 +108,11 @@ from .word_sets import (
 
 log = logging.getLogger(__name__)
 
+# How far the final lattice table's word mass, a float sum of class masses
+# that the forward DP carried level by level, may drift from 1 before the
+# final word set counts as incomplete.
+FINAL_MASS_TOL = 1e-6
+
 
 def floor_form(x: float) -> int:
     """Integer part of a linear-form value, snapping values within
@@ -304,6 +309,26 @@ class MergeTrace:
     boundary_words: int | None = None
 
 
+def _merge_path(
+    first: Fraction, merged: Fraction, second: Fraction | None
+) -> str:
+    """The merge path that the Kraft sums of the first set, the full merge
+    and the second set decide, the same for explicit word lists and
+    threshold sets: the first set if it is feasible, else the merge if it
+    is, else the second set (None when there is none).  Raises
+    InfeasibleError when none of the three is."""
+    if first <= 1:
+        return "base"
+    if merged <= 1:
+        return "extended"
+    if second is not None and second <= 1:
+        return "swapped"
+    raise InfeasibleError(
+        "neither the first set, nor the merge, nor the second set "
+        "satisfies the Kraft inequality with the assigned lengths"
+    )
+
+
 def merge_to_kraft(
     model: SourceModel,
     first_words: list[Word],
@@ -353,9 +378,10 @@ def merge_to_kraft(
         "kraft_merged": kraft_merged,
     }
 
-    if kraft_first <= 1:
+    path = _merge_path(kraft_first, kraft_merged, kraft_second)
+    if path == "base":
         final, trace = sorted(first_words), MergeTrace(path="base")
-    elif kraft_merged <= 1:
+    elif path == "extended":
         classes = sorted(
             (-word_probability(model, w), w, 1) for w in second_words
         )
@@ -393,13 +419,8 @@ def merge_to_kraft(
             nontrivial=[w for w in added if w in entered],
         )
         final = wedge(first_words, added)
-    elif kraft_second is not None and kraft_second <= 1:
-        final, trace = sorted(second_words), MergeTrace(path="swapped", k0=0)
     else:
-        raise InfeasibleError(
-            "neither the first set, nor the merge, nor the second set "
-            "satisfies the Kraft inequality with the assigned lengths"
-        )
+        final, trace = sorted(second_words), MergeTrace(path="swapped", k0=0)
     return [(w, length_of[w]) for w in final], trace, report
 
 
@@ -808,7 +829,7 @@ def _pipeline(
             model, T, theta, node_limit, limit
         )
     else:
-        cap_val = int(cap)
+        cap_val = cap
         set_low, set_high = build_threshold_sets(model, T, cap_val, theta)
         classify = NodeClassifier(set_low.rule, set_high.rule)
         tables = _joint_dp(model, classify, cap_val, node_limit, limit)
@@ -819,42 +840,32 @@ def _pipeline(
     classify = tables.classify
     kraft_first = tables.kraft_first
     kraft_second = tables.kraft_second
-    kraft_merged: Fraction | None = None
     steps: list[MergeStep] = []
     chosen: set[Profile] = set()
     boundary: tuple[Profile, int] | None = None
 
-    if kraft_first <= 1:
-        path = "base"
+    path = _merge_path(kraft_first, tables.kraft_merged, kraft_second)
+    if path == "base":
         expected_kraft = kraft_first
+    elif path == "extended":
+        classes = tables.classes
+        targets = {k for _, k, _ in classes}
+        knockouts, scale = _knockout_masses(
+            model, classify, cap_val, targets, node_limit
+        )
+        # one word of class k adds n^-length and knocks out W(k), both
+        # scaled by `scale`, a power of n at least n^length
+        deltas = {
+            k: scale // n ** code_length_for(form, True) - knockouts[k]
+            for form, k, _ in classes
+        }
+        chosen, boundary, expected_kraft, steps = _class_scan(
+            kraft_first, tables.kraft_merged, deltas, scale, classes
+        )
     else:
-        kraft_merged = tables.kraft_merged
-        if kraft_merged <= 1:
-            classes = tables.classes
-            targets = {k for _, k, _ in classes}
-            knockouts, scale = _knockout_masses(
-                model, classify, cap_val, targets, node_limit
-            )
-            # one word of class k adds n^-length and knocks out W(k), both
-            # scaled by `scale`, a power of n at least n^length
-            deltas = {
-                k: scale // n ** code_length_for(form, True) - knockouts[k]
-                for form, k, _ in classes
-            }
-            chosen, boundary, expected_kraft, steps = _class_scan(
-                kraft_first, kraft_merged, deltas, scale, classes
-            )
-            path = "extended"
-        elif kraft_second <= 1:
-            path = "swapped"
-            # the high set stops every path, and every stop is clean
-            classify = classify.second_as_both()
-            expected_kraft = kraft_second
-        else:
-            raise InfeasibleError(
-                "neither threshold word set satisfies the Kraft inequality, "
-                "in either merge order"
-            )
+        # the high set stops every path, and every stop is clean
+        classify = classify.second_as_both()
+        expected_kraft = kraft_second
 
     final = lattice_metrics(
         model, classify, cap_val, node_limit, chosen, boundary
@@ -864,7 +875,7 @@ def _pipeline(
         raise ValidationError(
             "final word set Kraft sum disagrees with the merge accounting"
         )
-    if abs(final.total_prob - 1.0) > 1e-6:
+    if abs(final.total_prob - 1.0) > FINAL_MASS_TOL:
         raise ValidationError(
             f"final word set is not complete: mass {final.total_prob!r}"
         )
@@ -887,7 +898,7 @@ def _pipeline(
         "word_count": final.word_count,
         "kraft_first": str(kraft_first),
         "kraft_second": str(kraft_second),
-        "kraft_merged": None if kraft_merged is None else str(kraft_merged),
+        "kraft_merged": None if path == "base" else str(tables.kraft_merged),
         "kraft_final": str(kraft_final),
         "classes_added": len(chosen) + (1 if boundary else 0),
         "boundary_profile": list(boundary[0]) if boundary else None,
@@ -1057,7 +1068,8 @@ def construct_vv(
     whose word set still enumerates, at grade "metrics" the first candidate
     above 4, where the two threshold sets cannot overlap).  The cap
     ("auto": doubling until the cap mass falls below T^-2) bounds word
-    length in every case.
+    length in every case.  T and cap are "auto" or an int (not a bool);
+    anything else raises InputError.
 
     At grade "codec" a word set of more than `enum_limit` words is rejected
     inside the joint DP, as soon as the merged set passes the limit, so an
@@ -1094,6 +1106,12 @@ def construct_vv(
             enum_limit,
         )
 
+    for name, value in (("T", T), ("cap", cap)):
+        if value != "auto" and (
+            not isinstance(value, int) or isinstance(value, bool)
+        ):
+            raise InputError(f"{name} must be 'auto' or an int, got {value!r}")
+
     def build(t: int) -> VVResult:
         return _pipeline(
             model, t, cap, theta, grade, assignment, enum_limit, node_limit
@@ -1129,7 +1147,7 @@ def construct_vv(
             "set: " + "; ".join(failures)
         )
 
-    choice = int(T)
+    choice = T
     try:
         result = build(choice)
     except WordLimitError as exc:

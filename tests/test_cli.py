@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import wordcodes
 from wordcodes.cli import main
 from wordcodes.errors import InputError, ValidationError
 from wordcodes.serialization import (
@@ -259,6 +264,33 @@ def test_cli_scaling_writes_csv(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "--t-max" in captured.err
+    # without --t-list the ladder is the source's candidates up to --t-max;
+    # the JSON rows carry the CSV's columns under its header names
+    json_path = tmp_path / "scaling.json"
+    code = main(["experiment", "scaling", *REFERENCE_ARGS, "--t-max", "4",
+                 "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("T=")] == ["T=1", "T=3", "T=4"]
+    header, *lines = csv_path.read_text(encoding="utf-8").splitlines()
+    rows = json.loads(json_path.read_text(encoding="utf-8"))["rows"]
+    assert [
+        [repr(row[name]) for name in header.split(",")] for row in rows
+    ] == [line.split(",") for line in lines]
+
+
+def test_python_m_wordcodes_runs_the_cli(capsys):
+    """`python -m wordcodes` prints what `cli.main` prints and exits with
+    its code."""
+    args = ["construct-block", "--input-size", "3", "--list-pairs", "3"]
+    code = main(args)
+    src = str(Path(wordcodes.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "wordcodes", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (run.returncode, run.stdout) == (code, capsys.readouterr().out)
 
 
 def test_cli_sync_writes_json_summary(tmp_path, capsys):

@@ -117,7 +117,8 @@ def test_strict_decode_rejects_damaged_streams(
 
 def test_codec_tries_reject_books_that_are_not_prefix_free(reference_book):
     """Books that skipped validate_codebook still meet the tries' own prefix
-    checks, whichever of the two clashing entries comes first."""
+    checks, whichever of the two clashing entries comes first, and the
+    encoder's completeness check."""
     a, ba, bba, bbb = reference_book.entries  # words 1, 21, 221, 222
     cases = [
         (Encoder, dataclasses.replace(bbb, word=(2, 2))),
@@ -128,6 +129,9 @@ def test_codec_tries_reject_books_that_are_not_prefix_free(reference_book):
             book = dataclasses.replace(reference_book, entries=(a, ba, *pair))
             with pytest.raises(ValidationError, match="are not prefix-free"):
                 build(book)
+    incomplete = dataclasses.replace(reference_book, entries=(a, ba, bba))
+    with pytest.raises(ValidationError, match="greedy parsing would dead-end"):
+        Encoder(incomplete)
 
 
 def test_one_encoder_encodes_messages_in_a_row(binary_model, reference_book):

@@ -83,6 +83,12 @@ def test_best_denominators_match_brute_force_scan():
                 expected.append(q)
                 best = err
         assert best_approx_denominators(x, q_max) == expected
+    # Next to a rational the float scan and the convergents part: x is
+    # -log_32 0.5, the float just below 0.2, and 25*x rounds to exactly 5.0,
+    # so the scan also keeps 25, which is no convergent denominator of x.
+    x = 0.19999999999999998
+    assert dist_to_int(25 * x) == 0.0
+    assert best_approx_denominators(x, 100) == [1, 5]
 
 
 def test_best_denominators_reject_near_integers():

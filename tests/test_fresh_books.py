@@ -40,7 +40,7 @@ from wordcodes.source_model import (
     word_probabilities,
     word_probability,
 )
-from wordcodes.vf_construct import construct_vf
+from wordcodes.vf_construct import construct_block, construct_vf
 from wordcodes.vv_construct import (
     _joint_dp,
     build_threshold_sets,
@@ -296,8 +296,8 @@ def _outcome(check, book, against_model):
 
 
 def _books_for_validation():
-    """(m, book): fresh VV and VF books for m = 2 and 3, and a one-symbol
-    book over 300 symbols."""
+    """(m, book): fresh VV and VF books for m = 2 and 3, a one-symbol
+    book over 300 symbols, and a block book for m = 3."""
     m300 = 300
     wide = make_model(
         [Fraction(1, m300)] * m300,
@@ -322,6 +322,7 @@ def _books_for_validation():
         (3, construct_vf(make_model(["0.2", "0.3", "0.5"], 2), 5).book),
         (3, construct_vv(make_model(["0.2", "0.3", "0.5"], 3), T=3).book),
         (m300, wide_book),
+        (3, construct_block(3, 2, 5, 8).book),
     ]
 
 
@@ -342,6 +343,12 @@ def _fault(rng: random.Random, book: CodeBook, m: int, fault: str):
         )
     elif fault == "empty":
         entries[at] = dataclasses.replace(e, word=())
+    elif fault == "codeword length":
+        entries[at] = dataclasses.replace(
+            e, codeword=e.codeword + DIGIT_GLYPHS[0]
+        )
+    elif fault == "word length":
+        entries[at] = dataclasses.replace(e, word=e.word + (1,))
     else:
         symbol = {
             "0": 0, "m+1": m + 1, "255": 255, "256": 256, "-1": -1,
@@ -356,15 +363,18 @@ def _fault(rng: random.Random, book: CodeBook, m: int, fault: str):
 FAULTS = [
     "duplicate", "extension", "codeword extension", "empty",
     "0", "m+1", "255", "256", "-1", "1.5", "True", "label",
+    "codeword length", "word length",
 ]
 
 
 def test_validation_rejects_faulty_books_as_the_tuple_checks_do():
-    """Seeded faulty books at m = 2, 3 and 300: the bytes-key passes and
-    the tuple-and-slice reference give the same outcome, error type and
-    message included, with and without the model check."""
+    """Seeded faulty books at m = 2, 3 and 300, of each kind: the
+    bytes-key passes and the tuple-and-slice reference give the same
+    outcome, error type and message included, with and without the model
+    check."""
     rng = random.Random(2718)
     rejected = set()
+    reasons = set()
     for m, book in _books_for_validation():
         assert _outcome(_validate, book, True) is None
         for fault in FAULTS:
@@ -377,12 +387,20 @@ def test_validation_rejects_faulty_books_as_the_tuple_checks_do():
                     ), (m, fault)
                     if got is not None:
                         rejected.add((m, fault))
+                        reasons.add(got[1].split(", got")[0])
     # True reads as symbol 1, and 255 or 256 are in range for m = 300, so
-    # those books may pass; every other fault is caught at every m
+    # those books may pass; a longer codeword or word breaks only a vf or
+    # block book; every other fault is caught at every m
+    lengths = {"codeword length", "word length"}
     for m in (2, 3, 300):
-        for fault in set(FAULTS) - {"True", "255", "256"}:
+        for fault in set(FAULTS) - {"True", "255", "256"} - lengths:
             assert (m, fault) in rejected
     assert (2, "256") in rejected and (3, "255") in rejected
+    assert {
+        "vf books need uniform codeword length",
+        "block books need uniform codeword length",
+        "block books need uniform word length",
+    } <= reasons
 
 
 def test_validate_codebook_keeps_the_model_check():

@@ -103,7 +103,7 @@ TEST_FACING_EXPORTS = {
     "is_prefix_free": "criterion 4: prefix-free words and codewords",
     "find_shift": "criterion 8: the shift search",
     "sentinel_runs": "criterion 9: sentinel-run word families",
-    "format_digits": "the checked reference for `codebook.digit_run`",
+    "format_digits": "the range-checked one-value `codebook.digit_run`",
 }
 
 

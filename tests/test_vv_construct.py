@@ -800,6 +800,26 @@ def test_choose_cap_meets_mass_target(binary_model):
     assert set_low.cap == set_high.cap == cap
 
 
+def test_auto_cap_doubles_to_the_fixed_cap_build():
+    """At T=4 on (19/20, 1/20), arity 3, the cap mass at 16 misses the
+    target 1/16, so the cap doubles once; the build equals the one with
+    cap=32 in all but `cap_history`."""
+    model = make_model(["19/20", "1/20"], 3)
+    auto = construct_vv(model, T=4)
+    fixed = construct_vv(model, T=4, cap=32)
+    assert auto.provenance["cap_history"] == [
+        [16, 0.1341106192567706],
+        [32, 0.0009290112705286409],
+    ]
+    assert (auto.path, auto.cap, auto.provenance["word_count"]) == (
+        "base", 32, 5778
+    )
+    assert auto.book.entries == fixed.book.entries
+    assert auto.dp_metrics == fixed.dp_metrics
+    del auto.provenance["cap_history"], fixed.provenance["cap_history"]
+    assert auto.provenance == fixed.provenance
+
+
 def test_explicit_mode_validates_word_lists(binary_model):
     a = binary_model.word_from_text("a")
     b = binary_model.word_from_text("b")
@@ -862,6 +882,17 @@ def test_unknown_grade_and_assignment_are_rejected(binary_model):
         construct_vv(binary_model, grade="fast")
     with pytest.raises(InputError):
         construct_vv(binary_model, assignment="optimal")
+    # T and cap are "auto" or an int: no rounding, no bools, no strings
+    for name, kwargs in [
+        ("T", {"T": 2.5}),
+        ("T", {"T": True}),
+        ("T", {"T": "x"}),
+        ("cap", {"T": 4, "cap": 16.7}),
+        ("cap", {"T": 4, "cap": False}),
+        ("cap", {"cap": "x"}),
+    ]:
+        with pytest.raises(InputError, match=f"^{name} must be"):
+            construct_vv(binary_model, **kwargs)
 
 
 def test_reference_book_carries_expected_entries(binary_model, reference_book):
