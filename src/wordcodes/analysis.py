@@ -98,7 +98,7 @@ def _map_once(
 
 def _column_metrics(
     model: SourceModel,
-    masses: list[float],
+    masses: Sequence[float],
     word_lengths: list[int],
     code_lengths: list[int],
     forms: list[float],
@@ -190,7 +190,7 @@ def _int_dist_sq(form: float) -> float:
 
 def word_metrics(
     model: SourceModel,
-    probabilities: list[float],
+    probabilities: Sequence[float],
     word_lengths: list[int],
     code_lengths: list[int],
     forms: list[float],
@@ -214,14 +214,14 @@ def word_metrics(
 
 
 def code_metrics(book: CodeBook) -> CodeMetrics:
-    """Metrics of an explicit code book, one row per entry.
+    """Metrics of an explicit code book, one row per word.
 
     Rebuilds every word's profile and linear form from the model: the path
     for loaded, explicit and block books.  Fresh VF and VV books take
     `word_metrics` over the forms their enumerator already computed.
     """
     model = book.model
-    words = list(map(attrgetter("word"), book.entries))
+    words = book.words
     word_lengths = list(map(len, words))
     symbols = range(1, model.m + 1)
     # each word's profile, tuple(map(word.count, symbols))
@@ -237,9 +237,9 @@ def code_metrics(book: CodeBook) -> CodeMetrics:
     del profiles
     return word_metrics(
         model,
-        list(map(attrgetter("probability"), book.entries)),
+        book.probabilities,
         word_lengths,
-        list(map(len, map(attrgetter("codeword"), book.entries))),
+        list(map(len, book.codewords)),
         forms,
         book.kraft_exact(),
     )

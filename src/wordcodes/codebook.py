@@ -8,7 +8,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, product, repeat
-from operator import attrgetter, eq, getitem, gt, sub
+from operator import eq, getitem, gt, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
@@ -76,11 +76,6 @@ def fixed_codewords(arity: int, width: int) -> Iterator[str]:
     return map("".join, product(DIGIT_GLYPHS[:arity], repeat=width))
 
 
-_word = attrgetter("word")
-_codeword = attrgetter("codeword")
-_probability = attrgetter("probability")
-
-
 @dataclass(frozen=True, slots=True)
 class CodeEntry:
     word: Word
@@ -119,23 +114,40 @@ class CodeBook:
 
     `kind` is "vv" (variable word, variable codeword), "vf" (variable word,
     fixed codeword length), or "block" (fixed word, fixed codeword).
-    `provenance` records how the book was constructed; everything in it must
-    be JSON-serializable and deterministic.
+    The map is held as three parallel columns, stored as tuples: row i
+    maps `words[i]` to `codewords[i]`, and `probabilities[i]` is that
+    word's probability.  `provenance` records how the book was
+    constructed; everything in it must be JSON-serializable and
+    deterministic.
     """
 
     model: SourceModel
     kind: str
-    entries: tuple[CodeEntry, ...]
+    words: tuple[Word, ...]
+    codewords: tuple[str, ...]
+    probabilities: tuple[float, ...]
     provenance: dict = field(default_factory=dict, hash=False)
+
+    def __post_init__(self) -> None:
+        # a column may be given as any iterable; a tuple is kept as it is
+        for name in ("words", "codewords", "probabilities"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @property
+    def entries(self) -> tuple[CodeEntry, ...]:
+        """The rows as `CodeEntry`s, built from the columns on each read."""
+        return tuple(
+            map(CodeEntry, self.words, self.codewords, self.probabilities)
+        )
 
     def kraft_exact(self) -> Fraction:
         """Kraft sum of the codeword lengths, in exact rational arithmetic."""
         return kraft_of_counts(
-            Counter(map(len, map(_codeword, self.entries))), self.model.arity
+            Counter(map(len, self.codewords)), self.model.arity
         )
 
 
-def _assert_prefix_free(items: list, what: str) -> None:
+def _assert_prefix_free(items: Sequence, what: str) -> None:
     """Raise ValidationError for the first duplicate, or item that starts
     with another, among `items` (words or codewords), naming both; the
     library's one prefix test.  The empty word starts every word."""
@@ -175,7 +187,7 @@ def _symbols_in_range(
     return not codes or (min(codes) >= 1 and max(codes) <= m)
 
 
-def _word_keys(words: list, m: int) -> list[bytes] | None:
+def _word_keys(words: Sequence, m: int) -> list[bytes] | None:
     """Each word as one `bytes`, sorted, or None where that cannot stand
     in for the words.
 
@@ -229,10 +241,15 @@ def _validate(book: CodeBook, against_model: bool) -> None:
     """
     if book.kind not in ("vv", "vf", "block"):
         raise ValidationError(f"unknown book kind {book.kind!r}")
-    if not book.entries:
+    words, codewords = book.words, book.codewords
+    if not words:
         raise ValidationError("a code book needs at least one entry")
-    words = list(map(_word, book.entries))
-    codewords = list(map(_codeword, book.entries))
+    if not len(words) == len(codewords) == len(book.probabilities):
+        raise ValidationError(
+            f"a code book's columns differ in length: {len(words)} words, "
+            f"{len(codewords)} codewords, "
+            f"{len(book.probabilities)} probabilities"
+        )
     keys = _word_keys(words, book.model.m)
     passed = _entries_pass(book, words, keys, codewords, against_model)
     if not passed:
@@ -242,7 +259,7 @@ def _validate(book: CodeBook, against_model: bool) -> None:
     # the codewords are all strings once the entry passes have read them
     if not passed or _has_prefix_pair(sorted(codewords)):
         _assert_prefix_free(codewords, "codeword")
-    total = math.fsum(map(_probability, book.entries))
+    total = math.fsum(book.probabilities)
     if abs(total - 1.0) > COMPLETENESS_TOL:
         raise ValidationError(
             f"word probabilities sum to {total!r}; the set is not complete"
@@ -267,13 +284,13 @@ def _validate(book: CodeBook, against_model: bool) -> None:
 
 def _entries_pass(
     book: CodeBook,
-    words: list,
+    words: Sequence[Word],
     keys: list[bytes] | None,
-    codewords: list,
+    codewords: Sequence[str],
     against_model: bool,
 ) -> bool:
     """The per-entry checks of `_validate`, each a C-level pass over all
-    entries: no empty word or codeword, symbols in 1..m, digits in base n,
+    rows: no empty word or codeword, symbols in 1..m, digits in base n,
     and (against_model) every stored probability within
     PROB_CONSISTENCY_TOL of the model's.  False means some entry fails
     one, or a field has a type the passes cannot read."""
@@ -290,11 +307,7 @@ def _entries_pass(
         if ok and against_model:
             drift = map(
                 abs,
-                map(
-                    sub,
-                    word_probabilities(model, words),
-                    map(_probability, book.entries),
-                ),
+                map(sub, word_probabilities(model, words), book.probabilities),
             )
             ok = not any(map(gt, drift, repeat(PROB_CONSISTENCY_TOL)))
     except TypeError:
@@ -303,28 +316,28 @@ def _entries_pass(
 
 
 def _check_each_entry(book: CodeBook, against_model: bool) -> None:
-    """The per-entry checks of `_validate`, one entry at a time, raising
-    for the first entry that fails one."""
+    """The per-entry checks of `_validate`, one row at a time, raising
+    for the first row that fails one."""
     m, n = book.model.m, book.model.arity
     glyphs = set(DIGIT_GLYPHS[:n])
-    for e in book.entries:
-        if not e.word:
+    for word, codeword, probability in zip(
+        book.words, book.codewords, book.probabilities
+    ):
+        if not word:
             raise ValidationError("the empty word cannot be a code word")
-        if not _symbols_in_range((e.word,), m):
+        if not _symbols_in_range((word,), m):
+            raise ValidationError(f"word {word!r} uses symbols outside 1..{m}")
+        if not codeword:
+            raise ValidationError(f"word {word!r} has an empty codeword")
+        if not set(codeword) <= glyphs:
             raise ValidationError(
-                f"word {e.word!r} uses symbols outside 1..{m}"
-            )
-        if not e.codeword:
-            raise ValidationError(f"word {e.word!r} has an empty codeword")
-        if not set(e.codeword) <= glyphs:
-            raise ValidationError(
-                f"codeword {e.codeword!r} uses digits outside base {n}"
+                f"codeword {codeword!r} uses digits outside base {n}"
             )
         if not against_model:
             continue
-        expect = word_probability(book.model, e.word)
-        if abs(expect - e.probability) > PROB_CONSISTENCY_TOL:
+        expect = word_probability(book.model, word)
+        if abs(expect - probability) > PROB_CONSISTENCY_TOL:
             raise ValidationError(
-                f"stored probability {e.probability!r} for word {e.word!r} "
+                f"stored probability {probability!r} for word {word!r} "
                 f"disagrees with the model ({expect!r})"
             )

@@ -73,9 +73,7 @@ class Encoder:
 
     def __init__(self, book: CodeBook) -> None:
         self.book = book
-        self._root = _build_trie(
-            ((e.word, e.codeword) for e in book.entries), "words"
-        )
+        self._root = _build_trie(zip(book.words, book.codewords), "words")
         _check_parse_complete(book, self._root)
         self._node = self._root
         self._pending = 0
@@ -176,15 +174,15 @@ def _decoder(book: CodeBook) -> Callable[[str], list[Word | None]]:
     None.  For general codes a dead branch or dangling tail turns the rest
     of the stream into a single None, as a real decoder loses sync.
     """
-    lengths = {len(e.codeword) for e in book.entries}
+    lengths = set(map(len, book.codewords))
     if len(lengths) == 1:
         (uniform,) = lengths
-        table = {e.codeword: e.word for e in book.entries}
+        table = dict(zip(book.codewords, book.words))
         return lambda digits: [
             table.get(digits[i : i + uniform]) for i in range(0, len(digits), uniform)
         ]
 
-    root = _build_trie(((e.codeword, e.word) for e in book.entries), "codewords")
+    root = _build_trie(zip(book.codewords, book.words), "codewords")
 
     def decode_trie(digits: str) -> list[Word | None]:
         node = root
@@ -215,7 +213,7 @@ def decode_words(book: CodeBook, digits: str) -> list[Word]:
     """
     words = _decoder(book)(digits)
     if None in words:
-        lengths = {e.word: len(e.codeword) for e in book.entries}
+        lengths = dict(zip(book.words, map(len, book.codewords)))
         bad = words.index(None)
         pos = sum(lengths[w] for w in words[:bad])
         width = max(lengths.values())

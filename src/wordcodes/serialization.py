@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
-from .codebook import CodeBook, _validate, code_entries
+from .codebook import CodeBook, _validate
 # Unused here, but perfbench's tracer wraps validate_codebook in every module
 # that imports it, and its self-tests expect to find it in this one.
 from .codebook import validate_codebook  # noqa: F401
@@ -32,8 +32,8 @@ def book_to_json(book: CodeBook) -> str:
     `json.dumps(str)` calls, in the same bytes.  With single-character
     ASCII labels all word texts come from one `bytes.translate`
     (`SourceModel.texts_from_words`); otherwise each text is
-    `SourceModel.word_to_text`.  Words must hold symbols in 1..m, as
-    `validate_codebook` checks.
+    `SourceModel.word_to_text`, which raises InputError for a symbol
+    outside 1..m (`validate_codebook` rejects such a book).
     """
     model = book.model
     header = {
@@ -46,16 +46,15 @@ def book_to_json(book: CodeBook) -> str:
         "words": [],
     }
     text = json.dumps(header, sort_keys=True, indent=2)
-    words = list(map(attrgetter("word"), book.entries))
-    texts = model.texts_from_words(words)
+    texts = model.texts_from_words(book.words)
     if texts is None:
-        texts = map(model.word_to_text, words)
+        texts = map(model.word_to_text, book.words)
     quote = encode_basestring_ascii
     row = '    {{\n      "codeword": {},\n      "symbols": {}\n    }}'.format
     rows = ",\n".join(
         map(
             row,
-            map(quote, map(attrgetter("codeword"), book.entries)),
+            map(quote, book.codewords),
             map(quote, texts),
         )
     )
@@ -83,13 +82,12 @@ def book_from_json(text: str) -> CodeBook:
             )
         model = make_model(data["probs"], arity, labels=list(data["alphabet"]))
         words, codewords = _read_rows(model, data["words"])
-        entries = code_entries(
-            words, codewords, word_probabilities(model, words)
-        )
         book = CodeBook(
             model=model,
             kind=data["kind"],
-            entries=entries,
+            words=words,
+            codewords=codewords,
+            probabilities=word_probabilities(model, words),
             provenance=dict(provenance),
         )
     except (KeyError, TypeError) as exc:

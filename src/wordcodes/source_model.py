@@ -11,7 +11,7 @@ import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
@@ -137,9 +137,18 @@ class SourceModel:
         return list(map(self.word_from_text, texts))
 
     def word_to_text(self, word: Word) -> str:
-        return "".join(self.labels[i - 1] for i in word)
+        """The labels of the word's symbols, joined.  A symbol that is not
+        an integer in 1..m raises InputError naming it, as `index_of` does
+        for a label."""
+        labels = self.labels
+        for symbol in word:
+            if not (isinstance(symbol, int) and 1 <= symbol <= len(labels)):
+                raise InputError(
+                    f"symbol {symbol!r} outside 1..{len(labels)}"
+                )
+        return "".join(labels[i - 1] for i in word)
 
-    def texts_from_words(self, words: list[Word]) -> list[str] | None:
+    def texts_from_words(self, words: Sequence[Word]) -> list[str] | None:
         """The text of each word in one `bytes.translate` over their join.
 
         Needs labels of one ASCII character each and one ASCII character

@@ -24,7 +24,6 @@ from . import analysis
 from .codebook import (
     COMPLETENESS_TOL,
     CodeBook,
-    code_entries,
     fixed_codewords,
     validate_codebook,
 )
@@ -146,17 +145,17 @@ def construct_vf(
 
     # Descending probability, ties in lexicographic order: the words come
     # lexicographic, and a stable sort keeps that order among equal keys.
-    by_prob = sorted(zip(probs, words), key=itemgetter(0), reverse=True)
-    entries = code_entries(
-        list(map(itemgetter(1), by_prob)),
-        fixed_codewords(n, L),
-        map(itemgetter(0), by_prob),
-    )
-    del by_prob
-    provenance["word_count"] = len(entries)
+    order = sorted(range(len(words)), key=probs.__getitem__, reverse=True)
+    provenance["word_count"] = len(words)
     book = CodeBook(
-        model=model, kind="vf", entries=entries, provenance=dict(provenance)
+        model=model,
+        kind="vf",
+        words=map(words.__getitem__, order),
+        codewords=itertools.islice(fixed_codewords(n, L), len(words)),
+        probabilities=map(probs.__getitem__, order),
+        provenance=dict(provenance),
     )
+    del order
     # the rows in the walk's order: the sums do not depend on it
     metrics = analysis.word_metrics(
         model,
@@ -166,7 +165,7 @@ def construct_vf(
         forms,
         book.kraft_exact(),
     )
-    # the columns go before validation builds its own
+    # the walk's lists go before validation builds its word keys
     del probs, forms, words
     validate_codebook(book)
     return VFResult(
@@ -300,11 +299,6 @@ def construct_block(
     block_count = input_size**X
     model = make_model([Fraction(1, input_size)] * input_size, arity)
     prob = float(Fraction(1, block_count))
-    entries = code_entries(
-        list(itertools.product(range(1, input_size + 1), repeat=X)),
-        fixed_codewords(arity, L),
-        itertools.repeat(prob),
-    )
     provenance = {
         "mode": "block",
         "X": X,
@@ -313,7 +307,12 @@ def construct_block(
         "word_count": block_count,
     }
     book = CodeBook(
-        model=model, kind="block", entries=entries, provenance=dict(provenance)
+        model=model,
+        kind="block",
+        words=itertools.product(range(1, input_size + 1), repeat=X),
+        codewords=itertools.islice(fixed_codewords(arity, L), block_count),
+        probabilities=itertools.repeat(prob, block_count),
+        provenance=dict(provenance),
     )
     validate_codebook(book)
     metrics = analysis.code_metrics(book)

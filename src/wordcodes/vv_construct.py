@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, groupby, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from . import analysis
@@ -787,8 +787,10 @@ def _fresh_book(
 
     `columns` holds the words in lexicographic order, their probabilities,
     linear forms and construction lengths.  The tail empties it, so the
-    columns are gone before validation builds its own; the metrics are
-    `analysis.word_metrics` over them, equal to `code_metrics(book)`.
+    walk's lists are gone before validation builds its word keys; the
+    metrics are `analysis.word_metrics` over them, equal to
+    `code_metrics(book)`.  The book's columns are read off the entries
+    `assign_codewords` returns.
     """
     words, probs, forms, lengths = columns
     columns.clear()
@@ -797,7 +799,14 @@ def _fresh_book(
     entries = assign_codewords(
         model, list(zip(words, probs, lengths)), assignment, code_lengths
     )
-    book = CodeBook(model, "vv", tuple(entries), dict(provenance))
+    book = CodeBook(
+        model,
+        "vv",
+        map(attrgetter("word"), entries),
+        map(attrgetter("codeword"), entries),
+        map(attrgetter("probability"), entries),
+        dict(provenance),
+    )
     metrics = analysis.word_metrics(
         model,
         probs,

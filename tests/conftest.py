@@ -1,15 +1,19 @@
 """Shared fixtures: reference models, hand-checked code books, a seeded
 generator of random complete prefix codes used by the metric and identity
-property tests, and a reference node classifier for the lattice walks."""
+property tests, and a reference node classifier for the lattice walks.
+
+`book_from_entries` is the one way the tests build a book from rows they
+write by hand."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 
-from wordcodes.codebook import CodeBook, validate_codebook
+from wordcodes.codebook import CodeBook, CodeEntry, validate_codebook
 from wordcodes.source_model import (
     SourceModel,
     Word,
@@ -83,6 +87,25 @@ def block_book() -> CodeBook:
     return construct_block(3, 2, 5, 8).book
 
 
+def book_from_entries(
+    model: SourceModel,
+    kind: str,
+    entries: Iterable[CodeEntry],
+    provenance: dict | None = None,
+) -> CodeBook:
+    """The book whose rows are `entries`, in order: the tests write rows
+    as `CodeEntry`s, and the book holds them as its three columns."""
+    entries = list(entries)
+    return CodeBook(
+        model=model,
+        kind=kind,
+        words=[e.word for e in entries],
+        codewords=[e.codeword for e in entries],
+        probabilities=[e.probability for e in entries],
+        provenance={} if provenance is None else provenance,
+    )
+
+
 def _random_model(rng: random.Random) -> SourceModel:
     m = rng.choice([2, 3, 4])
     n = rng.choice([2, 3])
@@ -139,11 +162,8 @@ def _random_book(rng: random.Random, lengths: str) -> CodeBook:
         entries = assign_codewords(model, grown, "canonical")
     else:
         raise ValueError(f"unknown length mode {lengths!r}")
-    book = CodeBook(
-        model=model,
-        kind="vv",
-        entries=tuple(entries),
-        provenance={"mode": "random-test", "lengths": lengths},
+    book = book_from_entries(
+        model, "vv", entries, {"mode": "random-test", "lengths": lengths}
     )
     validate_codebook(book)
     return book

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import book_from_entries
 from wordcodes import analysis
 from wordcodes.analysis import (
     SCALING_CSV_HEADER,
@@ -17,7 +18,7 @@ from wordcodes.analysis import (
     scaling_experiment,
     scaling_slope,
 )
-from wordcodes.codebook import CodeBook, CodeEntry, validate_codebook
+from wordcodes.codebook import CodeEntry, validate_codebook
 from wordcodes.errors import InputError
 from wordcodes.source_model import entropy, linear_form, make_model, profile_of
 from wordcodes.vf_construct import construct_vf
@@ -25,14 +26,14 @@ from wordcodes.vv_construct import construct_vv
 
 
 def test_single_letter_code_redundancy_is_one_minus_entropy(binary_model):
-    book = CodeBook(
-        model=binary_model,
-        kind="vv",
-        entries=(
+    book = book_from_entries(
+        binary_model,
+        "vv",
+        (
             CodeEntry(word=(1,), codeword="0", probability=0.4),
             CodeEntry(word=(2,), codeword="1", probability=0.6),
         ),
-        provenance={},
+        {},
     )
     validate_codebook(book)
     met = code_metrics(book)
@@ -319,6 +320,6 @@ def test_code_metrics_names_a_symbol_outside_the_alphabet(binary_model):
         CodeEntry(word=(1,), codeword="0", probability=0.4),
         CodeEntry(word=(2, 3), codeword="1", probability=0.6),
     )
-    book = CodeBook(model=binary_model, kind="vv", entries=entries)
+    book = book_from_entries(binary_model, "vv", entries)
     with pytest.raises(InputError, match="symbol index 3 out of range 1..2"):
         code_metrics(book)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 import re
 from itertools import islice
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import book_from_entries
 from wordcodes.analysis import code_metrics, metrics_from_classes
 from wordcodes.codebook import (
     CodeBook,
@@ -39,7 +41,7 @@ from wordcodes.source_model import (
     word_probability,
 )
 from wordcodes.vf_construct import construct_block, construct_vf
-from wordcodes.vv_construct import canonical_codewords, kraft_sum
+from wordcodes.vv_construct import canonical_codewords, construct_vv, kraft_sum
 
 # -- references ------------------------------------------------------------
 
@@ -135,14 +137,14 @@ def _books(make_random_book):
     books.append(construct_vf(escaped, 4).book)
     # an empty provenance
     books.append(
-        CodeBook(
-            model=binary,
-            kind="vv",
-            entries=(
+        book_from_entries(
+            binary,
+            "vv",
+            (
                 CodeEntry(word=(1,), codeword="0", probability=0.4),
                 CodeEntry(word=(2,), codeword="1", probability=0.6),
             ),
-            provenance={},
+            {},
         )
     )
     return books
@@ -170,9 +172,7 @@ def test_book_layer_matches_per_entry_references(make_random_book):
 
 def test_book_writer_matches_json_dumps_without_entries(binary_model):
     for provenance in ({}, {"mode": "x", "cap_history": [[4, 0.5]]}):
-        book = CodeBook(
-            model=binary_model, kind="vv", entries=(), provenance=provenance
-        )
+        book = book_from_entries(binary_model, "vv", (), provenance)
         assert book_to_json(book) == reference_book_json(book)
 
 
@@ -181,13 +181,15 @@ def test_only_the_loader_skips_the_model_probability_check(binary_model):
         CodeEntry(word=(1,), codeword="0", probability=0.4),
         CodeEntry(word=(2,), codeword="1", probability=0.6),
     )
-    book = CodeBook(model=binary_model, kind="vv", entries=entries)
+    book = book_from_entries(binary_model, "vv", entries)
     validate_codebook(book)
     text = book_to_json(book)
     # a book built in code with a stored probability off the model
-    skewed = dataclasses.replace(
-        book,
-        entries=(dataclasses.replace(entries[0], probability=0.5), entries[1]),
+    skewed = book_from_entries(
+        book.model,
+        book.kind,
+        (dataclasses.replace(entries[0], probability=0.5), entries[1]),
+        book.provenance,
     )
     with pytest.raises(ValidationError, match="disagrees with the model"):
         validate_codebook(skewed)
@@ -196,6 +198,82 @@ def test_only_the_loader_skips_the_model_probability_check(binary_model):
     assert [e.probability for e in loaded.entries] == [0.4, 0.6]
     with pytest.raises(ValidationError, match="extends shorter codeword"):
         book_from_json(text.replace('"codeword": "1"', '"codeword": "01"'))
+
+
+# -- the book's columns ----------------------------------------------------
+
+
+def test_a_book_holds_three_columns_and_no_entries():
+    """No field stores a row object: the rows are the three columns."""
+    names = [f.name for f in dataclasses.fields(CodeBook)]
+    assert names == [
+        "model", "kind", "words", "codewords", "probabilities", "provenance",
+    ]
+
+
+def test_entries_are_the_rows_of_the_columns(make_random_book):
+    books = _books(make_random_book)
+    books.append(construct_vv(make_model(["0.2", "0.8"], 2), T=5).book)
+    for book in books:
+        columns = (book.words, book.codewords, book.probabilities)
+        assert all(type(column) is tuple for column in columns)
+        assert book.entries == tuple(map(CodeEntry, *columns))
+    # lists and iterators given for the columns are stored as tuples
+    listed = CodeBook(
+        books[0].model,
+        books[0].kind,
+        list(books[0].words),
+        iter(books[0].codewords),
+        list(books[0].probabilities),
+        books[0].provenance,
+    )
+    assert listed == books[0]
+
+
+def test_fresh_books_reload_equal():
+    books = [
+        construct_vf(make_model(["0.4", "0.6"], 2), 12).book,
+        construct_vf(make_model(["0.2", "0.3", "0.5"], 2), 10).book,
+        construct_vv(make_model(["0.2", "0.8"], 2), T=11).book,
+    ]
+    assert [len(book.words) for book in books] == [2492, 393, 32772]
+    for book in books:
+        assert book_from_json(book_to_json(book)) == book
+
+
+def test_block_books_reload_equal_but_for_the_probability_float():
+    """A block book stores float(1/m^X); the loader multiplies the symbol
+    probabilities left to right, which can differ in the last bit."""
+    book = construct_block(3, 2, 5, 8).book
+    text = book_to_json(book)
+    loaded = book_from_json(text)
+    assert loaded == dataclasses.replace(
+        book, probabilities=loaded.probabilities
+    )
+    assert book_to_json(loaded) == text
+    assert set(book.probabilities) == {float(Fraction(1, 243))}
+    assert all(
+        math.isclose(a, b, rel_tol=1e-15, abs_tol=0)
+        for a, b in zip(loaded.probabilities, book.probabilities)
+    )
+
+
+def test_validation_rejects_columns_of_different_lengths(binary_model):
+    book = book_from_entries(
+        binary_model,
+        "vv",
+        (
+            CodeEntry(word=(1,), codeword="0", probability=0.4),
+            CodeEntry(word=(2,), codeword="1", probability=0.6),
+        ),
+    )
+    validate_codebook(book)
+    for column in ("words", "codewords", "probabilities"):
+        short = dataclasses.replace(
+            book, **{column: getattr(book, column)[:1]}
+        )
+        with pytest.raises(ValidationError, match="columns differ in length"):
+            validate_codebook(short)
 
 
 def test_kraft_sum_matches_per_entry_fractions():
@@ -261,10 +339,7 @@ CODEWORD_CLASH = r"duplicate codeword|codeword .* extends shorter codeword"
 def _with_entry(book: CodeBook, index: int, entry: CodeEntry) -> CodeBook:
     entries = list(book.entries)
     entries[index] = entry
-    return CodeBook(
-        model=book.model, kind=book.kind, entries=tuple(entries),
-        provenance={},
-    )
+    return book_from_entries(book.model, book.kind, entries)
 
 
 def _clashes(book: CodeBook, key) -> list[tuple[int, CodeEntry]]:
@@ -349,10 +424,10 @@ def test_codeword_clash_raises_wherever_it_sits(make_random_book, extend):
 def test_validation_rejects_symbols_outside_the_alphabet(
     binary_model, word, probability
 ):
-    book = CodeBook(
-        model=binary_model,
-        kind="vv",
-        entries=(
+    book = book_from_entries(
+        binary_model,
+        "vv",
+        (
             CodeEntry(word=(1,), codeword="0", probability=0.4),
             CodeEntry(word=word, codeword="1", probability=probability),
         ),
@@ -414,7 +489,9 @@ def test_validation_names_the_first_faulty_entry(make_random_book):
             for at in rng.sample(range(len(entries)), 2):
                 fault = rng.choice(faults)
                 entries[at] = _faulty(entries[at], fault, book.model.arity)
-            bad = dataclasses.replace(book, entries=tuple(entries))
+            bad = book_from_entries(
+                book.model, book.kind, entries, book.provenance
+            )
             expect = reference_entry_fault(bad)
             with pytest.raises(ValidationError) as caught:
                 validate_codebook(bad)
@@ -477,7 +554,7 @@ def test_validation_reads_symbols_above_255():
                   probability=1 / m)
         for i in range(1, m + 1)
     )
-    book = CodeBook(model=model, kind="vv", entries=entries)
+    book = book_from_entries(model, "vv", entries)
     validate_codebook(book)
     assert book_from_json(book_to_json(book)) == book
     for symbol in (m + 1, 0, 2**70):
@@ -516,7 +593,7 @@ def _label_books():
                   probability=1 / m)
         for i in range(1, m + 1)
     )
-    books.append(("300 symbols", CodeBook(model=model, kind="vv", entries=entries)))
+    books.append(("300 symbols", book_from_entries(model, "vv", entries)))
     return books
 
 
@@ -552,6 +629,26 @@ def test_bulk_texts_fall_back_on_words_outside_the_alphabet(binary_model):
         for at in range(len(good) + 1):
             words = good[:at] + [bad] + good[at:]
             assert model.texts_from_words(words) is None, (bad, at)
+
+
+@pytest.mark.parametrize("labels", [None, ["é", "ж"]], ids=["ASCII", "other"])
+@pytest.mark.parametrize("symbol", [0, -1])
+def test_book_writer_rejects_a_symbol_outside_the_alphabet(labels, symbol):
+    """A book that skipped validation is not written with symbol 0 or -1
+    read as the last label: the per-word text raises, naming the symbol."""
+    model = make_model(["0.4", "0.6"], 2, labels=labels)
+    book = book_from_entries(
+        model,
+        "vv",
+        (
+            CodeEntry(word=(1,), codeword="0", probability=0.4),
+            CodeEntry(word=(symbol, 2), codeword="1", probability=0.6),
+        ),
+    )
+    with pytest.raises(InputError, match=rf"symbol {symbol} outside 1\.\.2"):
+        book_to_json(book)
+    with pytest.raises(ValidationError, match="uses symbols outside 1..2"):
+        validate_codebook(book)
 
 
 def test_bulk_words_fall_back_to_the_per_text_error(binary_model):

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import book_from_entries
 from wordcodes.codec import (
     Encoder,
     decode_message,
@@ -120,16 +121,17 @@ def test_codec_tries_reject_books_that_are_not_prefix_free(reference_book):
     checks, whichever of the two clashing entries comes first, and the
     encoder's completeness check."""
     a, ba, bba, bbb = reference_book.entries  # words 1, 21, 221, 222
+    model, kind = reference_book.model, reference_book.kind
     cases = [
         (Encoder, dataclasses.replace(bbb, word=(2, 2))),
         (lambda book: decode_words(book, ""), dataclasses.replace(bbb, codeword="11")),
     ]
     for build, clash in cases:
         for pair in ((bba, clash), (clash, bba)):
-            book = dataclasses.replace(reference_book, entries=(a, ba, *pair))
+            book = book_from_entries(model, kind, (a, ba, *pair))
             with pytest.raises(ValidationError, match="are not prefix-free"):
                 build(book)
-    incomplete = dataclasses.replace(reference_book, entries=(a, ba, bba))
+    incomplete = book_from_entries(model, kind, (a, ba, bba))
     with pytest.raises(ValidationError, match="greedy parsing would dead-end"):
         Encoder(incomplete)
 

@@ -22,6 +22,7 @@ from operator import gt, sub
 
 import pytest
 
+from conftest import book_from_entries
 from wordcodes import cli, vf_construct
 from wordcodes.analysis import code_metrics
 from wordcodes.codebook import (
@@ -304,10 +305,10 @@ def _books_for_validation():
         36,
         labels=[chr(0x100 + i) for i in range(m300)],
     )
-    wide_book = CodeBook(
-        model=wide,
-        kind="vv",
-        entries=tuple(
+    wide_book = book_from_entries(
+        wide,
+        "vv",
+        (
             CodeEntry(
                 word=(i,),
                 codeword=format_digits(i - 1, 36, 2),
@@ -357,7 +358,7 @@ def _fault(rng: random.Random, book: CodeBook, m: int, fault: str):
         word = list(e.word)
         word[rng.randrange(len(word))] = symbol
         entries[at] = dataclasses.replace(e, word=tuple(word))
-    return dataclasses.replace(book, entries=tuple(entries))
+    return book_from_entries(book.model, book.kind, entries, book.provenance)
 
 
 FAULTS = [
@@ -411,7 +412,7 @@ def test_validate_codebook_keeps_the_model_check():
     entries[3] = dataclasses.replace(
         entries[3], probability=entries[3].probability * (1 + 1e-6)
     )
-    bad = dataclasses.replace(book, entries=tuple(entries))
+    bad = book_from_entries(book.model, book.kind, entries, book.provenance)
     with pytest.raises(ValidationError, match="disagrees with the model"):
         validate_codebook(bad)
 

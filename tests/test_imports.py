@@ -10,7 +10,8 @@ Every module of the package and of the tests also parses as Python 3.10,
 the oldest version the project supports.
 
 Every name `wordcodes` exports has a caller in the library, or serves a
-README acceptance criterion or reference that names it; and the README's
+README acceptance criterion or reference that names it; every private
+module-level name is read somewhere in the package; and the README's
 Python examples run as written.
 """
 
@@ -109,7 +110,7 @@ TEST_FACING_EXPORTS = {
 
 def _names_outside(tree, skip):
     """Every name and attribute the module reads, outside the definition
-    of `skip`."""
+    of `skip`.  A name that is only assigned is not read."""
     defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = set()
     stack = [tree]
@@ -117,7 +118,7 @@ def _names_outside(tree, skip):
         node = stack.pop()
         if isinstance(node, defines) and node.name == skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -149,6 +150,42 @@ def test_every_export_has_a_caller_in_the_library():
     assert not unlisted, f"no library module reads the exports {unlisted}"
     stale = sorted(set(TEST_FACING_EXPORTS) - orphans)
     assert not stale, f"the library reads the test-facing exports {stale}"
+
+
+def _private_definitions(tree):
+    """(line, name) of each module-level function, class or assignment
+    target the module names `_x` (dunder names aside)."""
+    defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defines):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names = [
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    """A module-level `_x` helper, class or constant is read by some module
+    of the package outside its own definition, so one whose last reader is
+    gone does not stay behind."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    unread = [
+        f"{module}:{lineno} {name}"
+        for module, tree in trees.items()
+        for lineno, name in _private_definitions(tree)
+        if not any(name in _names_outside(t, name) for t in trees.values())
+    ]
+    assert not unread, f"nothing in the package reads {unread}"
 
 
 def test_readme_python_blocks_run():

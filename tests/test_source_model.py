@@ -131,3 +131,14 @@ def test_word_text_round_trip(ternary_model):
 def test_unknown_symbol_label_raises(binary_model):
     with pytest.raises(InputError):
         binary_model.word_from_text("abx")
+
+
+@pytest.mark.parametrize("symbol", [0, -1, 3, 1.5, "a"])
+def test_word_to_text_rejects_symbols_outside_the_alphabet(symbol):
+    """Labels are not indexed from the end: (0, 1, -1) once read 'baa'."""
+    model = make_model(["0.4", "0.6"], 2)
+    assert model.word_to_text((2, 1, 1)) == "baa"
+    with pytest.raises(InputError, match=rf"symbol {symbol!r} outside 1\.\.2"):
+        model.word_to_text((1, symbol, 2))
+    with pytest.raises(InputError, match=r"symbol 0 outside 1\.\.2"):
+        model.word_to_text((0, 1, -1))

@@ -42,6 +42,7 @@ from wordcodes.vv_construct import (
     MergeStep,
     MergeTrace,
     _joint_dp,
+    _merge_path,
     assign_codewords,
     build_threshold_sets,
     canonical_codewords,
@@ -401,6 +402,20 @@ def test_merge_base_path_when_first_set_is_feasible(binary_model):
         ("a", 1),
         ("b", 1),
     ]
+
+
+def test_merge_path_takes_a_kraft_sum_of_exactly_one():
+    """A Kraft sum of exactly 1 is feasible for each of the three sets, in
+    their order of preference: the first set, the merge, the second set."""
+    one, over = Fraction(1), Fraction(2**20 + 1, 2**20)
+    assert _merge_path(one, over, over) == "base"
+    assert _merge_path(one, one, None) == "base"
+    assert _merge_path(over, one, over) == "extended"
+    assert _merge_path(over, one, None) == "extended"
+    assert _merge_path(over, over, one) == "swapped"
+    for second in (over, None):
+        with pytest.raises(InfeasibleError, match="neither the first set"):
+            _merge_path(over, over, second)
 
 
 # -- the word-level merge against its frozen quadratic reference ------------
