@@ -195,7 +195,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     book = load_book(args.book)
-    text = "".join(_read_text(args.infile).split())
+    text = _read_text(args.infile)
+    # whitespace separates symbols, unless the book has it as a label
+    spaces = {c for c in set(text) if c.isspace()}.difference(book.model.labels)
+    text = text.translate(dict.fromkeys(map(ord, spaces)))
     symbols = list(book.model.word_from_text(text))
     digits, pads = encode_message(book, symbols, pad=not args.no_pad)
     lines = [

@@ -9,6 +9,19 @@ InputError.  Decoding reads fixed-size chunks when every codeword has the
 same length, else walks a trie over codewords; one builder makes both
 tries.
 
+A long message or digit stream skips most trie steps: one builder,
+`_build_table`, maps every K-key chunk that parses from the root to the
+words it completes, so one dict lookup reads up to K symbols or digits
+(the table-driven decoding of Moffat and Turpin, IEEE Trans. Commun. 45,
+1997).  K is the largest width with alphabet^K <= the book's row count, so
+a table never holds more entries than the book has rows, and its build,
+one trie step per chunk prefix, takes at least alphabet^K steps and at
+most twice that.  A table is built once per encoder or decoder, and only
+for an input of at least alphabet^K items: the per-symbol walk of a
+shorter input takes fewer trie steps than the build.  The per-symbol loop still reads an open
+word, the tail shorter than K, and every chunk the table has no entry for,
+so bad symbols, dead branches and errors behave exactly as without tables.
+
 The synchronization experiment flips one output digit and compares decoded
 word sequences: uniform-length codes are structurally confined to one
 damaged word, while variable-length codes can lose synchronization for a
@@ -47,6 +60,85 @@ def _build_trie(pairs: Iterable[tuple], what: str) -> dict:
     return root
 
 
+def _chunk_width(alphabet: int, rows: int) -> int:
+    """The table width K: the largest K >= 1 with alphabet**K <= rows."""
+    width = 1
+    while alphabet ** (width + 1) <= rows:
+        width += 1
+    return width
+
+
+def _build_table(root: dict, keys: list[tuple], width: int) -> dict:
+    """Chunk table over a trie: one entry per `width`-key chunk that parses.
+
+    `keys` pairs each trie key with its one-key chunk (a 1-byte `bytes` or
+    a 1-character `str`); chunks are their concatenations.  A chunk that
+    meets a dead branch has no entry.  An entry is (the tuple of values
+    completed inside the chunk, keys read up to the end of the last of
+    them, the longest of them in keys, the node the chunk ends at).  When
+    none completes, the count is 0 and the walk goes on from that node.
+    Built level by level, each chunk prefix is one trie step.
+    """
+    # (chunk, node, done, used, longest), from the empty chunk of the
+    # chunks' type
+    level = [(keys[0][1][:0], root, (), 0, 0)]
+    for depth in range(1, width + 1):
+        grown = []
+        for chunk, node, done, used, longest in level:
+            for key, piece in keys:
+                child = node.get(key)
+                if child is None:
+                    continue
+                if type(child) is dict:
+                    grown.append((chunk + piece, child, done, used, longest))
+                else:
+                    span = max(longest, depth - used)
+                    grown.append((chunk + piece, root, (*done, child), depth, span))
+        level = grown
+    return {
+        chunk: (done, used, longest, node)
+        for chunk, node, done, used, longest in level
+    }
+
+
+def _table_walk(table: dict, width: int, data, longest: int) -> tuple[list, int, int]:
+    """Parse whole words of `data` from the trie root, a chunk at a time.
+
+    Returns the completed values, the number of keys they span and the
+    longest word seen (`longest` or more).  A word longer than a chunk is
+    finished key by key from the node its chunk ends at.  The walk stops
+    at the start of the word where a chunk has no entry, the data ends or
+    a key is no trie key, so the caller's per-key loop reads the rest.
+    """
+    get = table.get
+    out: list = []
+    extend = out.extend
+    append = out.append
+    pos = 0
+    stop = len(data) - width
+    while pos <= stop:
+        entry = get(data[pos : pos + width])
+        if entry is None:
+            break
+        done, used, span, node = entry
+        if used:
+            extend(done)
+        else:
+            end = pos + width
+            try:
+                while type(node) is dict:
+                    node = node[data[end]]
+                    end += 1
+            except (KeyError, IndexError):
+                break
+            append(node)
+            used = span = end - pos
+        if span > longest:
+            longest = span
+        pos += used
+    return out, pos, longest
+
+
 def _check_parse_complete(book: CodeBook, root: dict) -> None:
     """Every internal node must have all m children or parsing can stall."""
     m = book.model.m
@@ -69,6 +161,13 @@ class Encoder:
     out as soon as a word completes.  Both run one trie walk, `_walk`.  The
     number of buffered symbols never exceeds the longest word.  After
     `finish` the encoder is back at the root, ready for the next message.
+
+    `encode` reads a message of at least m^K symbols, started at the root,
+    K symbols per table lookup first (see the module docstring): a list,
+    tuple, `bytes` or `bytearray` of symbols, when m <= 255 and `bytes()`
+    takes it.  The table is built on the first such message and kept.
+    `_walk` reads whatever the table does not, so digits, pads,
+    `max_pending` and errors are those of the per-symbol walk.
     """
 
     def __init__(self, book: CodeBook) -> None:
@@ -80,6 +179,8 @@ class Encoder:
         self.max_pending = 0
         maxp = max(range(book.model.m), key=lambda i: book.model.probs[i])
         self._pad_symbol = maxp + 1
+        self._width = _chunk_width(book.model.m, len(book.words))
+        self._table: dict | None = None
 
     def _walk(self, symbols: Iterable[int]) -> list[str]:
         """Parse `symbols` on from the current node; return the codewords.
@@ -120,6 +221,32 @@ class Encoder:
         self.max_pending = max(longest, self._pending)
         return parts
 
+    def _chunk_walk(self, symbols) -> tuple[list[str], Iterable[int]]:
+        """Encode the message's whole words by table, from the root.
+
+        Returns the codewords and the symbols left for `_walk`: all of them
+        when the table does not apply.
+        """
+        m = self.book.model.m
+        if (
+            self._node is not self._root
+            or m > 255
+            or type(symbols) not in (list, tuple, bytes, bytearray)
+            or len(symbols) < m**self._width
+        ):
+            return [], symbols
+        try:
+            data = bytes(symbols)
+        except (TypeError, ValueError):
+            return [], symbols
+        if self._table is None:
+            keys = [(s, bytes((s,))) for s in range(1, m + 1)]
+            self._table = _build_table(self._root, keys, self._width)
+        parts, used, self.max_pending = _table_walk(
+            self._table, self._width, data, self.max_pending
+        )
+        return parts, symbols[used:]
+
     def feed(self, symbol: int) -> str:
         """Read one symbol; returns its word's codeword if it completes one."""
         return "".join(self._walk((symbol,)))
@@ -150,7 +277,8 @@ class Encoder:
         the root, so the next message starts clean.
         """
         try:
-            parts = self._walk(symbols)
+            parts, rest = self._chunk_walk(symbols)
+            parts += self._walk(rest)
             tail, pads = self.finish(pad=pad)
         except BaseException:
             self._node = self._root
@@ -173,6 +301,12 @@ def _decoder(book: CodeBook) -> Callable[[str], list[Word | None]]:
     For uniform-length codes each bad chunk (a short last one too) is one
     None.  For general codes a dead branch or dangling tail turns the rest
     of the stream into a single None, as a real decoder loses sync.
+
+    A general decoder reads a `str` of at least n^K digits K digits per
+    table lookup first (see the module docstring), building the table on
+    the first such stream and keeping it.  The digit loop reads the rest,
+    from the first codeword the table has no entry for, so bad digits and
+    tails decode as they do digit by digit.
     """
     lengths = set(map(len, book.codewords))
     if len(lengths) == 1:
@@ -183,10 +317,20 @@ def _decoder(book: CodeBook) -> Callable[[str], list[Word | None]]:
         ]
 
     root = _build_trie(zip(book.codewords, book.words), "codewords")
+    glyphs = DIGIT_GLYPHS[: book.model.arity]
+    width = _chunk_width(len(glyphs), len(book.words))
+    table: dict | None = None
 
     def decode_trie(digits: str) -> list[Word | None]:
-        node = root
+        nonlocal table
         out: list[Word | None] = []
+        if isinstance(digits, str) and len(digits) >= len(glyphs) ** width:
+            if table is None:
+                keys = [(c, c) for c in glyphs]
+                table = _build_table(root, keys, width)
+            out, used, _ = _table_walk(table, width, digits, 0)
+            digits = digits[used:]
+        node = root
         for ch in digits:
             nxt = node.get(ch)
             if nxt is None:

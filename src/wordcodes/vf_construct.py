@@ -71,6 +71,13 @@ def construct_vf(
     probability is at least n^-L; below that the construction degrades to
     the plain symbol-by-symbol map, which stays decodable but loses the
     window guarantee.
+
+    Rows are sorted by each word's float probability, descending, with
+    ties in lexicographic order, and take the length-L strings in
+    increasing order.  That float is the left-to-right product of the
+    symbol probabilities, so words of one profile class, equal in exact
+    arithmetic, can differ in the last bits: their order within the class
+    follows rounding.  The classes stay contiguous.
     """
     n = model.arity
     if L < 1:

@@ -138,6 +138,40 @@ def test_cli_encode_decode_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_encode_keeps_whitespace_that_is_a_label(tmp_path, capsys):
+    book_path = tmp_path / "vv.json"
+    assert main(["construct-vv", "--probs", "0.2,0.3,0.5", "--labels", "a b",
+                 "--T", "3", "--out", str(book_path)]) == 0
+    message = tmp_path / "message.txt"
+    message.write_text("a b a  bb\n", encoding="utf-8")
+    digits = tmp_path / "digits.txt"
+    assert main(["encode", "--book", str(book_path), "--in", str(message),
+                 "--out", str(digits)]) == 0
+    decoded = tmp_path / "decoded.txt"
+    assert main(["decode", "--book", str(book_path), "--in", str(digits),
+                 "--out", str(decoded)]) == 0
+    # the newline is no label, so it still separates
+    assert decoded.read_text(encoding="utf-8") == "a b a  bb\n"
+    capsys.readouterr()
+
+
+def test_cli_encode_drops_whitespace_that_is_no_label(tmp_path, capsys):
+    book_path = tmp_path / "vf.json"
+    assert main(["construct-vf", *REFERENCE_ARGS, "--L", "3",
+                 "--out", str(book_path)]) == 0
+    text = " ab\t\r\nba\x0b\x0cb\u00a0a\u2003bb\u3000a \n"
+    outputs = []
+    for name, body in (("spaced", text), ("bare", "".join(text.split()))):
+        message = tmp_path / f"{name}.txt"
+        message.write_text(body, encoding="utf-8", newline="")
+        digits = tmp_path / f"{name}.digits"
+        assert main(["encode", "--book", str(book_path), "--in", str(message),
+                     "--out", str(digits)]) == 0
+        outputs.append(digits.read_bytes())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
 def test_cli_decode_skips_comment_lines(tmp_path, capsys):
     book_path = tmp_path / "vf.json"
     assert main(["construct-vf", *REFERENCE_ARGS, "--L", "3",

@@ -9,8 +9,12 @@ import random
 import pytest
 
 from conftest import book_from_entries
+from wordcodes import codec
+from wordcodes.codebook import CodeEntry, fixed_codewords, validate_codebook
 from wordcodes.codec import (
     Encoder,
+    _chunk_width,
+    _decoder,
     decode_message,
     decode_words,
     encode_message,
@@ -18,6 +22,9 @@ from wordcodes.codec import (
     sync_error_experiment,
 )
 from wordcodes.errors import DecodeError, InputError, ValidationError
+from wordcodes.source_model import DIGIT_GLYPHS, make_model, word_probability
+from wordcodes.vf_construct import construct_vf
+from wordcodes.vv_construct import assign_codewords, construct_vv
 
 
 def test_roundtrip_variable_to_variable(binary_model, reference_book):
@@ -367,3 +374,310 @@ def test_sync_experiment_validates_arguments(vf3_book):
         sync_error_experiment(vf3_book, trials=0)
     with pytest.raises(InputError):
         sync_error_experiment(vf3_book, message_len=0)
+
+
+# -- chunk tables -------------------------------------------------------------
+
+
+def _grown_book(rng, probs, arity, rows, stretch=False):
+    """A complete word set grown to about `rows` words by splitting random
+    leaves, with Huffman codewords; `stretch` lengthens random codewords
+    and reassigns them canonically, leaving a Kraft sum below 1."""
+    model = make_model(probs, arity)
+    m = model.m
+    words = [(i,) for i in range(1, m + 1)]
+    while len(words) + m - 1 <= rows:
+        word = words.pop(rng.randrange(len(words)))
+        words += [word + (i,) for i in range(1, m + 1)]
+    items = [(w, word_probability(model, w), 0) for w in words]
+    entries = assign_codewords(model, items, "huffman")
+    if stretch:
+        grown = [
+            (e.word, e.probability, len(e.codeword) + rng.choice((0, 0, 1, 2)))
+            for e in entries
+        ]
+        entries = assign_codewords(model, grown, "canonical")
+    book = book_from_entries(model, "vv", entries)
+    validate_codebook(book)
+    return book
+
+
+@pytest.fixture(scope="module")
+def table_books(reference_book, vf3_book, block_book, make_random_book):
+    """Books for the table differential: VV Huffman and canonical (Kraft
+    below 1, so the decode table meets dead branches), VF, block, m=3 and
+    n=3, and the suite's small random books."""
+    p28, p46 = make_model(["0.2", "0.8"], 2), make_model(["0.4", "0.6"], 2)
+    rng = random.Random(2024)
+    books = {
+        "vv-huffman": construct_vv(p28, T=8).book,
+        "vv-canonical": construct_vv(p28, T=8, assignment="canonical").book,
+        "vf": construct_vf(p46, 8).book,
+        "m3": _grown_book(rng, ["0.2", "0.3", "0.5"], 2, 150),
+        "m3-stretched": _grown_book(rng, ["0.2", "0.3", "0.5"], 2, 150, True),
+        "n3": _grown_book(rng, ["0.4", "0.6"], 3, 100),
+        "m3-n3-stretched": _grown_book(rng, ["0.1", "0.3", "0.6"], 3, 100, True),
+        "reference": reference_book,
+        "vf3": vf3_book,
+        "block": block_book,
+    }
+    for seed in range(8):
+        for lengths in ("rounded", "stretched"):
+            books[f"random-{lengths}-{seed}"] = make_random_book(
+                random.Random(seed), lengths
+            )
+    assert books["vv-canonical"].kraft_exact() < 1
+    assert books["m3-n3-stretched"].kraft_exact() < 1
+    return books
+
+
+def _reference_decode(book, digits):
+    """Digit-by-digit tolerant decoder over codeword strings: one None for
+    each bad chunk of a uniform code; for a general code a dead branch or
+    a dangling tail ends the stream with one None."""
+    table = dict(zip(book.codewords, book.words))
+    lengths = set(map(len, book.codewords))
+    if len(lengths) == 1:
+        (width,) = lengths
+        return [table.get(digits[i : i + width]) for i in range(0, len(digits), width)]
+    prefixes = {c[:i] for c in book.codewords for i in range(1, len(c))}
+    out, current = [], ""
+    for ch in digits:
+        current += ch
+        if current in table:
+            out.append(table[current])
+            current = ""
+        elif current not in prefixes:
+            out.append(None)
+            return out
+    if current:
+        out.append(None)
+    return out
+
+
+def _reference_strict(book, digits):
+    words = _reference_decode(book, digits)
+    if None not in words:
+        return words
+    lengths = dict(zip(book.words, map(len, book.codewords)))
+    pos = sum(lengths[w] for w in words[: words.index(None)])
+    width = max(lengths.values())
+    return f"no codeword matches the digits at position {pos}: " + repr(
+        digits[pos : pos + width]
+    )
+
+
+def _strict(book, digits):
+    try:
+        return decode_words(book, digits)
+    except DecodeError as exc:
+        return str(exc)
+
+
+def _encoded(coder, symbols, pad=True):
+    """(digits, pads), or the InputError's message, and `max_pending`.
+    Without padding only the error's type is compared: the reference words
+    its message on a partial word more briefly."""
+    try:
+        result = coder.encode(symbols, pad)
+    except InputError as exc:
+        result = str(exc) if pad else "InputError"
+    return result, coder.max_pending
+
+
+def _same_as_reference(book, symbols, pad=True, enc=None, ref=None):
+    enc = Encoder(book) if enc is None else enc
+    ref = _FeedReference(book) if ref is None else ref
+    assert _encoded(enc, symbols, pad) == _encoded(ref, symbols, pad), book.kind
+    assert (enc._node, enc._pending) == (ref.node, ref.pending)
+    return enc
+
+
+def _encode_threshold(book):
+    m = book.model.m
+    return m ** _chunk_width(m, len(book.words))
+
+
+def _decode_threshold(book):
+    n = book.model.arity
+    return n ** _chunk_width(n, len(book.words))
+
+
+def test_encode_tables_match_the_per_symbol_reference(table_books):
+    rng = random.Random(7)
+    for name, book in table_books.items():
+        size = _encode_threshold(book)
+        for length in (size - 1, size, size + 1, 3 * size + 5, 2000):
+            message = sample_symbols(book.model, rng, length)
+            enc = _same_as_reference(book, message)
+            assert (enc._table is not None) == (length >= size), name
+            # a second message on the same encoder, with the table kept
+            ref = _FeedReference(book)
+            ref.max_pending = enc.max_pending
+            _same_as_reference(book, message[::-1], enc=enc, ref=ref)
+            _same_as_reference(book, message, pad=False)
+        # runs of one symbol: words short enough that a chunk completes
+        # several, so `max_pending` must come from the longest of them
+        for symbol in range(1, book.model.m + 1):
+            _same_as_reference(book, [symbol] * (3 * size + 2))
+
+
+def test_encode_tables_keep_bad_symbol_errors_and_state(table_books):
+    rng = random.Random(8)
+    for name, book in table_books.items():
+        m = book.model.m
+        size = _encode_threshold(book)
+        width = _chunk_width(m, len(book.words))
+        message = sample_symbols(book.model, rng, 3 * size + 11)
+        clean = Encoder(book).encode(message)
+        # the first chunk, mid-stream, and the tail
+        spots = {0, width // 2, len(message) // 2, len(message) - 1}
+        for bad in (0, m + 1, 300, -1):
+            for where in sorted(spots):
+                damaged = message[:where] + [bad] + message[where + 1 :]
+                enc = _same_as_reference(book, damaged)
+                assert (enc._node, enc._pending) == (enc._root, 0)
+                assert enc.encode(message) == clean, (name, bad, where)
+
+
+def test_encode_tables_take_every_input_the_walk_takes(table_books):
+    rng = random.Random(9)
+    for name, book in table_books.items():
+        size = _encode_threshold(book)
+        message = sample_symbols(book.model, rng, 2 * size + 3)
+        want = _FeedReference(book).encode(message)
+        for variant in (tuple(message), bytes(message), bytearray(message)):
+            enc = Encoder(book)
+            assert enc.encode(variant) == want, (name, type(variant))
+            assert enc._table is not None
+        # a generator is not sized, and 1.0 is no byte: both walk per symbol
+        enc = Encoder(book)
+        assert enc.encode(s for s in message) == want
+        floats = [1.0 if s == 1 else s for s in message]
+        assert enc.encode(floats) == want
+        assert enc._table is None
+        # True is a byte
+        assert enc.encode([True if s == 1 else s for s in message]) == want
+        assert enc._table is not None
+        # an open word left by feed: this message walks per symbol
+        enc = Encoder(book)
+        ref = _FeedReference(book)
+        assert enc.feed(message[0]) == ref.feed(message[0])
+        _same_as_reference(book, message[1:], enc=enc, ref=ref)
+
+
+def test_encode_tables_skip_alphabets_above_255():
+    model = make_model(["1/256"] * 256, 2, labels=[chr(0x100 + i) for i in range(256)])
+    book = book_from_entries(
+        model,
+        "vv",
+        (
+            CodeEntry((i + 1,), codeword, 1 / 256)
+            for i, codeword in enumerate(fixed_codewords(2, 8))
+        ),
+    )
+    message = sample_symbols(model, random.Random(10), 600)
+    assert 256 in message
+    enc = _same_as_reference(book, message)
+    assert enc._table is None
+
+
+def test_decode_tables_match_the_per_digit_reference(table_books):
+    rng = random.Random(11)
+    for name, book in table_books.items():
+        glyphs = DIGIT_GLYPHS[: book.model.arity]
+        size = _decode_threshold(book)
+        digits = ""
+        while len(digits) < 4 * size + 40:
+            digits += encode_message(book, sample_symbols(book.model, rng, 500))[0]
+        streams = [digits[:n] for n in (size - 1, size, size + 1)] + [digits]
+        for _ in range(6):
+            at = rng.randrange(len(digits))
+            flipped = rng.choice([c for c in glyphs if c != digits[at]])
+            streams.append(digits[:at] + flipped + digits[at + 1 :])
+            streams.append(digits[:at] + rng.choice("x9A ") + digits[at + 1 :])
+            streams.append(digits[: len(digits) - rng.randint(1, 5)])
+        decode = _decoder(book)
+        for stream in streams:
+            want = _reference_decode(book, stream)
+            assert decode(stream) == want, (name, len(stream))
+            assert _decoder(book)(stream) == want, (name, len(stream))
+            assert _strict(book, stream) == _reference_strict(book, stream), name
+
+
+@pytest.fixture(scope="module")
+def codec_workload_books():
+    """The codec benchmark's books: VV (0.2, 0.8) T=10, VF (0.4, 0.6) L=12."""
+    vv = construct_vv(make_model(["0.2", "0.8"], 2), T=10).book
+    vf = construct_vf(make_model(["0.4", "0.6"], 2), 12).book
+    return vv, vf
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The entry counts of the chunk tables built while the test runs."""
+    sizes: list[int] = []
+    build = codec._build_table
+
+    def counting(*args):
+        table = build(*args)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(codec, "_build_table", counting)
+    return sizes
+
+
+def test_table_width_is_the_largest_power_within_the_rows(codec_workload_books):
+    vv, vf = codec_workload_books
+    assert (len(vv.words), len(vf.words)) == (4100, 2492)
+    assert _chunk_width(2, 4100) == 12 and _chunk_width(2, 2492) == 11
+    assert _chunk_width(2, 4096) == 12 and _chunk_width(2, 4095) == 11
+    assert _chunk_width(3, 2) == _chunk_width(2, 3) == 1
+    assert _chunk_width(3, 27) == 3 and _chunk_width(256, 65535) == 1
+
+
+def test_no_table_has_more_entries_than_the_book_has_rows(
+    table_books, codec_workload_books, built_tables
+):
+    rng = random.Random(12)
+    for book in (*table_books.values(), *codec_workload_books):
+        built_tables.clear()
+        message = sample_symbols(book.model, rng, _encode_threshold(book))
+        digits, _ = Encoder(book).encode(message)
+        digits *= -(-_decode_threshold(book) // len(digits))
+        _decoder(book)(digits)
+        # uniform codes decode by their codeword dict, with no chunk table
+        uniform = len(set(map(len, book.codewords))) == 1
+        assert len(built_tables) == 1 + (not uniform)
+        assert all(1 <= size <= len(book.words) for size in built_tables)
+
+
+def test_tables_are_built_once_and_only_for_long_inputs(
+    reference_book, codec_workload_books, built_tables
+):
+    vv, vf = codec_workload_books
+    rng = random.Random(13)
+    for book in (reference_book, vv, vf):
+        size = _encode_threshold(book)
+        enc = Encoder(book)
+        enc.encode(sample_symbols(book.model, rng, size - 1))
+        assert built_tables == []
+        enc.encode(sample_symbols(book.model, rng, size))
+        enc.encode(sample_symbols(book.model, rng, 2 * size))
+        assert len(built_tables) == 1
+        built_tables.clear()
+    size = _decode_threshold(vv)
+    digits, _ = encode_message(vv, sample_symbols(vv.model, rng, 3 * size))
+    built_tables.clear()
+    decode = _decoder(vv)
+    decode(digits[: size - 1])
+    assert built_tables == []
+    decode(digits[:size])
+    decode(digits)
+    assert built_tables == [4096]
+    built_tables.clear()
+    # the digit-flip experiment's 1000-symbol messages stay below both
+    for book in codec_workload_books:
+        sync_error_experiment(book, trials=3, message_len=1000, seed=5)
+    assert built_tables == []

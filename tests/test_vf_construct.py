@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -39,6 +40,36 @@ def test_window_code_for_reference_binary_source(binary_model, vf3_book):
     ]
     nbar = math.fsum(e.probability * len(e.word) for e in vf3_book.entries)
     assert nbar == pytest.approx(2.36, abs=1e-9)
+
+
+def test_vf_rows_follow_the_float_product_order(binary_model):
+    """Rows are sorted by the float left-to-right product, descending, with
+    lexicographic ties, so the order inside a profile class follows
+    rounding.  The (0.4, 0.6) L=12 book, which the codec benchmark streams
+    through, pins that order by a sha256 of its words."""
+    book = construct_vf(binary_model, 12).book
+    words, probs = book.words, book.probabilities
+    assert len(words) == 2492
+    assert list(probs) == [
+        math.prod(binary_model.probs[s - 1] for s in w) for w in words
+    ]
+    for i in range(len(words) - 1):
+        assert probs[i] > probs[i + 1] or (
+            probs[i] == probs[i + 1] and words[i] < words[i + 1]
+        )
+    # profile classes stay contiguous, but some are not in lexicographic
+    # order: their floats differ in the last bits
+    profiles = [(len(w), w.count(1)) for w in words]
+    runs = [p for i, p in enumerate(profiles) if i == 0 or p != profiles[i - 1]]
+    assert len(runs) == len(set(profiles))
+    assert any(
+        a > b and pa == pb
+        for a, b, pa, pb in zip(words, words[1:], profiles, profiles[1:])
+    )
+    text = "\n".join(binary_model.word_to_text(w) for w in words)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8253a72819709fe86e16250bf9e578bd6201bf322f49e9b5458db1b44b866e0e"
+    )
 
 
 @pytest.mark.parametrize("L", list(range(2, 11)))
