@@ -24,7 +24,7 @@ from .codebook import CodeBook
 from .diophantine import dist_to_int
 from .errors import InputError
 from .source_model import SourceModel, entropy, linear_form, profile_of
-from .word_sets import DEFAULT_NODE_LIMIT, DEFAULT_T_MAX
+from .word_sets import DEFAULT_T_MAX
 
 EPS_WITHIN_ONE_TOL = 1e-12
 
@@ -294,7 +294,6 @@ def scaling_experiment(
     model: SourceModel,
     t_list: Sequence[int] | None = None,
     t_max: int = DEFAULT_T_MAX,
-    node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> ScalingResult:
     """Construct codes over a ladder of threshold parameters and fit a slope.
 
@@ -316,7 +315,6 @@ def scaling_experiment(
             T=t,
             grade="metrics",
             assignment="canonical",
-            node_limit=node_limit,
         )
         met = result.dp_metrics
         rows.append(

@@ -356,7 +356,10 @@ def decode_words(book: CodeBook, digits: str) -> list[Word]:
     ends in the middle of a codeword.
     """
     words = _decoder(book)(digits)
-    if None in words:
+    # None marks a bad codeword: the trie decoder stops at its first, so
+    # only the uniform-length decoder can yield one before the last entry
+    uniform = len(set(map(len, book.codewords))) == 1
+    if (None in words) if uniform else (words and words[-1] is None):
         lengths = dict(zip(book.words, map(len, book.codewords)))
         bad = words.index(None)
         pos = sum(lengths[w] for w in words[:bad])

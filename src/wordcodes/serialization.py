@@ -75,12 +75,17 @@ def book_from_json(text: str) -> CodeBook:
         arity = data["arity"]
         if not isinstance(arity, int):
             raise InputError(f"malformed code book file: arity {arity!r}")
-        provenance = data.get("provenance") or {}
+        provenance = data.get("provenance", {})
         if not isinstance(provenance, dict):
             raise InputError(
                 "malformed code book file: provenance is not an object"
             )
-        model = make_model(data["probs"], arity, labels=list(data["alphabet"]))
+        for key in ("alphabet", "probs"):
+            if not isinstance(data[key], list):
+                raise InputError(
+                    f"malformed code book file: {key} is not a list"
+                )
+        model = make_model(data["probs"], arity, labels=data["alphabet"])
         words, codewords = _read_rows(model, data["words"])
         book = CodeBook(
             model=model,

@@ -81,6 +81,12 @@ class SourceModel:
             )
         if len(self.labels) != len(self.probs):
             raise InputError("labels and probs must have the same length")
+        for label in self.labels:
+            # word texts read one character per symbol
+            if not (isinstance(label, str) and len(label) == 1):
+                raise InputError(
+                    f"symbol labels must be one character each, got {label!r}"
+                )
         if len(set(self.labels)) != len(self.labels):
             raise InputError("symbol labels must be distinct")
         if not self.prob_labels:
@@ -174,11 +180,11 @@ def _label_tables(labels: tuple[str, ...]) -> tuple[str, bytes, bytes] | None:
     """Translation tables between symbols and single-character ASCII labels.
 
     Returns (separator, symbol -> label, label -> symbol), or None unless
-    every label is one ASCII character and one ASCII character is left for
-    the separator.  Symbol byte 0 and every byte above m map to the
-    separator, and the separator and every non-label byte map to 0.
+    every label is ASCII and one ASCII character is left for the
+    separator.  Symbol byte 0 and every byte above m map to the separator,
+    and the separator and every non-label byte map to 0.
     """
-    if not all(len(s) == 1 and s < "\x80" for s in labels):
+    if not all(s < "\x80" for s in labels):
         return None
     spare = [c for c in map(chr, range(128)) if c not in labels]
     if not spare:

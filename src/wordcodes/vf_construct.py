@@ -116,12 +116,10 @@ def construct_vf(
             raise ResourceError(
                 f"word set exceeds the enumeration limit of {enum_limit}"
             )
-        probs = []
-        items = enumerate_words(
-            model, classify, cap, enum_limit, probabilities=probs
-        )
+        items = enumerate_words(model, classify, cap, enum_limit)
         words = list(map(itemgetter(0), items))
         forms = list(map(itemgetter(1), items))
+        probs = list(map(itemgetter(3), items))
         del items
         if len(words) != table.word_count:
             raise ValidationError(

@@ -90,7 +90,6 @@ from .word_sets import (
     ONLY_FIRST,
     ONLY_SECOND,
     SECOND,
-    THRESHOLD_TOL,
     LatticeTable,
     NodeClassifier,
     NodeKeys,
@@ -103,6 +102,7 @@ from .word_sets import (
     lattice_metrics,
     level_views,
     node_limit_error,
+    snapped_frac,
     wedge,
 )
 
@@ -116,11 +116,10 @@ FINAL_MASS_TOL = 1e-6
 
 def floor_form(x: float) -> int:
     """Integer part of a linear-form value, snapping values within
-    THRESHOLD_TOL below an integer upward."""
-    fl = math.floor(x)
-    if x - fl >= 1.0 - THRESHOLD_TOL:
-        fl += 1
-    return int(fl)
+    THRESHOLD_TOL below an integer upward: `x` less its `snapped_frac` is
+    floor(x) exactly, or within THRESHOLD_TOL of the next integer, which
+    `round` lifts it to."""
+    return round(x - snapped_frac(x))
 
 
 def code_length_for(form: float, in_second: bool) -> int:
@@ -662,8 +661,11 @@ def threshold_parameter_candidates(
     exactly; any T with threshold 2/T below the hit spacing works, so the
     candidates are doublings of a small multiple of the common denominator.
     Otherwise T runs over the best-approximation denominators of one
-    irrational exponent, preferring the last symbol's.
+    irrational exponent, preferring the last symbol's.  Raises InputError
+    for a t_max below 1.
     """
+    if t_max < 1:
+        raise InputError(f"t_max must be >= 1, got {t_max}")
     q = denominator_of_rational_form(list(model.d))
     if q is not None:
         base = q * max(1, math.ceil(5 / q))
@@ -896,6 +898,13 @@ def _pipeline(
         word_count=final.word_count,
     )
 
+    trace = MergeTrace(
+        path=path,
+        steps=steps,
+        k0=len(chosen) + (1 if boundary else 0) if path == "extended" else None,
+        boundary_profile=boundary[0] if boundary else None,
+        boundary_words=boundary[1] if boundary else None,
+    )
     provenance = {
         "mode": "thresholds",
         "T": T,
@@ -909,18 +918,17 @@ def _pipeline(
         "kraft_second": str(kraft_second),
         "kraft_merged": None if path == "base" else str(tables.kraft_merged),
         "kraft_final": str(kraft_final),
-        "classes_added": len(chosen) + (1 if boundary else 0),
-        "boundary_profile": list(boundary[0]) if boundary else None,
-        "boundary_words": boundary[1] if boundary else None,
+        "classes_added": trace.k0 or 0,
+        "boundary_profile": list(trace.boundary_profile) if boundary else None,
+        "boundary_words": trace.boundary_words,
         "cap_history": [[c, mass] for c, mass in history],
     }
 
     book = None
     book_metrics = None
     if final.word_count <= enum_limit:
-        probs: list[float] = []
         items = enumerate_words(
-            model, classify, cap_val, enum_limit, chosen, boundary, probs
+            model, classify, cap_val, enum_limit, chosen, boundary
         )
         if len(items) != final.word_count:
             raise ValidationError(
@@ -933,22 +941,15 @@ def _pipeline(
         # and forms
         columns = [
             list(map(itemgetter(0), items)),
-            probs,
+            list(map(itemgetter(3), items)),
             list(map(itemgetter(1), items)),
             list(map(length_of.__getitem__, keys)),
         ]
-        del items, probs, keys
+        del items, keys
         book, book_metrics = _fresh_book(
             model, assignment, provenance, columns
         )
 
-    trace = MergeTrace(
-        path=path,
-        steps=steps,
-        k0=len(chosen) + (1 if boundary else 0) if path == "extended" else None,
-        boundary_profile=boundary[0] if boundary else None,
-        boundary_words=boundary[1] if boundary else None,
-    )
     return VVResult(
         model=model,
         T=T,
@@ -1014,11 +1015,8 @@ def _explicit(
         )
 
     kraft_exact = kraft_sum(lengths, model.arity)
-    dp_metrics = analysis.metrics_from_classes(
-        model,
-        list(zip(probs, map(len, words), lengths, forms)),
-        kraft_exact=kraft_exact,
-        word_count=len(words),
+    dp_metrics = analysis.word_metrics(
+        model, probs, list(map(len, words)), lengths, forms, kraft_exact
     )
 
     provenance = {

@@ -779,13 +779,12 @@ def enumerate_words(
     limit: int,
     taken: Collection[Profile] = (),
     boundary: tuple[Profile, int] | None = None,
-    probabilities: list[float] | None = None,
-) -> list[tuple[Word, float, bool]]:
+) -> list[tuple[Word, float, bool, float]]:
     """The word set of `lattice_metrics`, word by word, in lexicographic order.
 
-    Returns (word, form, extra_digit) per word: `extra_digit` is set for a
-    clean stop in the second set or at the cap, where the construction
-    length gets one digit more.  At the boundary profile the
+    Returns (word, form, extra_digit, probability) per word: `extra_digit`
+    is set for a clean stop in the second set or at the cap, where the
+    construction length gets one digit more.  At the boundary profile the
     lexicographically first j clean words stop.  Iterative, so the cap,
     which bounds the depth, can exceed the interpreter recursion limit.
     Raises InputError for a cap below 1, and ResourceError as soon as more
@@ -797,14 +796,11 @@ def enumerate_words(
     cap stops every path.
 
     Each frame carries its word's prefix product, multiplied left to right
-    from 1.0 as `word_probability` multiplies, so it is the same float.
-    Given a list as `probabilities`, the walk appends each word's product
-    to it, in the order of the returned list: fresh VF and VV books take
-    their probabilities from there, and their metrics from these forms.
+    from 1.0 as `word_probability` multiplies, so the probability is the
+    same float: fresh VF and VV books take their probabilities from there,
+    and their metrics from these forms.
     """
     keys = NodeKeys(model.m, cap, classify)
-    if probabilities is None:
-        probabilities = []
     taken_keys = set(map(keys.key_of, taken))
     boundary_key, boundary_left = (
         (keys.key_of(boundary[0]), boundary[1]) if boundary else (None, 0)
@@ -817,8 +813,8 @@ def enumerate_words(
     # benchmark's round about 10 % slower
     children = [((i + 1,), keys.steps[i], p) for i, p in enumerate(model.probs)]
     children.reverse()
-    out: list[tuple[Word, float, bool]] = []
-    append, append_p = out.append, probabilities.append
+    out: list[tuple[Word, float, bool, float]] = []
+    append = out.append
     stack: list[tuple[Word, int, bool, float]] = [((), 0, False, 1.0)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -835,8 +831,7 @@ def enumerate_words(
             else:
                 crossed = True
         if flags & FIRST:
-            append((word, form, flags > FIRST and not crossed))
-            append_p(p)
+            append((word, form, flags > FIRST and not crossed, p))
             if len(out) > limit:
                 raise ResourceError(
                     f"word set exceeds the enumeration limit of {limit}"

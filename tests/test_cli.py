@@ -47,6 +47,8 @@ def test_book_json_rejects_malformed_input(reference_book):
     with pytest.raises(InputError):
         book_from_json(json.dumps({"format": "something-else"}))
     payload = json.loads(book_to_json(reference_book))
+    del payload["provenance"]
+    assert book_from_json(json.dumps(payload)).provenance == {}
     del payload["words"]
     with pytest.raises(InputError):
         book_from_json(json.dumps(payload))
@@ -64,6 +66,18 @@ def _malformed_books(book):
         lambda p: p["words"][0].update(codeword=["0"]),
         lambda p: p.update(provenance="x"),
         lambda p: p["words"][0].update(symbols=list(p["words"][0]["symbols"])),
+        # a provenance that is present must be an object, even a falsy one
+        lambda p: p.update(provenance=[]),
+        lambda p: p.update(provenance=0),
+        lambda p: p.update(provenance=""),
+        lambda p: p.update(provenance=False),
+        lambda p: p.update(provenance=None),
+        # a string is not split into labels, nor into probabilities
+        lambda p: p.update(alphabet="".join(p["alphabet"])),
+        lambda p: p.update(probs=p["probs"][0]),
+        lambda p: p.update(probs=dict.fromkeys(p["probs"])),
+        # labels are one character each
+        lambda p: p.update(alphabet=["x1", "y1"]),
     ]
     for edit in edits:
         payload = json.loads(json.dumps(good))
@@ -276,6 +290,19 @@ def test_cli_analyze_prints_metric_tokens(tmp_path, capsys):
     for token in ("kind=vf", "words=5", "N̄=2.36", "N=3", "R=0.3002",
                   "delta=0.375", "lower=", "upper=", "identity_residual="):
         assert token in printed
+    # a saved block book reads back with the metric lines it was built
+    # with; only the rounding-noise residual may differ, since the loaded
+    # book multiplies (1/3)^5 where the built one stores float(1/243)
+    block_path = tmp_path / "block.json"
+    assert main(["construct-block", "--input-size", "3", "--pair-index", "1",
+                 "--out", str(block_path)]) == 0
+    header, *built, saved = capsys.readouterr().out.splitlines()
+    assert (header, saved) == ("kind=block X=5 L=8", f"saved={block_path}")
+    assert main(["analyze", "--book", str(block_path)]) == 0
+    kind, *loaded = capsys.readouterr().out.splitlines()
+    assert kind == "kind=block" and "words=243" in loaded
+    assert loaded[:-1] == built[:-1]
+    assert loaded[-1].startswith("identity_residual=")
 
 
 def test_cli_scaling_writes_csv(tmp_path, capsys):
@@ -291,6 +318,11 @@ def test_cli_scaling_writes_csv(tmp_path, capsys):
     )
     assert len(lines) == 4
     assert lines[1].startswith("1,")
+    # README's ladder: T=19's delay differs from the rest, so a slope is fit
+    code = main(["experiment", "scaling", *REFERENCE_ARGS,
+                 "--t-list", "1,3,4,19"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "slope=-1.0689"
     # --t-max sets the auto ladder, so it is an error next to --t-list
     code = main(["experiment", "scaling", *REFERENCE_ARGS,
                  "--t-list", "1,3,4", "--t-max", "5"])
@@ -298,6 +330,15 @@ def test_cli_scaling_writes_csv(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "--t-max" in captured.err
+    # a --t-max below 1 is refused under its own name, for irrational and
+    # rational sources alike
+    for source in (REFERENCE_ARGS, ["--probs", "0.5,0.25,0.25"]):
+        for t_max in ("0", "-3"):
+            code = main(["experiment", "scaling", *source, "--t-max", t_max])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"t_max must be >= 1, got {t_max}" in captured.err
     # without --t-list the ladder is the source's candidates up to --t-max;
     # the JSON rows carry the CSV's columns under its header names
     json_path = tmp_path / "scaling.json"

@@ -115,16 +115,16 @@ def test_both_enumerators_carry_the_model_products():
         ]
         for walk, walk_cap, walk_taken, walk_boundary in walks:
             for drive in (walk, _plain(walk)):
-                probs: list[float] = []
                 try:
                     items = enumerate_words(
                         model, drive, walk_cap, 20000, walk_taken,
-                        walk_boundary, probs,
+                        walk_boundary,
                     )
                 except ResourceError:
                     seen.add("limit")
                     continue
-                words = [word for word, _, _ in items]
+                words = [word for word, _, _, _ in items]
+                probs = [p for _, _, _, p in items]
                 assert _hex(probs) == _hex(word_probabilities(model, words))
                 seen.add((m, walk_boundary is not None))
     assert {(m, b) for m in (2, 3, 4) for b in (False, True)} <= seen

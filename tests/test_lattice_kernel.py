@@ -51,14 +51,11 @@ def _dict_walk(classify):
     return lambda k: classify(k)
 
 
-def reference_enumeration(
-    model, classify, cap, limit, taken, boundary, probabilities
-):
+def reference_enumeration(model, classify, cap, limit, taken, boundary):
     """The per-node enumerator over profile tuples, as it was before the
     keyed walk: each child profile sliced out of its parent, each distinct
     profile classified once, every path stopped at the cap.  Returns its
-    (word, form, extra digit) list and appends the carried products to
-    `probabilities`."""
+    (word, form, extra digit, carried product) list."""
     m = model.m
     symbol_probs = model._symbol_probs
     seen = {}
@@ -91,8 +88,7 @@ def reference_enumeration(
                     stack.append([child_word, child, True, 0, child_p])
                     continue
                 boundary_left -= 1
-        out.append((child_word, form, second))
-        probabilities.append(child_p)
+        out.append((child_word, form, second, child_p))
         if len(out) > limit:
             raise ResourceError(
                 f"word set exceeds the enumeration limit of {limit}"
@@ -532,15 +528,14 @@ def _enumeration(
     enumerate_words, model, classify, cap, limit, taken=(), boundary=None
 ):
     """An enumeration as a comparable record: the repr of its list (so
-    forms are compared bit for bit and extra digits as bools) and its
-    carried products as hex strings, or its error."""
-    probs = []
+    forms and carried products are compared bit for bit and extra digits
+    as bools), or its error."""
     found = _outcome(
-        enumerate_words, model, classify, cap, limit, taken, boundary, probs
+        enumerate_words, model, classify, cap, limit, taken, boundary
     )
     if found[0] == "error":
         return found
-    return repr(found), [p.hex() for p in probs]
+    return repr(found)
 
 
 def _checked_enumeration(*args):

@@ -128,6 +128,14 @@ def test_word_text_round_trip(ternary_model):
     assert word == (3, 1, 2, 3, 3)
 
 
+@pytest.mark.parametrize("labels", [["x1", "y1"], ["ab", "c"], ["", "b"], ["a", 1]])
+def test_labels_are_one_character_each(labels):
+    """Word texts read one character per symbol, so a longer or empty label
+    would build a book that saves but cannot be read back."""
+    with pytest.raises(InputError, match="labels must be one character each"):
+        make_model(["0.4", "0.6"], 2, labels=labels)
+
+
 def test_unknown_symbol_label_raises(binary_model):
     with pytest.raises(InputError):
         binary_model.word_from_text("abx")

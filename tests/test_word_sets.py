@@ -136,13 +136,13 @@ def test_explicit_profile_sets_reproduce_reference_word_sets(
     first = ExplicitProfilesRule(frozenset({(1, 0)}))
     classify = member_classifier(binary_model, first)
     words = enumerate_words(binary_model, classify, 3, limit=100)
-    texts = [binary_model.word_to_text(w) for w, _, _ in words]
+    texts = [binary_model.word_to_text(w) for w, _, _, _ in words]
     assert texts == ["a", "baa", "bab", "bba", "bbb"]
 
     second = ExplicitProfilesRule(frozenset({(1, 1)}))
     classify = member_classifier(binary_model, second)
     words = enumerate_words(binary_model, classify, 3, limit=100)
-    texts = [binary_model.word_to_text(w) for w, _, _ in words]
+    texts = [binary_model.word_to_text(w) for w, _, _, _ in words]
     assert sorted(texts) == ["aaa", "aab", "ab", "ba", "bba", "bbb"]
 
 
@@ -162,7 +162,7 @@ def test_lattice_metrics_agree_with_enumeration(binary_model, ternary_model):
             table = lattice_metrics(model, classify, cap)
             words = [
                 w
-                for w, _, _ in enumerate_words(
+                for w, _, _, _ in enumerate_words(
                     model, classify, cap, limit=DEFAULT_ENUM_LIMIT
                 )
             ]
@@ -250,14 +250,14 @@ def test_walks_under_node_classifier_match_member_reference(
             # the words' forms and extra digits, class by class
             by_class = Counter(
                 (profile_of(w, model.m), form, extra)
-                for w, form, extra in found
+                for w, form, extra, _ in found
             )
             expected = Counter()
             for k, (c_c, _, c_x, _, form, second) in table.stops.items():
                 expected[k, form, second] += c_c
                 expected[k, form, False] += c_x
             assert by_class == +expected
-            mass = math.fsum(word_probability(model, w) for w, _, _ in found)
+            mass = math.fsum(word_probability(model, w) for w, _, _, _ in found)
             assert mass == pytest.approx(table.total_prob, abs=1e-12)
             assert mass == pytest.approx(1.0, abs=1e-9)
             walks += 1
@@ -290,7 +290,7 @@ def test_cap_alone_stops_every_path(binary_model, member_classifier):
     table = lattice_metrics(binary_model, classify, 5)
     words = enumerate_words(binary_model, classify, 5, DEFAULT_ENUM_LIMIT)
     assert table.word_count == len(words) == 2**5
-    assert all(len(w) == 5 and extra for w, _, extra in words)
+    assert all(len(w) == 5 and extra for w, _, extra, _ in words)
     assert table.cap_mass == pytest.approx(1.0, abs=1e-12)
     assert table.total_prob == pytest.approx(1.0, abs=1e-12)
 
