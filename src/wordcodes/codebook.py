@@ -119,6 +119,12 @@ class CodeBook:
     word's probability.  `provenance` records how the book was
     constructed; everything in it must be JSON-serializable and
     deterministic.
+
+    `_parse` is the codec's parse state for this book (its tries and chunk
+    tables, see `codec`), filled on first use.  It is derived from the
+    columns, which are immutable, so it never goes stale and takes no part
+    in `__init__`, equality, hashing or `repr`; `dataclasses.replace`
+    gives the new book an empty one.
     """
 
     model: SourceModel
@@ -127,6 +133,9 @@ class CodeBook:
     codewords: tuple[str, ...]
     probabilities: tuple[float, ...]
     provenance: dict = field(default_factory=dict, hash=False)
+    _parse: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         # a column may be given as any iterable; a tuple is kept as it is

@@ -16,17 +16,25 @@ words it completes, so one dict lookup reads up to K symbols or digits
 1997).  K is the largest width with alphabet^K <= the book's row count, so
 a table never holds more entries than the book has rows, and its build,
 one trie step per chunk prefix, takes at least alphabet^K steps and at
-most twice that.  A table is built once per encoder or decoder, and only
-for an input of at least alphabet^K items: the per-symbol walk of a
-shorter input takes fewer trie steps than the build.  The per-symbol loop still reads an open
+most twice that.  A table is built only for an input of at least
+alphabet^K items: the per-symbol walk of a shorter input takes fewer trie
+steps than the build.  The per-symbol loop still reads an open
 word, the tail shorter than K, and every chunk the table has no entry for,
 so bad symbols, dead branches and errors behave exactly as without tables.
+
+Each book carries one parse state (`CodeBook._parse`), in two halves
+built on first use and then kept: `_WordParse` for encoding (the word
+trie, after its prefix and completeness checks, the pad symbol, K and the
+chunk table) and `_CodewordParse` for decoding (the codeword dict or
+trie, K and the chunk table).  Every `Encoder`, `encode_message`,
+`decode_words`, `decode_message` and `sync_error_experiment` call on one
+book shares them, so a trie or table is built once per book, not once per
+call.  A half whose checks fail is not kept, so each call raises again.
 
 The synchronization experiment flips one output digit and compares decoded
 word sequences: uniform-length codes are structurally confined to one
 damaged word, while variable-length codes can lose synchronization for a
-stretch that the experiment measures.  It builds its encoder and decoder
-once per call.
+stretch that the experiment measures.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import bisect
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .codebook import CodeBook
 from .errors import DecodeError, InputError, ValidationError
@@ -154,6 +162,67 @@ def _check_parse_complete(book: CodeBook, root: dict) -> None:
                 stack.append(child)
 
 
+class _WordParse:
+    """The encoding half of a book's parse state.
+
+    `root` is the word trie, its leaves the codewords; `pad_symbol` the
+    most probable symbol; `width` the chunk width K over the m symbols;
+    `table` the chunk table, None until a message of at least m^K symbols
+    needs it.
+    """
+
+    __slots__ = ("root", "pad_symbol", "width", "table")
+
+    def __init__(self, book: CodeBook) -> None:
+        model = book.model
+        self.root = _build_trie(zip(book.words, book.codewords), "words")
+        _check_parse_complete(book, self.root)
+        self.pad_symbol = max(range(model.m), key=model.probs.__getitem__) + 1
+        self.width = _chunk_width(model.m, len(book.words))
+        self.table: dict | None = None
+
+
+class _CodewordParse:
+    """The decoding half of a book's parse state.
+
+    `uniform` is the one codeword length, or None when lengths differ;
+    `root` is then the codeword -> word dict, or else the codeword trie,
+    its leaves the words.  `glyphs` are the n digits, `width` the chunk
+    width K over them and `table` the trie's chunk table, None until a
+    stream of at least n^K digits needs it.
+    """
+
+    __slots__ = ("uniform", "root", "glyphs", "width", "table")
+
+    def __init__(self, book: CodeBook) -> None:
+        lengths = set(map(len, book.codewords))
+        pairs = zip(book.codewords, book.words)
+        if len(lengths) == 1:
+            (self.uniform,) = lengths
+            self.root = dict(pairs)
+        else:
+            self.uniform = None
+            self.root = _build_trie(pairs, "codewords")
+        self.glyphs = DIGIT_GLYPHS[: book.model.arity]
+        self.width = _chunk_width(len(self.glyphs), len(book.words))
+        self.table: dict | None = None
+
+
+_Half = TypeVar("_Half", _WordParse, _CodewordParse)
+
+
+def _parse_state(book: CodeBook, half: type[_Half]) -> _Half:
+    """The book's `half` of its parse state, built on first use and kept.
+
+    A half whose build raises is not kept, so the next call raises too.
+    """
+    state = book._parse
+    parse = state.get(half)
+    if parse is None:
+        parse = state[half] = half(book)
+    return parse
+
+
 class Encoder:
     """Greedy streaming encoder.
 
@@ -162,25 +231,24 @@ class Encoder:
     number of buffered symbols never exceeds the longest word.  After
     `finish` the encoder is back at the root, ready for the next message.
 
+    The word trie, pad symbol and chunk table are the book's
+    (`_WordParse`), shared by every encoder of that book; of its own, an
+    encoder holds only its cursor (`_node`, `_pending`) and `max_pending`.
+
     `encode` reads a message of at least m^K symbols, started at the root,
     K symbols per table lookup first (see the module docstring): a list,
     tuple, `bytes` or `bytearray` of symbols, when m <= 255 and `bytes()`
-    takes it.  The table is built on the first such message and kept.
-    `_walk` reads whatever the table does not, so digits, pads,
+    takes it.  The table is built on the book's first such message and
+    kept.  `_walk` reads whatever the table does not, so digits, pads,
     `max_pending` and errors are those of the per-symbol walk.
     """
 
     def __init__(self, book: CodeBook) -> None:
         self.book = book
-        self._root = _build_trie(zip(book.words, book.codewords), "words")
-        _check_parse_complete(book, self._root)
-        self._node = self._root
+        self._parse = _parse_state(book, _WordParse)
+        self._node = self._parse.root
         self._pending = 0
         self.max_pending = 0
-        maxp = max(range(book.model.m), key=lambda i: book.model.probs[i])
-        self._pad_symbol = maxp + 1
-        self._width = _chunk_width(book.model.m, len(book.words))
-        self._table: dict | None = None
 
     def _walk(self, symbols: Iterable[int]) -> list[str]:
         """Parse `symbols` on from the current node; return the codewords.
@@ -191,7 +259,7 @@ class Encoder:
         that is no trie key (outside 1..m, or not a number) raises
         InputError with the node and pending count left as they were.
         """
-        root = self._root
+        root = self._parse.root
         node = self._node
         parts: list[str] = []
         append = parts.append
@@ -227,23 +295,24 @@ class Encoder:
         Returns the codewords and the symbols left for `_walk`: all of them
         when the table does not apply.
         """
+        parse = self._parse
         m = self.book.model.m
         if (
-            self._node is not self._root
+            self._node is not parse.root
             or m > 255
             or type(symbols) not in (list, tuple, bytes, bytearray)
-            or len(symbols) < m**self._width
+            or len(symbols) < m**parse.width
         ):
             return [], symbols
         try:
             data = bytes(symbols)
         except (TypeError, ValueError):
             return [], symbols
-        if self._table is None:
+        if parse.table is None:
             keys = [(s, bytes((s,))) for s in range(1, m + 1)]
-            self._table = _build_table(self._root, keys, self._width)
+            parse.table = _build_table(parse.root, keys, parse.width)
         parts, used, self.max_pending = _table_walk(
-            self._table, self._width, data, self.max_pending
+            parse.table, parse.width, data, self.max_pending
         )
         return parts, symbols[used:]
 
@@ -266,7 +335,7 @@ class Encoder:
         pads = 0
         digits = ""
         while self._pending:
-            digits = self.feed(self._pad_symbol)
+            digits = self.feed(self._parse.pad_symbol)
             pads += 1
         return digits, pads
 
@@ -281,7 +350,7 @@ class Encoder:
             parts += self._walk(rest)
             tail, pads = self.finish(pad=pad)
         except BaseException:
-            self._node = self._root
+            self._node = self._parse.root
             self._pending = 0
             raise
         parts.append(tail)
@@ -296,39 +365,34 @@ def encode_message(
 
 
 def _decoder(book: CodeBook) -> Callable[[str], list[Word | None]]:
-    """Build the decode table once; return a decoder that maps bad units to None.
+    """A decoder over the book's `_CodewordParse` that maps bad units to None.
 
     For uniform-length codes each bad chunk (a short last one too) is one
     None.  For general codes a dead branch or dangling tail turns the rest
     of the stream into a single None, as a real decoder loses sync.
 
     A general decoder reads a `str` of at least n^K digits K digits per
-    table lookup first (see the module docstring), building the table on
-    the first such stream and keeping it.  The digit loop reads the rest,
+    table lookup first (see the module docstring); the table is built on
+    the book's first such stream and kept.  The digit loop reads the rest,
     from the first codeword the table has no entry for, so bad digits and
     tails decode as they do digit by digit.
     """
-    lengths = set(map(len, book.codewords))
-    if len(lengths) == 1:
-        (uniform,) = lengths
-        table = dict(zip(book.codewords, book.words))
+    parse = _parse_state(book, _CodewordParse)
+    uniform, root = parse.uniform, parse.root
+    if uniform is not None:
         return lambda digits: [
-            table.get(digits[i : i + uniform]) for i in range(0, len(digits), uniform)
+            root.get(digits[i : i + uniform]) for i in range(0, len(digits), uniform)
         ]
 
-    root = _build_trie(zip(book.codewords, book.words), "codewords")
-    glyphs = DIGIT_GLYPHS[: book.model.arity]
-    width = _chunk_width(len(glyphs), len(book.words))
-    table: dict | None = None
+    glyphs, width = parse.glyphs, parse.width
 
     def decode_trie(digits: str) -> list[Word | None]:
-        nonlocal table
         out: list[Word | None] = []
         if isinstance(digits, str) and len(digits) >= len(glyphs) ** width:
-            if table is None:
+            if parse.table is None:
                 keys = [(c, c) for c in glyphs]
-                table = _build_table(root, keys, width)
-            out, used, _ = _table_walk(table, width, digits, 0)
+                parse.table = _build_table(root, keys, width)
+            out, used, _ = _table_walk(parse.table, width, digits, 0)
             digits = digits[used:]
         node = root
         for ch in digits:
@@ -358,7 +422,7 @@ def decode_words(book: CodeBook, digits: str) -> list[Word]:
     words = _decoder(book)(digits)
     # None marks a bad codeword: the trie decoder stops at its first, so
     # only the uniform-length decoder can yield one before the last entry
-    uniform = len(set(map(len, book.codewords))) == 1
+    uniform = _parse_state(book, _CodewordParse).uniform is not None
     if (None in words) if uniform else (words and words[-1] is None):
         lengths = dict(zip(book.words, map(len, book.codewords)))
         bad = words.index(None)

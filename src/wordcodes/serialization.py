@@ -85,6 +85,12 @@ def book_from_json(text: str) -> CodeBook:
                 raise InputError(
                     f"malformed code book file: {key} is not a list"
                 )
+        # make_model reads an empty label list as "default labels"
+        if len(data["alphabet"]) != len(data["probs"]):
+            raise InputError(
+                f"malformed code book file: {len(data['alphabet'])} labels "
+                f"for {len(data['probs'])} probabilities"
+            )
         model = make_model(data["probs"], arity, labels=data["alphabet"])
         words, codewords = _read_rows(model, data["words"])
         book = CodeBook(

@@ -78,6 +78,8 @@ def _malformed_books(book):
         lambda p: p.update(probs=dict.fromkeys(p["probs"])),
         # labels are one character each
         lambda p: p.update(alphabet=["x1", "y1"]),
+        # one label per probability: an empty alphabet is not the default
+        lambda p: p.update(alphabet=[]),
     ]
     for edit in edits:
         payload = json.loads(json.dumps(good))

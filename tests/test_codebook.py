@@ -205,10 +205,17 @@ def test_only_the_loader_skips_the_model_probability_check(binary_model):
 
 def test_a_book_holds_three_columns_and_no_entries():
     """No field stores a row object: the rows are the three columns."""
-    names = [f.name for f in dataclasses.fields(CodeBook)]
+    fields = dataclasses.fields(CodeBook)
+    names = [f.name for f in fields if f.init]
     assert names == [
         "model", "kind", "words", "codewords", "probabilities", "provenance",
     ]
+    # the one other field is the codec's parse state, derived from the
+    # columns: no row object, and no part of equality, hash or repr
+    (state,) = [f for f in fields if not f.init]
+    assert (state.name, state.compare, state.hash, state.repr) == (
+        "_parse", False, False, False,
+    )
 
 
 def test_entries_are_the_rows_of_the_columns(make_random_book):

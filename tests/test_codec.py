@@ -22,6 +22,7 @@ from wordcodes.codec import (
     sync_error_experiment,
 )
 from wordcodes.errors import DecodeError, InputError, ValidationError
+from wordcodes.serialization import book_to_json
 from wordcodes.source_model import DIGIT_GLYPHS, make_model, word_probability
 from wordcodes.vf_construct import construct_vf
 from wordcodes.vv_construct import assign_codewords, construct_vv
@@ -136,11 +137,16 @@ def test_codec_tries_reject_books_that_are_not_prefix_free(reference_book):
     for build, clash in cases:
         for pair in ((bba, clash), (clash, bba)):
             book = book_from_entries(model, kind, (a, ba, *pair))
-            with pytest.raises(ValidationError, match="are not prefix-free"):
-                build(book)
+            # a failed check leaves no parse state, so every call raises
+            for _ in range(2):
+                with pytest.raises(ValidationError, match="are not prefix-free"):
+                    build(book)
     incomplete = book_from_entries(model, kind, (a, ba, bba))
-    with pytest.raises(ValidationError, match="greedy parsing would dead-end"):
-        Encoder(incomplete)
+    for build in (Encoder, lambda book: encode_message(book, [1])) * 2:
+        with pytest.raises(ValidationError, match="greedy parsing would dead-end"):
+            build(incomplete)
+    # the decoding half of the parse state does not read the word set
+    assert decode_words(incomplete, "0") == [(1,)]
 
 
 def test_one_encoder_encodes_messages_in_a_row(binary_model, reference_book):
@@ -493,6 +499,12 @@ def _same_as_reference(book, symbols, pad=True, enc=None, ref=None):
     return enc
 
 
+def _encode_table(book):
+    """The book's encoder chunk table, None where none is built yet."""
+    parse = book._parse.get(codec._WordParse)
+    return None if parse is None else parse.table
+
+
 def _encode_threshold(book):
     m = book.model.m
     return m ** _chunk_width(m, len(book.words))
@@ -509,12 +521,14 @@ def test_encode_tables_match_the_per_symbol_reference(table_books):
         size = _encode_threshold(book)
         for length in (size - 1, size, size + 1, 3 * size + 5, 2000):
             message = sample_symbols(book.model, rng, length)
-            enc = _same_as_reference(book, message)
-            assert (enc._table is not None) == (length >= size), name
+            # a copy of the book starts with no parse state
+            fresh = dataclasses.replace(book)
+            enc = _same_as_reference(fresh, message)
+            assert (_encode_table(fresh) is not None) == (length >= size), name
             # a second message on the same encoder, with the table kept
-            ref = _FeedReference(book)
+            ref = _FeedReference(fresh)
             ref.max_pending = enc.max_pending
-            _same_as_reference(book, message[::-1], enc=enc, ref=ref)
+            _same_as_reference(fresh, message[::-1], enc=enc, ref=ref)
             _same_as_reference(book, message, pad=False)
         # runs of one symbol: words short enough that a chunk completes
         # several, so `max_pending` must come from the longest of them
@@ -536,7 +550,7 @@ def test_encode_tables_keep_bad_symbol_errors_and_state(table_books):
             for where in sorted(spots):
                 damaged = message[:where] + [bad] + message[where + 1 :]
                 enc = _same_as_reference(book, damaged)
-                assert (enc._node, enc._pending) == (enc._root, 0)
+                assert (enc._node, enc._pending) == (enc._parse.root, 0)
                 assert enc.encode(message) == clean, (name, bad, where)
 
 
@@ -547,18 +561,19 @@ def test_encode_tables_take_every_input_the_walk_takes(table_books):
         message = sample_symbols(book.model, rng, 2 * size + 3)
         want = _FeedReference(book).encode(message)
         for variant in (tuple(message), bytes(message), bytearray(message)):
-            enc = Encoder(book)
-            assert enc.encode(variant) == want, (name, type(variant))
-            assert enc._table is not None
+            fresh = dataclasses.replace(book)
+            assert Encoder(fresh).encode(variant) == want, (name, type(variant))
+            assert _encode_table(fresh) is not None
         # a generator is not sized, and 1.0 is no byte: both walk per symbol
-        enc = Encoder(book)
+        fresh = dataclasses.replace(book)
+        enc = Encoder(fresh)
         assert enc.encode(s for s in message) == want
         floats = [1.0 if s == 1 else s for s in message]
         assert enc.encode(floats) == want
-        assert enc._table is None
+        assert _encode_table(fresh) is None
         # True is a byte
         assert enc.encode([True if s == 1 else s for s in message]) == want
-        assert enc._table is not None
+        assert _encode_table(fresh) is not None
         # an open word left by feed: this message walks per symbol
         enc = Encoder(book)
         ref = _FeedReference(book)
@@ -578,8 +593,8 @@ def test_encode_tables_skip_alphabets_above_255():
     )
     message = sample_symbols(model, random.Random(10), 600)
     assert 256 in message
-    enc = _same_as_reference(book, message)
-    assert enc._table is None
+    _same_as_reference(book, message)
+    assert _encode_table(book) is None
 
 
 def test_decode_tables_match_the_per_digit_reference(table_books):
@@ -642,6 +657,8 @@ def test_no_table_has_more_entries_than_the_book_has_rows(
 ):
     rng = random.Random(12)
     for book in (*table_books.values(), *codec_workload_books):
+        # a copy of the book starts with no parse state
+        book = dataclasses.replace(book)
         built_tables.clear()
         message = sample_symbols(book.model, rng, _encode_threshold(book))
         digits, _ = Encoder(book).encode(message)
@@ -656,28 +673,95 @@ def test_no_table_has_more_entries_than_the_book_has_rows(
 def test_tables_are_built_once_and_only_for_long_inputs(
     reference_book, codec_workload_books, built_tables
 ):
-    vv, vf = codec_workload_books
+    # copies of the books start with no parse state
+    vv, vf = map(dataclasses.replace, codec_workload_books)
     rng = random.Random(13)
-    for book in (reference_book, vv, vf):
+    for book in (dataclasses.replace(reference_book), vv, vf):
         size = _encode_threshold(book)
         enc = Encoder(book)
         enc.encode(sample_symbols(book.model, rng, size - 1))
         assert built_tables == []
+        # one table per book, whichever encoder or call reads it
         enc.encode(sample_symbols(book.model, rng, size))
-        enc.encode(sample_symbols(book.model, rng, 2 * size))
+        Encoder(book).encode(sample_symbols(book.model, rng, 2 * size))
+        encode_message(book, sample_symbols(book.model, rng, 2 * size))
         assert len(built_tables) == 1
         built_tables.clear()
+    vv = dataclasses.replace(vv)
     size = _decode_threshold(vv)
-    digits, _ = encode_message(vv, sample_symbols(vv.model, rng, 3 * size))
+    digits, pads = encode_message(vv, sample_symbols(vv.model, rng, 3 * size))
     built_tables.clear()
-    decode = _decoder(vv)
-    decode(digits[: size - 1])
+    _decoder(vv)(digits[: size - 1])
     assert built_tables == []
-    decode(digits[:size])
-    decode(digits)
+    _decoder(vv)(digits[:size])
+    _decoder(vv)(digits)
+    decode_message(vv, digits, pads)
     assert built_tables == [4096]
     built_tables.clear()
     # the digit-flip experiment's 1000-symbol messages stay below both
     for book in codec_workload_books:
-        sync_error_experiment(book, trials=3, message_len=1000, seed=5)
+        sync_error_experiment(
+            dataclasses.replace(book), trials=3, message_len=1000, seed=5
+        )
     assert built_tables == []
+
+
+def test_one_book_builds_each_trie_and_table_once(
+    codec_workload_books, built_tables, monkeypatch
+):
+    tries: list[str] = []
+    build_trie = codec._build_trie
+
+    def counting(pairs, what):
+        tries.append(what)
+        return build_trie(pairs, what)
+
+    monkeypatch.setattr(codec, "_build_trie", counting)
+    message = sample_symbols(codec_workload_books[0].model, random.Random(14), 20_000)
+    for book in map(dataclasses.replace, codec_workload_books):
+        uniform = len(set(map(len, book.codewords))) == 1
+        for _ in range(3):
+            digits, pads = encode_message(book, message)
+            assert len(digits) >= _decode_threshold(book)
+            assert decode_message(book, digits, pads) == message
+            assert Encoder(book).encode(message) == (digits, pads)
+            sync_error_experiment(book, trials=2, message_len=50, seed=1)
+        # a uniform code decodes by its codeword dict: no trie, no table
+        assert tries == ["words"] + ["codewords"] * (not uniform)
+        assert len(built_tables) == 2 - uniform
+        tries.clear()
+        built_tables.clear()
+
+
+def test_a_replaced_book_parses_by_its_own_columns(codec_workload_books):
+    vv = dataclasses.replace(codec_workload_books[0])
+    # the same codeword set, mapped to the words in reverse order
+    swapped = dataclasses.replace(vv, codewords=vv.codewords[::-1])
+    assert swapped._parse == {}
+    message = sample_symbols(vv.model, random.Random(15), 20_000)
+    digits, pads = encode_message(vv, message)
+    assert decode_message(vv, digits, pads) == message
+    assert vv._parse and swapped._parse == {}
+    want = _FeedReference(swapped).encode(message)
+    assert want != (digits, pads)
+    assert encode_message(swapped, message) == want
+    assert decode_message(swapped, *want) == message
+    assert decode_words(swapped, digits) == _reference_decode(swapped, digits)
+    # and the first book still parses by its own
+    assert encode_message(vv, message) == (digits, pads)
+    assert decode_words(vv, digits) == _reference_decode(vv, digits)
+
+
+def test_codec_use_leaves_equality_hash_repr_and_json_alone(
+    reference_book, codec_workload_books
+):
+    for book in (reference_book, *codec_workload_books):
+        book = dataclasses.replace(book)
+        untouched = dataclasses.replace(book)
+        before = (hash(book), repr(book), book_to_json(book))
+        message = sample_symbols(book.model, random.Random(16), 20_000)
+        digits, pads = encode_message(book, message)
+        assert decode_message(book, digits, pads) == message
+        assert book._parse and untouched._parse == {}
+        assert (hash(book), repr(book), book_to_json(book)) == before
+        assert book == untouched and untouched == book
