@@ -1,7 +1,8 @@
 """Redundancy and delay metrics for word codes.
 
-All quantities reduce to sums over stop classes (mass, word length, codeword
-length, linear form), so the same accounting serves explicit code books and
+All quantities reduce to sums over rows of four columns (mass, word length,
+codeword length, linear form), so one function, `metrics_from_classes`,
+serves both the word rows of code books and the stop-class rows of
 lattice-level constructions whose word sets are never enumerated.  The
 central per-word quantity is eps = codeword length + log_n(word probability):
 the redundancy is E[p eps] / E[p N], an exact rearrangement ties
@@ -17,7 +18,7 @@ import statistics
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import attrgetter, itemgetter, mul, sub
+from operator import attrgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .codebook import CodeBook
@@ -66,28 +67,6 @@ class CodeMetrics:
     distance_lower_bound: float
 
 
-def metrics_from_classes(
-    model: SourceModel,
-    classes: Iterable[tuple[float, int, int, float]],
-    kraft_exact: Fraction,
-    word_count: int,
-) -> CodeMetrics:
-    """Metrics from (mass, word length, codeword length, linear form) rows.
-
-    A row may describe one word or a whole class of equal-probability words;
-    only the combined mass matters.
-    """
-    rows = list(classes)
-    masses, word_lengths, code_lengths, forms = (
-        list(map(itemgetter(i), rows)) for i in range(4)
-    )
-    del rows
-    return _column_metrics(
-        model, masses, word_lengths, code_lengths, forms,
-        kraft_exact, word_count, repeated=False,
-    )
-
-
 def _map_once(
     fn: Callable[[float], float], values: list[float]
 ) -> Iterator[float]:
@@ -96,7 +75,7 @@ def _map_once(
     return map(table.__getitem__, values)
 
 
-def _column_metrics(
+def metrics_from_classes(
     model: SourceModel,
     masses: Sequence[float],
     word_lengths: list[int],
@@ -104,24 +83,29 @@ def _column_metrics(
     forms: list[float],
     kraft_exact: Fraction,
     word_count: int,
-    repeated: bool,
 ) -> CodeMetrics:
-    """The metrics of rows given as four columns.
+    """Metrics of rows given as four columns: mass, word length, codeword
+    length and linear form, in any one row order.
 
-    Each sum is one `math.fsum` over per-row terms, the same IEEE operations
-    as the row-by-row expressions in the field descriptions.  A book's word
-    rows (`repeated`) repeat each class's eps and form: their eps column is
-    built once, and the eta, clamped eps^2 and distance^2 factors are
-    computed once per distinct value (`_map_once`).  Class rows rarely
-    repeat a value; they keep no per-row eps column and map every row.
+    A row may describe one word or a whole class of equal-probability
+    words; only the combined mass matters.  Each sum is one `math.fsum`
+    over per-row terms, correctly rounded whatever the order, and the same
+    IEEE operations as the row-by-row expressions in the field
+    descriptions.  Rows are single words exactly when there are
+    `word_count` of them.  Word rows repeat each class's eps and form:
+    their eps column is built once, and the eta, clamped eps^2 and
+    distance^2 factors are computed once per distinct value (`_map_once`).
+    Class rows rarely repeat a value; they keep no per-row eps column and
+    map every row.
     """
     if not masses:
         raise InputError("cannot compute metrics for an empty code")
     n = model.arity
     ln_n = math.log(n)
     fsum = math.fsum
-    per_value = _map_once if repeated else map
-    eps_column = list(map(sub, code_lengths, forms)) if repeated else None
+    word_rows = word_count == len(masses)
+    per_value = _map_once if word_rows else map
+    eps_column = list(map(sub, code_lengths, forms)) if word_rows else None
 
     def eps() -> Iterable[float]:
         if eps_column is not None:
@@ -188,37 +172,12 @@ def _int_dist_sq(form: float) -> float:
     return dist_to_int(form) ** 2
 
 
-def word_metrics(
-    model: SourceModel,
-    probabilities: Sequence[float],
-    word_lengths: list[int],
-    code_lengths: list[int],
-    forms: list[float],
-    kraft_exact: Fraction,
-) -> CodeMetrics:
-    """Metrics of a code book given as four per-word columns, in any one
-    row order: every sum is a `math.fsum`, correctly rounded whatever the
-    order, so the columns of a book's words give `code_metrics(book)`
-    field for field.  Fresh VF and VV books pass the probabilities and
-    forms their enumerator computed."""
-    return _column_metrics(
-        model,
-        probabilities,
-        word_lengths,
-        code_lengths,
-        forms,
-        kraft_exact,
-        len(probabilities),
-        repeated=True,
-    )
-
-
 def code_metrics(book: CodeBook) -> CodeMetrics:
     """Metrics of an explicit code book, one row per word.
 
     Rebuilds every word's profile and linear form from the model: the path
-    for loaded, explicit and block books.  Fresh VF and VV books take
-    `word_metrics` over the forms their enumerator already computed.
+    for loaded, explicit and block books.  Fresh VF and VV books pass
+    `metrics_from_classes` the forms their enumerator already computed.
     """
     model = book.model
     words = book.words
@@ -235,13 +194,14 @@ def code_metrics(book: CodeBook) -> CodeMetrics:
     form_of = {k: linear_form(model, k) for k in set(profiles)}
     forms = list(map(form_of.__getitem__, profiles))
     del profiles
-    return word_metrics(
+    return metrics_from_classes(
         model,
         book.probabilities,
         word_lengths,
         list(map(len, book.codewords)),
         forms,
         book.kraft_exact(),
+        len(words),
     )
 
 

@@ -102,8 +102,8 @@ def _int_arg(text: str, flag: str) -> int:
 
 def cmd_construct_vv(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
-    first = _words_from_arg(model, args.m1) if args.m1 else None
-    second = _words_from_arg(model, args.m2) if args.m2 else None
+    first = None if args.m1 is None else _words_from_arg(model, args.m1)
+    second = None if args.m2 is None else _words_from_arg(model, args.m2)
     T = args.T if args.T == "auto" else _int_arg(args.T, "--T")
     cap = args.cap if args.cap == "auto" else _int_arg(args.cap, "--cap")
     result = construct_vv(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -81,10 +82,6 @@ class CodeEntry:
     word: Word
     codeword: str
     probability: float
-
-    @property
-    def length(self) -> int:
-        return len(self.codeword)
 
 
 def code_entries(
@@ -299,14 +296,16 @@ def _entries_pass(
     against_model: bool,
 ) -> bool:
     """The per-entry checks of `_validate`, each a C-level pass over all
-    rows: no empty word or codeword, symbols in 1..m, digits in base n,
-    and (against_model) every stored probability within
+    rows: words are tuples, no empty word or codeword, symbols in 1..m,
+    digits in base n, and (against_model) every stored probability within
     PROB_CONSISTENCY_TOL of the model's.  False means some entry fails
-    one, or a field has a type the passes cannot read."""
+    one, or a field has a type the passes cannot read.  Words with keys
+    are tuples already; only the others take the tuple pass."""
     model = book.model
     try:
         ok = (
-            all(words)
+            (keys is not None or all(map(isinstance, words, repeat(tuple))))
+            and all(words)
             and all(codewords)
             and _symbols_in_range(words, model.m, keys)
             and not "".join(codewords)
@@ -326,16 +325,23 @@ def _entries_pass(
 
 def _check_each_entry(book: CodeBook, against_model: bool) -> None:
     """The per-entry checks of `_validate`, one row at a time, raising
-    for the first row that fails one."""
+    for the first row that fails one, or whose fields have the wrong
+    type."""
     m, n = book.model.m, book.model.arity
     glyphs = set(DIGIT_GLYPHS[:n])
     for word, codeword, probability in zip(
         book.words, book.codewords, book.probabilities
     ):
+        if not isinstance(word, tuple):
+            raise ValidationError(f"word {word!r} is not a tuple")
         if not word:
             raise ValidationError("the empty word cannot be a code word")
         if not _symbols_in_range((word,), m):
             raise ValidationError(f"word {word!r} uses symbols outside 1..{m}")
+        if not isinstance(codeword, str):
+            raise ValidationError(
+                f"codeword {codeword!r} of word {word!r} is not a string"
+            )
         if not codeword:
             raise ValidationError(f"word {word!r} has an empty codeword")
         if not set(codeword) <= glyphs:
@@ -344,6 +350,11 @@ def _check_each_entry(book: CodeBook, against_model: bool) -> None:
             )
         if not against_model:
             continue
+        if not isinstance(probability, numbers.Real):
+            raise ValidationError(
+                f"stored probability {probability!r} for word {word!r} "
+                "is not a number"
+            )
         expect = word_probability(book.model, word)
         if abs(expect - probability) > PROB_CONSISTENCY_TOL:
             raise ValidationError(

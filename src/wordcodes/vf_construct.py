@@ -162,13 +162,14 @@ def construct_vf(
     )
     del order
     # the rows in the walk's order: the sums do not depend on it
-    metrics = analysis.word_metrics(
+    metrics = analysis.metrics_from_classes(
         model,
         probs,
         list(map(len, words)),
         [L] * len(words),
         forms,
         book.kraft_exact(),
+        len(words),
     )
     # the walk's lists go before validation builds its word keys
     del probs, forms, words

@@ -739,14 +739,15 @@ def choose_cap(
 
 def _final_classes(
     table: LatticeTable, arity: int
-) -> tuple[list[tuple[float, int, int, float]], Fraction]:
-    """Metric rows of the final word set, and its exact Kraft sum.
+) -> tuple[list[float], list[int], list[int], list[float], Fraction]:
+    """The metric columns of the final word set, and its exact Kraft sum.
 
-    One (mass, word length, codeword length, linear form) row per stop
-    class.  Clean stops take the length rule with the stop's second-set
-    flag; crossed stops always take the floor length.
+    One row per stop class, in the four columns `metrics_from_classes`
+    reads: mass, word length, codeword length and linear form.  Clean
+    stops take the length rule with the stop's second-set flag; crossed
+    stops always take the floor length.
     """
-    rows: list[tuple[float, int, int, float]] = []
+    masses, word_lengths, code_lengths, forms = [], [], [], []
     by_length: Counter[int] = Counter()
     for k in sorted(table.stops):
         c_c, m_c, c_x, m_x, form, second = table.stops[k]
@@ -754,8 +755,12 @@ def _final_classes(
             if count:
                 length = code_length_for(form, extra)
                 by_length[length] += count
-                rows.append((mass, sum(k), length, form))
-    return rows, kraft_of_counts(by_length, arity)
+                masses.append(mass)
+                word_lengths.append(sum(k))
+                code_lengths.append(length)
+                forms.append(form)
+    kraft = kraft_of_counts(by_length, arity)
+    return masses, word_lengths, code_lengths, forms, kraft
 
 
 @dataclass
@@ -790,9 +795,9 @@ def _fresh_book(
     `columns` holds the words in lexicographic order, their probabilities,
     linear forms and construction lengths.  The tail empties it, so the
     walk's lists are gone before validation builds its word keys; the
-    metrics are `analysis.word_metrics` over them, equal to
-    `code_metrics(book)`.  The book's columns are read off the entries
-    `assign_codewords` returns.
+    metrics are `analysis.metrics_from_classes` over them, one row per
+    word, equal to `code_metrics(book)`.  The book's columns are read off
+    the entries `assign_codewords` returns.
     """
     words, probs, forms, lengths = columns
     columns.clear()
@@ -809,13 +814,14 @@ def _fresh_book(
         map(attrgetter("probability"), entries),
         dict(provenance),
     )
-    metrics = analysis.word_metrics(
+    metrics = analysis.metrics_from_classes(
         model,
         probs,
         list(map(len, words)),
         code_lengths,
         forms,
         book.kraft_exact(),
+        len(words),
     )
     del words, probs, forms, lengths, code_lengths, entries
     validate_codebook(book)
@@ -881,7 +887,7 @@ def _pipeline(
     final = lattice_metrics(
         model, classify, cap_val, node_limit, chosen, boundary
     )
-    stop_rows, kraft_final = _final_classes(final, n)
+    *stop_columns, kraft_final = _final_classes(final, n)
     if kraft_final != expected_kraft:
         raise ValidationError(
             "final word set Kraft sum disagrees with the merge accounting"
@@ -892,10 +898,7 @@ def _pipeline(
         )
 
     dp_metrics = analysis.metrics_from_classes(
-        model,
-        stop_rows,
-        kraft_exact=kraft_final,
-        word_count=final.word_count,
+        model, *stop_columns, kraft_final, final.word_count
     )
 
     trace = MergeTrace(
@@ -1015,8 +1018,9 @@ def _explicit(
         )
 
     kraft_exact = kraft_sum(lengths, model.arity)
-    dp_metrics = analysis.word_metrics(
-        model, probs, list(map(len, words)), lengths, forms, kraft_exact
+    dp_metrics = analysis.metrics_from_classes(
+        model, probs, list(map(len, words)), lengths, forms, kraft_exact,
+        len(words),
     )
 
     provenance = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -69,7 +70,7 @@ def test_bounds_sandwich_the_redundancy(reference_book, vf3_book, block_book):
 
 def test_metrics_reject_an_empty_code(binary_model):
     with pytest.raises(InputError):
-        metrics_from_classes(binary_model, [], Fraction(1), 0)
+        metrics_from_classes(binary_model, [], [], [], [], Fraction(1), 0)
 
 
 def test_class_rows_may_pool_equal_probability_words(binary_model, vf3_book):
@@ -84,7 +85,10 @@ def test_class_rows_may_pool_equal_probability_words(binary_model, vf3_book):
         pooled[key] = pooled.get(key, 0.0) + e.probability
     rows = [(mass, wl, cl, form) for (wl, cl, form), mass in pooled.items()]
     met_pooled = metrics_from_classes(
-        binary_model, rows, vf3_book.kraft_exact(), len(vf3_book.entries)
+        binary_model,
+        *_columns(rows),
+        vf3_book.kraft_exact(),
+        len(vf3_book.entries),
     )
     assert met_pooled.avg_delay == pytest.approx(met_full.avg_delay, abs=1e-12)
     assert met_pooled.redundancy == pytest.approx(
@@ -208,6 +212,12 @@ def reference_metrics_from_classes(model, classes, kraft_exact, word_count):
     )
 
 
+def _columns(rows):
+    """The four columns `metrics_from_classes` reads, from (mass, word
+    length, codeword length, linear form) rows."""
+    return list(map(list, zip(*rows)))
+
+
 def _book_rows(book):
     model = book.model
     return [
@@ -246,11 +256,15 @@ def test_column_sums_match_the_row_reference_on_seeded_rows(binary_model):
     for model in (binary_model, make_model(["0.2", "0.3", "0.5"], 3)):
         for rows in _seeded_row_sets(model):
             kraft = Fraction(len(rows), 2 ** len(rows))
-            got = metrics_from_classes(model, rows, kraft, len(rows))
-            expect = reference_metrics_from_classes(
-                model, rows, kraft, len(rows)
-            )
-            assert repr(got) == repr(expect)
+            # as word rows, and as class rows of one more word
+            for count in (len(rows), len(rows) + 1):
+                got = metrics_from_classes(
+                    model, *_columns(rows), kraft, count
+                )
+                expect = reference_metrics_from_classes(
+                    model, rows, kraft, count
+                )
+                assert repr(got) == repr(expect)
             eps = [cl - form for _, _, cl, form in rows]
             seen.add("negative" if min(eps) < 0 else "nonnegative")
             seen.add("wide" if max(map(abs, eps)) > 1 else "within one")
@@ -272,8 +286,9 @@ def _small_benchmark_books():
 
 
 def test_book_metrics_match_the_row_reference_on_benchmark_books():
-    """`code_metrics` (columns, factors once per distinct value) and
-    `metrics_from_classes` (rows) against the row reference, by repr."""
+    """`code_metrics` (columns rebuilt from the words) and
+    `metrics_from_classes` (the rows' columns) against the row reference,
+    by repr."""
     books = 0
     for book in _small_benchmark_books():
         rows = _book_rows(book)
@@ -283,22 +298,24 @@ def test_book_metrics_match_the_row_reference_on_benchmark_books():
         )
         assert repr(code_metrics(book)) == expect
         assert repr(
-            metrics_from_classes(book.model, rows, kraft, len(rows))
+            metrics_from_classes(book.model, *_columns(rows), kraft, len(rows))
         ) == expect
         books += 1
     assert books == 20
 
 
 def test_lattice_metrics_rows_match_the_row_reference(monkeypatch):
-    """The class rows of metrics-grade builds (the benchmark's small-size
-    lattice ops, and a T=10 build with 764 classes) give the reference's
+    """The class columns of metrics-grade builds (the benchmark's
+    small-size lattice ops, and a T=10 build with 764 classes), and the
+    word columns of the books they enumerate, give the reference's
     metrics, by repr."""
     compute = analysis.metrics_from_classes
     calls = []
 
-    def checked(model, classes, kraft_exact, word_count):
-        rows = list(classes)
-        got = compute(model, rows, kraft_exact, word_count)
+    def checked(model, *columns_kraft_count):
+        *columns, kraft_exact, word_count = columns_kraft_count
+        rows = list(zip(*columns))
+        got = compute(model, *columns, kraft_exact, word_count)
         expect = reference_metrics_from_classes(
             model, rows, kraft_exact, word_count
         )
@@ -312,7 +329,57 @@ def test_lattice_metrics_rows_match_the_row_reference(monkeypatch):
     construct_vv(make_model(["0.2", "0.8"], 2), T=8, grade="metrics")
     construct_vv(make_model(["0.2", "0.3", "0.5"], 2), T=4, grade="metrics")
     construct_vv(make_model(["0.3", "0.7"], 2), T=10, grade="metrics")
-    assert len(calls) == 6 and max(calls) == 764
+    # six builds' class columns, and the word columns of the five books
+    # small enough to enumerate
+    assert len(calls) == 11 and max(calls) == 764
+
+
+def test_both_per_value_paths_give_the_same_metrics(monkeypatch):
+    """Rows are single words exactly when `word_count` is their number:
+    only then do the eps column and `_map_once` run, and plain `map`
+    otherwise.  On the word columns of the benchmark's `vv_book` and codec
+    books, and on a lattice build's class columns, both paths give every
+    field but `word_count` alike, by repr."""
+    p28 = make_model(["0.2", "0.8"], 2)
+    tables = [
+        (book.model, _columns(_book_rows(book)), book.kraft_exact())
+        for book in (
+            construct_vv(p28, T=11).book,
+            construct_vv(p28, T=10).book,
+            construct_vf(make_model(["0.4", "0.6"], 2), 12).book,
+        )
+    ]
+    compute = analysis.metrics_from_classes
+
+    def capture(model, *columns_kraft_count):
+        *columns, kraft_exact, _ = columns_kraft_count
+        tables.append((model, columns, kraft_exact))
+        return compute(model, *columns_kraft_count)
+
+    monkeypatch.setattr(analysis, "metrics_from_classes", capture)
+    construct_vv(make_model(["0.3", "0.7"], 2), T=10, grade="metrics")
+    map_once = analysis._map_once
+    once_calls = []
+
+    def counted(fn, values):
+        once_calls.append(len(values))
+        return map_once(fn, values)
+
+    monkeypatch.setattr(analysis, "_map_once", counted)
+    assert [len(columns[0]) for _, columns, _ in tables] == [
+        32772, 4100, 2492, 764
+    ]
+    for model, columns, kraft in tables:
+        rows = len(columns[0])
+        as_words = compute(model, *columns, kraft, rows)
+        assert once_calls == [rows] * 3
+        once_calls.clear()
+        as_classes = compute(model, *columns, kraft, rows + 1)
+        assert once_calls == []
+        assert as_classes.word_count == rows + 1
+        assert repr(dataclasses.replace(as_classes, word_count=rows)) == repr(
+            as_words
+        )
 
 
 def test_code_metrics_names_a_symbol_outside_the_alphabet(binary_model):

@@ -126,6 +126,25 @@ def test_cli_construct_vv_explicit_sets(tmp_path, capsys):
         assert "explicit word lists take no" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--m1", "the first word list is empty"),
+        ("--m2", "a second word list was given without a first one"),
+    ],
+    ids=["m1", "m2"],
+)
+def test_cli_empty_word_lists_are_refused(flag, message, value, capsys):
+    """An empty --m1 or --m2 is a word list with no words, not a flag left
+    out: it exits 2 rather than running the automatic build."""
+    code = main(["construct-vv", *REFERENCE_ARGS, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert "kind=vv" not in captured.out
+
+
 def test_cli_construct_vf_reports_mode_and_metrics(tmp_path, capsys):
     out = tmp_path / "vf.json"
     code = main(["construct-vf", *REFERENCE_ARGS, "--L", "3", "--out", str(out)])
@@ -368,6 +387,68 @@ def test_python_m_wordcodes_runs_the_cli(capsys):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (run.returncode, run.stdout) == (code, capsys.readouterr().out)
+
+
+def _readme_walkthrough() -> tuple[str, str]:
+    """The ```sh block under "## CLI walkthrough" in README.md, and the
+    output it shows for its first command: the `# ` lines under that
+    command, up to `# ...`, without their `# `."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## CLI walkthrough\n", 1
+    )[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = iter(block.splitlines())
+    line = next(lines)
+    while line.startswith("#"):  # comments before the first command
+        line = next(lines)
+    while line.endswith("\\"):  # the first command's continued lines
+        line = next(lines)
+    shown = []
+    for line in lines:
+        if line == "# ...":
+            break
+        assert line.startswith("# "), line
+        shown.append(line[2:] + "\n")
+    return block, "".join(shown)
+
+
+def test_readme_cli_walkthrough_runs_as_written(tmp_path):
+    """The README's CLI walkthrough runs under `bash -e`, in an empty
+    directory, with `wordcodes` as `python -m wordcodes` on this
+    checkout's source: it exits 0, its first command prints what the
+    README shows, and the decoded message is the message plus a
+    newline."""
+    block, shown = _readme_walkthrough()
+    assert shown.startswith("kind=vv")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "wordcodes"
+    shim.write_text(
+        f'#!/bin/sh\nexec "{sys.executable}" -m wordcodes "$@"\n',
+        encoding="utf-8",
+    )
+    shim.chmod(0o755)
+    src = str(Path(wordcodes.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": src,
+        "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
+    }
+    work = tmp_path / "work"
+    work.mkdir()
+    run = subprocess.run(
+        ["bash", "-e", "-c", block],
+        cwd=work, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    # the first command is the first to print
+    assert run.stdout.startswith(shown), run.stdout
+    message = (work / "message.txt").read_text(encoding="utf-8")
+    assert message
+    assert (work / "roundtrip.txt").read_text(encoding="utf-8") == (
+        message + "\n"
+    )
 
 
 def test_cli_sync_writes_json_summary(tmp_path, capsys):

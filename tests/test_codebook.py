@@ -98,7 +98,9 @@ def reference_metrics(book: CodeBook):
         for e in book.entries
     ]
     kraft = reference_kraft([len(e.codeword) for e in book.entries], model.arity)
-    return metrics_from_classes(model, rows, kraft, word_count=len(rows))
+    return metrics_from_classes(
+        model, *map(list, zip(*rows)), kraft, word_count=len(rows)
+    )
 
 
 def _prefix_free(items: list) -> bool:
@@ -449,16 +451,25 @@ def reference_entry_fault(book: CodeBook) -> str | None:
     model = book.model
     glyphs = set(DIGIT_GLYPHS[: model.arity])
     for e in book.entries:
+        if type(e.word) is not tuple:
+            return f"word {e.word!r} is not a tuple"
         if not e.word:
             return "the empty word cannot be a code word"
         if not all(type(s) is int and 1 <= s <= model.m for s in e.word):
             return f"word {e.word!r} uses symbols outside 1..{model.m}"
+        if type(e.codeword) is not str:
+            return f"codeword {e.codeword!r} of word {e.word!r} is not a string"
         if not e.codeword:
             return f"word {e.word!r} has an empty codeword"
         if not set(e.codeword) <= glyphs:
             return (
                 f"codeword {e.codeword!r} uses digits outside base "
                 f"{model.arity}"
+            )
+        if type(e.probability) is not float:
+            return (
+                f"stored probability {e.probability!r} for word {e.word!r} "
+                "is not a number"
             )
         expect = word_probability(model, e.word)
         if abs(expect - e.probability) > 1e-9:
@@ -478,14 +489,29 @@ def _faulty(entry: CodeEntry, fault: str, arity: int) -> CodeEntry:
         return dataclasses.replace(entry, codeword="")
     if fault == "digit":
         return dataclasses.replace(entry, codeword=DIGIT_GLYPHS[arity])
+    if fault == "list word":
+        return dataclasses.replace(entry, word=list(entry.word))
+    if fault == "int codeword":
+        return dataclasses.replace(entry, codeword=1)
+    if fault == "tuple codeword":
+        return dataclasses.replace(entry, codeword=(DIGIT_GLYPHS[0],))
+    if fault == "text probability":
+        return dataclasses.replace(entry, probability=repr(entry.probability))
+    if fault == "no probability":
+        return dataclasses.replace(entry, probability=None)
     return dataclasses.replace(entry, probability=entry.probability + 0.01)
 
 
 def test_validation_names_the_first_faulty_entry(make_random_book):
     """The passes over all entries, and the one-by-one check they fall
     back on, report what a one-by-one reference reports: the first
-    faulty entry in entry order, with its first fault."""
-    faults = ["empty word", "symbol", "empty codeword", "digit", "probability"]
+    faulty entry in entry order, with its first fault.  A field of the
+    wrong type is a fault too, named as a `ValidationError`."""
+    faults = [
+        "empty word", "symbol", "empty codeword", "digit", "probability",
+        "list word", "int codeword", "tuple codeword", "text probability",
+        "no probability",
+    ]
     rng = random.Random(404)
     books = [make_random_book(rng, "rounded") for _ in range(6)]
     books.append(construct_vf(make_model(["0.2", "0.3", "0.5"], 3), 4).book)
@@ -503,6 +529,14 @@ def test_validation_names_the_first_faulty_entry(make_random_book):
             with pytest.raises(ValidationError) as caught:
                 validate_codebook(bad)
             assert str(caught.value) == expect
+
+
+def test_validation_refuses_a_book_of_list_words(binary_model):
+    """Words that are all lists pass every check a list can take, but a
+    book's words are tuples, as in explicit word lists."""
+    book = CodeBook(binary_model, "vv", [[1], [2]], ["0", "1"], [0.4, 0.6])
+    with pytest.raises(ValidationError, match=r"word \[1\] is not a tuple"):
+        validate_codebook(book)
 
 
 def reference_row_error(model, rows) -> str | None:

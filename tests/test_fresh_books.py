@@ -2,7 +2,7 @@
 
 A fresh VF or VV book takes each word's probability from the product its
 enumerator carried down the walk, and its metrics from the walk's forms
-(`analysis.word_metrics`).  These tests hold both to the model-side
+(`analysis.metrics_from_classes`, one row per word).  These tests hold both to the model-side
 references: `word_probabilities` bit for bit (`float.hex`), and
 `code_metrics(book)`, which rebuilds every profile and form, field for field
 (`repr`).  Validation reads words as bytes keys; it must reject every
