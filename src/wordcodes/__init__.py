@@ -66,7 +66,6 @@ from .vv_construct import (
     choose_cap,
     construct_vv,
     huffman_lengths,
-    kraft_sum,
     merge_to_kraft,
     threshold_parameter_candidates,
 )

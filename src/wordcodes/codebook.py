@@ -139,13 +139,6 @@ class CodeBook:
         for name in ("words", "codewords", "probabilities"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    @property
-    def entries(self) -> tuple[CodeEntry, ...]:
-        """The rows as `CodeEntry`s, built from the columns on each read."""
-        return tuple(
-            map(CodeEntry, self.words, self.codewords, self.probabilities)
-        )
-
     def kraft_exact(self) -> Fraction:
         """Kraft sum of the codeword lengths, in exact rational arithmetic."""
         return kraft_of_counts(

@@ -451,7 +451,10 @@ def decode_message(book: CodeBook, digits: str, pad_count: int = 0) -> list[int]
 
 
 def sample_symbols(model: SourceModel, rng: random.Random, count: int) -> list[int]:
-    """Draw `count` independent symbols with the model's probabilities."""
+    """Draw `count` independent symbols with the model's probabilities;
+    raises InputError for a negative count."""
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
     cumulative = []
     acc = 0.0
     for p in model.probs:

@@ -38,6 +38,7 @@ from .source_model import SourceModel, Word, make_model
 from .word_sets import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_NODE_LIMIT,
+    FIRST,
     EmptyRule,
     NodeClassifier,
     WindowRule,
@@ -201,8 +202,8 @@ def _check_walk_fits(
         return
     ray = [0] * model.m
     ray[model.d.index(min(model.d))] = node_limit
-    form, first, _ = classify(tuple(ray))
-    if not first and form <= classify.first_rule.hi:
+    form, flags = classify(tuple(ray))
+    if not flags & FIRST and form <= classify.first_rule.hi:
         raise node_limit_error("lattice DP", node_limit, cap)
 
 
@@ -293,6 +294,8 @@ def construct_block(
         raise InputError(f"input alphabet needs >= 2 symbols, got {input_size}")
     if arity < 2:
         raise InputError(f"output alphabet needs >= 2 digits, got {arity}")
+    if enum_limit < 0:
+        raise InputError(f"enumeration limit must be >= 0, got {enum_limit}")
     # both limits are checked before m^X or n^L is built: either may be huge
     if not power_fits(input_size, X, arity, L):
         raise InfeasibleError(

@@ -132,11 +132,6 @@ def code_length_for(form: float, in_second: bool) -> int:
     return max(1, length)
 
 
-def kraft_sum(lengths: Sequence[int], arity: int) -> Fraction:
-    """Exact Kraft sum of codeword lengths."""
-    return kraft_of_counts(Counter(lengths), arity)
-
-
 def build_threshold_sets(
     model: SourceModel, T: int, cap: int, theta: float | None = None
 ) -> tuple[ProfileSet, ProfileSet]:
@@ -348,11 +343,13 @@ def merge_to_kraft(
     So the two agree unless two profiles share a probability, or the floats
     of a split class's words are out of lexicographic order.
 
-    A word enters the merged set iff neither it nor a proper prefix of it
-    is in the union so far; it then adds n^-L(w) and knocks out the first
-    words that extend w.  No earlier word can have removed one of those (a
-    prefix of w would keep w out, an extension of w comes later), so every
-    step is fixed before the scan, exact in integers scaled by n^E.
+    A second-set word w enters the merged set iff neither it nor a proper
+    prefix of it is a first-set word: both lists are prefix-free and free of
+    duplicates, so no other second-set word can be w or a prefix of it.  It
+    then adds n^-L(w) and knocks out the first words that extend w.  No
+    earlier word can have removed one of those (a prefix of w would keep w
+    out, an extension of w comes later), so every step is fixed before the
+    scan, exact in integers scaled by n^E.
     """
     _assert_prefix_free(first_words, "first word")
     _assert_prefix_free(second_words, "second word")
@@ -366,7 +363,7 @@ def merge_to_kraft(
     }
 
     def kraft(words: list[Word]) -> Fraction:
-        return kraft_sum(list(map(length_of.__getitem__, words)), n)
+        return kraft_of_counts(Counter(map(length_of.__getitem__, words)), n)
 
     kraft_first = kraft(first_words)
     kraft_second = kraft(second_words) if second_words else None
@@ -386,14 +383,12 @@ def merge_to_kraft(
         )
         exp = max(length_of.values())
         ordered_first = sorted(first_words)
-        union = set(first_words)
+        first_set = set(first_words)
         entered: set[Word] = set()
         deltas: dict[Word, int] = {}
         for _, w, _ in classes:
             deltas[w] = 0
-            if w not in union and not any(
-                w[:cut] in union for cut in range(1, len(w))
-            ):
+            if not any(w[:cut] in first_set for cut in range(1, len(w) + 1)):
                 entered.add(w)
                 # the first words that extend w, a run in sorted order
                 lo = bisect_left(ordered_first, w)
@@ -401,7 +396,6 @@ def merge_to_kraft(
                 deltas[w] = n ** (exp - length_of[w]) - sum(
                     n ** (exp - length_of[u]) for u in ordered_first[lo:hi]
                 )
-            union.add(w)
         _, _, _, scanned = _class_scan(
             kraft_first, kraft_merged, deltas, n**exp, classes
         )
@@ -593,7 +587,7 @@ def _knockout_masses(
             raise node_limit_error("knockout sweep", node_limit, cap)
         reached: set[int] = set()
         for key in live:
-            flags, form = keys.node(key)
+            form, flags = keys.node(key)
             if flags & FIRST:
                 value[key] = n ** (exp - code_length_for(form, False))
             else:
@@ -1011,13 +1005,9 @@ def _explicit(
     lengths = list(map(itemgetter(1), final_pairs))
     probs = [word_probability(model, w) for w in words]
     forms = [linear_form(model, profile_of(w, model.m)) for w in words]
-    defect = abs(1.0 - math.fsum(probs))
-    if defect > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"merged word set lost completeness: defect {defect!r}"
-        )
-
-    kraft_exact = kraft_sum(lengths, model.arity)
+    # the merged set's completeness is checked once, by `validate_codebook`
+    # in the book tail
+    kraft_exact = kraft_of_counts(Counter(lengths), model.arity)
     dp_metrics = analysis.metrics_from_classes(
         model, probs, list(map(len, words)), lengths, forms, kraft_exact,
         len(words),
@@ -1072,15 +1062,16 @@ def construct_vv(
     """Construct a variable-to-variable code for a memoryless source.
 
     With explicit word lists the merge takes one word per class and the
-    result always carries a code book; T, cap and theta do not apply, and
-    setting any of them raises InputError.  Otherwise the stopping sets
-    come from the near-integer thresholds at parameter T ("auto" picks it
-    from the source's exponents: at grade "codec" the largest candidate
-    whose word set still enumerates, at grade "metrics" the first candidate
-    above 4, where the two threshold sets cannot overlap).  The cap
-    ("auto": doubling until the cap mass falls below T^-2) bounds word
-    length in every case.  T and cap are "auto" or an int (not a bool);
-    anything else raises InputError.
+    result always carries a code book; T, cap, theta and t_max do not
+    apply, and setting any of them raises InputError.  Otherwise the
+    stopping sets come from the near-integer thresholds at parameter T
+    ("auto" picks it from the source's exponents, among the candidates up
+    to `t_max`: at grade "codec" the largest candidate whose word set still
+    enumerates, at grade "metrics" the first candidate above 4, where the
+    two threshold sets cannot overlap).  The cap ("auto": doubling until
+    the cap mass falls below T^-2) bounds word length in every case.  T
+    and cap are "auto" or an int (not a bool); anything else raises
+    InputError, and so does a `t_max` other than the default with an int T.
 
     At grade "codec" a word set of more than `enum_limit` words is rejected
     inside the joint DP, as soon as the merged set passes the limit, so an
@@ -1104,7 +1095,12 @@ def construct_vv(
             raise InputError(
                 "a second word list was given without a first one"
             )
-        given = {"T": T != "auto", "cap": cap != "auto", "theta": theta is not None}
+        given = {
+            "T": T != "auto",
+            "cap": cap != "auto",
+            "theta": theta is not None,
+            "t_max": t_max != DEFAULT_T_MAX,
+        }
         ignored = [name for name in given if given[name]]
         if ignored:
             raise InputError(f"explicit word lists take no {', '.join(ignored)}")
@@ -1122,6 +1118,8 @@ def construct_vv(
             not isinstance(value, int) or isinstance(value, bool)
         ):
             raise InputError(f"{name} must be 'auto' or an int, got {value!r}")
+    if T != "auto" and t_max != DEFAULT_T_MAX:
+        raise InputError(f"t_max applies only to T='auto', not to T={T}")
 
     def build(t: int) -> VVResult:
         return _pipeline(

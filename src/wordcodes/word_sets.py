@@ -12,12 +12,13 @@ which forces every infinite symbol stream to stop and makes the word set
 complete (probabilities sum to 1).
 
 Both code families walk the lattice the same way.  `NodeClassifier` turns
-two rules into one classification per node: its linear form and whether the
-first and the second set hold it.  `lattice_metrics` (the forward stopping
-DP) and `enumerate_words` (the word-by-word enumerator) are the only walks;
-the first set stops every path, and a path that reaches the second set stops
-there only where the caller says so (the classes a Kraft merge takes) and
-otherwise crosses it and runs on.  VF codes pass an empty second set.
+two rules into one classification per node: its linear form and one byte of
+FIRST/SECOND flags, saying whether the first and the second set hold it.
+`lattice_metrics` (the forward stopping DP) and `enumerate_words` (the
+word-by-word enumerator) are the only walks; the first set stops every path,
+and a path that reaches the second set stops there only where the caller
+says so (the classes a Kraft merge takes) and otherwise crosses it and runs
+on.  VF codes pass an empty second set.
 `ProfileSet` keeps profile membership as a plain predicate, for checks and
 tests; no walk calls it.
 
@@ -45,7 +46,7 @@ every float are those of the slicing code, which four or more symbols keep.
 The walks that follow paths rather than levels, the enumerator here and the
 knockout sweep of `vv_construct`, share one node key, `NodeKeys`: the
 mixed-radix int `sum(k_i * (cap + 1) ** i)` of a profile k, its children
-one step each, and a node's flags and form, with every node at the cap in
+one step each, and a node's (form, flags), with every node at the cap in
 both sets.  The enumerator is one depth-first walk for every source over
 those keys, and visits only the nodes its words pass through.
 """
@@ -251,15 +252,16 @@ def _flag_function(
 
 
 class NodeClassifier:
-    """One classification per lattice node: profile -> (form, first, second).
+    """One classification per lattice node: profile -> (form, flags).
 
     `form` is exactly `linear_form` of the profile, the `math.fsum` of its
-    products k_i * d_i, and `first` and `second` are what the two rules'
-    `admits` answer for it; `flag` maps a form to its flags.  The walks
-    never classify the empty profile, and they apply the hard cap
-    themselves, since they know each node's level.  Both rules must decide
-    by the linear form of one source (`EmptyRule` fits any source); raises
-    InputError otherwise.
+    products k_i * d_i, and `flags` is its FIRST/SECOND byte: FIRST where
+    the first rule's `admits` holds, SECOND where the second's does; `flag`
+    maps a form to its flags.  Every classifier a walk takes answers in
+    this one shape.  The walks never classify the empty profile, and they
+    apply the hard cap themselves, since they know each node's level.  Both
+    rules must decide by the linear form of one source (`EmptyRule` fits
+    any source); raises InputError otherwise.
 
     For two symbols the classifier also holds a level table: `level(L)` is
     one byte of flags (FIRST, SECOND) per node (a, L - a), indexed by the
@@ -288,10 +290,9 @@ class NodeClassifier:
         self.flag = _flag_function(first_rule, second_rule)
         self._levels: list[bytes] = []
 
-    def __call__(self, k: Profile) -> tuple[float, bool, bool]:
+    def __call__(self, k: Profile) -> tuple[float, int]:
         form = math.fsum(map(mul, k, self.d))
-        flags = self.flag(form)
-        return form, flags & FIRST != 0, flags >= SECOND
+        return form, self.flag(form)
 
     def level(self, level: int) -> bytes:
         """Flags of the nodes (a, level - a), a = 0..level; two symbols."""
@@ -492,7 +493,7 @@ def node_limit_error(what: str, node_limit: int, cap: int) -> ResourceError:
 
 def keyed_levels(
     model: SourceModel,
-    classify: Callable[[Profile], tuple[float, bool, bool]],
+    classify: Callable[[Profile], tuple[float, int]],
     states: int,
 ) -> Iterator[LevelView]:
     """The walk over dicts of profile tuples, for every other case.
@@ -509,7 +510,8 @@ def keyed_levels(
 
     A `NodeClassifier`'s forms are computed a level at a time, the `fsum`
     of each node's products as in the classifier itself, and mapped to
-    flags by its `flag`; any other classifier is called once per node.
+    flags by its `flag`; any other classifier is called once per node and
+    answers (form, flags) as a `NodeClassifier` does.
     On 3 000-node levels (x86-64, Python 3.11) a level's forms and flags
     cost about 460 ns a node, a call per node about 840 ns.
     """
@@ -531,11 +533,8 @@ def keyed_levels(
     else:
 
         def classified(keys: list[Profile]) -> tuple[list[float], bytes]:
-            nodes = list(map(classify, keys))
-            return [node[0] for node in nodes], bytes(
-                FIRST * bool(first) | SECOND * bool(second)
-                for _, first, second in nodes
-            )
+            forms, flags = zip(*map(classify, keys))
+            return list(forms), bytes(flags)
 
     alive: list[Iterable] = [[((0,) * model.m, 1, 1.0)]]
     alive += [() for _ in range(states - 1)]
@@ -742,9 +741,9 @@ class NodeKeys:
 
     The key of the node with profile k is `sum(k_i * (cap + 1) ** i)`, so
     the key of the child one symbol i further is the parent's plus
-    `steps[i]`.  `node(key)` classifies the node: `classify` gives its form
-    and the two rules' flags, and every node at the cap is in both sets, so
-    a path stops there and a clean stop takes the extra digit.  Raises
+    `steps[i]`.  `node(key)` classifies the node as `classify` does, as
+    (form, flags), except that every node at the cap is in both sets, so a
+    path stops there and a clean stop takes the extra digit.  Raises
     InputError for a cap below 1.
     """
 
@@ -764,12 +763,11 @@ class NodeKeys:
         """The keys one symbol further, symbol 1 first."""
         return [key + step for step in self.steps]
 
-    def node(self, key: int) -> tuple[int, float]:
-        """(flags, form) of a node other than the origin."""
+    def node(self, key: int) -> tuple[float, int]:
+        """(form, flags) of a node other than the origin."""
         k = tuple([key // step % self.radix for step in self.steps])
-        form, first, second = self.classify(k)
-        flags = (FIRST if first else 0) | (SECOND if second else 0)
-        return (FIRST | SECOND if sum(k) == self.cap else flags), form
+        form, flags = self.classify(k)
+        return form, (FIRST | SECOND if sum(k) == self.cap else flags)
 
 
 def enumerate_words(
@@ -805,9 +803,9 @@ def enumerate_words(
     boundary_key, boundary_left = (
         (keys.key_of(boundary[0]), boundary[1]) if boundary else (None, 0)
     )
-    # key -> (flags, form), one classification per distinct profile; the
+    # key -> (form, flags), one classification per distinct profile; the
     # origin is in neither set
-    nodes: dict[int, tuple[int, float]] = {0: (0, 0.0)}
+    nodes: dict[int, tuple[float, int]] = {0: (0.0, 0)}
     # each frame's children, pushed last symbol first; the walk adds the
     # steps itself, since a `children` call per frame made the `build`
     # benchmark's round about 10 % slower
@@ -819,7 +817,7 @@ def enumerate_words(
     pop, push = stack.pop, stack.append
     while stack:
         word, key, crossed, p = pop()
-        flags, form = nodes.get(key) or nodes.setdefault(key, keys.node(key))
+        form, flags = nodes.get(key) or nodes.setdefault(key, keys.node(key))
         # a clean path at a second-set node stops there, with the extra
         # digit, if its class is taken or is the boundary with words left
         if flags == SECOND and not crossed:

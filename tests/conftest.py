@@ -3,7 +3,8 @@ generator of random complete prefix codes used by the metric and identity
 property tests, and a reference node classifier for the lattice walks.
 
 `book_from_entries` is the one way the tests build a book from rows they
-write by hand."""
+write by hand, and `entries_of` the one way they read a book's rows to edit
+them: a book holds only its three columns."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from wordcodes.source_model import (
 )
 from wordcodes.vf_construct import construct_block, construct_vf
 from wordcodes.vv_construct import assign_codewords, construct_vv, floor_form
-from wordcodes.word_sets import EmptyRule
+from wordcodes.word_sets import FIRST, SECOND, EmptyRule
 
 # First and second word sets of the four-word binary reference code used
 # throughout the suite: the merge of these two complete sets yields
@@ -38,16 +39,14 @@ def member_classifier():
     """Build a node classifier that asks each rule's `member` per profile.
 
     The reference for `word_sets.NodeClassifier`, and the way to walk
-    rules that cannot decide by the linear form alone.
+    rules that cannot decide by the linear form alone.  It answers as the
+    library's classifier does: (form, FIRST/SECOND flags).
     """
 
     def build(model: SourceModel, first_rule, second_rule=EmptyRule()):
         def classify(k):
-            return (
-                linear_form(model, k),
-                first_rule.member(k),
-                second_rule.member(k),
-            )
+            first, second = first_rule.member(k), second_rule.member(k)
+            return linear_form(model, k), FIRST * first | SECOND * second
 
         return classify
 
@@ -103,6 +102,14 @@ def book_from_entries(
         codewords=[e.codeword for e in entries],
         probabilities=[e.probability for e in entries],
         provenance={} if provenance is None else provenance,
+    )
+
+
+def entries_of(book: CodeBook) -> list[CodeEntry]:
+    """The rows of `book` as `CodeEntry`s, in order: the inverse of
+    `book_from_entries`, for the tests that edit rows."""
+    return list(
+        map(CodeEntry, book.words, book.codewords, book.probabilities)
     )
 
 

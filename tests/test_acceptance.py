@@ -51,9 +51,9 @@ def test_criterion_01_worked_example_code(binary_model):
 
     book = result.book
     assert book is not None
-    mapping = {
-        binary_model.word_to_text(e.word): e.codeword for e in book.entries
-    }
+    mapping = dict(
+        zip(map(binary_model.word_to_text, book.words), book.codewords)
+    )
     assert mapping == {"a": "0", "ba": "10", "bba": "110", "bbb": "111"}
     assert sorted(len(c) for c in mapping.values()) == [1, 2, 3, 3]
 
@@ -106,9 +106,9 @@ def test_criterion_04_emitted_books_are_sound_and_round_trip(
 ):
     for book, seed in ((reference_book, 104), (vf3_book, 204), (block_book, 304)):
         validate_codebook(book)
-        assert abs(math.fsum(e.probability for e in book.entries) - 1.0) <= 1e-9
-        assert is_prefix_free([e.word for e in book.entries])
-        assert is_prefix_free([e.codeword for e in book.entries])
+        assert abs(math.fsum(book.probabilities) - 1.0) <= 1e-9
+        assert is_prefix_free(list(book.words))
+        assert is_prefix_free(list(book.codewords))
         assert book.kraft_exact() <= 1  # exact rational: defect >= 0
 
         rng = random.Random(seed)
@@ -129,7 +129,7 @@ def test_criterion_05_uniform_output_codes_hit_the_window(
             result = construct_vf(model, L)
             book = result.book
             met = result.metrics
-            assert len(book.entries) <= n**L
+            assert len(book.words) <= n**L
             assert met.redundancy <= -math.log(p_min, n) / met.avg_delay + 1e-12
             if L < d_max:
                 # no complete prefix-free set can keep every word above
@@ -137,15 +137,13 @@ def test_criterion_05_uniform_output_codes_hit_the_window(
                 fallback_cells.append((name, L))
                 assert result.fallback
                 assert result.provenance["mode"] == "single_symbol"
-                assert min(e.probability for e in book.entries) < n**-L
+                assert min(book.probabilities) < n**-L
             else:
                 assert not result.fallback
-                for e in book.entries:
-                    assert e.probability >= n**-L - 1e-12
+                for probability in book.probabilities:
+                    assert probability >= n**-L - 1e-12
             if name == "binary" and L == 3:
-                words = sorted(
-                    model.word_to_text(e.word) for e in book.entries
-                )
+                words = sorted(map(model.word_to_text, book.words))
                 assert words == ["aa", "ab", "ba", "bba", "bbb"]
                 assert met.avg_delay == pytest.approx(2.36, abs=1e-9)
     assert fallback_cells == [("ternary", 2)]

@@ -79,16 +79,18 @@ def test_class_rows_may_pool_equal_probability_words(binary_model, vf3_book):
     # pooling equal-profile words into one mass row changes nothing
     met_full = code_metrics(vf3_book)
     pooled: dict[tuple[int, int, float], float] = {}
-    for e in vf3_book.entries:
-        form = linear_form(binary_model, profile_of(e.word, binary_model.m))
-        key = (len(e.word), len(e.codeword), form)
-        pooled[key] = pooled.get(key, 0.0) + e.probability
+    for word, codeword, probability in zip(
+        vf3_book.words, vf3_book.codewords, vf3_book.probabilities
+    ):
+        form = linear_form(binary_model, profile_of(word, binary_model.m))
+        key = (len(word), len(codeword), form)
+        pooled[key] = pooled.get(key, 0.0) + probability
     rows = [(mass, wl, cl, form) for (wl, cl, form), mass in pooled.items()]
     met_pooled = metrics_from_classes(
         binary_model,
         *_columns(rows),
         vf3_book.kraft_exact(),
-        len(vf3_book.entries),
+        len(vf3_book.words),
     )
     assert met_pooled.avg_delay == pytest.approx(met_full.avg_delay, abs=1e-12)
     assert met_pooled.redundancy == pytest.approx(
@@ -222,12 +224,14 @@ def _book_rows(book):
     model = book.model
     return [
         (
-            e.probability,
-            len(e.word),
-            len(e.codeword),
-            linear_form(model, profile_of(e.word, model.m)),
+            probability,
+            len(word),
+            len(codeword),
+            linear_form(model, profile_of(word, model.m)),
         )
-        for e in book.entries
+        for word, codeword, probability in zip(
+            book.words, book.codewords, book.probabilities
+        )
     ]
 
 

@@ -33,12 +33,8 @@ def test_book_json_round_trip_is_byte_identical(reference_book, vf3_book):
         loaded = book_from_json(text)
         assert book_to_json(loaded) == text
         assert loaded.kind == book.kind
-        assert [e.word for e in loaded.entries] == [
-            e.word for e in book.entries
-        ]
-        assert [e.codeword for e in loaded.entries] == [
-            e.codeword for e in book.entries
-        ]
+        assert loaded.words == book.words
+        assert loaded.codewords == book.codewords
 
 
 def test_book_json_rejects_malformed_input(reference_book):
@@ -116,7 +112,7 @@ def test_cli_construct_vv_explicit_sets(tmp_path, capsys):
     assert "R=0.0290" in printed
     assert f"saved={out}" in printed
     book = load_book(str(out))
-    words = sorted(book.model.word_to_text(e.word) for e in book.entries)
+    words = sorted(map(book.model.word_to_text, book.words))
     assert words == ["a", "ba", "bba", "bbb"]
     # threshold options have no effect on explicit sets, so they are refused
     for flag, value in (("--T", "3"), ("--cap", "4"), ("--accuracy", "0.1")):

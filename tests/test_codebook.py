@@ -15,20 +15,23 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from itertools import islice
 from fractions import Fraction
 
 import pytest
 
-from conftest import book_from_entries
+from conftest import book_from_entries, entries_of
 from wordcodes.analysis import code_metrics, metrics_from_classes
 from wordcodes.codebook import (
     CodeBook,
     CodeEntry,
     _assert_prefix_free,
+    code_entries,
     digit_run,
     fixed_codewords,
     format_digits,
+    kraft_of_counts,
     validate_codebook,
 )
 from wordcodes.errors import InputError, ValidationError
@@ -41,7 +44,7 @@ from wordcodes.source_model import (
     word_probability,
 )
 from wordcodes.vf_construct import construct_block, construct_vf
-from wordcodes.vv_construct import canonical_codewords, construct_vv, kraft_sum
+from wordcodes.vv_construct import canonical_codewords, construct_vv
 
 # -- references ------------------------------------------------------------
 
@@ -71,8 +74,8 @@ def reference_book_json(book: CodeBook) -> str:
         "probs": list(model.prob_labels),
         "provenance": book.provenance,
         "words": [
-            {"symbols": model.word_to_text(e.word), "codeword": e.codeword}
-            for e in book.entries
+            {"symbols": model.word_to_text(word), "codeword": codeword}
+            for word, codeword in zip(book.words, book.codewords)
         ],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -90,14 +93,16 @@ def reference_metrics(book: CodeBook):
     model = book.model
     rows = [
         (
-            e.probability,
-            len(e.word),
-            len(e.codeword),
-            linear_form(model, profile_of(e.word, model.m)),
+            probability,
+            len(word),
+            len(codeword),
+            linear_form(model, profile_of(word, model.m)),
         )
-        for e in book.entries
+        for word, codeword, probability in zip(
+            book.words, book.codewords, book.probabilities
+        )
     ]
-    kraft = reference_kraft([len(e.codeword) for e in book.entries], model.arity)
+    kraft = reference_kraft(list(map(len, book.codewords)), model.arity)
     return metrics_from_classes(
         model, *map(list, zip(*rows)), kraft, word_count=len(rows)
     )
@@ -158,13 +163,12 @@ def test_book_layer_matches_per_entry_references(make_random_book):
     assert {b.kind for b in books} == {"vv", "vf", "block"}
     for book in books:
         n = book.model.arity
-        lengths = [len(e.codeword) for e in book.entries]
+        lengths = list(map(len, book.codewords))
         assert book.kraft_exact() == reference_kraft(lengths, n)
-        assert kraft_sum(lengths, n) == reference_kraft(lengths, n)
-        for items in (
-            [e.word for e in book.entries],
-            [e.codeword for e in book.entries],
-        ):
+        assert kraft_of_counts(Counter(lengths), n) == reference_kraft(
+            lengths, n
+        )
+        for items in (list(book.words), list(book.codewords)):
             assert _prefix_free(items) == reference_prefix_free(items)
         text = book_to_json(book)
         assert text == reference_book_json(book)
@@ -197,7 +201,7 @@ def test_only_the_loader_skips_the_model_probability_check(binary_model):
         validate_codebook(skewed)
     # the loader recomputes every probability from the model itself
     loaded = book_from_json(text)
-    assert [e.probability for e in loaded.entries] == [0.4, 0.6]
+    assert list(loaded.probabilities) == [0.4, 0.6]
     with pytest.raises(ValidationError, match="extends shorter codeword"):
         book_from_json(text.replace('"codeword": "1"', '"codeword": "01"'))
 
@@ -218,6 +222,8 @@ def test_a_book_holds_three_columns_and_no_entries():
     assert (state.name, state.compare, state.hash, state.repr) == (
         "_parse", False, False, False,
     )
+    # and no view that builds row objects from the columns
+    assert not hasattr(CodeBook, "entries")
 
 
 def test_entries_are_the_rows_of_the_columns(make_random_book):
@@ -226,7 +232,7 @@ def test_entries_are_the_rows_of_the_columns(make_random_book):
     for book in books:
         columns = (book.words, book.codewords, book.probabilities)
         assert all(type(column) is tuple for column in columns)
-        assert book.entries == tuple(map(CodeEntry, *columns))
+        assert code_entries(*columns) == tuple(map(CodeEntry, *columns))
     # lists and iterators given for the columns are stored as tuples
     listed = CodeBook(
         books[0].model,
@@ -287,11 +293,13 @@ def test_validation_rejects_columns_of_different_lengths(binary_model):
 
 def test_kraft_sum_matches_per_entry_fractions():
     rng = random.Random(5)
-    assert kraft_sum([], 2) == 0
+    assert kraft_of_counts(Counter(), 2) == 0
     for _ in range(300):
         arity = rng.randint(2, 7)
         lengths = [rng.randint(0, 30) for _ in range(rng.randint(1, 40))]
-        assert kraft_sum(lengths, arity) == reference_kraft(lengths, arity)
+        assert kraft_of_counts(Counter(lengths), arity) == reference_kraft(
+            lengths, arity
+        )
 
 
 def test_prefix_check_matches_slice_reference_on_random_lists():
@@ -346,7 +354,7 @@ CODEWORD_CLASH = r"duplicate codeword|codeword .* extends shorter codeword"
 
 
 def _with_entry(book: CodeBook, index: int, entry: CodeEntry) -> CodeBook:
-    entries = list(book.entries)
+    entries = entries_of(book)
     entries[index] = entry
     return book_from_entries(book.model, book.kind, entries)
 
@@ -358,7 +366,7 @@ def _clashes(book: CodeBook, key) -> list[tuple[int, CodeEntry]]:
     order; it clashes with its neighbour in entry order and with the
     entries whose `key` sorts first and last.
     """
-    entries = book.entries
+    entries = entries_of(book)
     last = len(entries) - 1
     ends = [min(entries, key=key), max(entries, key=key)]
     out = []
@@ -385,7 +393,7 @@ def test_word_clash_raises_wherever_it_sits(make_random_book, extend):
                 at,
                 CodeEntry(
                     word=word,
-                    codeword=book.entries[at].codeword,
+                    codeword=book.codewords[at],
                     probability=word_probability(model, word),
                 ),
             )
@@ -402,14 +410,13 @@ def test_codeword_clash_raises_wherever_it_sits(make_random_book, extend):
     for book in books:
         for at, other in _clashes(book, key=lambda e: e.codeword):
             codeword = other.codeword + "0" if extend else other.codeword
-            entry = book.entries[at]
             bad = _with_entry(
                 book,
                 at,
                 CodeEntry(
-                    word=entry.word,
+                    word=book.words[at],
                     codeword=codeword,
-                    probability=entry.probability,
+                    probability=book.probabilities[at],
                 ),
             )
             with pytest.raises(ValidationError, match=CODEWORD_CLASH):
@@ -450,7 +457,7 @@ def reference_entry_fault(book: CodeBook) -> str | None:
     """The first per-entry fault in entry order, checked entry by entry."""
     model = book.model
     glyphs = set(DIGIT_GLYPHS[: model.arity])
-    for e in book.entries:
+    for e in entries_of(book):
         if type(e.word) is not tuple:
             return f"word {e.word!r} is not a tuple"
         if not e.word:
@@ -518,7 +525,7 @@ def test_validation_names_the_first_faulty_entry(make_random_book):
     for book in books:
         validate_codebook(book)
         for _ in range(12):
-            entries = list(book.entries)
+            entries = entries_of(book)
             for at in rng.sample(range(len(entries)), 2):
                 fault = rng.choice(faults)
                 entries[at] = _faulty(entries[at], fault, book.model.arity)
@@ -639,7 +646,7 @@ def test_label_rows_match_the_per_word_path():
     bulk = set()
     for name, book in _label_books():
         model = book.model
-        words = [e.word for e in book.entries]
+        words = list(book.words)
         texts = model.texts_from_words(words)
         if texts is not None:
             bulk.add(name)
@@ -647,7 +654,9 @@ def test_label_rows_match_the_per_word_path():
         text = book_to_json(book)
         assert text == reference_book_json(book), name
         loaded = book_from_json(text)
-        assert loaded.entries == book.entries, name
+        assert (loaded.words, loaded.codewords, loaded.probabilities) == (
+            book.words, book.codewords, book.probabilities
+        ), name
         assert book_to_json(loaded) == text, name
         assert model.words_from_texts(list(map(model.word_to_text, words))) == words
     assert bulk == {"default", "default m=3", "custom ASCII"}

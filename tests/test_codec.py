@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import book_from_entries
+from conftest import book_from_entries, entries_of
 from wordcodes import codec
 from wordcodes.codebook import CodeEntry, fixed_codewords, validate_codebook
 from wordcodes.codec import (
@@ -68,7 +68,7 @@ def test_encoder_buffer_never_exceeds_longest_word(binary_model, reference_book)
     for s in sample_symbols(binary_model, rng, 5000):
         enc.feed(s)
     enc.finish()
-    assert enc.max_pending <= max(len(e.word) for e in reference_book.entries)
+    assert enc.max_pending <= max(map(len, reference_book.words))
 
 
 def test_finish_pads_with_the_most_probable_symbol(reference_book):
@@ -128,7 +128,7 @@ def test_codec_tries_reject_books_that_are_not_prefix_free(reference_book):
     """Books that skipped validate_codebook still meet the tries' own prefix
     checks, whichever of the two clashing entries comes first, and the
     encoder's completeness check."""
-    a, ba, bba, bbb = reference_book.entries  # words 1, 21, 221, 222
+    a, ba, bba, bbb = entries_of(reference_book)  # words 1, 21, 221, 222
     model, kind = reference_book.model, reference_book.kind
     cases = [
         (Encoder, dataclasses.replace(bbb, word=(2, 2))),
@@ -183,11 +183,11 @@ class _FeedReference:
     def __init__(self, book):
         self.m = book.model.m
         self.root: dict = {}
-        for e in book.entries:
+        for word, codeword in zip(book.words, book.codewords):
             node = self.root
-            for s in e.word[:-1]:
+            for s in word[:-1]:
                 node = node.setdefault(s, {})
-            node[e.word[-1]] = e.codeword
+            node[word[-1]] = codeword
         self.node = self.root
         self.pending = 0
         self.max_pending = 0
@@ -307,6 +307,17 @@ def test_decode_message_rejects_a_negative_pad_count(vf3_book):
     assert pads == 2
     with pytest.raises(InputError):
         decode_message(vf3_book, digits, pad_count=-3)
+
+
+def test_sample_symbols_refuses_a_negative_count(binary_model):
+    """A negative count is an InputError, not an empty draw; 0 draws
+    nothing and leaves the generator where it was."""
+    rng = random.Random(7)
+    for count in (-1, -3):
+        with pytest.raises(InputError, match=f"count must be >= 0, got {count}"):
+            sample_symbols(binary_model, rng, count)
+    assert sample_symbols(binary_model, rng, 0) == []
+    assert rng.random() == random.Random(7).random()
 
 
 def test_sample_symbols_match_the_model_frequencies(binary_model, ternary_model):

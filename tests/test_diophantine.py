@@ -89,6 +89,13 @@ def test_best_denominators_match_brute_force_scan():
     x = 0.19999999999999998
     assert dist_to_int(25 * x) == 0.0
     assert best_approx_denominators(x, 100) == [1, 5]
+    # A convergent is kept only if its float distance improves: with a large
+    # integer part, q * x is rounded to about 2^-22 * q, so the last two
+    # convergent denominators below 10^6, 73572 and 147169, both read 0.0,
+    # and only the first is kept.
+    x = 1073741824.6800005
+    assert dist_to_int(73572 * x) == dist_to_int(147169 * x) == 0.0
+    assert best_approx_denominators(x, 10**6) == [1, 3, 22, 25, 73572]
 
 
 def test_best_denominators_reject_near_integers():

@@ -22,7 +22,7 @@ from operator import gt, sub
 
 import pytest
 
-from conftest import book_from_entries
+from conftest import book_from_entries, entries_of
 from wordcodes import cli, vf_construct
 from wordcodes.analysis import code_metrics
 from wordcodes.codebook import (
@@ -69,8 +69,8 @@ def _random_model(rng: random.Random, m: int, arity: int):
 def _assert_fresh_book(book, metrics) -> None:
     """The book's stored probabilities are the model's products, and its
     metrics are those `code_metrics` rebuilds from the model."""
-    words = [e.word for e in book.entries]
-    stored = [e.probability for e in book.entries]
+    words = list(book.words)
+    stored = list(book.probabilities)
     assert _hex(stored) == _hex(word_probabilities(book.model, words))
     assert repr(metrics) == repr(code_metrics(book))
 
@@ -208,10 +208,10 @@ def reference_validate(book: CodeBook, against_model: bool) -> None:
     m, n = model.m, model.arity
     if book.kind not in ("vv", "vf", "block"):
         raise ValidationError(f"unknown book kind {book.kind!r}")
-    if not book.entries:
+    if not book.words:
         raise ValidationError("a code book needs at least one entry")
-    words = [e.word for e in book.entries]
-    codewords = [e.codeword for e in book.entries]
+    words = list(book.words)
+    codewords = list(book.codewords)
     try:
         ok = (
             all(words)
@@ -227,7 +227,7 @@ def reference_validate(book: CodeBook, against_model: bool) -> None:
                 map(
                     sub,
                     word_probabilities(model, words),
-                    (e.probability for e in book.entries),
+                    book.probabilities,
                 ),
             )
             ok = not any(map(gt, drift, repeat(PROB_CONSISTENCY_TOL)))
@@ -235,7 +235,7 @@ def reference_validate(book: CodeBook, against_model: bool) -> None:
         ok = False
     if not ok:
         glyphs = set(DIGIT_GLYPHS[:n])
-        for e in book.entries:
+        for e in entries_of(book):
             if not e.word:
                 raise ValidationError("the empty word cannot be a code word")
             if not reference_symbols_in_range((e.word,), m):
@@ -265,7 +265,7 @@ def reference_validate(book: CodeBook, against_model: bool) -> None:
                 raise ValidationError(
                     f"{what} {b!r} extends shorter {what} {a!r}"
                 )
-    total = math.fsum(e.probability for e in book.entries)
+    total = math.fsum(book.probabilities)
     if abs(total - 1.0) > COMPLETENESS_TOL:
         raise ValidationError(
             f"word probabilities sum to {total!r}; the set is not complete"
@@ -328,7 +328,7 @@ def _books_for_validation():
 
 
 def _fault(rng: random.Random, book: CodeBook, m: int, fault: str):
-    entries = list(book.entries)
+    entries = entries_of(book)
     at = rng.randrange(len(entries))
     e = entries[at]
     if fault == "duplicate":
@@ -408,7 +408,7 @@ def test_validate_codebook_keeps_the_model_check():
     """A stored probability off the model is caught on fresh books, where
     nothing else recomputes it."""
     book = construct_vf(make_model(["0.4", "0.6"], 2), 5).book
-    entries = list(book.entries)
+    entries = entries_of(book)
     entries[3] = dataclasses.replace(
         entries[3], probability=entries[3].probability * (1 + 1e-6)
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from operator import mul
 
 import pytest
 
@@ -21,16 +22,13 @@ LOG2_3 = math.log2(3.0)
 
 
 def test_window_code_for_reference_binary_source(binary_model, vf3_book):
-    words = sorted(
-        binary_model.word_to_text(e.word) for e in vf3_book.entries
-    )
+    words = sorted(map(binary_model.word_to_text, vf3_book.words))
     assert words == ["aa", "ab", "ba", "bba", "bbb"]
-    assert all(len(e.codeword) == 3 for e in vf3_book.entries)
+    assert all(len(codeword) == 3 for codeword in vf3_book.codewords)
     # codewords are handed out in decreasing-probability order
-    table = [
-        (binary_model.word_to_text(e.word), e.codeword)
-        for e in vf3_book.entries
-    ]
+    table = list(
+        zip(map(binary_model.word_to_text, vf3_book.words), vf3_book.codewords)
+    )
     assert table == [
         ("ab", "000"),
         ("ba", "001"),
@@ -38,7 +36,9 @@ def test_window_code_for_reference_binary_source(binary_model, vf3_book):
         ("aa", "011"),
         ("bba", "100"),
     ]
-    nbar = math.fsum(e.probability * len(e.word) for e in vf3_book.entries)
+    nbar = math.fsum(
+        map(mul, vf3_book.probabilities, map(len, vf3_book.words))
+    )
     assert nbar == pytest.approx(2.36, abs=1e-9)
 
 
@@ -79,10 +79,10 @@ def test_window_codes_keep_probabilities_inside_the_window(binary_model, L):
     book = result.book
     n = binary_model.arity
     p_min = min(binary_model.probs)
-    assert len(book.entries) <= n**L
-    for e in book.entries:
-        assert e.probability >= n**-L - 1e-12
-        assert e.probability < n**-L / p_min + 1e-12
+    assert len(book.words) <= n**L
+    for probability in book.probabilities:
+        assert probability >= n**-L - 1e-12
+        assert probability < n**-L / p_min + 1e-12
     met = result.metrics
     bound = -math.log(p_min, n) / met.avg_delay
     assert met.redundancy <= bound + 1e-12
@@ -92,10 +92,10 @@ def test_fallback_below_the_window_threshold(ternary_model):
     result = construct_vf(ternary_model, 2)
     assert result.fallback
     assert result.provenance["mode"] == "single_symbol"
-    table = [
-        (ternary_model.word_to_text(e.word), e.codeword)
-        for e in result.book.entries
-    ]
+    book = result.book
+    table = list(
+        zip(map(ternary_model.word_to_text, book.words), book.codewords)
+    )
     assert table == [("c", "00"), ("b", "01"), ("a", "10")]
     # the map stays decodable even though the probability floor is lost
     assert result.book.kraft_exact() <= 1
@@ -189,19 +189,19 @@ def test_block_parameters_validate_arguments():
 
 def test_block_code_single_symbol_blocks():
     result = construct_block(3, 2, 1, 2)
-    table = [(e.word, e.codeword) for e in result.book.entries]
+    table = list(zip(result.book.words, result.book.codewords))
     assert table == [((1,), "00"), ((2,), "01"), ((3,), "10")]
     assert result.metrics.redundancy == pytest.approx(2.0 - LOG2_3, abs=1e-12)
 
 
 def test_block_code_five_symbol_blocks(block_book):
-    assert len(block_book.entries) == 3**5
-    assert all(len(e.word) == 5 for e in block_book.entries)
-    assert all(len(e.codeword) == 8 for e in block_book.entries)
-    assert len({e.codeword for e in block_book.entries}) == 3**5
+    assert len(block_book.words) == 3**5
+    assert all(len(word) == 5 for word in block_book.words)
+    assert all(len(codeword) == 8 for codeword in block_book.codewords)
+    assert len(set(block_book.codewords)) == 3**5
     assert all(
-        e.probability == pytest.approx(3.0**-5, rel=1e-12)
-        for e in block_book.entries
+        probability == pytest.approx(3.0**-5, rel=1e-12)
+        for probability in block_book.probabilities
     )
 
 
@@ -220,10 +220,13 @@ def test_block_code_resource_and_feasibility_limits():
         construct_block(3, 2, 41, 65)  # 3^41 blocks cannot be enumerated
     with pytest.raises(ResourceError):
         construct_block(3, 2, 5, 8, enum_limit=100)
+    # a negative limit is bad input, as for `construct_vf` and `construct_vv`
+    with pytest.raises(InputError, match="limit must be >= 0, got -1"):
+        construct_block(3, 2, 2, 4, enum_limit=-1)
 
 
 def test_vf_words_probabilities_match_model(binary_model, vf3_book):
-    for e in vf3_book.entries:
-        assert e.probability == pytest.approx(
-            word_probability(binary_model, e.word), rel=1e-12
+    for word, probability in zip(vf3_book.words, vf3_book.probabilities):
+        assert probability == pytest.approx(
+            word_probability(binary_model, word), rel=1e-12
         )

@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,7 +15,11 @@ import pytest
 
 from lattice_helpers import profiles_of_length
 from wordcodes.analysis import code_metrics, scaling_experiment
-from wordcodes.codebook import _assert_prefix_free, format_digits
+from wordcodes.codebook import (
+    _assert_prefix_free,
+    format_digits,
+    kraft_of_counts,
+)
 from wordcodes.errors import (
     InfeasibleError,
     InputError,
@@ -30,6 +35,9 @@ from wordcodes.source_model import (
 )
 from wordcodes.word_sets import (
     DEFAULT_NODE_LIMIT,
+    DEFAULT_T_MAX,
+    FIRST,
+    SECOND,
     THRESHOLD_TOL,
     NodeClassifier,
     Rule,
@@ -51,7 +59,6 @@ from wordcodes.vv_construct import (
     construct_vv,
     floor_form,
     huffman_lengths,
-    kraft_sum,
     merge_to_kraft,
     threshold_parameter_candidates,
 )
@@ -83,16 +90,16 @@ def test_code_length_never_drops_below_one():
 
 
 def test_kraft_sum_is_exact():
-    assert kraft_sum([1, 2, 3, 3], 2) == Fraction(1)
-    assert kraft_sum([1, 3, 2, 3, 3], 2) == Fraction(9, 8)
-    assert kraft_sum([1, 1, 1], 3) == Fraction(1)
+    assert kraft_of_counts(Counter([1, 2, 3, 3]), 2) == Fraction(1)
+    assert kraft_of_counts(Counter([1, 3, 2, 3, 3]), 2) == Fraction(9, 8)
+    assert kraft_of_counts(Counter([1, 1, 1]), 3) == Fraction(1)
 
 
 def _brute_force_optimal_cost(probs, arity, max_len=5):
     best = float("inf")
     k = len(probs)
     for lengths in itertools.product(range(1, max_len + 1), repeat=k):
-        if kraft_sum(lengths, arity) > 1:
+        if kraft_of_counts(Counter(lengths), arity) > 1:
             continue
         cost = sum(p * length for p, length in zip(probs, lengths))
         best = min(best, cost)
@@ -108,7 +115,7 @@ def test_huffman_lengths_are_optimal_against_brute_force():
         total = sum(weights)
         probs = [w / total for w in weights]
         lengths = huffman_lengths(probs, arity)
-        assert kraft_sum(lengths, arity) <= 1
+        assert kraft_of_counts(Counter(lengths), arity) <= 1
         cost = sum(p * length for p, length in zip(probs, lengths))
         assert cost == pytest.approx(
             _brute_force_optimal_cost(probs, arity), abs=1e-12
@@ -433,14 +440,13 @@ def reference_merge_to_kraft(model, first_words, second_words):
         form = linear_form(model, profile_of(w, model.m))
         return code_length_for(form, w in second_set)
 
-    kraft_first = kraft_sum([length_of(w) for w in first_words], n)
-    kraft_second = (
-        kraft_sum([length_of(w) for w in second_words], n)
-        if second_words
-        else None
-    )
+    def kraft(words):
+        return kraft_of_counts(Counter(map(length_of, words)), n)
+
+    kraft_first = kraft(first_words)
+    kraft_second = kraft(second_words) if second_words else None
     merged_all = wedge(first_words, second_words)
-    kraft_merged = kraft_sum([length_of(w) for w in merged_all], n)
+    kraft_merged = kraft(merged_all)
     report = {
         "kraft_first": kraft_first,
         "kraft_second": kraft_second,
@@ -470,7 +476,7 @@ def reference_merge_to_kraft(model, first_words, second_words):
             union.add(w)
             added.append(w)
             current = wedge(first_words, added)
-            g = kraft_sum([length_of(x) for x in current], n)
+            g = kraft(current)
             if entered:
                 trace.nontrivial.append(w)
             trace.steps.append(
@@ -674,9 +680,9 @@ def test_word_and_lattice_merges_differ_only_where_profiles_tie():
             except InfeasibleError:
                 outcomes.append("infeasible")
                 continue
-            entries = result.book.entries
+            book = result.book
             outcomes.append(
-                (result.path, [(e.word, e.codeword) for e in entries])
+                (result.path, list(zip(book.words, book.codewords)))
             )
         built += 1
         if outcomes[0] == outcomes[1]:
@@ -696,14 +702,14 @@ def test_second_set_lengths_always_satisfy_kraft(make_random_book):
     for _ in range(25):
         book = make_random_book(rng, "rounded")
         model = book.model
-        words = [e.word for e in book.entries]
+        words = list(book.words)
         lengths = [
             code_length_for(
                 linear_form(model, profile_of(w, model.m)), True
             )
             for w in words
         ]
-        assert kraft_sum(lengths, model.arity) <= 1
+        assert kraft_of_counts(Counter(lengths), model.arity) <= 1
 
 
 def test_pipeline_collapses_to_alphabet_code_at_t4(binary_model):
@@ -712,8 +718,8 @@ def test_pipeline_collapses_to_alphabet_code_at_t4(binary_model):
     assert result.cap == 16
     book = result.book
     assert book is not None
-    table = {binary_model.word_to_text(e.word): e.codeword for e in book.entries}
-    assert table == {"a": "0", "b": "1"}
+    texts = map(binary_model.word_to_text, book.words)
+    assert dict(zip(texts, book.codewords)) == {"a": "0", "b": "1"}
     assert result.dp_metrics.avg_delay == pytest.approx(1.0, abs=1e-12)
     assert result.dp_metrics.redundancy == pytest.approx(
         0.02904940554533139, abs=1e-12
@@ -829,7 +835,8 @@ def test_auto_cap_doubles_to_the_fixed_cap_build():
     assert (auto.path, auto.cap, auto.provenance["word_count"]) == (
         "base", 32, 5778
     )
-    assert auto.book.entries == fixed.book.entries
+    for column in ("words", "codewords", "probabilities"):
+        assert getattr(auto.book, column) == getattr(fixed.book, column)
     assert auto.dp_metrics == fixed.dp_metrics
     del auto.provenance["cap_history"], fixed.provenance["cap_history"]
     assert auto.provenance == fixed.provenance
@@ -865,19 +872,35 @@ def test_explicit_mode_validates_word_lists(binary_model):
 
 
 def test_explicit_word_lists_take_no_threshold_options(binary_model):
-    """T, cap and theta shape threshold builds only; with word lists they
-    would go unused, so any of them set is refused."""
+    """T, cap, theta and t_max shape threshold builds only; with word lists
+    they would go unused, so any of them set is refused."""
     words = {"first_words": [(1,), (2,)]}
     for options, named in (
         ({"T": 3}, "T"),
         ({"cap": 4}, "cap"),
         ({"theta": 0.1}, "theta"),
+        ({"t_max": 0}, "t_max"),
         ({"T": 3, "cap": "auto", "theta": 0.0}, "T, theta"),
     ):
         with pytest.raises(InputError, match=f"take no {named}$"):
             construct_vv(binary_model, **options, **words)
-    defaults = {"T": "auto", "cap": "auto", "theta": None}
+    defaults = {"T": "auto", "cap": "auto", "theta": None, "t_max": 50}
     assert construct_vv(binary_model, **defaults, **words).path == "base"
+
+
+def test_t_max_is_refused_where_no_automatic_t_reads_it(binary_model):
+    """Only the automatic T reads t_max: with an int T it would go unused,
+    so a value other than the default is refused, and the default builds
+    as before."""
+    for t_max in (0, 4, 60):
+        with pytest.raises(InputError, match="^t_max applies only to T='auto'"):
+            construct_vv(binary_model, T=4, t_max=t_max)
+    fixed = construct_vv(binary_model, T=4, t_max=DEFAULT_T_MAX)
+    assert fixed.provenance == construct_vv(binary_model, T=4).provenance
+    # the automatic T reads it: no candidate above t_max=4
+    auto = construct_vv(binary_model, t_max=4)
+    assert auto.provenance["t_selection"]["candidates"] == [1, 3, 4]
+    assert auto.T == 4
 
 
 def test_the_empty_word_is_a_prefix_of_every_word(binary_model):
@@ -911,17 +934,12 @@ def test_unknown_grade_and_assignment_are_rejected(binary_model):
 
 
 def test_reference_book_carries_expected_entries(binary_model, reference_book):
-    table = {
-        binary_model.word_to_text(e.word): e.codeword
-        for e in reference_book.entries
-    }
+    texts = list(map(binary_model.word_to_text, reference_book.words))
+    table = dict(zip(texts, reference_book.codewords))
     assert table == {"a": "0", "ba": "10", "bba": "110", "bbb": "111"}
     assert reference_book.kind == "vv"
     assert reference_book.kraft_exact() == 1
-    probs = {
-        binary_model.word_to_text(e.word): e.probability
-        for e in reference_book.entries
-    }
+    probs = dict(zip(texts, reference_book.probabilities))
     assert probs["ba"] == pytest.approx(0.24, abs=1e-15)
 
 
@@ -930,12 +948,10 @@ def test_word_information_equals_entropy_times_delay_on_complete_books(
 ):
     # For a complete prefix-free word set, the expected information content
     # of one word equals entropy times expected word length.
-    lhs = -math.fsum(
-        e.probability * math.log2(e.probability)
-        for e in reference_book.entries
-    )
+    probabilities = reference_book.probabilities
+    lhs = -math.fsum(p * math.log2(p) for p in probabilities)
     nbar = math.fsum(
-        e.probability * len(e.word) for e in reference_book.entries
+        p * len(word) for word, p in zip(reference_book.words, probabilities)
     )
     h = 0.9709505944546686
     assert lhs == pytest.approx(h * nbar, abs=1e-9)
@@ -985,8 +1001,9 @@ def test_node_classifier_agrees_with_profile_set_membership():
         classify = NodeClassifier(set_low.rule, set_high.rule)
         for level in range(1, cap + 1):
             for k in profiles_of_length(level, model.m):
-                form, low, high = classify(k)
+                form, flags = classify(k)
                 assert form == linear_form(model, k)
+                low, high = bool(flags & FIRST), bool(flags & SECOND)
                 assert (level == cap or low) == set_low.member(k)
                 assert (level == cap or high) == set_high.member(k)
                 snapped += form - math.floor(form) >= 1.0 - THRESHOLD_TOL
