@@ -76,7 +76,6 @@ from .word_sets import (
     ThresholdHighRule,
     ThresholdLowRule,
     WindowRule,
-    completeness_defect,
     enumerate_words,
     is_prefix_free,
     lattice_metrics,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import numbers
 from array import array
 from collections import Counter, deque
@@ -21,7 +20,6 @@ from .source_model import (
     word_probability,
 )
 
-COMPLETENESS_TOL = 1e-9
 PROB_CONSISTENCY_TOL = 1e-9
 
 
@@ -167,6 +165,21 @@ def _assert_prefix_free(items: Sequence, what: str) -> None:
             raise ValidationError(f"{what} {b!r} extends shorter {what} {a!r}")
 
 
+def _assert_complete(lengths: Mapping[int, int], m: int, what: str) -> None:
+    """Raise ValidationError unless a prefix-free set with `lengths`, a
+    {word length: number of words} table, is complete over `m` symbols.
+
+    The words cover disjoint cylinders, so they leave no source sequence
+    unparsed exactly when their word-length Kraft sum is 1
+    (Kraft-McMillan); the test is exact, whatever the probabilities."""
+    kraft = kraft_of_counts(lengths, m)
+    if kraft != 1:
+        raise ValidationError(
+            f"the {what} set is not complete: its Kraft sum over {m} "
+            f"symbols is {kraft}"
+        )
+
+
 def _symbols_in_range(
     words: Iterable[Word], m: int, keys: list[bytes] | None = None
 ) -> bool:
@@ -215,13 +228,13 @@ def _has_prefix_pair(ordered: list) -> bool:
 def validate_codebook(book: CodeBook) -> None:
     """Check the structural contract every emitted book must satisfy.
 
-    Input words nonempty, over the symbols 1..m, prefix-free and complete;
-    codewords nonempty, prefix-free and drawn from the digit alphabet;
-    probabilities within COMPLETENESS_TOL of summing to 1; stored
-    probabilities consistent with the model; and Kraft sum at most 1 in
-    exact arithmetic.  Fresh VF and VV books store the probabilities
-    their enumerator carried, so the model check here is the one check of
-    those products that does not come from the walk.
+    Input words nonempty, over the symbols 1..m, prefix-free and complete
+    (their word-length Kraft sum over m symbols is exactly 1); codewords
+    nonempty, prefix-free and drawn from the digit alphabet; stored
+    probabilities consistent with the model; and codeword Kraft sum at
+    most 1, both sums in exact arithmetic.  Fresh VF and VV books store
+    the probabilities their enumerator carried, so the model check here
+    is the one check of those products that does not come from the walk.
     """
     _validate(book, against_model=True)
 
@@ -258,11 +271,6 @@ def _validate(book: CodeBook, against_model: bool) -> None:
     # the codewords are all strings once the entry passes have read them
     if not passed or _has_prefix_pair(sorted(codewords)):
         _assert_prefix_free(codewords, "codeword")
-    total = math.fsum(book.probabilities)
-    if abs(total - 1.0) > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"word probabilities sum to {total!r}; the set is not complete"
-        )
     if book.kind in ("vf", "block"):
         lengths = set(map(len, codewords))
         if len(lengths) != 1:
@@ -275,6 +283,7 @@ def _validate(book: CodeBook, against_model: bool) -> None:
             raise ValidationError(
                 f"block books need uniform word length, got {word_lengths}"
             )
+    _assert_complete(Counter(map(len, words)), book.model.m, "input word")
     if book.kraft_exact() > 1:
         raise ValidationError(
             f"Kraft sum {book.kraft_exact()} exceeds 1; not decodable"

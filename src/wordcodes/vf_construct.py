@@ -22,7 +22,6 @@ from operator import itemgetter
 
 from . import analysis
 from .codebook import (
-    COMPLETENESS_TOL,
     CodeBook,
     fixed_codewords,
     validate_codebook,
@@ -131,10 +130,6 @@ def construct_vf(
             raise ValidationError(
                 "window parse was cut off by the length cap; the window "
                 "bounds are inconsistent"
-            )
-        if abs(table.total_prob - 1.0) > COMPLETENESS_TOL:
-            raise ValidationError(
-                f"window word set is not complete: mass {table.total_prob!r}"
             )
         if not power_fits(len(words), 1, n, L):
             raise ValidationError(

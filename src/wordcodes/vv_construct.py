@@ -56,9 +56,9 @@ from typing import Sequence
 
 from . import analysis
 from .codebook import (
-    COMPLETENESS_TOL,
     CodeBook,
     CodeEntry,
+    _assert_complete,
     _assert_prefix_free,
     _symbols_in_range,
     code_entries,
@@ -96,7 +96,6 @@ from .word_sets import (
     ProfileSet,
     ThresholdHighRule,
     ThresholdLowRule,
-    completeness_defect,
     enumerate_words,
     flat_carry,
     lattice_metrics,
@@ -107,11 +106,6 @@ from .word_sets import (
 )
 
 log = logging.getLogger(__name__)
-
-# How far the final lattice table's word mass, a float sum of class masses
-# that the forward DP carried level by level, may drift from 1 before the
-# final word set counts as incomplete.
-FINAL_MASS_TOL = 1e-6
 
 
 def floor_form(x: float) -> int:
@@ -733,8 +727,11 @@ def choose_cap(
 
 def _final_classes(
     table: LatticeTable, arity: int
-) -> tuple[list[float], list[int], list[int], list[float], Fraction]:
-    """The metric columns of the final word set, and its exact Kraft sum.
+) -> tuple[
+    list[float], list[int], list[int], list[float], Fraction, Counter[int]
+]:
+    """The metric columns of the final word set, its exact Kraft sum, and
+    its {word length: number of words} table.
 
     One row per stop class, in the four columns `metrics_from_classes`
     reads: mass, word length, codeword length and linear form.  Clean
@@ -743,18 +740,21 @@ def _final_classes(
     """
     masses, word_lengths, code_lengths, forms = [], [], [], []
     by_length: Counter[int] = Counter()
+    words_by_length: Counter[int] = Counter()
     for k in sorted(table.stops):
         c_c, m_c, c_x, m_x, form, second = table.stops[k]
+        word_length = sum(k)
         for count, mass, extra in ((c_c, m_c, second), (c_x, m_x, False)):
             if count:
                 length = code_length_for(form, extra)
                 by_length[length] += count
+                words_by_length[word_length] += count
                 masses.append(mass)
-                word_lengths.append(sum(k))
+                word_lengths.append(word_length)
                 code_lengths.append(length)
                 forms.append(form)
     kraft = kraft_of_counts(by_length, arity)
-    return masses, word_lengths, code_lengths, forms, kraft
+    return masses, word_lengths, code_lengths, forms, kraft, words_by_length
 
 
 @dataclass
@@ -881,15 +881,12 @@ def _pipeline(
     final = lattice_metrics(
         model, classify, cap_val, node_limit, chosen, boundary
     )
-    *stop_columns, kraft_final = _final_classes(final, n)
+    *stop_columns, kraft_final, words_by_length = _final_classes(final, n)
     if kraft_final != expected_kraft:
         raise ValidationError(
             "final word set Kraft sum disagrees with the merge accounting"
         )
-    if abs(final.total_prob - 1.0) > FINAL_MASS_TOL:
-        raise ValidationError(
-            f"final word set is not complete: mass {final.total_prob!r}"
-        )
+    _assert_complete(words_by_length, model.m, "final word")
 
     dp_metrics = analysis.metrics_from_classes(
         model, *stop_columns, kraft_final, final.word_count
@@ -977,11 +974,7 @@ def _validate_word_list(
         if not isinstance(word, tuple):
             raise ValidationError(f"the {what} word {word!r} is not a tuple")
     _assert_prefix_free(words, f"{what} word")
-    defect = completeness_defect(model, words)
-    if defect > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"the {what} word set is not complete: defect {defect!r}"
-        )
+    _assert_complete(Counter(map(len, words)), model.m, f"{what} word")
 
 
 def _explicit(

@@ -67,7 +67,6 @@ from .source_model import (
     SourceModel,
     Word,
     profile_probability,
-    word_probability,
 )
 
 THRESHOLD_TOL = 1e-12
@@ -849,11 +848,6 @@ def is_prefix_free(words: list[Word]) -> bool:
     except ValidationError:
         return False
     return True
-
-
-def completeness_defect(model: SourceModel, words: list[Word]) -> float:
-    """|1 - sum of word probabilities|; zero for complete prefix-free sets."""
-    return abs(1.0 - math.fsum(word_probability(model, w) for w in words))
 
 
 def wedge(words_a: list[Word], words_b: list[Word]) -> list[Word]:

@@ -13,6 +13,7 @@ import pytest
 
 import wordcodes
 from wordcodes.cli import main
+from wordcodes.codebook import CodeBook
 from wordcodes.errors import InputError, ValidationError
 from wordcodes.serialization import (
     FORMAT_TAG,
@@ -21,6 +22,8 @@ from wordcodes.serialization import (
     load_book,
     save_book,
 )
+from wordcodes.source_model import make_model, word_probabilities
+from wordcodes.word_sets import sentinel_runs
 
 REFERENCE_ARGS = ["--probs", "0.4,0.6"]
 REFERENCE_M1 = "a,baa,bab,bba,bbb"
@@ -83,12 +86,27 @@ def _malformed_books(book):
         yield json.dumps(payload)
 
 
+def _incomplete_book():
+    """The words a, ba, bba, ..., b^39 a on (0.5, 0.5), each coded by its
+    own letters as binary digits, written from the columns: prefix-free
+    words and codewords, but the words miss the message b^40, so their
+    length Kraft sum is 1 - 2^-40 and the set is not complete."""
+    model = make_model(["0.5", "0.5"], 2)
+    words = sentinel_runs(model, 1, 40)[0]
+    codewords = ["".join(str(s - 1) for s in w) for w in words]
+    return CodeBook(
+        model, "vv", words, codewords, word_probabilities(model, words)
+    )
+
+
 def test_book_json_validates_the_reloaded_code(reference_book):
     payload = json.loads(book_to_json(reference_book))
     assert payload["format"] == FORMAT_TAG
     payload["words"][0]["codeword"] = payload["words"][1]["codeword"]
     with pytest.raises(ValidationError):
         book_from_json(json.dumps(payload))
+    with pytest.raises(ValidationError, match="input word set is not complete"):
+        book_from_json(book_to_json(_incomplete_book()))
 
 
 def test_save_and_load_round_trip(tmp_path, vf3_book):
@@ -492,6 +510,15 @@ def test_cli_exit_codes(tmp_path, capsys, reference_book):
         garbage.write_text(text, encoding="utf-8")
         assert main(["analyze", "--book", str(garbage)]) == 2
     capsys.readouterr()
+    # a word set that misses a message, as word lists and as a book file
+    # that parses but breaks the book contract
+    incomplete = _incomplete_book()
+    m1 = ",".join(map(incomplete.model.word_to_text, incomplete.words))
+    assert main(["construct-vv", "--probs", "0.5,0.5", "--m1", m1]) == 3
+    save_book(incomplete, str(garbage))
+    assert main(["analyze", "--book", str(garbage)]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and not captured.out
 
 
 def test_cli_analyze_rejects_undecodable_and_deeply_nested_books(

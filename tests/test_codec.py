@@ -149,6 +149,56 @@ def test_codec_tries_reject_books_that_are_not_prefix_free(reference_book):
     assert decode_words(incomplete, "0") == [(1,)]
 
 
+def _chained_book(rng, probs, chain, drop):
+    """A prefix-free word set grown by a few random leaf splits, then one
+    chain of `chain` splits, each of a child of the last; `drop` removes
+    the chain's deepest leaf, leaving the set incomplete by a mass that
+    may lie far below any float tolerance.  Huffman codewords, so only
+    the word set can be at fault."""
+    model = make_model(probs, 2)
+    m = model.m
+    words = [(i,) for i in range(1, m + 1)]
+    for _ in range(rng.randrange(8)):
+        word = words.pop(rng.randrange(len(words)))
+        words += [word + (i,) for i in range(1, m + 1)]
+    word = rng.choice(words)
+    for _ in range(chain):
+        words.remove(word)
+        words += [word + (i,) for i in range(1, m + 1)]
+        word = word + (rng.randrange(1, m + 1),)
+    if drop:
+        words.remove(max(words, key=len))
+    items = [(w, word_probability(model, w), 0) for w in words]
+    return book_from_entries(
+        model, "vv", assign_codewords(model, items, "huffman")
+    )
+
+
+def _refuses_as_incomplete(call, *args) -> bool:
+    try:
+        call(*args)
+    except ValidationError as exc:
+        return "not complete" in str(exc)
+    return False
+
+
+def test_book_checks_and_codec_refuse_the_same_word_sets():
+    """`validate_codebook` refuses a book exactly when the encoder's trie
+    check does: seeded sets for m = 2 and 3, with a chain of 0, 10 or 40
+    splits, whole or with the deepest leaf dropped."""
+    rng = random.Random(26)
+    for probs in (["0.5", "0.5"], ["0.2", "0.3", "0.5"]):
+        for chain in (0, 10, 40):
+            for drop in (False, True):
+                for _ in range(4):
+                    book = _chained_book(rng, probs, chain, drop)
+                    verdicts = [
+                        _refuses_as_incomplete(validate_codebook, book),
+                        _refuses_as_incomplete(encode_message, book, [1]),
+                    ]
+                    assert verdicts == [drop, drop], (probs, chain, drop)
+
+
 def test_one_encoder_encodes_messages_in_a_row(binary_model, reference_book):
     rng = random.Random(105)
     messages = [

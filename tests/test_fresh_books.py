@@ -26,7 +26,6 @@ from conftest import book_from_entries, entries_of
 from wordcodes import cli, vf_construct
 from wordcodes.analysis import code_metrics
 from wordcodes.codebook import (
-    COMPLETENESS_TOL,
     PROB_CONSISTENCY_TOL,
     CodeBook,
     CodeEntry,
@@ -265,11 +264,6 @@ def reference_validate(book: CodeBook, against_model: bool) -> None:
                 raise ValidationError(
                     f"{what} {b!r} extends shorter {what} {a!r}"
                 )
-    total = math.fsum(book.probabilities)
-    if abs(total - 1.0) > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"word probabilities sum to {total!r}; the set is not complete"
-        )
     if book.kind in ("vf", "block"):
         lengths = set(map(len, codewords))
         if len(lengths) != 1:
@@ -282,6 +276,12 @@ def reference_validate(book: CodeBook, against_model: bool) -> None:
             raise ValidationError(
                 f"block books need uniform word length, got {word_lengths}"
             )
+    kraft = sum(Fraction(1, m ** len(w)) for w in words)
+    if kraft != 1:
+        raise ValidationError(
+            f"the input word set is not complete: its Kraft sum over {m} "
+            f"symbols is {kraft}"
+        )
     if book.kraft_exact() > 1:
         raise ValidationError(
             f"Kraft sum {book.kraft_exact()} exceeds 1; not decodable"

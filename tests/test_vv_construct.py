@@ -44,6 +44,7 @@ from wordcodes.word_sets import (
     enumerate_words,
     is_prefix_free,
     lattice_metrics,
+    sentinel_runs,
     wedge,
 )
 from wordcodes.vv_construct import (
@@ -854,6 +855,18 @@ def test_explicit_mode_validates_word_lists(binary_model):
         construct_vv(binary_model, first_words=[a, ab, b])
     with pytest.raises(ValidationError, match="not complete"):
         construct_vv(binary_model, first_words=[a])  # incomplete
+    # a, ba, ..., b^39 a miss only b^40, of probability 2^-40: the word
+    # lengths' Kraft sum is below 1, however small the probability missed
+    halves = make_model(["0.5", "0.5"], 2)
+    runs = sentinel_runs(halves, 1, 40)[0]
+    with pytest.raises(
+        ValidationError,
+        match="first word set is not complete: its Kraft sum over 2 "
+        "symbols is 1099511627775/1099511627776",
+    ):
+        construct_vv(halves, first_words=runs)
+    with pytest.raises(ValidationError, match="second word set is not"):
+        construct_vv(halves, first_words=[a, b], second_words=runs)
     with pytest.raises(InputError):
         construct_vv(binary_model, second_words=[a, b])
     # symbols must be integers in 1..m, in either list

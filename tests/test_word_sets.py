@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from wordcodes.codebook import kraft_of_counts
 from wordcodes.errors import InputError, ResourceError, ValidationError
 from wordcodes.source_model import make_model, profile_of, word_probability
 from wordcodes.word_sets import (
@@ -23,7 +24,6 @@ from wordcodes.word_sets import (
     ThresholdHighRule,
     ThresholdLowRule,
     WindowRule,
-    completeness_defect,
     enumerate_words,
     is_prefix_free,
     lattice_metrics,
@@ -351,10 +351,10 @@ def test_wedge_merges_reference_sets(binary_model):
     assert [binary_model.word_to_text(w) for w in merged] == [
         "a", "ba", "bba", "bbb",
     ]
-    assert completeness_defect(binary_model, merged) <= 1e-12
+    assert kraft_of_counts(Counter(map(len, merged)), 2) == 1
 
 
-def test_wedge_is_commutative_associative_idempotent(binary_model):
+def test_wedge_is_commutative_associative_idempotent():
     rng = random.Random(29)
 
     def random_trie() -> list:
@@ -381,7 +381,7 @@ def test_wedge_is_commutative_associative_idempotent(binary_model):
         )
         merged = wedge(a, b)
         assert is_prefix_free(merged)
-        assert completeness_defect(binary_model, merged) <= 1e-12
+        assert kraft_of_counts(Counter(map(len, merged)), 2) == 1
 
 
 def test_prefix_remainder_mass_never_exceeds_one(binary_model):
