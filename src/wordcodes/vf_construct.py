@@ -33,7 +33,7 @@ from .diophantine import (
     power_fits,
 )
 from .errors import InfeasibleError, InputError, ResourceError, ValidationError
-from .source_model import SourceModel, Word, make_model
+from .source_model import SourceModel, Word, make_model, word_probability
 from .word_sets import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_NODE_LIMIT,
@@ -302,7 +302,9 @@ def construct_block(
         )
     block_count = input_size**X
     model = make_model([Fraction(1, input_size)] * input_size, arity)
-    prob = float(Fraction(1, block_count))
+    # the left-to-right product a loaded book computes, the same for every
+    # block, so a saved book reloads equal
+    prob = word_probability(model, (1,) * X)
     provenance = {
         "mode": "block",
         "X": X,

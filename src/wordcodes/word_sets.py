@@ -38,7 +38,8 @@ node's id is its first count; every other case takes `keyed_levels`, where
 it is the node's position in the dict walk's key order.  Both visit the same
 nodes in the same order, so `lattice_metrics` (and the joint DP of
 `vv_construct`) is written once over the view: it routes a level's paths
-with 0/1 masks (`flat_carry`) and handles only stop nodes one by one.  For
+with 0/1 masks (`flat_carry`) and handles only stop nodes one by one,
+returning its stops as parallel row columns (`LatticeTable`).  For
 three symbols `_push` unpacks a profile (a, b, c) and builds its children
 from the counts, rather than slicing the tuple; the keys, the order and
 every float are those of the slicing code, which four or more symbols keep.
@@ -54,6 +55,7 @@ those keys, and visits only the nodes its words pass through.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, compress, repeat
@@ -505,7 +507,9 @@ def keyed_levels(
     in symbol order per parent, parents in key order, keys in first-seen
     order, masses summed left to right) the visiting order, and with it
     every float sum a DP makes, is fixed.  A state with no paths is
-    zero-filled rather than looked up.
+    zero-filled rather than looked up.  The pushed dicts are dropped as
+    soon as a level's lists are aligned, so they are gone while the
+    caller's DP runs on the level.
 
     A `NodeClassifier`'s forms are computed a level at a time, the `fsum`
     of each node's products as in the classifier itself, and mapped to
@@ -535,33 +539,32 @@ def keyed_levels(
             forms, flags = zip(*map(classify, keys))
             return list(forms), bytes(flags)
 
+    def aligned(front: Front, keys: list[Profile]) -> FlatFront:
+        # a pushed front's (counts, masses), looked up in key order
+        pairs = list(map(front.get, keys, repeat((0, 0.0))))
+        return list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+
     alive: list[Iterable] = [[((0,) * model.m, 1, 1.0)]]
     alive += [() for _ in range(states - 1)]
-    empty = (0, 0.0)
     level = 0
     while True:
         incoming = [_push(parents, probs) for parents in alive]
+        del alive
         if not any(incoming):
             return
         level += 1
         keys = list(reduce(or_, map(set, incoming)))
         zeros = ([0] * len(keys), [0.0] * len(keys))
-        # each alive state's (counts, masses), looked up in key order
-        aligned = [zeros] * states
-        for s, front in enumerate(incoming):
-            if front:
-                pairs = list(map(front.get, keys, repeat(empty)))
-                aligned[s] = (
-                    list(map(itemgetter(0), pairs)),
-                    list(map(itemgetter(1), pairs)),
-                )
+        columns = [aligned(f, keys) if f else zeros for f in incoming]
+        # the pushed dicts go before the caller's DP runs on the level
+        del incoming
         forms, flags = classified(keys)
         # the id dict is built on the level's first `id_of`
         index = cache(lambda keys=keys: dict(zip(keys, range(len(keys)))))
         view = LevelView(
             level,
             range(len(keys)),
-            aligned,
+            columns,
             flags,
             lambda i, keys=keys, forms=forms: (keys[i], forms[i]),
             lambda k, index=index: index().get(k),
@@ -639,25 +642,31 @@ def flat_levels(
         ]
 
 
-Stop = tuple[int, float, int, float, float, bool]
-
-
 @dataclass
 class LatticeTable:
-    """Per-profile stopping counts and probability masses from the DP.
+    """The stops of the forward DP, as parallel row columns.
 
-    `stops` maps each stopping profile to (clean count, clean mass, crossed
-    count, crossed mass, form, second): crossed paths reached the second
-    set before they stopped, clean ones did not, and `second` says whether
-    the profile is in the second set or at the cap.  Counts are exact big
-    integers; masses are binary64.  `cap_mass` is the mass of words stopped
-    by the hard cap alone (their profiles are not in the first set), the
-    quantity used to size the cap adaptively.
+    One row per stop class with a nonzero count: the clean paths stopping
+    at a profile (which reached no second-set node before) and the crossed
+    ones (which ran on through one) are kept apart, the clean row first.
+    Rows come level by level; on each level the taken and boundary classes
+    come first, by profile, then every other stop in visiting order.  Row
+    i holds `profiles[i]`, its number of words `counts[i]` (an exact big
+    integer), their mass `masses[i]` and linear form `forms[i]` (binary64,
+    in `array('d')`), and `extra[i]`, 1 where its words take the extra
+    digit: clean stops in the second set or at the cap.  `word_count` is
+    the sum of the counts, `cap_mass` the mass of words stopped by the hard
+    cap alone (their profiles are not in the first set), the quantity used
+    to size the cap adaptively, and `visited_nodes` the nodes the walk
+    visited.
     """
 
-    stops: dict[Profile, Stop]
+    profiles: list[Profile]
+    counts: list[int]
+    masses: array
+    forms: array
+    extra: bytearray
     word_count: int
-    total_prob: float
     cap_mass: float
     visited_nodes: int
 
@@ -670,7 +679,7 @@ def lattice_metrics(
     taken: Collection[Profile] = (),
     boundary: tuple[Profile, int] | None = None,
 ) -> LatticeTable:
-    """The forward stopping DP: every stop of the word set, by profile.
+    """The forward stopping DP: every stop class of the word set, as rows.
 
     A node in the first set, or at the cap, stops every path reaching it.  A
     clean path reaching a node of the second set stops there only if the
@@ -680,14 +689,26 @@ def lattice_metrics(
 
     One body over `level_views`: paths are routed a level at a time with
     0/1 masks of the routing flags, and only stop nodes and the taken and
-    boundary classes are handled one by one.  The cap mass reads the real
-    flags of the cap level, in visiting order.
+    boundary classes are handled one by one, each appending its clean and
+    crossed rows to the `LatticeTable` columns; no per-profile record is
+    kept.  The cap mass reads the real flags of the cap level, in visiting
+    order.
     """
     boundary_profile, boundary_words = boundary if boundary else (None, 0)
     marked: dict[int, list[Profile]] = {}
-    for k in {*taken, boundary_profile} - {None}:
+    for k in sorted({*taken, boundary_profile} - {None}):
         marked.setdefault(sum(k), []).append(k)
-    stops: dict[Profile, Stop] = {}
+    profiles: list[Profile] = []
+    counts: list[int] = []
+    masses, forms, extra = array("d"), array("d"), bytearray()
+
+    def stop(k: Profile, count: int, mass: float, form: float, digit: bool):
+        profiles.append(k)
+        counts.append(count)
+        masses.append(mass)
+        forms.append(form)
+        extra.append(digit)
+
     cap_mass = 0.0
     visited = 0
     for view in level_views(model, classify, 2, cap, node_limit, "lattice DP"):
@@ -707,7 +728,7 @@ def lattice_metrics(
             c_c, m_c = cc[i], mc[i]
             form = view.node(i)[1]
             if k in taken:
-                stops[k] = (c_c, m_c, 0, 0.0, form, True)
+                stop(k, c_c, m_c, form, True)
                 c_c = 0
             else:
                 if c_c < boundary_words:
@@ -715,7 +736,8 @@ def lattice_metrics(
                         "boundary class smaller than its split"
                     )
                 stop_m = boundary_words * profile_probability(model, k)
-                stops[k] = (boundary_words, stop_m, 0, 0.0, form, True)
+                if boundary_words:
+                    stop(k, boundary_words, stop_m, form, True)
                 c_c -= boundary_words
                 m_c -= stop_m
             n_cx[i] = cx[i] + c_c
@@ -723,15 +745,14 @@ def lattice_metrics(
         view.next += [flat_carry(clean, mask(IN_NEITHER)), (n_cx, n_mx)]
         for i in compress(ids, map(mask(IN_FIRST).__getitem__, ids)):
             k, form = view.node(i)
-            stops[k] = (cc[i], mc[i], cx[i], mx[i], form, route[i] > FIRST)
+            if cc[i]:
+                stop(k, cc[i], mc[i], form, route[i] > FIRST)
+            if cx[i]:
+                stop(k, cx[i], mx[i], form, False)
             if not flags[i] & FIRST:  # a node the cap alone stops
                 cap_mass += mc[i] + mx[i]
     return LatticeTable(
-        stops=stops,
-        word_count=sum(s[0] + s[2] for s in stops.values()),
-        total_prob=math.fsum(s[1] + s[3] for s in stops.values()),
-        cap_mass=cap_mass,
-        visited_nodes=visited,
+        profiles, counts, masses, forms, extra, sum(counts), cap_mass, visited
     )
 
 

@@ -325,9 +325,8 @@ def test_cli_analyze_prints_metric_tokens(tmp_path, capsys):
     for token in ("kind=vf", "words=5", "N̄=2.36", "N=3", "R=0.3002",
                   "delta=0.375", "lower=", "upper=", "identity_residual="):
         assert token in printed
-    # a saved block book reads back with the metric lines it was built
-    # with; only the rounding-noise residual may differ, since the loaded
-    # book multiplies (1/3)^5 where the built one stores float(1/243)
+    # a saved block book reads back with every metric line it was built
+    # with, the rounding-noise residual included
     block_path = tmp_path / "block.json"
     assert main(["construct-block", "--input-size", "3", "--pair-index", "1",
                  "--out", str(block_path)]) == 0
@@ -336,7 +335,7 @@ def test_cli_analyze_prints_metric_tokens(tmp_path, capsys):
     assert main(["analyze", "--book", str(block_path)]) == 0
     kind, *loaded = capsys.readouterr().out.splitlines()
     assert kind == "kind=block" and "words=243" in loaded
-    assert loaded[:-1] == built[:-1]
+    assert loaded == built
     assert loaded[-1].startswith("identity_residual=")
 
 

@@ -22,7 +22,12 @@ from fractions import Fraction
 
 import pytest
 
-from lattice_helpers import profiles_of_length
+from lattice_helpers import (
+    profiles_of_length,
+    reference_stops,
+    stop_rows,
+    table_rows,
+)
 from wordcodes import vv_construct, word_sets
 from wordcodes.errors import ResourceError, ValidationError
 from wordcodes.source_model import linear_form, make_model
@@ -134,9 +139,9 @@ def _outcome(fn, *args, **kwargs):
         return ("error", type(exc).__name__, str(exc))
     if isinstance(result, word_sets.LatticeTable):
         return (
-            result.stops,
+            table_rows(result),
             result.word_count,
-            result.total_prob,
+            math.fsum(result.masses),
             result.cap_mass,
             result.visited_nodes,
         )
@@ -243,15 +248,18 @@ def test_flat_kernel_matches_the_dict_walk_field_by_field():
                     # the cap mass: every path the cap alone stops, crossed
                     # ones included
                     cap_stops = [
-                        (m_c, m_x)
-                        for k, (_, m_c, _, m_x, form, _) in found[0].items()
+                        (mass, extra)
+                        for k, _, mass, form, extra in found[0]
                         if sum(k) == cap
                         and not walk_classify.first_rule.admits(form)
                     ]
                     assert found[3] == pytest.approx(
-                        math.fsum(map(sum, cap_stops)), rel=1e-12, abs=0
+                        math.fsum(mass for mass, _ in cap_stops),
+                        rel=1e-12, abs=0,
                     )
-                    if any(m_x for _, m_x in cap_stops):
+                    # a clean stop at the cap takes the extra digit, a
+                    # crossed one does not
+                    if any(mass for mass, extra in cap_stops if not extra):
                         seen.add("crossed at the cap")
             seen.add("cap mass" if tables.cap_mass_first else "no cap mass")
             seen.add("classes" if targets else "no classes")
@@ -259,13 +267,58 @@ def test_flat_kernel_matches_the_dict_walk_field_by_field():
                     "no classes", "crossed at the cap"}
 
 
-def test_knockout_sweep_matches_the_full_lattice_reference():
-    """Two-, three- and four-symbol sources: the joint DP's classes as
-    targets, plus seeded nodes of any kind (low-set nodes, nodes at the
-    cap, nodes no class reaches)."""
-    rng = random.Random(31)
+def test_the_row_table_matches_the_per_stop_reference():
+    """Seeded two-, three- and four-symbol sources, with some classes taken
+    and a split of another, or with none: the rows of `lattice_metrics`,
+    in order, are those of the per-profile reference table (its clean and
+    crossed stops, each where its count is nonzero), and so are its cap
+    mass, visited nodes and word count."""
+    rng = random.Random(47)
     seen = set()
     for model, T in [*_two_symbol_sources(), *_many_symbol_sources()]:
+        cap = T * T
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        classify = NodeClassifier(set_low.rule, set_high.rule)
+        tables = _joint_dp(model, classify, cap, NODE_LIMIT)
+        taken, boundary = _taken_and_boundary(
+            rng, tables.classes, classify, cap
+        )
+        for walk_taken, walk_boundary in [((), None), (taken, boundary)]:
+            args = (
+                model, classify, cap, NODE_LIMIT, walk_taken, walk_boundary
+            )
+            try:
+                stops, cap_mass, visited = reference_stops(*args)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=str(exc)):
+                    lattice_metrics(*args)
+                seen.add("error")
+                continue
+            table = lattice_metrics(*args)
+            rows = table_rows(table)
+            assert rows == stop_rows(stops)
+            assert table.cap_mass == cap_mass
+            assert table.visited_nodes == visited
+            assert table.word_count == sum(table.counts)
+            seen.add(model.m)
+            if any(c_x for _, _, c_x, _, _, _ in stops.values()):
+                seen.add("crossed")
+            if walk_boundary is not None:
+                seen.add("split")
+    assert seen == {2, 3, 4, "crossed", "split", "error"}
+
+
+def test_knockout_sweep_matches_the_full_lattice_reference():
+    """Two-, three- and four-symbol sources, and the sparse (0.001, 0.999)
+    at T=11, where paths reach nearly every node up to the cap: the joint
+    DP's classes as targets, plus seeded nodes of any kind (low-set nodes,
+    nodes at the cap, nodes no class reaches)."""
+    rng = random.Random(31)
+    seen = set()
+    sparse = (make_model(["0.001", "0.999"], 2), 11)
+    for model, T in [
+        *_two_symbol_sources(), *_many_symbol_sources(), sparse
+    ]:
         cap = T * T
         set_low, set_high = build_threshold_sets(model, T, cap)
         classify = NodeClassifier(set_low.rule, set_high.rule)
@@ -287,7 +340,8 @@ def test_the_knockout_sweep_counts_the_nodes_it_visits():
     """(0.2, 0.4, 0.4), T=7, cap 98: an extended build, whose knockout sweep
     over the full lattice would visit C(101, 3) nodes.  The sweep visits
     only what paths from the classes reach, and counts those against the
-    node limit."""
+    node limit: 110 of them, and 2 622 on the sparse (0.001, 0.999) at
+    T=11, cap 121."""
     model = make_model(["0.2", "0.4", "0.4"], 2)
     cap = 98
     expect = construct_vv(model, T=7, cap=cap, grade="metrics", enum_limit=0)
@@ -299,24 +353,35 @@ def test_the_knockout_sweep_counts_the_nodes_it_visits():
         )
         assert found.provenance == expect.provenance
         assert repr(found.dp_metrics) == repr(expect.dp_metrics)
-    set_low, set_high = build_threshold_sets(model, 7, cap)
-    classify = NodeClassifier(set_low.rule, set_high.rule)
-    tables = _joint_dp(model, classify, cap, NODE_LIMIT)
-    targets = {k for _, k, _ in tables.classes}
-    visited = []
+    sparse = make_model(["0.001", "0.999"], 2)
+    cases = [(model, 7, cap, 110), (sparse, 11, 121, 2622)]
+    for model, T, cap, count in cases:
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        classify = NodeClassifier(set_low.rule, set_high.rule)
+        tables = _joint_dp(model, classify, cap, NODE_LIMIT)
+        targets = {k for _, k, _ in tables.classes}
+        visited = []
 
-    def counting(k):
-        visited.append(k)
-        return tables.classify(k)
+        def counting(k):
+            visited.append(k)
+            return tables.classify(k)
 
-    found = _knockout_masses(model, counting, cap, targets, NODE_LIMIT)
-    sweep = len(visited)
-    assert sweep == len(set(visited)) < 1000
-    assert _knockout_masses(model, tables.classify, cap, targets, sweep) == found
-    message = str(word_sets.node_limit_error("knockout sweep", sweep - 1, cap))
-    assert message.startswith("knockout sweep visited more than")
-    with pytest.raises(ResourceError, match=re.escape(message)):
-        _knockout_masses(model, tables.classify, cap, targets, sweep - 1)
+        found = _knockout_masses(model, counting, cap, targets, NODE_LIMIT)
+        sweep = len(visited)
+        assert sweep == len(set(visited)) == count
+        assert found == reference_knockout_masses(
+            model, classify, cap, targets
+        )
+        assert (
+            _knockout_masses(model, tables.classify, cap, targets, sweep)
+            == found
+        )
+        message = str(
+            word_sets.node_limit_error("knockout sweep", sweep - 1, cap)
+        )
+        assert message.startswith("knockout sweep visited more than")
+        with pytest.raises(ResourceError, match=re.escape(message)):
+            _knockout_masses(model, tables.classify, cap, targets, sweep - 1)
 
 
 def test_the_knockout_sweep_visits_no_more_nodes_than_the_joint_dp(
@@ -681,7 +746,8 @@ def test_enumeration_splits_a_class_where_the_reference_does():
                 if flags[a] != SECOND:
                     continue
                 table = lattice_metrics(model, classify, cap, taken={k})
-                clean = table.stops.get(k, (0,))[0]
+                # a taken class stops only clean paths: its one row, if any
+                clean = dict(zip(table.profiles, table.counts)).get(k, 0)
                 for j in sorted({1, clean - 1} - {0}) if clean > 1 else ():
                     split = (k, j)
                     _checked_enumeration(model, classify, cap, 5000, (), split)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from lattice_helpers import table_rows
 from wordcodes.codebook import kraft_of_counts
 from wordcodes.errors import InputError, ResourceError, ValidationError
 from wordcodes.source_model import make_model, profile_of, word_probability
@@ -170,17 +171,14 @@ def test_lattice_metrics_agree_with_enumeration(binary_model, ternary_model):
             assert len(words) == table.word_count
             assert is_prefix_free(words)
             mass = math.fsum(word_probability(model, w) for w in words)
-            assert mass == pytest.approx(table.total_prob, abs=1e-12)
+            assert mass == pytest.approx(math.fsum(table.masses), abs=1e-12)
             assert mass == pytest.approx(1.0, abs=1e-9)
             avg = math.fsum(
                 len(w) * word_probability(model, w) for w in words
             )
-            avg_length = math.fsum(
-                sum(k) * (s[1] + s[3]) for k, s in table.stops.items()
-            )
-            max_length = max(
-                sum(k) for k, s in table.stops.items() if s[0] + s[2]
-            )
+            rows = table_rows(table)
+            avg_length = math.fsum(sum(k) * p for k, _, p, _, _ in rows)
+            max_length = max(sum(k) for k, count, _, _, _ in rows if count)
             assert avg == pytest.approx(avg_length, abs=1e-12)
             assert max(len(w) for w in words) == max_length
 
@@ -241,9 +239,9 @@ def test_walks_under_node_classifier_match_member_reference(
             expect = lattice_metrics(
                 model, reference, walk_cap, taken=walk_taken
             )
-            assert table.stops == expect.stops
+            assert table_rows(table) == table_rows(expect)
             assert table.word_count == expect.word_count
-            assert table.total_prob == expect.total_prob
+            assert math.fsum(table.masses) == math.fsum(expect.masses)
             assert table.cap_mass == expect.cap_mass
             assert table.visited_nodes == expect.visited_nodes
             assert len(found) == table.word_count
@@ -253,12 +251,11 @@ def test_walks_under_node_classifier_match_member_reference(
                 for w, form, extra, _ in found
             )
             expected = Counter()
-            for k, (c_c, _, c_x, _, form, second) in table.stops.items():
-                expected[k, form, second] += c_c
-                expected[k, form, False] += c_x
+            for k, count, _, form, extra in table_rows(table):
+                expected[k, form, bool(extra)] += count
             assert by_class == +expected
             mass = math.fsum(word_probability(model, w) for w, _, _, _ in found)
-            assert mass == pytest.approx(table.total_prob, abs=1e-12)
+            assert mass == pytest.approx(math.fsum(table.masses), abs=1e-12)
             assert mass == pytest.approx(1.0, abs=1e-9)
             walks += 1
     assert walks == 60
@@ -292,7 +289,7 @@ def test_cap_alone_stops_every_path(binary_model, member_classifier):
     assert table.word_count == len(words) == 2**5
     assert all(len(w) == 5 and extra for w, _, extra, _ in words)
     assert table.cap_mass == pytest.approx(1.0, abs=1e-12)
-    assert table.total_prob == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(table.masses) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_member_empty_profile_is_rejected():
