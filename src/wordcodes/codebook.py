@@ -239,7 +239,9 @@ def validate_codebook(book: CodeBook) -> None:
     _validate(book, against_model=True)
 
 
-def _validate(book: CodeBook, against_model: bool) -> None:
+def _validate(
+    book: CodeBook, against_model: bool, keys: list[bytes] | None = None
+) -> None:
     """The checks of `validate_codebook`.
 
     against_model=False skips comparing each stored probability with the
@@ -247,22 +249,26 @@ def _validate(book: CodeBook, against_model: bool) -> None:
 
     For m < 256 each word becomes one `bytes` key (`_word_keys`), read by
     the symbol-range pass and by a prefix pass over the sorted keys;
-    codewords take the same prefix pass as strings.  Where a pass finds a
-    fault, or a word has no key, the one-entry-at-a-time and tuple-slice
-    checks run and raise the message naming the fault.
+    codewords take the same prefix pass as strings.  `keys`, when given,
+    are those `bytes`, one per word in row order, as the loader split them
+    from the file; they are sorted in place and not rebuilt from the words.
+    Where a pass finds a fault, or a word has no key, the
+    one-entry-at-a-time and tuple-slice checks run and raise the message
+    naming the fault.  One {codeword length: count} table serves the
+    VF/block uniformity check and the Kraft test, and one {word length:
+    count} table the block check and the completeness test.
     """
     if book.kind not in ("vv", "vf", "block"):
         raise ValidationError(f"unknown book kind {book.kind!r}")
     words, codewords = book.words, book.codewords
     if not words:
         raise ValidationError("a code book needs at least one entry")
-    if not len(words) == len(codewords) == len(book.probabilities):
-        raise ValidationError(
-            f"a code book's columns differ in length: {len(words)} words, "
-            f"{len(codewords)} codewords, "
-            f"{len(book.probabilities)} probabilities"
-        )
-    keys = _word_keys(words, book.model.m)
+    _assert_columns_match(book)
+    m = book.model.m
+    if keys is None:
+        keys = _word_keys(words, m)
+    else:
+        keys.sort()
     passed = _entries_pass(book, words, keys, codewords, against_model)
     if not passed:
         _check_each_entry(book, against_model)
@@ -271,22 +277,32 @@ def _validate(book: CodeBook, against_model: bool) -> None:
     # the codewords are all strings once the entry passes have read them
     if not passed or _has_prefix_pair(sorted(codewords)):
         _assert_prefix_free(codewords, "codeword")
-    if book.kind in ("vf", "block"):
-        lengths = set(map(len, codewords))
-        if len(lengths) != 1:
-            raise ValidationError(
-                f"{book.kind} books need uniform codeword length, got {lengths}"
-            )
-    if book.kind == "block":
-        word_lengths = set(map(len, words))
-        if len(word_lengths) != 1:
-            raise ValidationError(
-                f"block books need uniform word length, got {word_lengths}"
-            )
-    _assert_complete(Counter(map(len, words)), book.model.m, "input word")
-    if book.kraft_exact() > 1:
+    code_lengths = Counter(map(len, codewords))
+    if book.kind in ("vf", "block") and len(code_lengths) != 1:
         raise ValidationError(
-            f"Kraft sum {book.kraft_exact()} exceeds 1; not decodable"
+            f"{book.kind} books need uniform codeword length, "
+            f"got {set(map(len, codewords))}"
+        )
+    word_lengths = Counter(map(len, words))
+    if book.kind == "block" and len(word_lengths) != 1:
+        raise ValidationError(
+            "block books need uniform word length, "
+            f"got {set(map(len, words))}"
+        )
+    _assert_complete(word_lengths, m, "input word")
+    kraft = kraft_of_counts(code_lengths, book.model.arity)
+    if kraft > 1:
+        raise ValidationError(f"Kraft sum {kraft} exceeds 1; not decodable")
+
+
+def _assert_columns_match(book: CodeBook) -> None:
+    """Raise ValidationError unless the book's three columns have one
+    length, naming each length."""
+    if not len(book.words) == len(book.codewords) == len(book.probabilities):
+        raise ValidationError(
+            f"a code book's columns differ in length: {len(book.words)} "
+            f"words, {len(book.codewords)} codewords, "
+            f"{len(book.probabilities)} probabilities"
         )
 
 

@@ -14,7 +14,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .codebook import CodeBook, _validate
+from .codebook import CodeBook, _assert_columns_match, _validate
 # Unused here, but perfbench's tracer wraps validate_codebook in every module
 # that imports it, and its self-tests expect to find it in this one.
 from .codebook import validate_codebook  # noqa: F401
@@ -29,12 +29,17 @@ def book_to_json(book: CodeBook) -> str:
 
     The header goes through `json.dumps`; the rows of "words", which sorts
     last, are laid out here around strings quoted by the C encoder that
-    `json.dumps(str)` calls, in the same bytes.  With single-character
-    ASCII labels all word texts come from one `bytes.translate`
-    (`SourceModel.texts_from_words`); otherwise each text is
-    `SourceModel.word_to_text`, which raises InputError for a symbol
-    outside 1..m (`validate_codebook` rejects such a book).
+    `json.dumps(str)` calls, in the same bytes: each row is its quoted
+    codeword and text joined by the text between them, and the rows are
+    joined by the text between rows, so the array is two `str.join`s
+    wrapped once.  With single-character ASCII labels all word texts come
+    from one `bytes.translate` (`SourceModel.texts_from_words`); otherwise
+    each text is `SourceModel.word_to_text`, which raises InputError for a
+    symbol outside 1..m (`validate_codebook` rejects such a book).  A book
+    whose columns differ in length is refused with ValidationError, as
+    validation refuses it, rather than written as its shortest column.
     """
+    _assert_columns_match(book)
     model = book.model
     header = {
         "format": FORMAT_TAG,
@@ -46,23 +51,33 @@ def book_to_json(book: CodeBook) -> str:
         "words": [],
     }
     text = json.dumps(header, sort_keys=True, indent=2)
+    if not book.words:
+        return text + "\n"
     texts = model.texts_from_words(book.words)
     if texts is None:
         texts = map(model.word_to_text, book.words)
     quote = encode_basestring_ascii
-    row = '    {{\n      "codeword": {},\n      "symbols": {}\n    }}'.format
-    rows = ",\n".join(
+    rows = '\n    },\n    {\n      "codeword": '.join(
         map(
-            row,
-            map(quote, book.codewords),
-            map(quote, texts),
+            ',\n      "symbols": '.join,
+            zip(map(quote, book.codewords), map(quote, texts)),
         )
     )
-    words = f"[\n{rows}\n  ]" if rows else "[]"
-    return f"{text[:-4]}{words}\n}}\n"
+    return (
+        f'{text[:-4]}[\n    {{\n      "codeword": {rows}\n    }}\n  ]\n}}\n'
+    )
 
 
 def book_from_json(text: str) -> CodeBook:
+    """The code book a book file holds, validated.
+
+    A file that does not parse, or whose fields have the wrong type, is
+    an InputError; a book that breaks the book contract is a
+    ValidationError.  Every probability is computed from the model, so
+    validation skips the model check.  Where the rows were read as
+    `bytes` (`_read_rows`), validation sorts those same `bytes` for its
+    range and prefix passes instead of rebuilding them from the words.
+    """
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -92,7 +107,7 @@ def book_from_json(text: str) -> CodeBook:
                 f"for {len(data['probs'])} probabilities"
             )
         model = make_model(data["probs"], arity, labels=data["alphabet"])
-        words, codewords = _read_rows(model, data["words"])
+        words, codewords, keys = _read_rows(model, data["words"])
         book = CodeBook(
             model=model,
             kind=data["kind"],
@@ -105,22 +120,33 @@ def book_from_json(text: str) -> CodeBook:
         raise InputError(f"malformed code book file: {exc}") from exc
     del data, words, codewords  # the book holds what validation reads
     # every stored probability was just computed from the model
-    _validate(book, against_model=False)
+    _validate(book, against_model=False, keys=keys)
     return book
 
 
-def _read_rows(model: SourceModel, rows) -> tuple[list[Word], list[str]]:
-    """The words and codewords of the file's "words" rows, in order.
+def _read_rows(
+    model: SourceModel, rows
+) -> tuple[list[Word], list[str], list[bytes] | None]:
+    """The words and codewords of the file's "words" rows, in order, and
+    each word's symbols as one `bytes`, or None where they were not read
+    so.
 
-    Read in C-level passes.  If a row is not an object with string
-    "symbols" and "codeword", the rows are read again one at a time, which
-    raises for the first bad row.
+    Read in C-level passes.  With single-character ASCII labels the texts
+    are split into `bytes` by one `bytes.translate` over their join
+    (`SourceModel._symbol_bytes`), and each word is the tuple of its
+    `bytes`; other labels, or a text with a character that is no label,
+    take `SourceModel.word_from_text` per text, which names a bad label.
+    If a row is not an object with string "symbols" and "codeword", the
+    rows are read again one at a time, which raises for the first bad row.
     """
     try:
         texts = list(map(itemgetter("symbols"), rows))
         codewords = list(map(itemgetter("codeword"), rows))
         if all(map(isinstance, chain(texts, codewords), repeat(str))):
-            return model.words_from_texts(texts), codewords
+            keys = model._symbol_bytes(texts)
+            if keys is None:
+                return list(map(model.word_from_text, texts)), codewords, None
+            return list(map(tuple, keys)), codewords, keys
     except (KeyError, TypeError):
         pass
     words, codewords = [], []
@@ -130,12 +156,18 @@ def _read_rows(model: SourceModel, rows) -> tuple[list[Word], list[str]]:
             raise InputError(f"malformed code book file: row {row!r}")
         words.append(model.word_from_text(symbols))
         codewords.append(codeword)
-    return words, codewords
+    return words, codewords, None
 
 
 def save_book(book: CodeBook, path: str) -> None:
+    """Write the book file to `path`.
+
+    The text is built before the file is opened, so a book the writer
+    refuses leaves a file already at `path` as it was.
+    """
+    text = book_to_json(book)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(book_to_json(book))
+        fh.write(text)
 
 
 def load_book(path: str) -> CodeBook:

@@ -124,23 +124,33 @@ class SourceModel:
         """`word_from_text` of each text, in C-level passes.
 
         With single-character ASCII labels, all texts are read in one
-        `bytes.translate` over their join (see `texts_from_words`): any
-        character that is no label becomes the separator, so a bad text
-        splits into too many words and sends every text to
-        `word_from_text` instead, as other labels are.
+        `bytes.translate` over their join (`_symbol_bytes`); a bad text
+        sends every text to `word_from_text` instead, as other labels are.
+        """
+        keys = self._symbol_bytes(texts)
+        if keys is None:
+            return list(map(self.word_from_text, texts))
+        return list(map(tuple, keys))
+
+    def _symbol_bytes(self, texts: list[str]) -> list[bytes] | None:
+        """Each text's symbols as one `bytes`, from one `bytes.translate`
+        over the texts joined around the separator (see
+        `texts_from_words`), or None where that does not apply.
+
+        Needs single-character ASCII labels.  Any character that is no
+        label becomes byte 0, the split point, so a bad text splits into
+        too many parts and the answer is None.
         """
         tables = self._byte_tables
-        if tables is not None:
-            sep, _, to_symbols = tables
-            try:
-                joined = sep.join(texts).encode("ascii")
-            except (TypeError, UnicodeEncodeError):
-                pass
-            else:
-                words = joined.translate(to_symbols).split(b"\0")
-                if len(words) == len(texts):
-                    return list(map(tuple, words))
-        return list(map(self.word_from_text, texts))
+        if tables is None:
+            return None
+        sep, _, to_symbols = tables
+        try:
+            joined = sep.join(texts).encode("ascii")
+        except (TypeError, UnicodeEncodeError):
+            return None
+        keys = joined.translate(to_symbols).split(b"\0")
+        return keys if len(keys) == len(texts) else None
 
     def word_to_text(self, word: Word) -> str:
         """The labels of the word's symbols, joined.  A symbol that is not

@@ -4,10 +4,12 @@ property tests, and a reference node classifier for the lattice walks.
 
 `book_from_entries` is the one way the tests build a book from rows they
 write by hand, and `entries_of` the one way they read a book's rows to edit
-them: a book holds only its three columns."""
+them: a book holds only its three columns.  `reference_read_book` reads a
+book file row by row, the reference for the loader's column passes."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from typing import Iterable
@@ -15,6 +17,7 @@ from typing import Iterable
 import pytest
 
 from wordcodes.codebook import CodeBook, CodeEntry, validate_codebook
+from wordcodes.errors import InputError
 from wordcodes.source_model import (
     SourceModel,
     Word,
@@ -110,6 +113,30 @@ def entries_of(book: CodeBook) -> list[CodeEntry]:
     `book_from_entries`, for the tests that edit rows."""
     return list(
         map(CodeEntry, book.words, book.codewords, book.probabilities)
+    )
+
+
+def reference_read_book(text: str) -> CodeBook:
+    """The book a book file holds, its rows read one at a time: each word
+    by `word_from_text`, each probability by `word_probability`.  Not
+    validated; a row whose fields are not strings raises the loader's
+    InputError."""
+    data = json.loads(text)
+    model = make_model(data["probs"], data["arity"], labels=data["alphabet"])
+    words, codewords = [], []
+    for row in data["words"]:
+        symbols, codeword = row["symbols"], row["codeword"]
+        if not (isinstance(symbols, str) and isinstance(codeword, str)):
+            raise InputError(f"malformed code book file: row {row!r}")
+        words.append(model.word_from_text(symbols))
+        codewords.append(codeword)
+    return CodeBook(
+        model=model,
+        kind=data["kind"],
+        words=words,
+        codewords=codewords,
+        probabilities=[word_probability(model, w) for w in words],
+        provenance=dict(data.get("provenance", {})),
     )
 
 

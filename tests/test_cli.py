@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -114,6 +115,23 @@ def test_save_and_load_round_trip(tmp_path, vf3_book):
     save_book(vf3_book, str(path))
     loaded = load_book(str(path))
     assert book_to_json(loaded) == book_to_json(vf3_book)
+
+
+def test_a_failed_save_leaves_the_old_file_alone(tmp_path, vf3_book):
+    """The writer runs before the file is opened: a book it refuses, for a
+    symbol outside 1..m or a provenance JSON cannot encode, leaves the
+    file saved before it byte for byte."""
+    path = tmp_path / "book.json"
+    save_book(vf3_book, str(path))
+    saved = path.read_bytes()
+    outside = dataclasses.replace(
+        vf3_book, words=((0, *vf3_book.words[0][1:]), *vf3_book.words[1:])
+    )
+    unencodable = dataclasses.replace(vf3_book, provenance={"x": {1, 2}})
+    for book, error in ((outside, InputError), (unencodable, TypeError)):
+        with pytest.raises(error):
+            save_book(book, str(path))
+        assert path.read_bytes() == saved
 
 
 def test_cli_construct_vv_explicit_sets(tmp_path, capsys):

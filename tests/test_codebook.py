@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import book_from_entries, entries_of
+from conftest import book_from_entries, entries_of, reference_read_book
 from wordcodes.analysis import code_metrics, metrics_from_classes
 from wordcodes.codebook import (
     CodeBook,
@@ -179,6 +179,121 @@ def test_book_writer_matches_json_dumps_without_entries(binary_model):
     for provenance in ({}, {"mode": "x", "cap_history": [[4, 0.5]]}):
         book = book_from_entries(binary_model, "vv", (), provenance)
         assert book_to_json(book) == reference_book_json(book)
+
+
+def test_book_writer_refuses_columns_of_different_lengths(binary_model):
+    """The writer zips the columns, so it checks their lengths first: a
+    book of 3 words and 16 codewords is refused with validation's own
+    message, not written as a 3-row file.  A book of one row and one of
+    none are written as `json.dumps` writes them."""
+    book = construct_vf(binary_model, 5).book
+    short = CodeBook(
+        book.model,
+        book.kind,
+        book.words[:3],
+        book.codewords[:16],
+        book.probabilities[:16],
+        book.provenance,
+    )
+    for check in (book_to_json, validate_codebook):
+        with pytest.raises(ValidationError) as caught:
+            check(short)
+        assert str(caught.value) == (
+            "a code book's columns differ in length: 3 words, 16 codewords, "
+            "16 probabilities"
+        )
+    for column in ("words", "codewords", "probabilities"):
+        cut = dataclasses.replace(book, **{column: getattr(book, column)[:1]})
+        with pytest.raises(ValidationError, match="columns differ in length"):
+            book_to_json(cut)
+    one = book_from_entries(
+        binary_model,
+        "vv",
+        (CodeEntry(word=(1, 2), codeword="0", probability=0.24),),
+        {"mode": "one row"},
+    )
+    for written in (one, book_from_entries(binary_model, "vv", ())):
+        assert book_to_json(written) == reference_book_json(written)
+
+
+def reference_load_book(text: str) -> CodeBook:
+    """The loader's per-row reference: the rows read one at a time
+    (`reference_read_book`), then `validate_codebook`."""
+    book = reference_read_book(text)
+    validate_codebook(book)
+    return book
+
+
+def _loaded(load, text: str):
+    """The book `load` reads from `text`, or its error's type and text."""
+    try:
+        return load(text)
+    except (InputError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _foreign(model, candidates: str) -> str:
+    """The first of `candidates` that is no label of `model`."""
+    return next(c for c in candidates if c not in model.labels)
+
+
+# each edits the rows of a book file: (rows, rng, model) -> None
+ROW_EDITS = {
+    "duplicated row": lambda rows, rng, model: rows.insert(
+        rng.randrange(len(rows) + 1), dict(rng.choice(rows))
+    ),
+    "word extends another": lambda rows, rng, model: rows[0].update(
+        symbols=rows[-1]["symbols"] + model.labels[0]
+    ),
+    "foreign label in the last row": lambda rows, rng, model: rows[-1].update(
+        symbols=rows[-1]["symbols"] + _foreign(model, "zyx")
+    ),
+    "empty symbols": lambda rows, rng, model: rng.choice(rows).update(
+        symbols=""
+    ),
+    "separator in symbols": lambda rows, rng, model: rng.choice(rows).update(
+        symbols=model.labels[0]
+        + (model._byte_tables or ("\x00",))[0]
+        + model.labels[-1]
+    ),
+    "non-ASCII symbol": lambda rows, rng, model: rng.choice(rows).update(
+        symbols=model.labels[0] + _foreign(model, "\u00fc\u0436\u00e9")
+    ),
+    "non-string codeword": lambda rows, rng, model: rng.choice(rows).update(
+        codeword=7
+    ),
+}
+
+
+def test_the_loaders_byte_path_matches_the_per_row_reference(
+    make_random_book,
+):
+    """The loader splits the word texts into `bytes` once and validates
+    those same `bytes`; on every test book and two codec-size VF books it
+    loads what a one-row-at-a-time reader validated by `validate_codebook`
+    loads, and on hand-edited files it raises the same error, type and
+    message."""
+    big = [
+        construct_vf(make_model(["0.4", "0.6"], 2), 12).book,
+        construct_vf(make_model(["0.2", "0.3", "0.5"], 2), 12).book,
+    ]
+    for book in big:
+        texts = list(map(book.model.word_to_text, book.words))
+        assert book.model._symbol_bytes(texts) is not None
+    rng = random.Random(1207)
+    for book in _books(make_random_book) + big:
+        text = book_to_json(book)
+        loaded = book_from_json(text)
+        assert loaded == reference_load_book(text) == book
+        payload = json.loads(text)
+        for name, edit in ROW_EDITS.items():
+            bad = json.loads(text)
+            edit(bad["words"], rng, book.model)
+            assert bad != payload, name
+            bad_text = json.dumps(bad, indent=2)
+            got = _loaded(book_from_json, bad_text)
+            assert isinstance(got, tuple), name
+            assert got == _loaded(reference_load_book, bad_text), name
 
 
 def test_only_the_loader_skips_the_model_probability_check(binary_model):

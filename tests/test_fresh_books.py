@@ -22,7 +22,7 @@ from operator import gt, sub
 
 import pytest
 
-from conftest import book_from_entries, entries_of
+from conftest import book_from_entries, entries_of, reference_read_book
 from wordcodes import cli, vf_construct
 from wordcodes.analysis import code_metrics
 from wordcodes.codebook import (
@@ -33,7 +33,13 @@ from wordcodes.codebook import (
     format_digits,
     validate_codebook,
 )
-from wordcodes.errors import ResourceError, ValidationError, WordCodesError
+from wordcodes.errors import (
+    InputError,
+    ResourceError,
+    ValidationError,
+    WordCodesError,
+)
+from wordcodes.serialization import book_from_json, book_to_json
 from wordcodes.source_model import (
     DIGIT_GLYPHS,
     make_model,
@@ -288,9 +294,9 @@ def reference_validate(book: CodeBook, against_model: bool) -> None:
         )
 
 
-def _outcome(check, book, against_model):
+def _outcome(check, *args):
     try:
-        check(book, against_model)
+        check(*args)
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return type(exc).__name__, str(exc)
     return None
@@ -372,10 +378,14 @@ def test_validation_rejects_faulty_books_as_the_tuple_checks_do():
     """Seeded faulty books at m = 2, 3 and 300, of each kind: the
     bytes-key passes and the tuple-and-slice reference give the same
     outcome, error type and message included, with and without the model
-    check."""
+    check.  Each faulty book the writer accepts is also written and
+    loaded: the loader, which validates the `bytes` it split from the
+    file, gives the reference's outcome on the rows read back one at a
+    time."""
     rng = random.Random(2718)
     rejected = set()
     reasons = set()
+    reloaded = set()
     for m, book in _books_for_validation():
         assert _outcome(_validate, book, True) is None
         for fault in FAULTS:
@@ -389,6 +399,18 @@ def test_validation_rejects_faulty_books_as_the_tuple_checks_do():
                     if got is not None:
                         rejected.add((m, fault))
                         reasons.add(got[1].split(", got")[0])
+                # the same book through a file, where the writer keeps the
+                # fault: the loader's split `bytes` against the reference
+                try:
+                    text = book_to_json(bad)
+                except InputError:
+                    continue
+                got = _outcome(book_from_json, text)
+                assert got == _outcome(
+                    reference_validate, reference_read_book(text), False
+                ), (m, fault)
+                if got is not None:
+                    reloaded.add((m, fault))
     # True reads as symbol 1, and 255 or 256 are in range for m = 300, so
     # those books may pass; a longer codeword or word breaks only a vf or
     # block book; every other fault is caught at every m
@@ -402,6 +424,12 @@ def test_validation_rejects_faulty_books_as_the_tuple_checks_do():
         "block books need uniform codeword length",
         "block books need uniform word length",
     } <= reasons
+    # a symbol outside 1..m stops the writer; the other faults reach the
+    # file and are refused by the loader
+    for m in (2, 3, 300):
+        for fault in ("duplicate", "extension", "codeword extension", "empty"):
+            assert (m, fault) in reloaded
+    assert (3, "word length") in reloaded and (300, "256") in reloaded
 
 
 def test_validate_codebook_keeps_the_model_check():
