@@ -237,7 +237,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
         else:
             digits.append(line)
     symbols = decode_message(book, "".join(digits), pad_count=pad_count or 0)
-    _write_text(args.out, book.model.word_to_text(tuple(symbols)) + "\n")
+    # one translate for single-character ASCII labels, else label by label
+    texts = book.model.texts_from_words([symbols])
+    text = texts[0] if texts is not None else book.model.word_to_text(tuple(symbols))
+    _write_text(args.out, text + "\n")
     return EXIT_OK
 
 

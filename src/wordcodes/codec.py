@@ -22,6 +22,14 @@ steps than the build.  The per-symbol loop still reads an open
 word, the tail shorter than K, and every chunk the table has no entry for,
 so bad symbols, dead branches and errors behave exactly as without tables.
 
+A decoder table entry also holds the symbols of the words it completes,
+as one `bytes` (for alphabets of at most 255 symbols).  `decode_message`
+chains those pieces, and the few words the digit loop finishes, into its
+symbol list, so a trie-decoded stream never builds its list of words.
+One table walk and one digit loop (`_trie_decode`) serve `decode_words`,
+the experiment's tolerant decoder and `decode_message`.  Uniform-length
+codes decode chunk by chunk into words, one per codeword, as before.
+
 Each book carries one parse state (`CodeBook._parse`), in two halves
 built on first use and then kept: `_WordParse` for encoding (the word
 trie, after its prefix and completeness checks, the pad symbol, K and the
@@ -76,16 +84,17 @@ def _chunk_width(alphabet: int, rows: int) -> int:
     return width
 
 
-def _build_table(root: dict, keys: list[tuple], width: int) -> dict:
+def _build_table(root: dict, keys: list[tuple], width: int, pieces=False) -> dict:
     """Chunk table over a trie: one entry per `width`-key chunk that parses.
 
     `keys` pairs each trie key with its one-key chunk (a 1-byte `bytes` or
     a 1-character `str`); chunks are their concatenations.  A chunk that
     meets a dead branch has no entry.  An entry is (the tuple of values
     completed inside the chunk, keys read up to the end of the last of
-    them, the longest of them in keys, the node the chunk ends at).  When
-    none completes, the count is 0 and the walk goes on from that node.
-    Built level by level, each chunk prefix is one trie step.
+    them, the longest of them in keys, the node the chunk ends at, and
+    with `pieces` the symbols of those values (words) as one `bytes`, else
+    None).  When none completes, the count is 0 and the walk goes on from
+    that node.  Built level by level, each chunk prefix is one trie step.
     """
     # (chunk, node, done, used, longest), from the empty chunk of the
     # chunks' type
@@ -104,19 +113,23 @@ def _build_table(root: dict, keys: list[tuple], width: int) -> dict:
                     grown.append((chunk + piece, root, (*done, child), depth, span))
         level = grown
     return {
-        chunk: (done, used, longest, node)
+        chunk: (done, used, longest, node, bytes(chain(*done)) if pieces else None)
         for chunk, node, done, used, longest in level
     }
 
 
-def _table_walk(table: dict, width: int, data, longest: int) -> tuple[list, int, int]:
+def _table_walk(
+    table: dict, width: int, data, longest: int, joined: bool = False
+) -> tuple[list, int, int]:
     """Parse whole words of `data` from the trie root, a chunk at a time.
 
     Returns the completed values, the number of keys they span and the
-    longest word seen (`longest` or more).  A word longer than a chunk is
-    finished key by key from the node its chunk ends at.  The walk stops
-    at the start of the word where a chunk has no entry, the data ends or
-    a key is no trie key, so the caller's per-key loop reads the rest.
+    longest word seen (`longest` or more).  With `joined`, each entry that
+    completes values gives its one piece instead of its values.  A
+    word longer than a chunk is finished key by key from the node its
+    chunk ends at, and is given as its value.  The walk stops at the start
+    of the word where a chunk has no entry, the data ends or a key is no
+    trie key, so the caller's per-key loop reads the rest.
     """
     get = table.get
     out: list = []
@@ -128,9 +141,12 @@ def _table_walk(table: dict, width: int, data, longest: int) -> tuple[list, int,
         entry = get(data[pos : pos + width])
         if entry is None:
             break
-        done, used, span, node = entry
+        done, used, span, node, piece = entry
         if used:
-            extend(done)
+            if joined:
+                append(piece)
+            else:
+                extend(done)
         else:
             end = pos + width
             try:
@@ -189,10 +205,13 @@ class _CodewordParse:
     `root` is then the codeword -> word dict, or else the codeword trie,
     its leaves the words.  `glyphs` are the n digits, `width` the chunk
     width K over them and `table` the trie's chunk table, None until a
-    stream of at least n^K digits needs it.
+    stream of at least n^K digits needs it.  `pieces` is True for a trie
+    over at most 255 symbols: each table entry then also holds the
+    symbols of the words it completes as one `bytes`, so `decode_message`
+    chains those pieces into symbols and builds no list of words.
     """
 
-    __slots__ = ("uniform", "root", "glyphs", "width", "table")
+    __slots__ = ("uniform", "root", "glyphs", "width", "table", "pieces")
 
     def __init__(self, book: CodeBook) -> None:
         lengths = set(map(len, book.codewords))
@@ -206,6 +225,7 @@ class _CodewordParse:
         self.glyphs = DIGIT_GLYPHS[: book.model.arity]
         self.width = _chunk_width(len(self.glyphs), len(book.words))
         self.table: dict | None = None
+        self.pieces = self.uniform is None and book.model.m <= 255
 
 
 _Half = TypeVar("_Half", _WordParse, _CodewordParse)
@@ -364,52 +384,92 @@ def encode_message(
     return Encoder(book).encode(symbols, pad)
 
 
+def _uniform_decode(parse: _CodewordParse, digits: str) -> list[Word | None]:
+    """The words of fixed-size chunks of `digits`; each bad chunk (a short
+    last one too) is one None."""
+    root, size = parse.root, parse.uniform
+    return [root.get(digits[i : i + size]) for i in range(0, len(digits), size)]
+
+
+def _trie_decode(parse: _CodewordParse, digits: str, joined=False) -> tuple:
+    """Decode `digits` through the codeword trie: one table walk, then the
+    digit loop.  Returns (out, stuck).
+
+    A `str` of at least n^K digits is read K digits per table lookup first
+    (see the module docstring); the table is built on the book's first
+    such stream and kept.  The digit loop reads the rest, from the first
+    codeword the table has no entry for, so bad digits and tails decode as
+    they do digit by digit.  `out` holds the decoded words; with `joined`
+    (which needs `parse.pieces`) each table entry that completes words
+    gives its symbol piece in their place, so chained `out` gives the same
+    symbols either way.  `stuck` is None when the stream ends on a
+    codeword boundary.  At a dead branch or a dangling tail it is (the
+    digits the table walk read, the index in `out` of the digit loop's
+    first word), which places the codeword that failed.
+    """
+    root = parse.root
+    out: list = []
+    used = 0
+    if isinstance(digits, str) and len(digits) >= len(parse.glyphs) ** parse.width:
+        if parse.table is None:
+            keys = [(c, c) for c in parse.glyphs]
+            parse.table = _build_table(root, keys, parse.width, parse.pieces)
+        out, used, _ = _table_walk(parse.table, parse.width, digits, 0, joined)
+        digits = digits[used:]
+    first = len(out)
+    append = out.append
+    node = root
+    for ch in digits:
+        nxt = node.get(ch)
+        if nxt is None:
+            return out, (used, first)
+        if isinstance(nxt, tuple):
+            append(nxt)
+            node = root
+        else:
+            node = nxt
+    return out, (None if node is root else (used, first))
+
+
 def _decoder(book: CodeBook) -> Callable[[str], list[Word | None]]:
     """A decoder over the book's `_CodewordParse` that maps bad units to None.
 
     For uniform-length codes each bad chunk (a short last one too) is one
     None.  For general codes a dead branch or dangling tail turns the rest
     of the stream into a single None, as a real decoder loses sync.
-
-    A general decoder reads a `str` of at least n^K digits K digits per
-    table lookup first (see the module docstring); the table is built on
-    the book's first such stream and kept.  The digit loop reads the rest,
-    from the first codeword the table has no entry for, so bad digits and
-    tails decode as they do digit by digit.
     """
     parse = _parse_state(book, _CodewordParse)
-    uniform, root = parse.uniform, parse.root
-    if uniform is not None:
-        return lambda digits: [
-            root.get(digits[i : i + uniform]) for i in range(0, len(digits), uniform)
-        ]
-
-    glyphs, width = parse.glyphs, parse.width
+    if parse.uniform is not None:
+        return lambda digits: _uniform_decode(parse, digits)
 
     def decode_trie(digits: str) -> list[Word | None]:
-        out: list[Word | None] = []
-        if isinstance(digits, str) and len(digits) >= len(glyphs) ** width:
-            if parse.table is None:
-                keys = [(c, c) for c in glyphs]
-                parse.table = _build_table(root, keys, width)
-            out, used, _ = _table_walk(parse.table, width, digits, 0)
-            digits = digits[used:]
-        node = root
-        for ch in digits:
-            nxt = node.get(ch)
-            if nxt is None:
-                out.append(None)
-                return out
-            if isinstance(nxt, tuple):
-                out.append(nxt)
-                node = root
-            else:
-                node = nxt
-        if node is not root:
+        out, stuck = _trie_decode(parse, digits)
+        if stuck is not None:
             out.append(None)
         return out
 
     return decode_trie
+
+
+def _decode_error(book: CodeBook, digits: str, pos: int) -> DecodeError:
+    """The error for an undecodable codeword that starts at digit `pos`."""
+    width = max(map(len, book.codewords))
+    return DecodeError(
+        f"no codeword matches the digits at position {pos}: "
+        f"{digits[pos : pos + width]!r}"
+    )
+
+
+def _strict_trie_decode(
+    book: CodeBook, parse: _CodewordParse, digits: str, joined: bool
+) -> list:
+    """`_trie_decode`'s `out`, or its failed codeword's DecodeError."""
+    out, stuck = _trie_decode(parse, digits, joined)
+    if stuck is None:
+        return out
+    used, first = stuck
+    lengths = dict(zip(book.words, map(len, book.codewords)))
+    raise _decode_error(book, digits, used + sum(lengths[w] for w in out[first:]))
 
 
 def decode_words(book: CodeBook, digits: str) -> list[Word]:
@@ -419,27 +479,33 @@ def decode_words(book: CodeBook, digits: str) -> list[Word]:
     undecodable codeword starts, on an impossible digit or when the stream
     ends in the middle of a codeword.
     """
-    words = _decoder(book)(digits)
-    # None marks a bad codeword: the trie decoder stops at its first, so
-    # only the uniform-length decoder can yield one before the last entry
-    uniform = _parse_state(book, _CodewordParse).uniform is not None
-    if (None in words) if uniform else (words and words[-1] is None):
-        lengths = dict(zip(book.words, map(len, book.codewords)))
-        bad = words.index(None)
-        pos = sum(lengths[w] for w in words[:bad])
-        width = max(lengths.values())
-        raise DecodeError(
-            f"no codeword matches the digits at position {pos}: "
-            f"{digits[pos : pos + width]!r}"
-        )
+    parse = _parse_state(book, _CodewordParse)
+    if parse.uniform is None:
+        return _strict_trie_decode(book, parse, digits, False)
+    words = _uniform_decode(parse, digits)
+    if None in words:
+        raise _decode_error(book, digits, words.index(None) * parse.uniform)
     return words
 
 
 def decode_message(book: CodeBook, digits: str, pad_count: int = 0) -> list[int]:
-    """Decode digits to symbols, trimming `pad_count` padding symbols."""
+    """Decode digits to symbols, trimming `pad_count` padding symbols.
+
+    Where the book's decoder table carries symbol pieces (a codeword trie
+    over at most 255 symbols), a long stream builds no list of words: the
+    table walk gives one `bytes` of symbols per chunk, and one `chain` over
+    those pieces and the few words read digit by digit makes the symbol
+    list.  Other books flatten `decode_words`.  Errors are those of
+    `decode_words`.
+    """
     if pad_count < 0:
         raise InputError(f"pad count must be >= 0, got {pad_count}")
-    symbols = list(chain.from_iterable(decode_words(book, digits)))
+    parse = _parse_state(book, _CodewordParse)
+    if parse.pieces:
+        pieces = _strict_trie_decode(book, parse, digits, True)
+    else:
+        pieces = decode_words(book, digits)
+    symbols = list(chain.from_iterable(pieces))
     if pad_count:
         if pad_count > len(symbols):
             raise DecodeError(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 
 import wordcodes
 from wordcodes.cli import main
+from wordcodes.codec import PAD_TRAILER, decode_message
 from wordcodes.codebook import CodeBook
 from wordcodes.errors import InputError, ValidationError
 from wordcodes.serialization import (
@@ -202,6 +204,44 @@ def test_cli_encode_decode_round_trip(tmp_path, capsys):
     assert main(["decode", "--book", str(book_path), "--in", str(digits),
                  "--out", str(decoded)]) == 0
     assert decoded.read_text(encoding="utf-8") == "abbab\n"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, labels, weights",
+    [
+        (["--probs", "0.2,0.8", "--T", "8"], "ab", (0.2, 0.8)),
+        (["--probs", "0.2,0.8", "--labels", "αβ", "--T", "8"], "αβ", (0.2, 0.8)),
+        (["--probs", "0.2,0.3,0.5", "--arity", "3", "--T", "5"], "abc",
+         (0.2, 0.3, 0.5)),
+    ],
+)
+def test_cli_decode_writes_the_text_the_per_symbol_labels_give(
+    tmp_path, capsys, args, labels, weights
+):
+    book_path = tmp_path / "vv.json"
+    assert main(["construct-vv", *args, "--out", str(book_path)]) == 0
+    text = "".join(random.Random(21).choices(labels, weights, k=30_000))
+    message = tmp_path / "message.txt"
+    message.write_text(
+        "\n".join(text[i : i + 80] for i in range(0, len(text), 80)) + "\n",
+        encoding="utf-8",
+    )
+    digits = tmp_path / "digits.txt"
+    decoded = tmp_path / "decoded.txt"
+    assert main(["encode", "--book", str(book_path), "--in", str(message),
+                 "--out", str(digits)]) == 0
+    assert main(["decode", "--book", str(book_path), "--in", str(digits),
+                 "--out", str(decoded)]) == 0
+    # the per-symbol path: each decoded symbol's label, one at a time
+    book = load_book(str(book_path))
+    lines = digits.read_text(encoding="utf-8").splitlines()
+    pads = [int(x[len(PAD_TRAILER) :]) for x in lines if x.startswith(PAD_TRAILER)]
+    body = "".join(x for x in lines if not x.startswith(PAD_TRAILER))
+    symbols = decode_message(book, body, sum(pads))
+    want = "".join(book.model.word_to_text((s,)) for s in symbols) + "\n"
+    assert decoded.read_text(encoding="utf-8") == want == text + "\n"
+    assert (book.model.texts_from_words([symbols]) is None) == (labels == "αβ")
     capsys.readouterr()
 
 

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import sys
+import tracemalloc
+from itertools import accumulate, chain
 
 import pytest
 
@@ -826,3 +829,105 @@ def test_codec_use_leaves_equality_hash_repr_and_json_alone(
         assert book._parse and untouched._parse == {}
         assert (hash(book), repr(book), book_to_json(book)) == before
         assert book == untouched and untouched == book
+
+
+# -- symbol pieces ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def piece_books(codec_workload_books):
+    """Books for the piece differential: binary VV at T=8 (Huffman, and
+    canonical with dead branches) and T=10, a three-symbol base-3 VV, a
+    uniform VF book and a 300-symbol book, whose trie stays on words."""
+    p28 = make_model(["0.2", "0.8"], 2)
+    m300 = make_model(["1/300"] * 300, 2, labels=[chr(0x100 + i) for i in range(300)])
+    items = [((i,), word_probability(m300, (i,)), 0) for i in range(1, 301)]
+    return {
+        "vv-t8": construct_vv(p28, T=8).book,
+        "vv-t8-canonical": construct_vv(p28, T=8, assignment="canonical").book,
+        "vv-t10": codec_workload_books[0],
+        "vv-m3-n3": construct_vv(make_model(["0.2", "0.3", "0.5"], 3), T=5).book,
+        "vf": construct_vf(make_model(["0.4", "0.6"], 2), 8).book,
+        "m300": book_from_entries(
+            m300, "vv", assign_codewords(m300, items, "huffman")
+        ),
+    }
+
+
+def _flat_words(book, digits, pads):
+    """`decode_message` through the word list: `decode_words`, flattened,
+    less `pads` symbols."""
+    symbols = list(chain.from_iterable(decode_words(book, digits)))
+    assert pads <= len(symbols)
+    return symbols[: len(symbols) - pads]
+
+
+def _decoded(call, *args):
+    try:
+        return call(*args)
+    except DecodeError as exc:
+        return str(exc)
+
+
+def test_decode_message_chains_pieces_into_the_flattened_words(piece_books):
+    rng = random.Random(17)
+    for name, book in piece_books.items():
+        glyphs = DIGIT_GLYPHS[: book.model.arity]
+        size = _decode_threshold(book)
+        digits = ""
+        while len(digits) < 3 * size + 40:
+            digits += encode_message(book, sample_symbols(book.model, rng, 2000))[0]
+        # clean streams cut at codeword ends on both sides of n^K digits
+        lengths = dict(zip(book.words, map(len, book.codewords)))
+        ends = list(accumulate(map(lengths.get, decode_words(book, digits))))
+        below = max(e for e in ends if e < size)
+        above = min(e for e in ends if e > size)
+        clean = [digits[:below], digits[:above], digits]
+        for stream in clean:
+            for pads in range(4):
+                want = _flat_words(book, stream, pads)
+                assert decode_message(book, stream, pads) == want, (name, pads)
+        parse = book._parse[codec._CodewordParse]
+        if parse.uniform is None:
+            pieces = {type(entry[4]) for entry in parse.table.values()}
+            assert pieces == ({bytes} if book.model.m <= 255 else {type(None)})
+        bad = [digits[: len(digits) - k] for k in range(1, 6)]
+        for _ in range(6):
+            at = rng.randrange(len(digits))
+            flipped = rng.choice([c for c in glyphs if c != digits[at]])
+            bad.append(digits[:at] + flipped + digits[at + 1 :])
+            bad.append(digits[:at] + rng.choice("x9A ") + digits[at + 1 :])
+        raised = 0
+        for stream in bad:
+            for pads in range(4):
+                got = _decoded(decode_message, book, stream, pads)
+                assert got == _decoded(_flat_words, book, stream, pads), name
+                raised += type(got) is str
+        # every foreign digit raises, on both paths
+        assert raised >= 6 * 4, name
+
+
+def test_decode_message_peak_holds_no_list_of_words(codec_workload_books):
+    """The `tracemalloc` peak of a long trie decode: the symbol list, the
+    piece list and a 64 KiB margin for the chunk slices and the tail.  A
+    list of the stream's 49 560 words (about 450 KB) does not fit in it."""
+    vv = codec_workload_books[0]
+    message = sample_symbols(vv.model, random.Random(18), 200_000)
+    digits, pads = encode_message(vv, message)
+    # the first long decode builds the book's table, which then stays
+    assert decode_message(vv, digits, pads) == message
+    parse = codec._parse_state(vv, codec._CodewordParse)
+    pieces, stuck = codec._trie_decode(parse, digits, joined=True)
+    assert stuck is None
+    words = decode_words(vv, digits)
+    tracemalloc.start()
+    try:
+        symbols = decode_message(vv, digits, pads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert symbols == message
+    bound = sys.getsizeof(symbols) + sys.getsizeof(pieces) + 64 * 1024
+    assert peak < bound, (peak, bound)
+    assert sys.getsizeof(symbols) + sys.getsizeof(words) > bound
+    assert len(words) == 49_560 and len(pieces) < len(words) // 3
