@@ -8,7 +8,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, product, repeat
-from operator import eq, getitem, gt, sub
+from operator import eq, getitem, le, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
@@ -75,6 +75,20 @@ def fixed_codewords(arity: int, width: int) -> Iterator[str]:
     return map("".join, product(DIGIT_GLYPHS[:arity], repeat=width))
 
 
+def share_equal(values: list) -> list:
+    """`values`, a list of hashable items, with each item replaced by the
+    first item equal to it, in one C-level pass: one object per value.
+
+    The library passes only the probability columns it computes.  Rows of
+    one profile share a probability up to rounding, so a book holds few
+    distinct values; its floats are positive, or 0.0 on underflow, so
+    equal ones also have one `repr` (-0.0 beside 0.0, or 1 beside 1.0,
+    would not).
+    """
+    shared: dict = {}
+    return list(map(shared.setdefault, values, values))
+
+
 @dataclass(frozen=True, slots=True)
 class CodeEntry:
     word: Word
@@ -111,9 +125,11 @@ class CodeBook:
     fixed codeword length), or "block" (fixed word, fixed codeword).
     The map is held as three parallel columns, stored as tuples: row i
     maps `words[i]` to `codewords[i]`, and `probabilities[i]` is that
-    word's probability.  `provenance` records how the book was
-    constructed; everything in it must be JSON-serializable and
-    deterministic.
+    word's probability.  The columns are stored as given; books that the
+    library builds or loads hold one float object per distinct probability
+    value (`share_equal`), since rows of one profile share a value.
+    `provenance` records how the book was constructed; everything in it
+    must be JSON-serializable and deterministic.
 
     `_parse` is the codec's parse state for this book (its tries and chunk
     tables, see `codec`), filled on first use.  It is derived from the
@@ -235,6 +251,9 @@ def validate_codebook(book: CodeBook) -> None:
     most 1, both sums in exact arithmetic.  Fresh VF and VV books store
     the probabilities their enumerator carried, so the model check here
     is the one check of those products that does not come from the walk.
+    A stored probability is consistent when it lies within
+    PROB_CONSISTENCY_TOL of the model's; NaN lies within no distance, so
+    a NaN probability is refused as disagreeing with the model.
     """
     _validate(book, against_model=True)
 
@@ -318,7 +337,10 @@ def _entries_pass(
     digits in base n, and (against_model) every stored probability within
     PROB_CONSISTENCY_TOL of the model's.  False means some entry fails
     one, or a field has a type the passes cannot read.  Words with keys
-    are tuples already; only the others take the tuple pass."""
+    are tuples already; only the others take the tuple pass.  Stored
+    floats equal to the model's pass without the tolerance pass; any other
+    column, such as one holding a `Decimal` that equals its float but
+    cannot be subtracted from it, takes that pass."""
     model = book.model
     try:
         ok = (
@@ -331,11 +353,14 @@ def _entries_pass(
             .translate(None, DIGIT_GLYPHS[: model.arity].encode("ascii"))
         )
         if ok and against_model:
-            drift = map(
-                abs,
-                map(sub, word_probabilities(model, words), book.probabilities),
-            )
-            ok = not any(map(gt, drift, repeat(PROB_CONSISTENCY_TOL)))
+            expect = word_probabilities(model, words)
+            stored = book.probabilities
+            if not (
+                tuple(expect) == stored
+                and all(map(isinstance, stored, repeat(float)))
+            ):
+                drift = map(abs, map(sub, expect, stored))
+                ok = all(map(le, drift, repeat(PROB_CONSISTENCY_TOL)))
     except TypeError:
         return False
     return ok
@@ -374,7 +399,7 @@ def _check_each_entry(book: CodeBook, against_model: bool) -> None:
                 "is not a number"
             )
         expect = word_probability(book.model, word)
-        if abs(expect - probability) > PROB_CONSISTENCY_TOL:
+        if not abs(expect - probability) <= PROB_CONSISTENCY_TOL:
             raise ValidationError(
                 f"stored probability {probability!r} for word {word!r} "
                 f"disagrees with the model ({expect!r})"

@@ -14,7 +14,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .codebook import CodeBook, _assert_columns_match, _validate
+from .codebook import CodeBook, _assert_columns_match, _validate, share_equal
 # Unused here, but perfbench's tracer wraps validate_codebook in every module
 # that imports it, and its self-tests expect to find it in this one.
 from .codebook import validate_codebook  # noqa: F401
@@ -74,9 +74,12 @@ def book_from_json(text: str) -> CodeBook:
     A file that does not parse, or whose fields have the wrong type, is
     an InputError; a book that breaks the book contract is a
     ValidationError.  Every probability is computed from the model, so
-    validation skips the model check.  Where the rows were read as
-    `bytes` (`_read_rows`), validation sorts those same `bytes` for its
-    range and prefix passes instead of rebuilding them from the words.
+    validation skips the model check, and equal probabilities share one
+    float object (`share_equal`).  The rows are taken out of the parsed
+    file, so `_read_rows` frees them as soon as it has their columns.
+    Where the rows were read as `bytes` (`_read_rows`), validation sorts
+    those same `bytes` for its range and prefix passes instead of
+    rebuilding them from the words.
     """
     try:
         data = json.loads(text)
@@ -107,13 +110,13 @@ def book_from_json(text: str) -> CodeBook:
                 f"for {len(data['probs'])} probabilities"
             )
         model = make_model(data["probs"], arity, labels=data["alphabet"])
-        words, codewords, keys = _read_rows(model, data["words"])
+        words, codewords, keys = _read_rows(model, data.pop("words"))
         book = CodeBook(
             model=model,
             kind=data["kind"],
             words=words,
             codewords=codewords,
-            probabilities=word_probabilities(model, words),
+            probabilities=share_equal(word_probabilities(model, words)),
             provenance=dict(provenance),
         )
     except (KeyError, TypeError) as exc:
@@ -136,16 +139,22 @@ def _read_rows(
     (`SourceModel._symbol_bytes`), and each word is the tuple of its
     `bytes`; other labels, or a text with a character that is no label,
     take `SourceModel.word_from_text` per text, which names a bad label.
-    If a row is not an object with string "symbols" and "codeword", the
-    rows are read again one at a time, which raises for the first bad row.
+    Once every text and codeword is a string, a list of rows is emptied,
+    so its row objects are freed before the words are built, and the
+    texts go once they are split.  If a row is not an object with string
+    "symbols" and "codeword", the rows are read again one at a time,
+    which raises for the first bad row.
     """
     try:
         texts = list(map(itemgetter("symbols"), rows))
         codewords = list(map(itemgetter("codeword"), rows))
         if all(map(isinstance, chain(texts, codewords), repeat(str))):
+            if isinstance(rows, list):  # an empty "" or {} reads as no rows
+                rows.clear()
             keys = model._symbol_bytes(texts)
             if keys is None:
                 return list(map(model.word_from_text, texts)), codewords, None
+            del texts
             return list(map(tuple, keys)), codewords, keys
     except (KeyError, TypeError):
         pass

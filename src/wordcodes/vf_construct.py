@@ -24,6 +24,7 @@ from . import analysis
 from .codebook import (
     CodeBook,
     fixed_codewords,
+    share_equal,
     validate_codebook,
 )
 from .diophantine import (
@@ -119,7 +120,8 @@ def construct_vf(
         items = enumerate_words(model, classify, cap, enum_limit)
         words = list(map(itemgetter(0), items))
         forms = list(map(itemgetter(1), items))
-        probs = list(map(itemgetter(3), items))
+        # one float object per value, for the book and the metrics alike
+        probs = share_equal(list(map(itemgetter(3), items)))
         del items
         if len(words) != table.word_count:
             raise ValidationError(

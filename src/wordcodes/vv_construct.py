@@ -65,6 +65,7 @@ from .codebook import (
     code_entries,
     digit_run,
     kraft_of_counts,
+    share_equal,
     validate_codebook,
 )
 from .diophantine import (
@@ -812,10 +813,12 @@ def _fresh_book(
     walk's lists are gone before validation builds its word keys; the
     metrics are `analysis.metrics_from_classes` over them, one row per
     word, equal to `code_metrics(book)`.  The book's columns are read off
-    the entries `assign_codewords` returns.
+    the entries `assign_codewords` returns, and its probabilities are one
+    float object per value (`share_equal`).
     """
     words, probs, forms, lengths = columns
     columns.clear()
+    probs = share_equal(probs)
     # `code_lengths` lines up with the words, in lexicographic order
     code_lengths: list[int] = []
     entries = assign_codewords(

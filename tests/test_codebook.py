@@ -11,10 +11,14 @@ writes text.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import math
 import random
 import re
+import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from itertools import islice
 from fractions import Fraction
 
@@ -40,6 +44,7 @@ from wordcodes.source_model import (
     linear_form,
     make_model,
     profile_of,
+    word_probabilities,
     word_probability,
 )
 from wordcodes.vf_construct import construct_block, construct_vf
@@ -383,6 +388,133 @@ def test_block_books_reload_equal():
     assert float(Fraction(1, 243)) == 0.00411522633744856
 
 
+# -- shared probability objects --------------------------------------------
+
+
+def _shared_books():
+    """Fresh VF, threshold VV (Huffman and canonical) and explicit VV
+    books, each beside its reloaded copy."""
+    binary = make_model(["0.4", "0.6"], 2)
+    words = [tuple(1 + (i >> k & 1) for k in range(4)) for i in range(16)]
+    fresh = [
+        construct_vf(binary, 12).book,
+        construct_vf(make_model(["0.2", "0.3", "0.5"], 2), 10).book,
+        construct_vv(make_model(["0.2", "0.8"], 2), T=10).book,
+        construct_vv(
+            make_model(["0.2", "0.8"], 2), T=8, assignment="canonical"
+        ).book,
+        construct_vv(binary, first_words=words, second_words=words).book,
+    ]
+    return fresh + [book_from_json(book_to_json(book)) for book in fresh]
+
+
+def test_built_and_loaded_books_hold_one_float_per_value():
+    """Books the library builds or loads hold one float object per
+    distinct probability value, and each value is the model's product for
+    its word, `repr` for `repr`; sharing changes no file byte."""
+    for book in _shared_books():
+        probs = book.probabilities
+        assert len(set(map(id, probs))) == len(set(probs)) < len(probs)
+        assert list(map(repr, probs)) == list(
+            map(repr, word_probabilities(book.model, book.words))
+        )
+        text = book_to_json(book)
+        assert book_from_json(text) == book
+        assert book_to_json(book_from_json(text)) == text
+
+
+def _loader_peak_ratio(text: str) -> float:
+    """The `tracemalloc` peak of `book_from_json(text)` over the size of
+    the book it returns."""
+    book_from_json(text)  # lazy set-up, outside the trace
+    # a full collection empties the tuple and float free lists, which
+    # would otherwise serve part of the book without a traced allocation
+    gc.collect()
+    tracemalloc.start()
+    try:
+        book = book_from_json(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert book.words
+    return peak / retained
+
+
+def test_the_loader_peaks_below_twice_the_book_it_returns():
+    """The loader frees each parsed row once its columns are read, and
+    shares equal probabilities, so its peak stays within twice the book
+    it keeps.  A loader that kept the parsed rows to the end and one float
+    per row would read about 2.3."""
+    for book in (
+        construct_vf(make_model(["0.4", "0.6"], 2), 12).book,
+        construct_vv(make_model(["0.2", "0.8"], 2), T=10).book,
+    ):
+        ratio = _loader_peak_ratio(book_to_json(book))
+        assert ratio <= 2, (book.kind, len(book.words), ratio)
+
+
+def test_books_built_by_hand_keep_their_probability_objects(binary_model):
+    """A book keeps the probability objects it is given, equal or not,
+    and validation names each odd one as it did: 1 and -0.0 disagree with
+    the model, and a list or a `Decimal`, even one equal to its float, is
+    no number."""
+    one, minus_zero, listed = 1, -0.0, [0.4]
+    twins = [float("0.6"), float("0.6")]
+    book = CodeBook(
+        binary_model, "vv", [(1,), (2,)], ["0", "1"], [one, twins[0]]
+    )
+    assert book.probabilities[0] is one and book.probabilities[1] is twins[0]
+    kept = CodeBook(
+        binary_model, "vv", [(1,), (2,)], ["0", "1"], twins
+    ).probabilities
+    assert kept[0] is twins[0] and kept[1] is twins[1]
+    cases = [
+        (one, "stored probability 1 for word (1,) disagrees with the model "
+              "(0.4)"),
+        (minus_zero, "stored probability -0.0 for word (1,) disagrees with "
+                     "the model (0.4)"),
+        (listed, "stored probability [0.4] for word (1,) is not a number"),
+        (Decimal(0.4), "stored probability Decimal('0.40000000000000002220"
+                       "446049250313080847263336181640625') for word (1,) "
+                       "is not a number"),
+    ]
+    for value, message in cases:
+        book = CodeBook(
+            binary_model, "vv", [(1,), (2,)], ["0", "1"], [value, 0.6]
+        )
+        assert book.probabilities[0] is value
+        with pytest.raises(ValidationError) as caught:
+            validate_codebook(book)
+        assert str(caught.value) == message
+    # a Fraction equal to its word's probability passes, as it did
+    half = make_model(["1/2", "1/2"], 2)
+    exact = [Fraction(1, 2)] * 2
+    validate_codebook(CodeBook(half, "block", [(1,), (2,)], ["0", "1"], exact))
+
+
+def test_the_model_check_refuses_nan_and_keeps_its_tolerance(binary_model):
+    """A NaN stored probability disagrees with the model, as an infinite
+    one does; a probability nudged by far less than PROB_CONSISTENCY_TOL
+    still passes."""
+    book = construct_vf(binary_model, 4).book
+    first = book.probabilities[0]
+    for value in (math.nan, math.inf):
+        bad = dataclasses.replace(
+            book, probabilities=(value,) + book.probabilities[1:]
+        )
+        with pytest.raises(ValidationError) as caught:
+            validate_codebook(bad)
+        assert str(caught.value) == (
+            f"stored probability {value!r} for word {book.words[0]!r} "
+            f"disagrees with the model ({first!r})"
+        )
+    nudged = dataclasses.replace(
+        book, probabilities=(first + 1e-12,) + book.probabilities[1:]
+    )
+    assert nudged.probabilities != book.probabilities
+    validate_codebook(nudged)
+
+
 def test_validation_rejects_columns_of_different_lengths(binary_model):
     book = book_from_entries(
         binary_model,
@@ -589,7 +721,7 @@ def reference_entry_fault(book: CodeBook) -> str | None:
                 "is not a number"
             )
         expect = word_probability(model, e.word)
-        if abs(expect - e.probability) > 1e-9:
+        if not abs(expect - e.probability) <= 1e-9:  # NaN is within none
             return (
                 f"stored probability {e.probability!r} for word {e.word!r} "
                 f"disagrees with the model ({expect!r})"
@@ -616,6 +748,10 @@ def _faulty(entry: CodeEntry, fault: str, arity: int) -> CodeEntry:
         return dataclasses.replace(entry, probability=repr(entry.probability))
     if fault == "no probability":
         return dataclasses.replace(entry, probability=None)
+    if fault == "nan probability":
+        return dataclasses.replace(entry, probability=math.nan)
+    if fault == "inf probability":
+        return dataclasses.replace(entry, probability=math.inf)
     return dataclasses.replace(entry, probability=entry.probability + 0.01)
 
 
@@ -623,11 +759,12 @@ def test_validation_names_the_first_faulty_entry(make_random_book):
     """The passes over all entries, and the one-by-one check they fall
     back on, report what a one-by-one reference reports: the first
     faulty entry in entry order, with its first fault.  A field of the
-    wrong type is a fault too, named as a `ValidationError`."""
+    wrong type is a fault too, named as a `ValidationError`, and a NaN
+    probability, within no distance of the model's, disagrees with it."""
     faults = [
         "empty word", "symbol", "empty codeword", "digit", "probability",
         "list word", "int codeword", "tuple codeword", "text probability",
-        "no probability",
+        "no probability", "nan probability", "inf probability",
     ]
     rng = random.Random(404)
     books = [make_random_book(rng, "rounded") for _ in range(6)]
