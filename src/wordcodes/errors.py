@@ -23,3 +23,10 @@ class ResourceError(WordCodesError):
 
 class DecodeError(WordCodesError):
     """A digit stream cannot be decoded against the given code book."""
+
+
+def require_int(name: str, value: object, allowed: str = "an int") -> None:
+    """Raise InputError, naming `name` and what it allows, unless `value`
+    is an int.  A bool is no int here: `True` is no length or count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be {allowed}, got {value!r}")

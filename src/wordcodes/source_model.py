@@ -120,18 +120,6 @@ class SourceModel:
             # the per-symbol path raises InputError naming the bad symbol
             return tuple(map(self.index_of, text))
 
-    def words_from_texts(self, texts: list[str]) -> list[Word]:
-        """`word_from_text` of each text, in C-level passes.
-
-        With single-character ASCII labels, all texts are read in one
-        `bytes.translate` over their join (`_symbol_bytes`); a bad text
-        sends every text to `word_from_text` instead, as other labels are.
-        """
-        keys = self._symbol_bytes(texts)
-        if keys is None:
-            return list(map(self.word_from_text, texts))
-        return list(map(tuple, keys))
-
     def _symbol_bytes(self, texts: list[str]) -> list[bytes] | None:
         """Each text's symbols as one `bytes`, from one `bytes.translate`
         over the texts joined around the separator (see

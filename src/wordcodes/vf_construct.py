@@ -33,7 +33,9 @@ from .diophantine import (
     log_bounds,
     power_fits,
 )
-from .errors import InfeasibleError, InputError, ResourceError, ValidationError
+from .errors import (
+    InfeasibleError, InputError, ResourceError, ValidationError, require_int
+)
 from .source_model import SourceModel, Word, make_model, word_probability
 from .word_sets import (
     DEFAULT_ENUM_LIMIT,
@@ -71,7 +73,8 @@ def construct_vf(
     L >= max(-log_n p_i) the probability window applies and every word
     probability is at least n^-L; below that the construction degrades to
     the plain symbol-by-symbol map, which stays decodable but loses the
-    window guarantee.
+    window guarantee.  L is an int, not a bool; anything else raises
+    InputError.
 
     Rows are sorted by each word's float probability, descending, with
     ties in lexicographic order, and take the length-L strings in
@@ -81,6 +84,7 @@ def construct_vf(
     follows rounding.  The classes stay contiguous.
     """
     n = model.arity
+    require_int("L", L)
     if L < 1:
         raise InputError(f"output length must be >= 1, got {L}")
     if enum_limit < 0:
@@ -216,12 +220,14 @@ def find_block_parameters(
     so fewer than `count` pairs may come back.  When the logarithm is
     rational (m**q == n**p, checked in integers), its exact ratio follows
     at every multiple.  The pairs for `count` are always the first `count`
-    pairs for any larger count.
+    pairs for any larger count.  `count` is an int, not a bool; anything
+    else raises InputError.
     """
     if input_size < 2:
         raise InputError(f"input alphabet needs >= 2 blocks, got {input_size}")
     if arity < 2:
         raise InputError(f"output alphabet needs >= 2 digits, got {arity}")
+    require_int("count", count)
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
     exact = exact_log(input_size, arity)
@@ -281,8 +287,11 @@ def construct_block(
 
     Models the input as uniform over m symbols; every block has probability
     m^-X, so the code is a complete fixed-to-fixed map.  Needs m^X <= n^L
-    (room in the codeword space) and m^X within the enumeration limit.
+    (room in the codeword space) and m^X within the enumeration limit.  X
+    and L are ints, not bools; anything else raises InputError.
     """
+    require_int("X", X)
+    require_int("L", L)
     if X < 1:
         raise InputError(f"block length must be >= 1, got {X}")
     if L < 1:

@@ -14,7 +14,8 @@ runs on the profile lattice with exact big-integer word counts per profile,
 and the merge adds whole profile classes at a time, splitting only the class
 where the Kraft sum crosses 1.  Explicit word lists take the same class
 merge, with one word per class.  Every build that emits a book ends in one
-tail: codewords, the book, its metrics from the words' columns, validation.
+tail: codeword lengths (construction or Huffman), canonical codewords, the
+book, its metrics from the words' columns, validation.
 
 Three sweeps cover the lattice.  A joint forward DP over both sets yields
 the Kraft sums of each set and of their full merge, the cap masses that
@@ -72,7 +73,9 @@ from .diophantine import (
     best_approx_denominators,
     denominator_of_rational_form,
 )
-from .errors import InfeasibleError, InputError, ResourceError, ValidationError
+from .errors import (
+    InfeasibleError, InputError, ResourceError, ValidationError, require_int
+)
 from .source_model import (
     Profile,
     SourceModel,
@@ -236,36 +239,28 @@ def canonical_codewords(lengths: Sequence[int], arity: int) -> list[str]:
 
 def assign_codewords(
     model: SourceModel,
-    items: list[tuple[Word, float, int]],
-    assignment: str,
-    code_lengths: list[int] | None = None,
+    words: Sequence[Word],
+    probs: Sequence[float],
+    lengths: Sequence[int],
 ) -> list[CodeEntry]:
-    """Turn (word, probability, construction length) triples into entries.
+    """Canonical codewords for the given codeword lengths: the entries.
 
-    "canonical" keeps the construction lengths; "huffman" replaces them with
-    optimal lengths for the word probabilities, computed over the words in
-    lexicographic order.  Codewords are allocated canonically over entries
-    sorted by (length, word) either way: a stable sort by length of the
-    entries in word order.  Given a list as `code_lengths`, it receives
-    each word's codeword length, in lexicographic word order.
+    `words`, `probs` and `lengths` are parallel columns, in any row order.
+    A canonical code is fixed by its lengths alone, so the rows are put in
+    (length, word) order first: one stable index sort by word, then one by
+    length.  Codewords are allocated in that order (`canonical_codewords`),
+    and the entries come out in it.
     """
-    n = model.arity
-    if assignment not in ("huffman", "canonical"):
-        raise InputError(f"unknown assignment {assignment!r}")
-    by_word = sorted(items, key=itemgetter(0))
-    if assignment == "huffman":
-        probs = list(map(itemgetter(1), by_word))
-        lengths = huffman_lengths(probs, n)
-        by_word = list(zip(map(itemgetter(0), by_word), probs, lengths))
-    if code_lengths is not None:
-        code_lengths[:] = map(itemgetter(2), by_word)
-    ordered = sorted(by_word, key=itemgetter(2))
-    codewords = canonical_codewords(list(map(itemgetter(2), ordered)), n)
+    order = sorted(range(len(words)), key=words.__getitem__)
+    order.sort(key=lengths.__getitem__)
+    codewords = canonical_codewords(
+        list(map(lengths.__getitem__, order)), model.arity
+    )
     return list(
         code_entries(
-            list(map(itemgetter(0), ordered)),
+            list(map(words.__getitem__, order)),
             codewords,
-            map(itemgetter(1), ordered),
+            map(probs.__getitem__, order),
         )
     )
 
@@ -442,10 +437,10 @@ class WordLimitError(ResourceError):
     """A codec-grade build's word set has more than `limit` words.
 
     The joint DP raises it once the merged set's stops so far outnumber
-    `limit`, at lattice `level` of cap `cap`.  Every final word set stops
-    each path at or after its first node in the first set, the second set
-    or the cap, so it has at least as many words as the merged set, and
-    more at any larger cap.
+    `limit`, at lattice `level` of cap `cap`; the message names both.
+    Every final word set stops each path at or after its first node in the
+    first set, the second set or the cap, so it has at least as many words
+    as the merged set, and more at any larger cap.
     """
 
     def __init__(self, limit: int, level: int, cap: int) -> None:
@@ -454,8 +449,6 @@ class WordLimitError(ResourceError):
             f"enumeration limit at level {level} of cap {cap}"
         )
         self.limit = limit
-        self.level = level
-        self.cap = cap
 
 
 def _joint_dp(
@@ -806,24 +799,25 @@ class VVResult:
 def _fresh_book(
     model: SourceModel, assignment: str, provenance: dict, columns: list
 ) -> tuple[CodeBook, "analysis.CodeMetrics"]:
-    """Codewords, book, metrics and validation: the tail of every build.
+    """Codeword lengths, codewords, book, metrics and validation: the tail
+    of every build.
 
     `columns` holds the words in lexicographic order, their probabilities,
-    linear forms and construction lengths.  The tail empties it, so the
-    walk's lists are gone before validation builds its word keys; the
-    metrics are `analysis.metrics_from_classes` over them, one row per
-    word, equal to `code_metrics(book)`.  The book's columns are read off
-    the entries `assign_codewords` returns, and its probabilities are one
-    float object per value (`share_equal`).
+    linear forms and construction lengths.  The book keeps the construction
+    lengths, or takes `huffman_lengths` over the probabilities in that
+    order: the one place a book's lengths are decided.  The tail empties
+    `columns`, so the walk's lists are gone before validation builds its
+    word keys; the metrics are `analysis.metrics_from_classes` over them,
+    one row per word, equal to `code_metrics(book)`.  The book's columns
+    are read off the entries `assign_codewords` returns, and its
+    probabilities are one float object per value (`share_equal`).
     """
     words, probs, forms, lengths = columns
     columns.clear()
     probs = share_equal(probs)
-    # `code_lengths` lines up with the words, in lexicographic order
-    code_lengths: list[int] = []
-    entries = assign_codewords(
-        model, list(zip(words, probs, lengths)), assignment, code_lengths
-    )
+    if assignment == "huffman":
+        lengths = huffman_lengths(probs, model.arity)
+    entries = assign_codewords(model, words, probs, lengths)
     book = CodeBook(
         model,
         "vv",
@@ -836,12 +830,12 @@ def _fresh_book(
         model,
         probs,
         list(map(len, words)),
-        code_lengths,
+        lengths,
         forms,
         book.kraft_exact(),
         len(words),
     )
-    del words, probs, forms, lengths, code_lengths, entries
+    del words, probs, forms, lengths, entries
     validate_codebook(book)
     return book, metrics
 
@@ -1131,10 +1125,8 @@ def construct_vv(
         )
 
     for name, value in (("T", T), ("cap", cap)):
-        if value != "auto" and (
-            not isinstance(value, int) or isinstance(value, bool)
-        ):
-            raise InputError(f"{name} must be 'auto' or an int, got {value!r}")
+        if value != "auto":
+            require_int(name, value, "'auto' or an int")
     if T != "auto" and t_max != DEFAULT_T_MAX:
         raise InputError(f"t_max applies only to T='auto', not to T={T}")
 

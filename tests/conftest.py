@@ -27,7 +27,12 @@ from wordcodes.source_model import (
     word_probability,
 )
 from wordcodes.vf_construct import construct_block, construct_vf
-from wordcodes.vv_construct import assign_codewords, construct_vv, floor_form
+from wordcodes.vv_construct import (
+    assign_codewords,
+    construct_vv,
+    floor_form,
+    huffman_lengths,
+)
 from wordcodes.word_sets import FIRST, SECOND, EmptyRule
 
 # First and second word sets of the four-word binary reference code used
@@ -175,25 +180,41 @@ def _rounded_up_length(model: SourceModel, w: Word) -> int:
     return max(1, length)
 
 
+def huffman_entries(
+    model: SourceModel, words: list[Word], probs: list[float]
+) -> list[CodeEntry]:
+    """The entries of a Huffman book over `words`: `huffman_lengths` over
+    their probabilities in lexicographic word order, as a built book takes
+    them, then `assign_codewords`."""
+    order = sorted(range(len(words)), key=words.__getitem__)
+    words = [words[i] for i in order]
+    probs = [probs[i] for i in order]
+    return assign_codewords(
+        model, words, probs, huffman_lengths(probs, model.arity)
+    )
+
+
 def _random_book(rng: random.Random, lengths: str) -> CodeBook:
     model = _random_model(rng)
     words = _random_complete_words(rng, model.m)
+    probs = [word_probability(model, w) for w in words]
     if lengths == "rounded":
-        items = [
-            (w, word_probability(model, w), _rounded_up_length(model, w))
-            for w in words
-        ]
-        entries = assign_codewords(model, items, "canonical")
+        entries = assign_codewords(
+            model,
+            words,
+            probs,
+            [_rounded_up_length(model, w) for w in words],
+        )
     elif lengths == "stretched":
         # Huffman lengths with random extra digits: still Kraft-feasible,
         # but the per-word excess may leave [-1, 1].
-        items = [(w, word_probability(model, w), 0) for w in words]
-        base = assign_codewords(model, items, "huffman")
-        grown = [
-            (e.word, e.probability, len(e.codeword) + rng.choice([0, 0, 1, 2]))
-            for e in base
-        ]
-        entries = assign_codewords(model, grown, "canonical")
+        base = huffman_entries(model, words, probs)
+        entries = assign_codewords(
+            model,
+            [e.word for e in base],
+            [e.probability for e in base],
+            [len(e.codeword) + rng.choice([0, 0, 1, 2]) for e in base],
+        )
     else:
         raise ValueError(f"unknown length mode {lengths!r}")
     book = book_from_entries(

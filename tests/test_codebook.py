@@ -905,7 +905,10 @@ def test_label_rows_match_the_per_word_path():
             book.words, book.codewords, book.probabilities
         ), name
         assert book_to_json(loaded) == text, name
-        assert model.words_from_texts(list(map(model.word_to_text, words))) == words
+        texts = list(map(model.word_to_text, words))
+        assert list(map(model.word_from_text, texts)) == words, name
+        keys = model._symbol_bytes(texts)
+        assert keys is None or list(map(tuple, keys)) == words, name
     assert bulk == {"default", "default m=3", "custom ASCII"}
 
 
@@ -940,13 +943,18 @@ def test_book_writer_rejects_a_symbol_outside_the_alphabet(labels, symbol):
         validate_codebook(book)
 
 
-def test_bulk_words_fall_back_to_the_per_text_error(binary_model):
+def test_bulk_words_fall_back_to_the_per_text_error(binary_model, reference_book):
+    """`_symbol_bytes` reads good texts in one pass and refuses a bad one;
+    the loader then reads text by text, naming the first bad symbol."""
     model = binary_model
-    assert model.words_from_texts(["ab", "", "b"]) == [(1, 2), (), (2,)]
-    assert model.words_from_texts([]) == []
+    assert model._symbol_bytes(["ab", "", "b"]) == [b"\x01\x02", b"", b"\x02"]
+    assert model._symbol_bytes([]) is None
+    data = json.loads(book_to_json(reference_book))
     sep = model._byte_tables[0]
     for bad, shown in [("c", "'c'"), ("é", "'é'"), (sep, repr(sep)), (" ", "' '")]:
         for texts in (["a" + bad], ["ab", bad + "b", "a"], [bad]):
+            assert model._symbol_bytes(texts) is None
+            data["words"] = [{"codeword": "0", "symbols": t} for t in texts]
             with pytest.raises(InputError) as caught:
-                model.words_from_texts(texts)
+                book_from_json(json.dumps(data))
             assert str(caught.value) == f"unknown symbol {shown}"

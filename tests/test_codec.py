@@ -11,7 +11,7 @@ from itertools import accumulate, chain
 
 import pytest
 
-from conftest import book_from_entries, entries_of
+from conftest import book_from_entries, entries_of, huffman_entries
 from wordcodes import codec
 from wordcodes.codebook import CodeEntry, fixed_codewords, validate_codebook
 from wordcodes.codec import (
@@ -171,10 +171,8 @@ def _chained_book(rng, probs, chain, drop):
         word = word + (rng.randrange(1, m + 1),)
     if drop:
         words.remove(max(words, key=len))
-    items = [(w, word_probability(model, w), 0) for w in words]
-    return book_from_entries(
-        model, "vv", assign_codewords(model, items, "huffman")
-    )
+    probs = [word_probability(model, w) for w in words]
+    return book_from_entries(model, "vv", huffman_entries(model, words, probs))
 
 
 def _refuses_as_incomplete(call, *args) -> bool:
@@ -459,14 +457,15 @@ def _grown_book(rng, probs, arity, rows, stretch=False):
     while len(words) + m - 1 <= rows:
         word = words.pop(rng.randrange(len(words)))
         words += [word + (i,) for i in range(1, m + 1)]
-    items = [(w, word_probability(model, w), 0) for w in words]
-    entries = assign_codewords(model, items, "huffman")
+    probs = [word_probability(model, w) for w in words]
+    entries = huffman_entries(model, words, probs)
     if stretch:
-        grown = [
-            (e.word, e.probability, len(e.codeword) + rng.choice((0, 0, 1, 2)))
-            for e in entries
-        ]
-        entries = assign_codewords(model, grown, "canonical")
+        entries = assign_codewords(
+            model,
+            [e.word for e in entries],
+            [e.probability for e in entries],
+            [len(e.codeword) + rng.choice((0, 0, 1, 2)) for e in entries],
+        )
     book = book_from_entries(model, "vv", entries)
     validate_codebook(book)
     return book
@@ -841,7 +840,8 @@ def piece_books(codec_workload_books):
     uniform VF book and a 300-symbol book, whose trie stays on words."""
     p28 = make_model(["0.2", "0.8"], 2)
     m300 = make_model(["1/300"] * 300, 2, labels=[chr(0x100 + i) for i in range(300)])
-    items = [((i,), word_probability(m300, (i,)), 0) for i in range(1, 301)]
+    words = [(i,) for i in range(1, 301)]
+    probs = [word_probability(m300, w) for w in words]
     return {
         "vv-t8": construct_vv(p28, T=8).book,
         "vv-t8-canonical": construct_vv(p28, T=8, assignment="canonical").book,
@@ -849,7 +849,7 @@ def piece_books(codec_workload_books):
         "vv-m3-n3": construct_vv(make_model(["0.2", "0.3", "0.5"], 3), T=5).book,
         "vf": construct_vf(make_model(["0.4", "0.6"], 2), 8).book,
         "m300": book_from_entries(
-            m300, "vv", assign_codewords(m300, items, "huffman")
+            m300, "vv", huffman_entries(m300, words, probs)
         ),
     }
 

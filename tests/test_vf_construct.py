@@ -187,6 +187,34 @@ def test_block_parameters_validate_arguments():
         find_block_parameters(3, 2, count=0)
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("L", lambda: construct_vf(make_model(["0.4", "0.6"], 2), True)),
+        ("L", lambda: construct_vf(make_model(["0.4", "0.6"], 2), 3.5)),
+        ("X", lambda: construct_block(3, 2, True, 2)),
+        ("X", lambda: construct_block(3, 2, 2.0, 4)),
+        ("L", lambda: construct_block(3, 2, 1, True)),
+        ("count", lambda: find_block_parameters(3, 2, count=1.5)),
+        ("count", lambda: find_block_parameters(3, 2, count=True)),
+    ],
+    ids=[
+        "vf-L-bool",
+        "vf-L-float",
+        "block-X-bool",
+        "block-X-float",
+        "block-L-bool",
+        "count-float",
+        "count-bool",
+    ],
+)
+def test_lengths_and_counts_are_ints_not_bools(name, call):
+    """As T and cap of `construct_vv`: a bool or a float is refused, not
+    stored in provenance or failing later with a bare TypeError."""
+    with pytest.raises(InputError, match=f"^{name} must be an int, got "):
+        call()
+
+
 def test_block_code_single_symbol_blocks():
     result = construct_block(3, 2, 1, 2)
     table = list(zip(result.book.words, result.book.codewords))

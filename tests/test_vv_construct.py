@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import entries_of, huffman_entries
 from lattice_helpers import profiles_of_length
 from wordcodes.analysis import code_metrics, scaling_experiment
 from wordcodes.codebook import (
@@ -207,11 +208,11 @@ def test_assign_codewords_equals_the_sorting_reference():
             rng.shuffle(words)
             lengths = huffman_lengths(weights, arity)
             items = list(zip(words, weights, lengths))
-            for assignment in ("huffman", "canonical"):
-                got = [
-                    (e.word, e.codeword, e.probability)
-                    for e in assign_codewords(model, items, assignment)
-                ]
+            for assignment, entries in (
+                ("huffman", huffman_entries(model, words, weights)),
+                ("canonical", assign_codewords(model, words, weights, lengths)),
+            ):
+                got = [(e.word, e.codeword, e.probability) for e in entries]
                 assert got == reference_assign_codewords(
                     model, items, assignment
                 ), (arity, k, assignment)
@@ -296,39 +297,59 @@ def test_canonical_codewords_match_the_per_word_loop():
 def test_assign_codewords_huffman_relabels_reference_words(binary_model):
     words = [binary_model.word_from_text(w) for w in
              ["a", "ba", "bba", "bbb"]]
-    items = [
-        (w, word_probability(binary_model, w), 9)  # lengths ignored
-        for w in words
-    ]
-    entries = assign_codewords(binary_model, items, "huffman")
+    probs = [word_probability(binary_model, w) for w in words]
+    entries = huffman_entries(binary_model, words, probs)
     table = {
         binary_model.word_to_text(e.word): e.codeword for e in entries
     }
     assert table == {"a": "0", "ba": "10", "bba": "110", "bbb": "111"}
 
 
+def test_huffman_ties_follow_word_order_not_construction_lengths():
+    """Equal probabilities can carry different construction lengths on
+    explicit word lists: here a and b (second-set words, one digit more)
+    and cc (first set only) have p = 1/4.  A Huffman book breaks its ties
+    over the words in lexicographic order, not in the (construction
+    length, word) order a canonical book takes, which would put cc before
+    a and b and give a and b the one-digit codewords.  The book is the
+    one the library gave when this test was added."""
+    model = make_model(["0.25", "0.25", "0.5"], 3)
+    words = [model.word_from_text(t) for t in ["a", "b", "ca", "cb", "cc"]]
+    second = [model.word_from_text(t) for t in ["cca", "ccb", "ccc"]]
+    result = construct_vv(
+        model, first_words=words, second_words=words[:4] + second
+    )
+    assert result.provenance["path"] == "base"
+    book = result.book
+    table = dict(zip(map(model.word_to_text, book.words), book.codewords))
+    assert table == {"b": "0", "cc": "1", "a": "20", "ca": "21", "cb": "22"}
+    probs = [word_probability(model, w) for w in words]
+    assert entries_of(book) == huffman_entries(model, words, probs)
+    canonical = construct_vv(
+        model,
+        first_words=words,
+        second_words=words[:4] + second,
+        assignment="canonical",
+    ).book
+    assert dict(
+        zip(map(model.word_to_text, canonical.words), canonical.codewords)
+    ) == {"cc": "0", "a": "10", "b": "11", "ca": "12", "cb": "20"}
+
+
 def test_assign_codewords_canonical_keeps_given_lengths(binary_model):
     words = [binary_model.word_from_text(w) for w in
              ["a", "ba", "bba", "bbb"]]
     lengths = {"a": 1, "ba": 3, "bba": 3, "bbb": 3}
-    items = [
-        (
-            w,
-            word_probability(binary_model, w),
-            lengths[binary_model.word_to_text(w)],
-        )
-        for w in words
-    ]
-    entries = assign_codewords(binary_model, items, "canonical")
+    entries = assign_codewords(
+        binary_model,
+        words,
+        [word_probability(binary_model, w) for w in words],
+        [lengths[binary_model.word_to_text(w)] for w in words],
+    )
     got = {
         binary_model.word_to_text(e.word): len(e.codeword) for e in entries
     }
     assert got == lengths
-
-
-def test_assign_codewords_rejects_unknown_mode(binary_model):
-    with pytest.raises(InputError):
-        assign_codewords(binary_model, [((1,), 0.4, 1)], "optimal")
 
 
 def test_threshold_sets_use_width_two_over_t(binary_model):
