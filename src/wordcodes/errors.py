@@ -25,8 +25,10 @@ class DecodeError(WordCodesError):
     """A digit stream cannot be decoded against the given code book."""
 
 
-def require_int(name: str, value: object, allowed: str = "an int") -> None:
-    """Raise InputError, naming `name` and what it allows, unless `value`
-    is an int.  A bool is no int here: `True` is no length or count."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{name} must be {allowed}, got {value!r}")
+def require_int(allowed: str = "an int", /, **values: object) -> None:
+    """Raise InputError, naming the first of the keyword arguments that is
+    no int and what it allows.  A bool is no int here: `True` is no length,
+    count or limit."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"{name} must be {allowed}, got {value!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 # A word is a tuple of 1-based symbol indices; a profile is a tuple of counts.
 Word = tuple[int, ...]
@@ -44,6 +44,8 @@ class SourceModel:
     `prob_labels` so files written from this model round-trip byte for byte.
     `d[i]` is -log_n(p[i]), the output-digit cost of symbol i+1; it is the
     coefficient vector of the linear form used throughout the constructions.
+    `arity` is an int, not a bool, from 2 to 36; anything else raises
+    InputError.
     """
 
     probs: tuple[float, ...]
@@ -62,6 +64,7 @@ class SourceModel:
     )
 
     def __post_init__(self) -> None:
+        require_int(arity=self.arity)
         if self.arity < 2:
             raise InputError(f"arity must be >= 2, got {self.arity}")
         if self.arity > len(DIGIT_GLYPHS):

@@ -73,8 +73,8 @@ def construct_vf(
     L >= max(-log_n p_i) the probability window applies and every word
     probability is at least n^-L; below that the construction degrades to
     the plain symbol-by-symbol map, which stays decodable but loses the
-    window guarantee.  L is an int, not a bool; anything else raises
-    InputError.
+    window guarantee.  L, enum_limit and node_limit are ints, not bools;
+    anything else raises InputError.
 
     Rows are sorted by each word's float probability, descending, with
     ties in lexicographic order, and take the length-L strings in
@@ -84,7 +84,7 @@ def construct_vf(
     follows rounding.  The classes stay contiguous.
     """
     n = model.arity
-    require_int("L", L)
+    require_int(L=L, enum_limit=enum_limit, node_limit=node_limit)
     if L < 1:
         raise InputError(f"output length must be >= 1, got {L}")
     if enum_limit < 0:
@@ -220,14 +220,14 @@ def find_block_parameters(
     so fewer than `count` pairs may come back.  When the logarithm is
     rational (m**q == n**p, checked in integers), its exact ratio follows
     at every multiple.  The pairs for `count` are always the first `count`
-    pairs for any larger count.  `count` is an int, not a bool; anything
-    else raises InputError.
+    pairs for any larger count.  input_size, arity and count are ints, not
+    bools; anything else raises InputError.
     """
+    require_int(input_size=input_size, arity=arity, count=count)
     if input_size < 2:
         raise InputError(f"input alphabet needs >= 2 blocks, got {input_size}")
     if arity < 2:
         raise InputError(f"output alphabet needs >= 2 digits, got {arity}")
-    require_int("count", count)
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
     exact = exact_log(input_size, arity)
@@ -287,11 +287,13 @@ def construct_block(
 
     Models the input as uniform over m symbols; every block has probability
     m^-X, so the code is a complete fixed-to-fixed map.  Needs m^X <= n^L
-    (room in the codeword space) and m^X within the enumeration limit.  X
-    and L are ints, not bools; anything else raises InputError.
+    (room in the codeword space) and m^X within the enumeration limit.
+    input_size, arity, X, L and enum_limit are ints, not bools; anything
+    else raises InputError.
     """
-    require_int("X", X)
-    require_int("L", L)
+    require_int(
+        input_size=input_size, arity=arity, X=X, L=L, enum_limit=enum_limit
+    )
     if X < 1:
         raise InputError(f"block length must be >= 1, got {X}")
     if L < 1:

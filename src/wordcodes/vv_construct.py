@@ -1081,8 +1081,9 @@ def construct_vv(
     enumerates, at grade "metrics" the first candidate above 4, where the
     two threshold sets cannot overlap).  The cap ("auto": doubling until
     the cap mass falls below T^-2) bounds word length in every case.  T
-    and cap are "auto" or an int (not a bool); anything else raises
-    InputError, and so does a `t_max` other than the default with an int T.
+    and cap are "auto" or an int (not a bool), enum_limit and node_limit
+    are ints; anything else raises InputError, and so does a `t_max` other
+    than the default with an int T.
 
     At grade "codec" a word set of more than `enum_limit` words is rejected
     inside the joint DP, as soon as the merged set passes the limit, so an
@@ -1098,6 +1099,7 @@ def construct_vv(
         raise InputError(f"unknown grade {grade!r}")
     if assignment not in ("huffman", "canonical"):
         raise InputError(f"unknown assignment {assignment!r}")
+    require_int(enum_limit=enum_limit, node_limit=node_limit)
     if enum_limit < 0:
         raise InputError(f"enumeration limit must be >= 0, got {enum_limit}")
 
@@ -1126,7 +1128,7 @@ def construct_vv(
 
     for name, value in (("T", T), ("cap", cap)):
         if value != "auto":
-            require_int(name, value, "'auto' or an int")
+            require_int("'auto' or an int", **{name: value})
     if T != "auto" and t_max != DEFAULT_T_MAX:
         raise InputError(f"t_max applies only to T='auto', not to T={T}")
 

@@ -22,7 +22,7 @@ from wordcodes.analysis import (
 from wordcodes.codebook import CodeEntry, validate_codebook
 from wordcodes.errors import InputError
 from wordcodes.source_model import entropy, linear_form, make_model, profile_of
-from wordcodes.vf_construct import construct_vf
+from wordcodes.vf_construct import construct_block, construct_vf
 from wordcodes.vv_construct import construct_vv
 
 
@@ -236,7 +236,10 @@ def _book_rows(book):
 
 
 def _seeded_row_sets(model):
-    """Rows with negative eps, |eps| > 1, repeated rows and a single row."""
+    """Rows with negative eps, |eps| > 1, repeated rows and a single row,
+    and word rows built to group: each row repeated 1-50 times, beside
+    rows equal in mass but not in form and rows equal in form but not in
+    word length, shuffled."""
     rng = random.Random(1291)
     for size in (1, 2, 7, 40, 300):
         rows = []
@@ -251,6 +254,11 @@ def _seeded_row_sets(model):
         twice = rows * 2
         rng.shuffle(twice)
         yield twice
+        grouped = [row for row in rows for _ in range(rng.randint(1, 50))]
+        grouped += [(mass, wl, cl, form + 0.5) for mass, wl, cl, form in rows]
+        grouped += [(mass, wl + 1, cl, form) for mass, wl, cl, form in rows]
+        rng.shuffle(grouped)
+        yield grouped
     yield [(1.0, 3, 2, 2.0)]  # eps exactly 0
     yield [(0.5, 1, 0, 2.5), (0.5, 1, 5, 2.5)]  # eps -2.5 and 2.5
 
@@ -277,8 +285,10 @@ def test_column_sums_match_the_row_reference_on_seeded_rows(binary_model):
                     "single", "many"}
 
 
-def _small_benchmark_books():
-    """The books the benchmark's small-size build and codec ops emit."""
+def _benchmark_books():
+    """The books the benchmark's small-size build and codec ops emit, the
+    codec's T=10 book in Huffman and canonical form, and a block book,
+    whose rows are all alike."""
     p46 = make_model(["0.4", "0.6"], 2)
     p28 = make_model(["0.2", "0.8"], 2)
     p235 = make_model(["0.2", "0.3", "0.5"], 2)
@@ -287,6 +297,9 @@ def _small_benchmark_books():
     for model in (p46, p235):
         for L in range(2, 11):
             yield construct_vf(model, L).book
+    yield construct_vv(p28, T=10).book
+    yield construct_vv(p28, T=10, assignment="canonical").book
+    yield construct_block(3, 2, 5, 8).book
 
 
 def test_book_metrics_match_the_row_reference_on_benchmark_books():
@@ -294,7 +307,7 @@ def test_book_metrics_match_the_row_reference_on_benchmark_books():
     `metrics_from_classes` (the rows' columns) against the row reference,
     by repr."""
     books = 0
-    for book in _small_benchmark_books():
+    for book in _benchmark_books():
         rows = _book_rows(book)
         kraft = book.kraft_exact()
         expect = repr(
@@ -305,7 +318,7 @@ def test_book_metrics_match_the_row_reference_on_benchmark_books():
             metrics_from_classes(book.model, *_columns(rows), kraft, len(rows))
         ) == expect
         books += 1
-    assert books == 20
+    assert books == 23
 
 
 def test_lattice_metrics_rows_match_the_row_reference(monkeypatch):
@@ -340,10 +353,10 @@ def test_lattice_metrics_rows_match_the_row_reference(monkeypatch):
 
 def test_both_per_value_paths_give_the_same_metrics(monkeypatch):
     """Rows are single words exactly when `word_count` is their number:
-    only then do the eps column and `_map_once` run, and plain `map`
-    otherwise.  On the word columns of the benchmark's `vv_book` and codec
-    books, and on a lattice build's class columns, both paths give every
-    field but `word_count` alike, by repr."""
+    only then are they grouped before summing.  On the word columns of the
+    benchmark's `vv_book` and codec books, and on a lattice build's class
+    columns, both paths give every field but `word_count` alike, by repr,
+    and the word rows give the same fields in any order."""
     p28 = make_model(["0.2", "0.8"], 2)
     tables = [
         (book.model, _columns(_book_rows(book)), book.kraft_exact())
@@ -362,24 +375,19 @@ def test_both_per_value_paths_give_the_same_metrics(monkeypatch):
 
     monkeypatch.setattr(analysis, "metrics_from_classes", capture)
     construct_vv(make_model(["0.3", "0.7"], 2), T=10, grade="metrics")
-    map_once = analysis._map_once
-    once_calls = []
-
-    def counted(fn, values):
-        once_calls.append(len(values))
-        return map_once(fn, values)
-
-    monkeypatch.setattr(analysis, "_map_once", counted)
     assert [len(columns[0]) for _, columns, _ in tables] == [
         32772, 4100, 2492, 764
     ]
+    rng = random.Random(3301)
     for model, columns, kraft in tables:
         rows = len(columns[0])
         as_words = compute(model, *columns, kraft, rows)
-        assert once_calls == [rows] * 3
-        once_calls.clear()
+        shuffled = list(zip(*columns))
+        rng.shuffle(shuffled)
+        assert repr(
+            compute(model, *_columns(shuffled), kraft, rows)
+        ) == repr(as_words)
         as_classes = compute(model, *columns, kraft, rows + 1)
-        assert once_calls == []
         assert as_classes.word_count == rows + 1
         assert repr(dataclasses.replace(as_classes, word_count=rows)) == repr(
             as_words

@@ -17,6 +17,7 @@ from wordcodes.vf_construct import (
     construct_vf,
     find_block_parameters,
 )
+from wordcodes.vv_construct import construct_vv
 
 LOG2_3 = math.log2(3.0)
 
@@ -187,6 +188,10 @@ def test_block_parameters_validate_arguments():
         find_block_parameters(3, 2, count=0)
 
 
+def _p46():
+    return make_model(["0.4", "0.6"], 2)
+
+
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -197,6 +202,17 @@ def test_block_parameters_validate_arguments():
         ("L", lambda: construct_block(3, 2, 1, True)),
         ("count", lambda: find_block_parameters(3, 2, count=1.5)),
         ("count", lambda: find_block_parameters(3, 2, count=True)),
+        ("arity", lambda: make_model(["0.4", "0.6"], 2.0)),
+        ("input_size", lambda: construct_block(3.0, 2, 2, 4)),
+        ("arity", lambda: construct_block(3, 2.0, 2, 4)),
+        ("enum_limit", lambda: construct_block(3, 2, 2, 4, enum_limit=2.5)),
+        ("input_size", lambda: find_block_parameters(3.0, 2)),
+        ("arity", lambda: find_block_parameters(3, 2.0)),
+        ("enum_limit", lambda: construct_vf(_p46(), 3, enum_limit=2.5)),
+        ("enum_limit", lambda: construct_vf(_p46(), 3, enum_limit=True)),
+        ("node_limit", lambda: construct_vf(_p46(), 3, node_limit=True)),
+        ("enum_limit", lambda: construct_vv(_p46(), T=4, enum_limit=2.5)),
+        ("node_limit", lambda: construct_vv(_p46(), T=4, node_limit=2.5)),
     ],
     ids=[
         "vf-L-bool",
@@ -206,11 +222,24 @@ def test_block_parameters_validate_arguments():
         "block-L-bool",
         "count-float",
         "count-bool",
+        "model-arity-float",
+        "block-input_size-float",
+        "block-arity-float",
+        "block-enum_limit-float",
+        "pairs-input_size-float",
+        "pairs-arity-float",
+        "vf-enum_limit-float",
+        "vf-enum_limit-bool",
+        "vf-node_limit-bool",
+        "vv-enum_limit-float",
+        "vv-node_limit-float",
     ],
 )
 def test_lengths_and_counts_are_ints_not_bools(name, call):
-    """As T and cap of `construct_vv`: a bool or a float is refused, not
-    stored in provenance or failing later with a bare TypeError."""
+    """As T and cap of `construct_vv`: a length, count, alphabet size or
+    limit given as a bool or a float is refused where it is passed, not
+    stored in provenance, read as a limit, or failing deep in a build with
+    a bare TypeError or AttributeError."""
     with pytest.raises(InputError, match=f"^{name} must be an int, got "):
         call()
 
