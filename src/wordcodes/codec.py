@@ -54,7 +54,7 @@ from itertools import chain
 from typing import Callable, Iterable, TypeVar
 
 from .codebook import CodeBook
-from .errors import DecodeError, InputError, ValidationError
+from .errors import DecodeError, InputError, ValidationError, require_int
 from .source_model import DIGIT_GLYPHS, SourceModel, Word
 
 PAD_TRAILER = "#pad="
@@ -498,6 +498,7 @@ def decode_message(book: CodeBook, digits: str, pad_count: int = 0) -> list[int]
     list.  Other books flatten `decode_words`.  Errors are those of
     `decode_words`.
     """
+    require_int(pad_count=pad_count)
     if pad_count < 0:
         raise InputError(f"pad count must be >= 0, got {pad_count}")
     parse = _parse_state(book, _CodewordParse)
@@ -519,6 +520,7 @@ def decode_message(book: CodeBook, digits: str, pad_count: int = 0) -> list[int]
 def sample_symbols(model: SourceModel, rng: random.Random, count: int) -> list[int]:
     """Draw `count` independent symbols with the model's probabilities;
     raises InputError for a negative count."""
+    require_int(count=count)
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
     cumulative = []
@@ -574,6 +576,7 @@ def sync_error_experiment(
     boundary), flips one digit, decodes tolerantly, and aligns the decoded
     word sequence with the original by longest common prefix and suffix.
     """
+    require_int(trials=trials, message_len=message_len)
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     if message_len < 1:

@@ -28,15 +28,18 @@ def book_to_json(book: CodeBook) -> str:
     """The book file: `json.dumps(payload, sort_keys=True, indent=2)` + "\\n".
 
     The header goes through `json.dumps`; the rows of "words", which sorts
-    last, are laid out here around strings quoted by the C encoder that
-    `json.dumps(str)` calls, in the same bytes: each row is its quoted
-    codeword and text joined by the text between them, and the rows are
-    joined by the text between rows, so the array is two `str.join`s
-    wrapped once.  With single-character ASCII labels all word texts come
-    from one `bytes.translate` (`SourceModel.texts_from_words`); otherwise
-    each text is `SourceModel.word_to_text`, which raises InputError for a
-    symbol outside 1..m (`validate_codebook` rejects such a book).  A book
-    whose columns differ in length is refused with ValidationError, as
+    last, are laid out here in the same bytes, by one `str.join` over one
+    flat list of pieces: the header and a separator, then per row its
+    codeword, the separator between codeword and text, its text and the
+    separator to the next row, and the closing text.  A column goes
+    through the C encoder that `json.dumps(str)` calls only where that
+    encoder would change the column's join; otherwise its strings are
+    written as they are, with their quotes in the separators.  With
+    single-character ASCII labels all word texts come from one
+    `bytes.translate` (`SourceModel.texts_from_words`); otherwise each text
+    is `SourceModel.word_to_text`, which raises InputError for a symbol
+    outside 1..m (`validate_codebook` rejects such a book).  A book whose
+    columns differ in length is refused with ValidationError, as
     validation refuses it, rather than written as its shortest column.
     """
     _assert_columns_match(book)
@@ -55,17 +58,31 @@ def book_to_json(book: CodeBook) -> str:
         return text + "\n"
     texts = model.texts_from_words(book.words)
     if texts is None:
-        texts = map(model.word_to_text, book.words)
+        texts = list(map(model.word_to_text, book.words))
+    # A column the encoder leaves alone is written as it is, with its
+    # quotes in the separators around it; the encoder escapes character by
+    # character, so it leaves a column alone iff it leaves its join alone.
     quote = encode_basestring_ascii
-    rows = '\n    },\n    {\n      "codeword": '.join(
-        map(
-            ',\n      "symbols": '.join,
-            zip(map(quote, book.codewords), map(quote, texts)),
-        )
-    )
-    return (
-        f'{text[:-4]}[\n    {{\n      "codeword": {rows}\n    }}\n  ]\n}}\n'
-    )
+    columns, marks = [], []
+    for column in (book.codewords, texts):
+        joined = "".join(column)
+        raw = len(quote(joined)) == len(joined) + 2
+        columns.append(column if raw else list(map(quote, column)))
+        marks.append('"' if raw else "")
+    del joined
+    code, symbols = marks
+    # (separator, codeword, separator, text) per row, the first separator
+    # preceded by the header
+    pieces = [
+        f'{symbols}\n    }},\n    {{\n      "codeword": {code}',
+        None,
+        f'{code},\n      "symbols": {symbols}',
+        None,
+    ] * len(texts)
+    pieces[0] = f'{text[:-4]}[\n    {{\n      "codeword": {code}'
+    pieces[1::4], pieces[3::4] = columns
+    pieces.append(f'{symbols}\n    }}\n  ]\n}}\n')
+    return "".join(pieces)
 
 
 def book_from_json(text: str) -> CodeBook:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from . import analysis
 from .codebook import (
@@ -121,12 +120,11 @@ def construct_vf(
             raise ResourceError(
                 f"word set exceeds the enumeration limit of {enum_limit}"
             )
-        items = enumerate_words(model, classify, cap, enum_limit)
-        words = list(map(itemgetter(0), items))
-        forms = list(map(itemgetter(1), items))
+        found = enumerate_words(model, classify, cap, enum_limit)
+        words, forms = found.words, found.forms
         # one float object per value, for the book and the metrics alike
-        probs = share_equal(list(map(itemgetter(3), items)))
-        del items
+        probs = share_equal(found.probs)
+        del found
         if len(words) != table.word_count:
             raise ValidationError(
                 f"enumeration found {len(words)} words, DP counted "

@@ -170,6 +170,7 @@ def huffman_lengths(probs: Sequence[float], arity: int) -> list[int]:
     depend on hash ordering.  Each merge weighs the `math.fsum` of its nodes,
     and depths follow parent pointers from the root down.
     """
+    require_int(arity=arity)
     if arity < 2:
         raise InputError(f"arity must be >= 2, got {arity}")
     k = len(probs)
@@ -219,6 +220,7 @@ def canonical_codewords(lengths: Sequence[int], arity: int) -> list[str]:
     range of codes, checked against the codeword space once.  Raises when
     the lengths violate the Kraft inequality and the digits run out.
     """
+    require_int(arity=arity)
     out: list[str] = []
     code = 0
     prev = 0
@@ -939,25 +941,21 @@ def _pipeline(
     book = None
     book_metrics = None
     if final.word_count <= enum_limit:
-        items = enumerate_words(
+        found = enumerate_words(
             model, classify, cap_val, enum_limit, chosen, boundary
         )
-        if len(items) != final.word_count:
+        if len(found) != final.word_count:
             raise ValidationError(
                 "enumerated word count disagrees with the lattice DP"
             )
-        keys = list(map(itemgetter(1, 2), items))  # (form, extra digit)
-        # one length per distinct key, not one per word
-        length_of = {key: code_length_for(*key) for key in set(keys)}
+        # one length per distinct (form, extra digit), not one per word
+        keys = set(zip(found.forms, found.extra))
+        length_of = {key: code_length_for(*key) for key in keys}
+        lengths = map(length_of.__getitem__, zip(found.forms, found.extra))
         # the words come in lexicographic order, with their probabilities
         # and forms
-        columns = [
-            list(map(itemgetter(0), items)),
-            list(map(itemgetter(3), items)),
-            list(map(itemgetter(1), items)),
-            list(map(length_of.__getitem__, keys)),
-        ]
-        del items, keys
+        columns = [found.words, found.probs, found.forms, list(lengths)]
+        del found, keys
         book, book_metrics = _fresh_book(
             model, assignment, provenance, columns
         )

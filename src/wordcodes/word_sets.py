@@ -790,6 +790,25 @@ class NodeKeys:
         return form, (FIRST | SECOND if sum(k) == self.cap else flags)
 
 
+@dataclass
+class WordTable:
+    """The words of a walk, as parallel row columns, in lexicographic order.
+
+    Row i holds the word `words[i]`, its linear form `forms[i]`, `extra[i]`,
+    1 where the word takes the extra digit (a clean stop in the second set
+    or at the cap), and its probability `probs[i]`.  `len()` is the number
+    of words.
+    """
+
+    words: list[Word]
+    forms: list[float]
+    extra: bytearray
+    probs: list[float]
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+
 def enumerate_words(
     model: SourceModel,
     classify: NodeClassifier,
@@ -797,16 +816,16 @@ def enumerate_words(
     limit: int,
     taken: Collection[Profile] = (),
     boundary: tuple[Profile, int] | None = None,
-) -> list[tuple[Word, float, bool, float]]:
+) -> WordTable:
     """The word set of `lattice_metrics`, word by word, in lexicographic order.
 
-    Returns (word, form, extra_digit, probability) per word: `extra_digit`
-    is set for a clean stop in the second set or at the cap, where the
-    construction length gets one digit more.  At the boundary profile the
-    lexicographically first j clean words stop.  Iterative, so the cap,
-    which bounds the depth, can exceed the interpreter recursion limit.
-    Raises InputError for a cap below 1, and ResourceError as soon as more
-    than `limit` words are found.
+    Returns the words as a `WordTable`: one append per column and word, and
+    no record per word.  A word's extra digit is set for a clean stop in the
+    second set or at the cap, where the construction length gets one digit
+    more.  At the boundary profile the lexicographically first j clean
+    words stop.  Iterative, so the cap, which bounds the depth, can exceed
+    the interpreter recursion limit.  Raises InputError for a cap below 1,
+    and ResourceError as soon as more than `limit` words are found.
 
     One depth-first walk for every source and classifier, over (word, key,
     crossed, probability) frames keyed by `NodeKeys`, symbol 1 popped
@@ -831,8 +850,10 @@ def enumerate_words(
     # benchmark's round about 10 % slower
     children = [((i + 1,), keys.steps[i], p) for i, p in enumerate(model.probs)]
     children.reverse()
-    out: list[tuple[Word, float, bool, float]] = []
-    append = out.append
+    out = WordTable([], [], bytearray(), [])
+    words = out.words
+    add_word, add_form = words.append, out.forms.append
+    add_extra, add_prob = out.extra.append, out.probs.append
     stack: list[tuple[Word, int, bool, float]] = [((), 0, False, 1.0)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -849,8 +870,11 @@ def enumerate_words(
             else:
                 crossed = True
         if flags & FIRST:
-            append((word, form, flags > FIRST and not crossed, p))
-            if len(out) > limit:
+            add_word(word)
+            add_form(form)
+            add_extra(flags > FIRST and not crossed)
+            add_prob(p)
+            if len(words) > limit:
                 raise ResourceError(
                     f"word set exceeds the enumeration limit of {limit}"
                 )

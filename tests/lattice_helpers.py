@@ -25,6 +25,17 @@ def table_rows(table):
     )
 
 
+def word_rows(found):
+    """A `WordTable`'s rows, as (word, form, extra digit as a bool,
+    probability), after checking that its four columns hold one entry per
+    word."""
+    columns = (found.words, found.forms, found.extra, found.probs)
+    assert [len(column) for column in columns] == [len(found)] * 4
+    return list(
+        zip(found.words, found.forms, map(bool, found.extra), found.probs)
+    )
+
+
 def reference_stops(model, classify, cap, node_limit, taken=(), boundary=None):
     """The stopping DP of `lattice_metrics` as it kept its stops before they
     became rows: one entry per stopping profile, (clean count, clean mass,

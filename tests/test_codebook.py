@@ -146,6 +146,13 @@ def _books(make_random_book):
     books.append(construct_vf(labelled, 5).book)
     escaped = make_model(["0.5", "0.5"], 3, labels=["ж", "\\"])
     books.append(construct_vf(escaped, 4).book)
+    # labels that JSON leaves alone, though not alphanumeric, and digits
+    plain = make_model(["0.4", "0.6"], 2, labels=["-", " "])
+    books.append(construct_vf(plain, 6).book)
+    digits = make_model(["0.2", "0.3", "0.5"], 2, labels=["1", "2", "0"])
+    books.append(construct_vf(digits, 5).book)
+    # codewords that hold letters
+    books.append(construct_vf(make_model(["0.4", "0.6"], 36), 2).book)
     # an empty provenance
     books.append(
         book_from_entries(
@@ -163,7 +170,7 @@ def _books(make_random_book):
 
 def test_book_layer_matches_per_entry_references(make_random_book):
     books = _books(make_random_book)
-    assert {b.model.arity for b in books} == {2, 3}
+    assert {b.model.arity for b in books} == {2, 3, 36}
     assert {b.kind for b in books} == {"vv", "vf", "block"}
     for book in books:
         n = book.model.arity
@@ -183,6 +190,18 @@ def test_book_layer_matches_per_entry_references(make_random_book):
 def test_book_writer_matches_json_dumps_without_entries(binary_model):
     for provenance in ({}, {"mode": "x", "cap_history": [[4, 0.5]]}):
         book = book_from_entries(binary_model, "vv", (), provenance)
+        assert book_to_json(book) == reference_book_json(book)
+
+
+def test_book_writer_quotes_a_codeword_column_that_needs_it(binary_model):
+    """The writer quotes each column that JSON would escape, and only that
+    one: an unvalidated book whose codewords hold a quote and a backslash
+    is written as `json.dumps` writes it, beside texts that need no
+    escaping and beside texts that do."""
+    rows = dict(words=((1,), (2,)), probabilities=(0.4, 0.6))
+    quoted = make_model(["0.4", "0.6"], 2, labels=['"', "\n"])
+    for model in (binary_model, quoted):
+        book = CodeBook(model, "vv", codewords=('0"', "\\1"), **rows)
         assert book_to_json(book) == reference_book_json(book)
 
 

@@ -28,7 +28,12 @@ from wordcodes.errors import DecodeError, InputError, ValidationError
 from wordcodes.serialization import book_to_json
 from wordcodes.source_model import DIGIT_GLYPHS, make_model, word_probability
 from wordcodes.vf_construct import construct_vf
-from wordcodes.vv_construct import assign_codewords, construct_vv
+from wordcodes.vv_construct import (
+    assign_codewords,
+    canonical_codewords,
+    construct_vv,
+    huffman_lengths,
+)
 
 
 def test_roundtrip_variable_to_variable(binary_model, reference_book):
@@ -369,6 +374,43 @@ def test_sample_symbols_refuses_a_negative_count(binary_model):
             sample_symbols(binary_model, rng, count)
     assert sample_symbols(binary_model, rng, 0) == []
     assert rng.random() == random.Random(7).random()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("count", lambda b: sample_symbols(b.model, random.Random(), 2.5)),
+        ("count", lambda b: sample_symbols(b.model, random.Random(), True)),
+        ("trials", lambda b: sync_error_experiment(b, trials=2.5)),
+        ("trials", lambda b: sync_error_experiment(b, trials=True)),
+        ("message_len", lambda b: sync_error_experiment(b, message_len=2.5)),
+        ("pad_count", lambda b: decode_message(b, "000001", True)),
+        ("pad_count", lambda b: decode_message(b, "000001", 1.0)),
+        ("arity", lambda b: huffman_lengths([0.5, 0.5], 2.0)),
+        ("arity", lambda b: canonical_codewords([1, 2, 2], 2.0)),
+        ("arity", lambda b: canonical_codewords([1, 1], True)),
+    ],
+    ids=[
+        "sample-count-float",
+        "sample-count-bool",
+        "sync-trials-float",
+        "sync-trials-bool",
+        "sync-message_len-float",
+        "decode-pad_count-bool",
+        "decode-pad_count-float",
+        "huffman-arity-float",
+        "canonical-arity-float",
+        "canonical-arity-bool",
+    ],
+)
+def test_codec_and_codeword_counts_are_ints_not_bools(vf3_book, name, call):
+    """A count, trial number, message length, pad count or arity given as
+    a bool or a float is refused where it is passed, naming the argument:
+    not read as 1 (one symbol drawn, one trial run and reported as `True`,
+    one symbol trimmed, or the arity 1 that exhausts the codeword space),
+    nor failing deep in the call with a bare TypeError."""
+    with pytest.raises(InputError, match=f"^{name} must be an int, got "):
+        call(vf3_book)
 
 
 def test_sample_symbols_match_the_model_frequencies(binary_model, ternary_model):

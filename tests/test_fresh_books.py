@@ -23,6 +23,7 @@ from operator import gt, sub
 import pytest
 
 from conftest import book_from_entries, entries_of, reference_read_book
+from lattice_helpers import word_rows
 from wordcodes import cli, vf_construct
 from wordcodes.analysis import code_metrics
 from wordcodes.codebook import (
@@ -119,6 +120,9 @@ def test_both_enumerators_carry_the_model_products():
             (window, int((L - d_max) / min(model.d)) + 2, (), None),
         ]
         for walk, walk_cap, walk_taken, walk_boundary in walks:
+            count = lattice_metrics(
+                model, walk, walk_cap, 10**6, walk_taken, walk_boundary
+            ).word_count
             for drive in (walk, _plain(walk)):
                 try:
                     items = enumerate_words(
@@ -126,10 +130,14 @@ def test_both_enumerators_carry_the_model_products():
                         walk_boundary,
                     )
                 except ResourceError:
+                    # the limit trips at word 20001 of the DP's count
+                    assert count > 20000
                     seen.add("limit")
                     continue
-                words = [word for word, _, _, _ in items]
-                probs = [p for _, _, _, p in items]
+                assert len(items) == count
+                rows = word_rows(items)
+                words = [word for word, _, _, _ in rows]
+                probs = [p for _, _, _, p in rows]
                 assert _hex(probs) == _hex(word_probabilities(model, words))
                 seen.add((m, walk_boundary is not None))
     assert {(m, b) for m in (2, 3, 4) for b in (False, True)} <= seen

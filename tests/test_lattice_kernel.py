@@ -27,6 +27,7 @@ from lattice_helpers import (
     reference_stops,
     stop_rows,
     table_rows,
+    word_rows,
 )
 from wordcodes import vv_construct, word_sets
 from wordcodes.errors import ResourceError, ValidationError
@@ -633,21 +634,36 @@ def test_shared_threshold_flag_matches_admits_at_the_snapping_edge():
 def _enumeration(
     enumerate_words, model, classify, cap, limit, taken=(), boundary=None
 ):
-    """An enumeration as a comparable record: the repr of its list (so
+    """An enumeration as a comparable record: the repr of its rows (so
     forms and carried products are compared bit for bit and extra digits
-    as bools), or its error."""
+    as bools) and their number, or its error.  The reference returns a
+    list of rows, the library a `WordTable`, whose zipped columns are its
+    rows."""
     found = _outcome(
         enumerate_words, model, classify, cap, limit, taken, boundary
     )
-    if found[0] == "error":
+    if isinstance(found, word_sets.WordTable):
+        found = word_rows(found)
+    elif found[0] == "error":
         return found
-    return repr(found)
+    return repr(found), len(found)
 
 
-def _checked_enumeration(*args):
-    """`enumerate_words`' record, after checking it equals the reference's."""
+def _checked_enumeration(model, classify, cap, limit, taken=(), boundary=None):
+    """`enumerate_words`' record, after checking it equals the reference's,
+    and, where the DP takes the walk (it refuses a boundary split larger
+    than its class), that it has the DP's word count of rows, or trips the
+    limit, as the reference does, where that count exceeds the limit."""
+    args = (model, classify, cap, limit, taken, boundary)
     found = _enumeration(word_sets.enumerate_words, *args)
     assert found == _enumeration(reference_enumeration, *args)
+    table = _outcome(
+        lattice_metrics, model, classify, cap, NODE_LIMIT, taken, boundary
+    )
+    if table[0] != "error":
+        word_count = table[1]
+        assert (found[0] == "error") == (word_count > limit)
+        assert found[0] == "error" or found[1] == word_count
     return found
 
 

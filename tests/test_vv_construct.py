@@ -685,7 +685,7 @@ def test_word_and_lattice_merges_differ_only_where_profiles_tie():
         classify = NodeClassifier(low.rule, high.rule)
         try:
             first, second = (
-                [w for w, _, _, _ in enumerate_words(model, walk, cap, 400)]
+                enumerate_words(model, walk, cap, 400).words
                 for walk in (classify, classify.second_as_both())
             )
         except ResourceError:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from lattice_helpers import table_rows
+from lattice_helpers import table_rows, word_rows
 from wordcodes.codebook import kraft_of_counts
 from wordcodes.errors import InputError, ResourceError, ValidationError
 from wordcodes.source_model import make_model, profile_of, word_probability
@@ -136,13 +136,13 @@ def test_explicit_profile_sets_reproduce_reference_word_sets(
 ):
     first = ExplicitProfilesRule(frozenset({(1, 0)}))
     classify = member_classifier(binary_model, first)
-    words = enumerate_words(binary_model, classify, 3, limit=100)
+    words = word_rows(enumerate_words(binary_model, classify, 3, limit=100))
     texts = [binary_model.word_to_text(w) for w, _, _, _ in words]
     assert texts == ["a", "baa", "bab", "bba", "bbb"]
 
     second = ExplicitProfilesRule(frozenset({(1, 1)}))
     classify = member_classifier(binary_model, second)
-    words = enumerate_words(binary_model, classify, 3, limit=100)
+    words = word_rows(enumerate_words(binary_model, classify, 3, limit=100))
     texts = [binary_model.word_to_text(w) for w, _, _, _ in words]
     assert sorted(texts) == ["aaa", "aab", "ab", "ba", "bba", "bbb"]
 
@@ -163,8 +163,10 @@ def test_lattice_metrics_agree_with_enumeration(binary_model, ternary_model):
             table = lattice_metrics(model, classify, cap)
             words = [
                 w
-                for w, _, _, _ in enumerate_words(
-                    model, classify, cap, limit=DEFAULT_ENUM_LIMIT
+                for w, _, _, _ in word_rows(
+                    enumerate_words(
+                        model, classify, cap, limit=DEFAULT_ENUM_LIMIT
+                    )
                 )
             ]
             assert words is not None
@@ -227,11 +229,15 @@ def test_walks_under_node_classifier_match_member_reference(
         for first, second, walk_cap, walk_taken in cases:
             classify = NodeClassifier(first, second)
             reference = member_classifier(model, first, second)
-            found = enumerate_words(
-                model, classify, walk_cap, DEFAULT_ENUM_LIMIT, walk_taken
+            found = word_rows(
+                enumerate_words(
+                    model, classify, walk_cap, DEFAULT_ENUM_LIMIT, walk_taken
+                )
             )
-            assert found == enumerate_words(
-                model, reference, walk_cap, DEFAULT_ENUM_LIMIT, walk_taken
+            assert found == word_rows(
+                enumerate_words(
+                    model, reference, walk_cap, DEFAULT_ENUM_LIMIT, walk_taken
+                )
             )
             table = lattice_metrics(
                 model, classify, walk_cap, taken=walk_taken
@@ -285,7 +291,9 @@ def test_window_rule_edges_are_half_open():
 def test_cap_alone_stops_every_path(binary_model, member_classifier):
     classify = member_classifier(binary_model, EmptyRule())
     table = lattice_metrics(binary_model, classify, 5)
-    words = enumerate_words(binary_model, classify, 5, DEFAULT_ENUM_LIMIT)
+    words = word_rows(
+        enumerate_words(binary_model, classify, 5, DEFAULT_ENUM_LIMIT)
+    )
     assert table.word_count == len(words) == 2**5
     assert all(len(w) == 5 and extra for w, _, extra, _ in words)
     assert table.cap_mass == pytest.approx(1.0, abs=1e-12)
