@@ -115,7 +115,10 @@ def book_from_json(text: str) -> CodeBook:
             raise InputError(
                 "malformed code book file: provenance is not an object"
             )
-        for key in ("alphabet", "probs"):
+        kind = data["kind"]
+        if not isinstance(kind, str):
+            raise InputError(f"malformed code book file: kind {kind!r}")
+        for key in ("alphabet", "probs", "words"):
             if not isinstance(data[key], list):
                 raise InputError(
                     f"malformed code book file: {key} is not a list"
@@ -130,7 +133,7 @@ def book_from_json(text: str) -> CodeBook:
         words, codewords, keys = _read_rows(model, data.pop("words"))
         book = CodeBook(
             model=model,
-            kind=data["kind"],
+            kind=kind,
             words=words,
             codewords=codewords,
             probabilities=share_equal(word_probabilities(model, words)),
@@ -166,8 +169,7 @@ def _read_rows(
         texts = list(map(itemgetter("symbols"), rows))
         codewords = list(map(itemgetter("codeword"), rows))
         if all(map(isinstance, chain(texts, codewords), repeat(str))):
-            if isinstance(rows, list):  # an empty "" or {} reads as no rows
-                rows.clear()
+            rows.clear()
             keys = model._symbol_bytes(texts)
             if keys is None:
                 return list(map(model.word_from_text, texts)), codewords, None

@@ -73,7 +73,10 @@ def construct_vf(
     probability is at least n^-L; below that the construction degrades to
     the plain symbol-by-symbol map, which stays decodable but loses the
     window guarantee.  L, enum_limit and node_limit are ints, not bools;
-    anything else raises InputError.
+    anything else raises InputError.  Inside the window the word set is
+    counted by `lattice_metrics` and listed by `enumerate_words` from that
+    table, which raises ResourceError above `enum_limit` words before it
+    walks.
 
     Rows are sorted by each word's float probability, descending, with
     ties in lexicographic order, and take the length-L strings in
@@ -116,20 +119,11 @@ def construct_vf(
         )
         _check_walk_fits(model, classify, cap, node_limit)
         table = lattice_metrics(model, classify, cap, node_limit)
-        if table.word_count > enum_limit:
-            raise ResourceError(
-                f"word set exceeds the enumeration limit of {enum_limit}"
-            )
-        found = enumerate_words(model, classify, cap, enum_limit)
+        found = enumerate_words(model, classify, table, enum_limit)
         words, forms = found.words, found.forms
         # one float object per value, for the book and the metrics alike
         probs = share_equal(found.probs)
         del found
-        if len(words) != table.word_count:
-            raise ValidationError(
-                f"enumeration found {len(words)} words, DP counted "
-                f"{table.word_count}"
-            )
         if table.cap_mass != 0.0:
             raise ValidationError(
                 "window parse was cut off by the length cap; the window "

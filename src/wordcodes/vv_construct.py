@@ -24,10 +24,11 @@ knockout sweep gives the Kraft mass each added word removes.  The final
 word set is the one every code family shares: `word_sets.lattice_metrics`
 gives its stops, hence its exact Kraft sum and metrics, with the merge's
 chosen classes and boundary split passed in, and `word_sets.enumerate_words`
-lists it when it is small enough for a book.  On the swapped path the high
-set is both sets.  A build that must emit a book (grade "codec") gives up
-inside the joint DP once the merged set's words pass the enumeration limit,
-since no final word set has fewer.
+lists that table's words, and checks their count against it, when it is
+small enough for a book.  On the swapped path the high set is both sets.  A
+build that must emit a book (grade "codec") gives up inside the joint DP
+once the merged set's words pass the enumeration limit, since no final word
+set has fewer.
 
 One `word_sets.NodeClassifier` over the two threshold rules serves a whole
 build (the cap is simply the last level): the cap trials, the knockout
@@ -138,14 +139,15 @@ def build_threshold_sets(
 
     Both are unioned with the hard cap at `cap`, so the induced word sets are
     complete regardless of how sparse the threshold hits are.  An explicit
-    theta must be finite and positive; widths of 1 or more are legal (2/T
-    itself is 2 at T=1).
+    theta must be an int or a float (not a bool), finite and positive;
+    widths of 1 or more are legal (2/T itself is 2 at T=1).
     """
     if T < 1:
         raise InputError(f"T must be >= 1, got {T}")
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
-    if theta is not None and not (math.isfinite(theta) and theta > 0):
+    real = isinstance(theta, (int, float)) and not isinstance(theta, bool)
+    if theta is not None and not (real and math.isfinite(theta) and theta > 0):
         raise InputError(
             f"threshold width must be a finite number > 0, got {theta!r}"
         )
@@ -941,13 +943,7 @@ def _pipeline(
     book = None
     book_metrics = None
     if final.word_count <= enum_limit:
-        found = enumerate_words(
-            model, classify, cap_val, enum_limit, chosen, boundary
-        )
-        if len(found) != final.word_count:
-            raise ValidationError(
-                "enumerated word count disagrees with the lattice DP"
-            )
+        found = enumerate_words(model, classify, final, enum_limit)
         # one length per distinct (form, extra digit), not one per word
         keys = set(zip(found.forms, found.extra))
         length_of = {key: code_length_for(*key) for key in keys}

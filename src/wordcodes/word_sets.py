@@ -18,7 +18,10 @@ FIRST/SECOND flags, saying whether the first and the second set hold it.
 word-by-word enumerator) are the only walks; the first set stops every path,
 and a path that reaches the second set stops there only where the caller
 says so (the classes a Kraft merge takes) and otherwise crosses it and runs
-on.  VF codes pass an empty second set.
+on.  VF codes pass an empty second set.  The DP's table is the one
+description of a word set: it holds its cap and how many clean words stop
+at each such class, and the enumerator lists that table's words, stopping
+clean paths by those quotas, and checks its count against the table's.
 `ProfileSet` keeps profile membership as a plain predicate, for checks and
 tests; no walk calls it.
 
@@ -658,7 +661,9 @@ class LatticeTable:
     the sum of the counts, `cap_mass` the mass of words stopped by the hard
     cap alone (their profiles are not in the first set), the quantity used
     to size the cap adaptively, and `visited_nodes` the nodes the walk
-    visited.
+    visited.  `cap` is the hard cap the walk ran under, and `second_stops`
+    maps each taken or boundary class to the number of its clean words
+    that stop there: the quotas `enumerate_words` stops clean paths by.
     """
 
     profiles: list[Profile]
@@ -669,6 +674,8 @@ class LatticeTable:
     word_count: int
     cap_mass: float
     visited_nodes: int
+    cap: int
+    second_stops: dict[Profile, int]
 
 
 def lattice_metrics(
@@ -701,6 +708,7 @@ def lattice_metrics(
     profiles: list[Profile] = []
     counts: list[int] = []
     masses, forms, extra = array("d"), array("d"), bytearray()
+    second_stops: dict[Profile, int] = {}
 
     def stop(k: Profile, count: int, mass: float, form: float, digit: bool):
         profiles.append(k)
@@ -729,6 +737,7 @@ def lattice_metrics(
             form = view.node(i)[1]
             if k in taken:
                 stop(k, c_c, m_c, form, True)
+                second_stops[k] = c_c
                 c_c = 0
             else:
                 if c_c < boundary_words:
@@ -738,6 +747,7 @@ def lattice_metrics(
                 stop_m = boundary_words * profile_probability(model, k)
                 if boundary_words:
                     stop(k, boundary_words, stop_m, form, True)
+                    second_stops[k] = boundary_words
                 c_c -= boundary_words
                 m_c -= stop_m
             n_cx[i] = cx[i] + c_c
@@ -752,7 +762,8 @@ def lattice_metrics(
             if not flags[i] & FIRST:  # a node the cap alone stops
                 cap_mass += mc[i] + mx[i]
     return LatticeTable(
-        profiles, counts, masses, forms, extra, sum(counts), cap_mass, visited
+        profiles, counts, masses, forms, extra, sum(counts), cap_mass,
+        visited, cap, second_stops,
     )
 
 
@@ -810,38 +821,41 @@ class WordTable:
 
 
 def enumerate_words(
-    model: SourceModel,
-    classify: NodeClassifier,
-    cap: int,
-    limit: int,
-    taken: Collection[Profile] = (),
-    boundary: tuple[Profile, int] | None = None,
+    model: SourceModel, classify: NodeClassifier, table: LatticeTable, limit: int
 ) -> WordTable:
-    """The word set of `lattice_metrics`, word by word, in lexicographic order.
+    """The words of a `lattice_metrics` table, in lexicographic order.
 
-    Returns the words as a `WordTable`: one append per column and word, and
-    no record per word.  A word's extra digit is set for a clean stop in the
-    second set or at the cap, where the construction length gets one digit
-    more.  At the boundary profile the lexicographically first j clean
-    words stop.  Iterative, so the cap, which bounds the depth, can exceed
-    the interpreter recursion limit.  Raises InputError for a cap below 1,
-    and ResourceError as soon as more than `limit` words are found.
+    `classify` is the classifier the table was built under.  Returns the
+    words as a `WordTable`: one append per column and word, and no record
+    per word.  A word's extra digit is set for a clean stop in the second
+    set or at the cap, where the construction length gets one digit more.
+    Iterative, so the cap, which bounds the depth, can exceed the
+    interpreter recursion limit.  Raises ResourceError, before any node is
+    classified, when the table counts more than `limit` words, and
+    ValidationError when the walk finds more words than the table counts
+    (as soon as it does), fewer, or leaves a second-set quota unused.
 
-    One depth-first walk for every source and classifier, over (word, key,
-    crossed, probability) frames keyed by `NodeKeys`, symbol 1 popped
-    first; `classify` is called once per distinct profile reached, and the
-    cap stops every path.
+    One depth-first walk for every source and classifier, under the
+    table's cap, over (word, key, crossed, probability) frames keyed by
+    `NodeKeys`, symbol 1 popped first; `classify` is called once per
+    distinct profile reached, and the cap stops every path.  A clean path
+    at a second-set node stops there while that class's quota in
+    `table.second_stops` lasts, so a boundary class stops its
+    lexicographically first words, and otherwise crosses and runs on.
 
     Each frame carries its word's prefix product, multiplied left to right
     from 1.0 as `word_probability` multiplies, so the probability is the
     same float: fresh VF and VV books take their probabilities from there,
     and their metrics from these forms.
     """
-    keys = NodeKeys(model.m, cap, classify)
-    taken_keys = set(map(keys.key_of, taken))
-    boundary_key, boundary_left = (
-        (keys.key_of(boundary[0]), boundary[1]) if boundary else (None, 0)
-    )
+    count = table.word_count
+    if count > limit:
+        raise ResourceError(
+            f"word set exceeds the enumeration limit of {limit}"
+        )
+    keys = NodeKeys(model.m, table.cap, classify)
+    # key -> clean words still to stop at that second-set class
+    quota = {keys.key_of(k): j for k, j in table.second_stops.items()}
     # key -> (form, flags), one classification per distinct profile; the
     # origin is in neither set
     nodes: dict[int, tuple[float, int]] = {0: (0.0, 0)}
@@ -856,16 +870,16 @@ def enumerate_words(
     add_extra, add_prob = out.extra.append, out.probs.append
     stack: list[tuple[Word, int, bool, float]] = [((), 0, False, 1.0)]
     pop, push = stack.pop, stack.append
+    disagrees = "enumerated word count disagrees with the lattice DP"
     while stack:
         word, key, crossed, p = pop()
         form, flags = nodes.get(key) or nodes.setdefault(key, keys.node(key))
         # a clean path at a second-set node stops there, with the extra
-        # digit, if its class is taken or is the boundary with words left
+        # digit, while its class's quota lasts
         if flags == SECOND and not crossed:
-            if key in taken_keys:
-                flags = FIRST | SECOND
-            elif key == boundary_key and boundary_left:
-                boundary_left -= 1
+            left = quota.get(key)
+            if left:
+                quota[key] = left - 1
                 flags = FIRST | SECOND
             else:
                 crossed = True
@@ -874,13 +888,13 @@ def enumerate_words(
             add_form(form)
             add_extra(flags > FIRST and not crossed)
             add_prob(p)
-            if len(words) > limit:
-                raise ResourceError(
-                    f"word set exceeds the enumeration limit of {limit}"
-                )
+            if len(words) > count:
+                raise ValidationError(disagrees)
             continue
         for symbol, step, p_s in children:
             push((word + symbol, key + step, crossed, p * p_s))
+    if len(words) < count or any(quota.values()):
+        raise ValidationError(disagrees)
     return out
 
 

@@ -82,6 +82,12 @@ def _malformed_books(book):
         lambda p: p.update(alphabet=["x1", "y1"]),
         # one label per probability: an empty alphabet is not the default
         lambda p: p.update(alphabet=[]),
+        # a kind is a string, and the rows are a list, even an empty one
+        lambda p: p.update(kind=5),
+        lambda p: p.update(kind=None),
+        lambda p: p.update(kind=["vv"]),
+        lambda p: p.update(words={}),
+        lambda p: p.update(words=""),
     ]
     for edit in edits:
         payload = json.loads(json.dumps(good))
@@ -574,6 +580,11 @@ def test_cli_exit_codes(tmp_path, capsys, reference_book):
     assert main(["construct-vv", "--probs", "0.5,0.5", "--m1", m1]) == 3
     save_book(incomplete, str(garbage))
     assert main(["analyze", "--book", str(garbage)]) == 3
+    # a kind and rows of the right type that break the book contract
+    for edit in ({"kind": "xyz"}, {"words": []}):
+        payload = {**json.loads(book_to_json(reference_book)), **edit}
+        garbage.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["analyze", "--book", str(garbage)]) == 3
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and not captured.out
 

@@ -120,17 +120,15 @@ def test_both_enumerators_carry_the_model_products():
             (window, int((L - d_max) / min(model.d)) + 2, (), None),
         ]
         for walk, walk_cap, walk_taken, walk_boundary in walks:
-            count = lattice_metrics(
+            table = lattice_metrics(
                 model, walk, walk_cap, 10**6, walk_taken, walk_boundary
-            ).word_count
+            )
+            count = table.word_count
             for drive in (walk, _plain(walk)):
                 try:
-                    items = enumerate_words(
-                        model, drive, walk_cap, 20000, walk_taken,
-                        walk_boundary,
-                    )
+                    items = enumerate_words(model, drive, table, 20000)
                 except ResourceError:
-                    # the limit trips at word 20001 of the DP's count
+                    # the limit trips on the DP's count, before the walk
                     assert count > 20000
                     seen.add("limit")
                     continue

@@ -631,17 +631,13 @@ def test_shared_threshold_flag_matches_admits_at_the_snapping_edge():
     assert snapped == len(edges) and unsnapped == len(edges)
 
 
-def _enumeration(
-    enumerate_words, model, classify, cap, limit, taken=(), boundary=None
-):
+def _enumeration(enumerate_words, *args):
     """An enumeration as a comparable record: the repr of its rows (so
     forms and carried products are compared bit for bit and extra digits
     as bools) and their number, or its error.  The reference returns a
     list of rows, the library a `WordTable`, whose zipped columns are its
     rows."""
-    found = _outcome(
-        enumerate_words, model, classify, cap, limit, taken, boundary
-    )
+    found = _outcome(enumerate_words, *args)
     if isinstance(found, word_sets.WordTable):
         found = word_rows(found)
     elif found[0] == "error":
@@ -650,20 +646,34 @@ def _enumeration(
 
 
 def _checked_enumeration(model, classify, cap, limit, taken=(), boundary=None):
-    """`enumerate_words`' record, after checking it equals the reference's,
-    and, where the DP takes the walk (it refuses a boundary split larger
-    than its class), that it has the DP's word count of rows, or trips the
-    limit, as the reference does, where that count exceeds the limit."""
-    args = (model, classify, cap, limit, taken, boundary)
-    found = _enumeration(word_sets.enumerate_words, *args)
-    assert found == _enumeration(reference_enumeration, *args)
-    table = _outcome(
-        lattice_metrics, model, classify, cap, NODE_LIMIT, taken, boundary
+    """`enumerate_words`' record over the DP's table, after checking it
+    equals the reference's, that it has the DP's word count of rows or
+    trips the limit where that count exceeds the limit, and that a tripped
+    limit classified no node.  A boundary split larger than its class has
+    no table: the DP refuses it, and the record is ("refused", message)."""
+    try:
+        table = lattice_metrics(
+            model, classify, cap, NODE_LIMIT, taken, boundary
+        )
+    except ValidationError as exc:
+        assert str(exc) == "boundary class smaller than its split"
+        k, j = boundary
+        whole = lattice_metrics(model, classify, cap, NODE_LIMIT, {*taken, k})
+        assert j > dict(zip(whole.profiles, whole.counts)).get(k, 0)
+        return "refused", str(exc)
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return classify(k)
+
+    found = _enumeration(word_sets.enumerate_words, model, counted, table, limit)
+    assert found == _enumeration(
+        reference_enumeration, model, classify, cap, limit, taken, boundary
     )
-    if table[0] != "error":
-        word_count = table[1]
-        assert (found[0] == "error") == (word_count > limit)
-        assert found[0] == "error" or found[1] == word_count
+    assert (found[0] == "error") == (table.word_count > limit)
+    assert found[0] == "error" or found[1] == table.word_count
+    assert found[0] != "error" or not calls
     return found
 
 
@@ -692,6 +702,9 @@ def test_enumeration_matches_the_per_node_reference():
             found = _checked_enumeration(
                 model, walk_classify, cap, limit, walk_taken, walk_boundary
             )
+            if found[0] == "refused":
+                seen.add("refused")
+                continue
             seen.add("words" if found[0] != "error" else "limit")
             if walk_boundary and found[0] != "error":
                 seen.add(("boundary", model.m))
@@ -705,7 +718,7 @@ def test_enumeration_matches_the_per_node_reference():
             )
             if _checked_enumeration(model, window, cap, limit)[0] != "error":
                 seen.add(("window", model.m))
-    assert seen == {"words", "limit"} | {
+    assert seen == {"words", "limit", "refused"} | {
         (what, m)
         for what in ("boundary", "taken", "window")
         for m in (2, 3, 4)
@@ -719,7 +732,8 @@ def test_enumeration_trips_the_limit_where_the_reference_does():
     window = NodeClassifier(
         WindowRule(model.d, L - max(model.d), float(L)), EmptyRule()
     )
-    count = len(word_sets.enumerate_words(model, window, cap, 10**6))
+    table = lattice_metrics(model, window, cap)
+    count = len(word_sets.enumerate_words(model, window, table, 10**6))
     assert count > 100
     for limit in (0, 1, 50, count - 1, count, count + 1):
         found = _checked_enumeration(model, window, cap, limit)
@@ -728,7 +742,10 @@ def test_enumeration_trips_the_limit_where_the_reference_does():
 
 def test_enumeration_of_a_sparse_window_is_fast():
     """p = (0.001, 0.999), L = 14: a cap of 2 796 levels with about two
-    live nodes each.  The walk visits only those nodes."""
+    live nodes each.  The walk visits only those nodes.  Its table comes
+    from the dict walk, which also visits only the live nodes (the flat
+    one, equal to it, runs every level out in full), and only the
+    enumeration is timed."""
     model = make_model(["0.001", "0.999"], 2)
     L = 14
     d_max = max(model.d)
@@ -737,8 +754,9 @@ def test_enumeration_of_a_sparse_window_is_fast():
     window = NodeClassifier(
         WindowRule(model.d, L - d_max, float(L)), EmptyRule()
     )
+    table = lattice_metrics(model, _dict_walk(window), cap)
     start = time.perf_counter()
-    words = word_sets.enumerate_words(model, window, cap, 10**6)
+    words = word_sets.enumerate_words(model, window, table, 10**6)
     assert time.perf_counter() - start < 1.0
     assert len(words) == 2796
 

@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from wordcodes import vf_construct
+from wordcodes import word_sets
 from wordcodes.errors import InfeasibleError, InputError, ResourceError
 from wordcodes.source_model import make_model, word_probability
 from wordcodes.vf_construct import (
@@ -175,7 +175,8 @@ def test_vf_trips_the_enumeration_limit_before_enumerating(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the word set was enumerated")
 
-    monkeypatch.setattr(vf_construct, "enumerate_words", no_enumeration)
+    # the enumerator checks the limit before it classifies any node
+    monkeypatch.setattr(word_sets.NodeKeys, "node", no_enumeration)
     model = make_model(["0.4", "0.6"], 2)
     with pytest.raises(ResourceError, match="enumeration limit of 100$"):
         construct_vf(model, 12, enum_limit=100)

@@ -9,6 +9,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -373,7 +374,12 @@ def test_threshold_parameter_below_one_is_an_input_error(binary_model):
 
 
 def test_threshold_width_must_be_finite_and_positive(binary_model):
-    for theta in (0.0, -1.0, -0.0, math.nan, math.inf, -math.inf):
+    for theta in (
+        0.0, -1.0, -0.0, math.nan, math.inf, -math.inf,
+        # an int or a float, not a bool: True would build a book whose
+        # provenance says "theta": true, a Fraction one the writer refuses
+        True, Fraction(1, 2), Decimal("0.5"), "0.1", 1j, [0.1],
+    ):
         with pytest.raises(InputError, match="threshold width"):
             build_threshold_sets(binary_model, 4, cap=16, theta=theta)
         with pytest.raises(InputError, match="threshold width"):
@@ -685,7 +691,9 @@ def test_word_and_lattice_merges_differ_only_where_profiles_tie():
         classify = NodeClassifier(low.rule, high.rule)
         try:
             first, second = (
-                enumerate_words(model, walk, cap, 400).words
+                enumerate_words(
+                    model, walk, lattice_metrics(model, walk, cap), 400
+                ).words
                 for walk in (classify, classify.second_as_both())
             )
         except ResourceError:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,16 @@ import pytest
 from lattice_helpers import table_rows, word_rows
 from wordcodes.codebook import kraft_of_counts
 from wordcodes.errors import InputError, ResourceError, ValidationError
+from wordcodes.serialization import book_to_json
 from wordcodes.source_model import make_model, profile_of, word_probability
+from wordcodes.vv_construct import (
+    _knockout_masses,
+    build_threshold_sets,
+    construct_vv,
+)
 from wordcodes.word_sets import (
     DEFAULT_ENUM_LIMIT,
+    SECOND,
     THRESHOLD_TOL,
     EmptyRule,
     NodeClassifier,
@@ -131,18 +139,24 @@ def test_threshold_rules_classify_reference_profiles(binary_model):
     assert not low.member((0, 0)) and not high.member((0, 0))
 
 
+def _enumerated(model, classify, cap, limit):
+    """The words of the DP's table of the walk under `classify` and `cap`."""
+    table = lattice_metrics(model, classify, cap)
+    return enumerate_words(model, classify, table, limit)
+
+
 def test_explicit_profile_sets_reproduce_reference_word_sets(
     binary_model, member_classifier
 ):
     first = ExplicitProfilesRule(frozenset({(1, 0)}))
     classify = member_classifier(binary_model, first)
-    words = word_rows(enumerate_words(binary_model, classify, 3, limit=100))
+    words = word_rows(_enumerated(binary_model, classify, 3, 100))
     texts = [binary_model.word_to_text(w) for w, _, _, _ in words]
     assert texts == ["a", "baa", "bab", "bba", "bbb"]
 
     second = ExplicitProfilesRule(frozenset({(1, 1)}))
     classify = member_classifier(binary_model, second)
-    words = word_rows(enumerate_words(binary_model, classify, 3, limit=100))
+    words = word_rows(_enumerated(binary_model, classify, 3, 100))
     texts = [binary_model.word_to_text(w) for w, _, _, _ in words]
     assert sorted(texts) == ["aaa", "aab", "ab", "ba", "bba", "bbb"]
 
@@ -164,9 +178,7 @@ def test_lattice_metrics_agree_with_enumeration(binary_model, ternary_model):
             words = [
                 w
                 for w, _, _, _ in word_rows(
-                    enumerate_words(
-                        model, classify, cap, limit=DEFAULT_ENUM_LIMIT
-                    )
+                    enumerate_words(model, classify, table, DEFAULT_ENUM_LIMIT)
                 )
             ]
             assert words is not None
@@ -229,21 +241,17 @@ def test_walks_under_node_classifier_match_member_reference(
         for first, second, walk_cap, walk_taken in cases:
             classify = NodeClassifier(first, second)
             reference = member_classifier(model, first, second)
-            found = word_rows(
-                enumerate_words(
-                    model, classify, walk_cap, DEFAULT_ENUM_LIMIT, walk_taken
-                )
-            )
-            assert found == word_rows(
-                enumerate_words(
-                    model, reference, walk_cap, DEFAULT_ENUM_LIMIT, walk_taken
-                )
-            )
             table = lattice_metrics(
                 model, classify, walk_cap, taken=walk_taken
             )
             expect = lattice_metrics(
                 model, reference, walk_cap, taken=walk_taken
+            )
+            found = word_rows(
+                enumerate_words(model, classify, table, DEFAULT_ENUM_LIMIT)
+            )
+            assert found == word_rows(
+                enumerate_words(model, reference, expect, DEFAULT_ENUM_LIMIT)
             )
             assert table_rows(table) == table_rows(expect)
             assert table.word_count == expect.word_count
@@ -292,7 +300,7 @@ def test_cap_alone_stops_every_path(binary_model, member_classifier):
     classify = member_classifier(binary_model, EmptyRule())
     table = lattice_metrics(binary_model, classify, 5)
     words = word_rows(
-        enumerate_words(binary_model, classify, 5, DEFAULT_ENUM_LIMIT)
+        enumerate_words(binary_model, classify, table, DEFAULT_ENUM_LIMIT)
     )
     assert table.word_count == len(words) == 2**5
     assert all(len(w) == 5 and extra for w, _, extra, _ in words)
@@ -306,9 +314,100 @@ def test_member_empty_profile_is_rejected():
 
 
 def test_enumeration_limit_is_enforced(binary_model, member_classifier):
+    """The limit trips on the table's count, before any node is
+    classified."""
     classify = member_classifier(binary_model, EmptyRule())
-    with pytest.raises(ResourceError):
-        enumerate_words(binary_model, classify, 12, limit=100)
+    table = lattice_metrics(binary_model, classify, 12)
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return classify(k)
+
+    with pytest.raises(ResourceError, match="enumeration limit of 100$"):
+        enumerate_words(binary_model, counted, table, 100)
+    assert not calls
+
+
+def test_enumeration_lists_only_the_table_it_is_given():
+    """The enumerator checks its walk against the table.  On (0.4, 0.6)
+    with width 0.2 and cap 12, one second-set class taken and one word of
+    another stopping: a word count one off, a quota one off, a quota
+    removed, and a quota at a second-set class that no clean path reaches
+    each raise, and the untouched table gives its words."""
+    model = make_model(["0.4", "0.6"], 2)
+    classify = NodeClassifier(
+        ThresholdLowRule(model.d, 0.2), ThresholdHighRule(model.d, 0.2)
+    )
+    cap = 12
+    whole, unreached = {}, []
+    for level in range(1, cap):
+        for a, flags in enumerate(classify.level(level)):
+            if flags != SECOND:
+                continue
+            k = (a, level - a)
+            table = lattice_metrics(model, classify, cap, taken={k})
+            clean = dict(zip(table.profiles, table.counts)).get(k, 0)
+            if clean:
+                whole[k] = clean
+            else:
+                unreached.append(k)
+    split = next(k for k, clean in whole.items() if clean > 1)
+    taken = next(k for k in whole if k != split)
+    table = lattice_metrics(
+        model, classify, cap, taken={taken}, boundary=(split, 1)
+    )
+    assert table.second_stops == {taken: whole[taken], split: 1}
+    words = enumerate_words(model, classify, table, table.word_count)
+    assert len(words) == table.word_count
+    tampered = [
+        replace(table, word_count=table.word_count + 1),
+        replace(table, word_count=table.word_count - 1),
+        replace(table, second_stops={**table.second_stops, unreached[0]: 1}),
+    ]
+    for k, j in table.second_stops.items():
+        others = {q: i for q, i in table.second_stops.items() if q != k}
+        tampered += [
+            replace(table, second_stops={**others, k: j + 1}),
+            replace(table, second_stops={**others, k: j - 1}),
+            replace(table, second_stops=others),
+        ]
+    for bad in tampered:
+        with pytest.raises(
+            ValidationError,
+            match="^enumerated word count disagrees with the lattice DP$",
+        ):
+            enumerate_words(model, classify, bad, DEFAULT_ENUM_LIMIT)
+    again = enumerate_words(model, classify, table, DEFAULT_ENUM_LIMIT)
+    assert word_rows(again) == word_rows(words)
+
+
+def test_the_dp_refuses_a_split_larger_than_its_class():
+    """On (0.4, 0.6) with T = 4 and cap 16 the class (0, 1) has one clean
+    word: the DP refuses to stop 6 of them, so no table, and no
+    enumeration, exists for that split.  The builds there are unchanged:
+    the boundary stops the one word, in both assignments."""
+    model = make_model(["0.4", "0.6"], 2)
+    low, high = build_threshold_sets(model, 4, 16)
+    classify = NodeClassifier(low.rule, high.rule)
+    with pytest.raises(
+        ValidationError, match="^boundary class smaller than its split$"
+    ):
+        lattice_metrics(model, classify, 16, boundary=((0, 1), 6))
+    table = lattice_metrics(model, classify, 16, boundary=((0, 1), 1))
+    assert table.second_stops == {(0, 1): 1}
+    digests = {
+        "huffman": "382d75093bfc9dd742df754e14cf8f7b"
+        "d19349a82d9dfed03268f06e41634fb9",
+        "canonical": "10bef9efb5eac4bb887c7708869f46fe"
+        "e3f3e6514078b2a1cbabb13403a50e5e",
+    }
+    for assignment, digest in digests.items():
+        result = construct_vv(model, T=4, cap=16, assignment=assignment)
+        assert result.provenance["boundary_profile"] == [0, 1]
+        assert result.provenance["boundary_words"] == 1
+        text = book_to_json(result.book)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_node_limit_is_enforced(ternary_model, member_classifier):
@@ -321,8 +420,10 @@ def test_node_limit_is_enforced(ternary_model, member_classifier):
 def test_walks_reject_a_cap_below_one(
     binary_model, ternary_model, member_classifier, cap
 ):
-    """A cap below 1 would stop no path: both walks reject it before they
-    start, on the flat and the keyed walk alike.  The limit of 10 words
+    """A cap below 1 would stop no path: the forward DP and the knockout
+    sweep, the walk over `NodeKeys` that takes a cap of its own, reject it
+    before they start, on the flat and the keyed walk alike.  (The
+    enumerator walks under the cap of a DP table.)  The node limit of 10
     keeps a walk that does start short."""
     message = f"cap must be >= 1, got {cap}"
     for model in (binary_model, ternary_model):
@@ -334,7 +435,7 @@ def test_walks_reject_a_cap_below_one(
             with pytest.raises(InputError, match=message):
                 lattice_metrics(model, classify, cap)
             with pytest.raises(InputError, match=message):
-                enumerate_words(model, classify, cap, limit=10)
+                _knockout_masses(model, classify, cap, {(1,) * model.m}, 10)
 
 
 def test_profile_set_validates_construction():
