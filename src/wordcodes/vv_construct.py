@@ -24,11 +24,13 @@ knockout sweep gives the Kraft mass each added word removes.  The final
 word set is the one every code family shares: `word_sets.lattice_metrics`
 gives its stops, hence its exact Kraft sum and metrics, with the merge's
 chosen classes and boundary split passed in, and `word_sets.enumerate_words`
-lists that table's words, and checks their count against it, when it is
-small enough for a book.  On the swapped path the high set is both sets.  A
-build that must emit a book (grade "codec") gives up inside the joint DP
-once the merged set's words pass the enumeration limit, since no final word
-set has fewer.
+lists that table's words and checks their count against it.  A build that
+must emit a book (grade "codec") always enumerates, and the enumerator's
+up-front count check is its one refusal of a final word set past the
+enumeration limit; at grade "metrics" the book is made only when the set is
+that small.  On the swapped path the high set is both sets.  A codec-grade
+build also gives up early, inside the joint DP, once the merged set's words
+pass the enumeration limit, since no final word set has fewer.
 
 One `word_sets.NodeClassifier` over the two threshold rules serves a whole
 build (the cap is simply the last level): the cap trials, the knockout
@@ -437,24 +439,6 @@ class _JointTables:
     classify: NodeClassifier = field(compare=False, repr=False)
 
 
-class WordLimitError(ResourceError):
-    """A codec-grade build's word set has more than `limit` words.
-
-    The joint DP raises it once the merged set's stops so far outnumber
-    `limit`, at lattice `level` of cap `cap`; the message names both.
-    Every final word set stops each path at or after its first node in the
-    first set, the second set or the cap, so it has at least as many words
-    as the merged set, and more at any larger cap.
-    """
-
-    def __init__(self, limit: int, level: int, cap: int) -> None:
-        super().__init__(
-            f"more than {limit} words: the merged word set passes the "
-            f"enumeration limit at level {level} of cap {cap}"
-        )
-        self.limit = limit
-
-
 def _joint_dp(
     model: SourceModel,
     classify: NodeClassifier,
@@ -463,8 +447,11 @@ def _joint_dp(
     enum_limit: int | None = None,
 ) -> _JointTables:
     """The joint DP of the low and high rules of `classify` under the hard
-    cap `cap`.  With an `enum_limit`, raises WordLimitError after the first
-    level where the merged set has more stops than that.
+    cap `cap`.  With an `enum_limit`, raises ResourceError after the first
+    level where the merged set has more stops than that: every final word
+    set stops each path at or after its first node in the first set, the
+    second set or the cap, so it has at least as many words as the merged
+    set, and more at any larger cap.
 
     One body over `word_sets.level_views`: paths are routed a level at a
     time with 0/1 masks of the routing flags, and only nodes of either set
@@ -522,7 +509,10 @@ def _joint_dp(
                 if not flags[i] & SECOND:
                     cap_mass_second += mc[i] + m1[i]
         if enum_limit is not None and merged > enum_limit:
-            raise WordLimitError(enum_limit, view.level, cap)
+            raise ResourceError(
+                f"more than {enum_limit} words: the merged word set passes "
+                f"the enumeration limit at level {view.level} of cap {cap}"
+            )
     classes.sort()
     return _JointTables(
         kraft_first=kraft_of_counts(acc_first, model.arity),
@@ -673,8 +663,9 @@ def threshold_parameter_candidates(
     candidates are doublings of a small multiple of the common denominator.
     Otherwise T runs over the best-approximation denominators of one
     irrational exponent, preferring the last symbol's.  Raises InputError
-    for a t_max below 1.
+    for a t_max that is not an int (or is a bool) or is below 1.
     """
+    require_int(t_max=t_max)
     if t_max < 1:
         raise InputError(f"t_max must be >= 1, got {t_max}")
     q = denominator_of_rational_form(list(model.d))
@@ -724,7 +715,7 @@ def choose_cap(
     doubles.  Returns the stopping sets at the chosen cap and the lattice
     tables of the last trial, so the caller need not recompute them.
 
-    With an `enum_limit` (codec-grade builds), a trial raises WordLimitError
+    With an `enum_limit` (codec-grade builds), a trial raises ResourceError
     as soon as its merged word set has more words than that: the word set
     at this cap, or at any larger one, could not be enumerated either.
     """
@@ -781,10 +772,11 @@ class VVResult:
     """A constructed variable-to-variable code.
 
     `dp_metrics` always reflects the construction lengths, computed exactly
-    on the profile lattice.  `book` (and `book_metrics`) are present when the
-    word set was small enough to enumerate; with the "huffman" assignment the
-    book's lengths are optimal for the word probabilities and its metrics can
-    beat the construction's.
+    on the profile lattice.  `book` (and `book_metrics`) are always present
+    at grade "codec", and at grade "metrics" when the word set was small
+    enough to enumerate; with the "huffman" assignment the book's lengths
+    are optimal for the word probabilities and its metrics can beat the
+    construction's.
     """
 
     model: SourceModel
@@ -855,7 +847,8 @@ def _pipeline(
     node_limit: int,
 ) -> VVResult:
     n = model.arity
-    # a codec-grade word set past the limit is rejected in the joint DP
+    # a codec-grade merged set past the limit is refused early, in the
+    # joint DP
     limit = enum_limit if grade == "codec" else None
     if cap == "auto":
         cap_val, _, _, tables, history = choose_cap(
@@ -942,7 +935,8 @@ def _pipeline(
 
     book = None
     book_metrics = None
-    if final.word_count <= enum_limit:
+    # at grade codec the enumerator's count check refuses an oversized set
+    if grade == "codec" or final.word_count <= enum_limit:
         found = enumerate_words(model, classify, final, enum_limit)
         # one length per distinct (form, extra digit), not one per word
         keys = set(zip(found.forms, found.extra))
@@ -1079,12 +1073,15 @@ def construct_vv(
     are ints; anything else raises InputError, and so does a `t_max` other
     than the default with an int T.
 
-    At grade "codec" a word set of more than `enum_limit` words is rejected
-    inside the joint DP, as soon as the merged set passes the limit, so an
-    oversize auto candidate costs a few lattice levels, not a full build.
-    Each rejected candidate is logged at DEBUG on the
-    `wordcodes.vv_construct` logger, with its reason; nothing of it enters
-    `provenance`.
+    At grade "codec" the result always carries a book, and a word set of
+    more than `enum_limit` words raises ResourceError: inside the joint DP,
+    as soon as the merged set passes the limit, so an oversize candidate
+    costs a few lattice levels, not a full build, or else from
+    `enumerate_words`' count check on the final word set, before any node
+    is classified.  With an int T the refusal propagates as raised.  Auto T
+    tries the next candidate; each rejected one is logged at DEBUG on the
+    `wordcodes.vv_construct` logger as "T=<t>: <reason>", the text the
+    final refusal lists too, and nothing of it enters `provenance`.
 
     grade "metrics" skips nothing structural; it only tolerates word sets
     too large to enumerate, returning lattice-level metrics without a book.
@@ -1143,33 +1140,16 @@ def construct_vv(
         for choice in reversed(candidates):
             try:
                 result = build(choice)
-            except WordLimitError as exc:
-                reason, why = f"more than {exc.limit} words", str(exc)
             except ResourceError as exc:
-                reason = why = str(exc)
+                failure = f"T={choice}: {exc}"
+                failures.append(failure)
+                log.debug("auto T: rejected %s", failure)
             else:
-                if result.book is not None:
-                    result.provenance["t_selection"] = info
-                    return result
-                count = result.provenance["word_count"]
-                reason = f"{count} words"
-                why = f"{reason}, above the enumeration limit {enum_limit}"
-            failures.append(f"T={choice}: {reason}")
-            log.debug("auto T: rejected T=%d: %s", choice, why)
+                result.provenance["t_selection"] = info
+                return result
         raise ResourceError(
             "no candidate threshold parameter yields an enumerable word "
             "set: " + "; ".join(failures)
         )
 
-    choice = T
-    try:
-        result = build(choice)
-    except WordLimitError as exc:
-        raise ResourceError(f"the word set at T={choice} has {exc}") from exc
-    if grade == "codec" and result.book is None:
-        raise ResourceError(
-            f"the word set at T={choice} has "
-            f"{result.provenance['word_count']} words, above the "
-            f"enumeration limit {enum_limit}"
-        )
-    return result
+    return build(T)

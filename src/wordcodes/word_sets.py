@@ -830,10 +830,12 @@ def enumerate_words(
     per word.  A word's extra digit is set for a clean stop in the second
     set or at the cap, where the construction length gets one digit more.
     Iterative, so the cap, which bounds the depth, can exceed the
-    interpreter recursion limit.  Raises ResourceError, before any node is
-    classified, when the table counts more than `limit` words, and
-    ValidationError when the walk finds more words than the table counts
-    (as soon as it does), fewer, or leaves a second-set quota unused.
+    interpreter recursion limit.  Raises ResourceError, naming the count,
+    before any node is classified, when the table counts more than `limit`
+    words: the one refusal of an oversized word set for every fresh VF and
+    codec-grade VV book.  Raises ValidationError when the walk finds more
+    words than the table counts (as soon as it does), fewer, or leaves a
+    second-set quota unused.
 
     One depth-first walk for every source and classifier, under the
     table's cap, over (word, key, crossed, probability) frames keyed by
@@ -851,7 +853,8 @@ def enumerate_words(
     count = table.word_count
     if count > limit:
         raise ResourceError(
-            f"word set exceeds the enumeration limit of {limit}"
+            f"word set of {count} words exceeds the enumeration limit of "
+            f"{limit}"
         )
     keys = NodeKeys(model.m, table.cap, classify)
     # key -> clean words still to stop at that second-set class

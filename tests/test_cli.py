@@ -17,7 +17,9 @@ import wordcodes
 from wordcodes.cli import main
 from wordcodes.codec import PAD_TRAILER, decode_message
 from wordcodes.codebook import CodeBook
-from wordcodes.errors import InputError, ValidationError
+from wordcodes.analysis import scaling_experiment
+from wordcodes.diophantine import best_approx_denominators
+from wordcodes.errors import InputError, ResourceError, ValidationError
 from wordcodes.serialization import (
     FORMAT_TAG,
     book_from_json,
@@ -26,6 +28,8 @@ from wordcodes.serialization import (
     save_book,
 )
 from wordcodes.source_model import make_model, word_probabilities
+from wordcodes.vf_construct import construct_block, find_block_parameters
+from wordcodes.vv_construct import construct_vv, huffman_lengths
 from wordcodes.word_sets import sentinel_runs
 
 REFERENCE_ARGS = ["--probs", "0.4,0.6"]
@@ -603,6 +607,56 @@ def test_cli_analyze_rejects_undecodable_and_deeply_nested_books(
         load_book(str(path))
     assert main(["analyze", "--book", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+_REFERENCE_MODEL = make_model(["0.4", "0.6"], 2)
+_TWENTY_SEVEN_SYMBOLS = ",".join(["1/27"] * 27)
+
+
+@pytest.mark.parametrize(
+    "call, error, argv, code, text",
+    [
+        (lambda: construct_vv(_REFERENCE_MODEL, first_words=[(1,), (2,)],
+                              enum_limit=1),
+         ResourceError,
+         ["construct-vv", *REFERENCE_ARGS, "--m1", "a,b", "--enum-limit", "1"],
+         3, "explicit word lists exceed 1 words"),
+        (lambda: find_block_parameters(3, 1), InputError,
+         ["construct-block", "--input-size", "3", "--arity", "1",
+          "--list-pairs", "1"],
+         2, "output alphabet needs >= 2 digits, got 1"),
+        (lambda: construct_block(3, 1, 1, 2), InputError,
+         ["construct-block", "--input-size", "3", "--arity", "1",
+          "--X", "1", "--L", "2"],
+         2, "output alphabet needs >= 2 digits, got 1"),
+        (lambda: scaling_experiment(_REFERENCE_MODEL, t_list=[]), InputError,
+         ["experiment", "scaling", *REFERENCE_ARGS, "--t-list", ","],
+         2, "no threshold parameters to scan"),
+        (lambda: best_approx_denominators(0.3, 0), InputError, None, None,
+         "q_max must be >= 1, got 0"),
+        (lambda: make_model(["1/27"] * 27, 2), InputError,
+         ["construct-vv", "--probs", _TWENTY_SEVEN_SYMBOLS],
+         2, "provide labels explicitly for more than 26 symbols"),
+        (lambda: construct_vv(_REFERENCE_MODEL, T=4, cap=0), InputError,
+         ["construct-vv", *REFERENCE_ARGS, "--T", "4", "--cap", "0"],
+         2, "cap must be >= 1, got 0"),
+        (lambda: huffman_lengths([], 2), InputError, None, None,
+         "cannot build a code for zero words"),
+    ],
+)
+def test_public_input_checks_name_the_bad_value(
+    capsys, call, error, argv, code, text
+):
+    """Input checks of the public calls: the exact refusal, and, where the
+    command line reaches the check, its exit code and its one error line."""
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == text
+    if argv is not None:
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {text}\n"
+        assert "Traceback" not in captured.err
 
 
 def test_cli_metrics_grade_has_no_book_to_save(tmp_path, capsys):

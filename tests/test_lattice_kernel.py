@@ -58,11 +58,13 @@ def _dict_walk(classify):
     return lambda k: classify(k)
 
 
-def reference_enumeration(model, classify, cap, limit, taken, boundary):
+def reference_enumeration(model, classify, cap, limit, taken, boundary, count):
     """The per-node enumerator over profile tuples, as it was before the
     keyed walk: each child profile sliced out of its parent, each distinct
     profile classified once, every path stopped at the cap.  Returns its
-    (word, form, extra digit, carried product) list."""
+    (word, form, extra digit, carried product) list.  A walk that passes
+    `limit` words stops there, so its refusal names `count`, the DP's word
+    count, which it cannot reach itself (up to 8e30 words here)."""
     m = model.m
     symbol_probs = model._symbol_probs
     seen = {}
@@ -99,7 +101,8 @@ def reference_enumeration(model, classify, cap, limit, taken, boundary):
         out.append((child_word, form, second, child_p))
         if len(out) > limit:
             raise ResourceError(
-                f"word set exceeds the enumeration limit of {limit}"
+                f"word set of {count} words exceeds the enumeration limit of "
+                f"{limit}"
             )
     return out
 
@@ -461,7 +464,8 @@ def test_flat_kernel_matches_the_dict_walk_on_window_rules():
 
 def test_flat_kernel_trips_the_node_limit_where_the_dict_walk_does():
     """Node limits, and enumeration limits on the joint DP: both walks
-    raise the same error, a WordLimitError at the same level, or neither.
+    raise the same error, an early word-limit refusal at the same level, or
+    neither.
     The merged set of T=8 at cap 64 passes 0..8 words at levels 2..6."""
     model = make_model(["0.4", "0.6"], 2)
     tripped = 0
@@ -482,9 +486,11 @@ def test_flat_kernel_trips_the_node_limit_where_the_dict_walk_does():
                     _joint_dp, model, _dict_walk(classify), cap, limit,
                     enum_limit,
                 )
-                if joint[:2] == ("error", "WordLimitError"):
-                    level = re.search(r"at level (\d+) ", joint[2])[1]
-                    word_limit_levels.add((T, int(level)))
+                early = joint[0] == "error" and re.search(
+                    r"at level (\d+) of cap", joint[2]
+                )
+                if early:
+                    word_limit_levels.add((T, int(early[1])))
                 elif T == 6 and enum_limit is None:
                     tripped += joint[0] == "error"
             final = _outcome(lattice_metrics, model, classify, cap, limit)
@@ -669,7 +675,8 @@ def _checked_enumeration(model, classify, cap, limit, taken=(), boundary=None):
 
     found = _enumeration(word_sets.enumerate_words, model, counted, table, limit)
     assert found == _enumeration(
-        reference_enumeration, model, classify, cap, limit, taken, boundary
+        reference_enumeration, model, classify, cap, limit, taken, boundary,
+        table.word_count,
     )
     assert (found[0] == "error") == (table.word_count > limit)
     assert found[0] == "error" or found[1] == table.word_count

@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -945,6 +946,19 @@ def test_t_max_is_refused_where_no_automatic_t_reads_it(binary_model):
     assert auto.T == 4
 
 
+@pytest.mark.parametrize("t_max", [True, 2.5, "5", None])
+def test_t_max_must_be_an_int(binary_model, t_max):
+    """A bool or a float would build a ladder quietly (T=1 here), and a
+    str or None would fail deep in a comparison: every public call that
+    reads t_max refuses them by name."""
+    text = f"t_max must be an int, got {t_max!r}"
+    for call in (construct_vv, scaling_experiment):
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            call(binary_model, t_max=t_max)
+    with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+        threshold_parameter_candidates(binary_model, t_max)
+
+
 def test_the_empty_word_is_a_prefix_of_every_word(binary_model):
     """One prefix rule: the empty word starts every word, in the prefix
     test, in `wedge`, and so in the Kraft sum of the full merge."""
@@ -1244,10 +1258,13 @@ def test_final_word_count_rejection_is_logged(caplog):
     assert result.T == 6
     reasons = [r.getMessage() for r in caplog.records]
     assert len(reasons) == 2
-    assert reasons[0].startswith("auto T: rejected T=13: 2892113928776")
-    assert reasons[0].endswith(" words, above the enumeration limit 20")
+    assert reasons[0].startswith(
+        "auto T: rejected T=13: word set of 2892113928776"
+    )
+    assert reasons[0].endswith(" words exceeds the enumeration limit of 20")
     assert reasons[1] == (
-        "auto T: rejected T=7: 26 words, above the enumeration limit 20"
+        "auto T: rejected T=7: word set of 26 words exceeds the enumeration "
+        "limit of 20"
     )
 
 
@@ -1258,3 +1275,56 @@ def test_oversize_candidates_cost_little():
     result = construct_vv(make_model(["0.1", "0.9"], 2))
     assert result.T == 7 and result.provenance["word_count"] == 26
     assert time.perf_counter() - start < 5.0
+
+
+def test_int_t_codec_build_over_the_final_limit_classifies_no_node(
+    monkeypatch,
+):
+    """The merged set of T=7 fits in 20 words, its final set has 26: the
+    enumerator's count check refuses it before it classifies a node, and
+    the refusal propagates as raised."""
+    import wordcodes.word_sets as ws
+
+    model = make_model(["0.1", "0.9"], 2)
+    calls = []
+    real = ws.NodeKeys.node
+
+    def counting(self, key):
+        calls.append(key)
+        return real(self, key)
+
+    monkeypatch.setattr(ws.NodeKeys, "node", counting)
+    text = "word set of 26 words exceeds the enumeration limit of 20"
+    with pytest.raises(ResourceError, match=f"^{text}$"):
+        construct_vv(model, T=7, enum_limit=20)
+    assert calls == []
+    # the same build enumerates at the limit of 26, and classifies nodes
+    assert len(construct_vv(model, T=7, enum_limit=26).book.words) == 26
+    assert calls
+
+
+def test_auto_failure_text_names_each_candidate_once(binary_model, caplog):
+    """Each rejected candidate is `T=<t>: ` and the full refusal of the
+    int-T build, in the aggregate text and in its DEBUG line alike: here
+    the node limit for T=19 and the joint DP's early exit for the rest."""
+    limits = {"enum_limit": 1, "node_limit": 1000}
+    failures = []
+    for t in (19, 4, 3, 1):
+        with pytest.raises(ResourceError) as info:
+            construct_vv(binary_model, T=t, **limits)
+        failures.append(f"T={t}: {info.value}")
+    assert "more than 1000 lattice nodes" in failures[0]
+    assert all("at level" in failure for failure in failures[1:])
+    with caplog.at_level("DEBUG", logger="wordcodes.vv_construct"):
+        with pytest.raises(ResourceError) as info:
+            construct_vv(binary_model, **limits)
+    text = str(info.value)
+    assert text == (
+        "no candidate threshold parameter yields an enumerable word set: "
+        + "; ".join(failures)
+    )
+    for t in (19, 4, 3, 1):
+        assert text.count(f"T={t}: ") == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"auto T: rejected {failure}" for failure in failures
+    ]
