@@ -7,6 +7,7 @@ import hashlib
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import accumulate, chain
 
 import pytest
@@ -453,15 +454,13 @@ def test_sync_experiment_is_deterministic_per_seed(vf3_book):
     assert [t.position for t in a.records] == [t.position for t in b.records]
 
 
-def test_sync_experiment_reports_are_pinned(
-    reference_book, vf3_book, make_random_book
-):
-    """Reports recorded from the two-decoder codec, before the decode loops
-    were merged: any change in what the tolerant decoder returns, or in the
-    order of the RNG draws, moves at least one of these values."""
+def _pinned_sync_runs(reference_book, vf3_book, make_random_book):
+    """Each book with its pinned digit-flip report (seed 11, 200 trials of
+    200 symbols): histogram, mean, worst, single-word fraction and the
+    sha256 of its records."""
     stretched = make_random_book(random.Random(0), "stretched")
     assert stretched.kraft_exact() < 1  # flips can reach dead branches
-    expected = [
+    return [
         (reference_book, {1: 74, 2: 97, 3: 23, 4: 4, 5: 2}, 1.815, 5, 0.37,
          "58fecfbe24782a6efff5d71795fbbad6d2f89d83bb069bd82e2340fce087412b"),
         (vf3_book, {1: 200}, 1.0, 1, 1.0,
@@ -469,14 +468,27 @@ def test_sync_experiment_reports_are_pinned(
         (stretched, {1: 135, 2: 47, 3: 13, 4: 4, 6: 1}, 1.45, 6, 0.675,
          "57913269c497353707570d7524bd7d45ce85ecf2876fd034066a24c7477b99e9"),
     ]
-    for book, histogram, mean, worst, single, records_sha in expected:
+
+
+def _assert_pinned_sync_report(report, histogram, mean, worst, single, records_sha):
+    assert report.histogram == histogram
+    assert report.mean_affected == mean
+    assert report.max_affected == worst
+    assert report.single_word_fraction == single
+    rows = repr([dataclasses.astuple(t) for t in report.records])
+    assert hashlib.sha256(rows.encode()).hexdigest() == records_sha
+
+
+def test_sync_experiment_reports_are_pinned(
+    reference_book, vf3_book, make_random_book
+):
+    """Reports recorded from the two-decoder codec, before the decode loops
+    were merged: any change in what the tolerant decoder returns, or in the
+    order of the RNG draws, moves at least one of these values."""
+    runs = _pinned_sync_runs(reference_book, vf3_book, make_random_book)
+    for book, *pinned in runs:
         report = sync_error_experiment(book, trials=200, message_len=200, seed=11)
-        assert report.histogram == histogram
-        assert report.mean_affected == mean
-        assert report.max_affected == worst
-        assert report.single_word_fraction == single
-        rows = repr([dataclasses.astuple(t) for t in report.records])
-        assert hashlib.sha256(rows.encode()).hexdigest() == records_sha
+        _assert_pinned_sync_report(report, *pinned)
 
 
 def test_sync_experiment_validates_arguments(vf3_book):
@@ -870,6 +882,159 @@ def test_codec_use_leaves_equality_hash_repr_and_json_alone(
         assert book._parse and untouched._parse == {}
         assert (hash(book), repr(book), book_to_json(book)) == before
         assert book == untouched and untouched == book
+
+
+# -- built tables read by every input ----------------------------------------
+
+
+@pytest.fixture
+def table_walks(monkeypatch):
+    """(table id, items read) for each chunk-table walk while the test runs."""
+    walks: list[tuple[int, int]] = []
+    walk = codec._table_walk
+
+    def counting(table, width, data, *args, **kwargs):
+        walks.append((id(table), len(data)))
+        return walk(table, width, data, *args, **kwargs)
+
+    monkeypatch.setattr(codec, "_table_walk", counting)
+    return walks
+
+
+def _with_built_tables(book, rng):
+    """A copy of `book` whose encoder table, and decoder table where its
+    codewords differ in length, long inputs have built."""
+    book = dataclasses.replace(book)
+    message = sample_symbols(book.model, rng, 2 * _encode_threshold(book))
+    digits = ""
+    while len(digits) < _decode_threshold(book):
+        digits += encode_message(book, message)[0]
+    _decoder(book)(digits)
+    uniform = len(set(map(len, book.codewords))) == 1
+    assert _encode_table(book) is not None
+    assert (book._parse[codec._CodewordParse].table is None) == uniform
+    return book
+
+
+def test_built_encode_tables_serve_short_messages(table_books, table_walks):
+    rng = random.Random(19)
+    for name, book in table_books.items():
+        book = _with_built_tables(book, rng)
+        m = book.model.m
+        width = _chunk_width(m, len(book.words))
+        lengths = sorted({0, 1, width - 1, width, _encode_threshold(book) - 1})
+        table_walks.clear()
+        # each message on a fresh encoder, and all of them on one
+        enc, ref = Encoder(book), _FeedReference(book)
+        for length in lengths:
+            message = sample_symbols(book.model, rng, length)
+            cases = [(message, True), (message, False)]
+            # the bad symbol at the first, middle or last position
+            for bad in (0, m + 1, 300, -1, 1.0):
+                for where in sorted({0, length // 2, max(length - 1, 0)}):
+                    damaged = message[:where] + [bad] + message[where + 1 :]
+                    cases += [(damaged, True), (damaged, False)]
+            for symbols, pad in cases:
+                _same_as_reference(book, symbols, pad)
+                _same_as_reference(book, symbols, pad, enc=enc, ref=ref)
+        # every clean length was read through the built table
+        table = id(_encode_table(book))
+        assert {n for t, n in table_walks if t == table} >= set(lengths), name
+
+
+def test_built_decode_tables_serve_short_streams(table_books, table_walks):
+    rng = random.Random(20)
+    for name, book in table_books.items():
+        book = _with_built_tables(book, rng)
+        glyphs = DIGIT_GLYPHS[: book.model.arity]
+        size = _decode_threshold(book)
+        digits = ""
+        while len(digits) < size:
+            digits += encode_message(book, sample_symbols(book.model, rng, 200))[0]
+        # clean streams cut at codeword ends below n^K digits, then each
+        # with a flipped digit, a foreign one (a dead branch) and a
+        # dangling tail
+        lengths = dict(zip(book.words, map(len, book.codewords)))
+        ends = [0, *accumulate(map(lengths.get, decode_words(book, digits)))]
+        ends = [e for e in ends if e < size]
+        picked = rng.sample(ends[1:], min(8, len(ends) - 1))
+        clean = [digits[:e] for e in sorted({0, ends[-1], *picked})]
+        streams = list(clean)
+        for stream in clean[1:]:
+            at = rng.randrange(len(stream))
+            flipped = rng.choice([c for c in glyphs if c != stream[at]])
+            streams.append(stream[:at] + flipped + stream[at + 1 :])
+            streams.append(stream[:at] + rng.choice("x9A ") + stream[at + 1 :])
+            streams.append(stream[:-1])
+        table_walks.clear()
+        decode = _decoder(book)
+        calls = 0
+        for stream in streams:
+            want = _reference_decode(book, stream)
+            assert decode(stream) == want, (name, stream)
+            assert _strict(book, stream) == _reference_strict(book, stream), name
+            calls += 2
+            if None not in want:
+                symbols = list(chain.from_iterable(want))
+                assert decode_message(book, stream) == symbols, (name, stream)
+                calls += 1
+        # a trie-decoded book read every stream through its built table
+        uniform = len(set(map(len, book.codewords))) == 1
+        assert len(table_walks) == (0 if uniform else calls), name
+
+
+def test_encode_table_pieces_join_their_codewords(
+    table_books, codec_workload_books
+):
+    rng = random.Random(21)
+    for book in (*table_books.values(), *codec_workload_books):
+        table = _encode_table(_with_built_tables(book, rng))
+        for done, used, _, _, piece in table.values():
+            assert type(piece) is str and piece == "".join(done)
+            assert bool(piece) == bool(used)
+
+
+def test_sync_experiment_on_built_tables_keeps_its_pinned_reports(
+    reference_book, vf3_book, make_random_book, table_walks
+):
+    rng = random.Random(22)
+    runs = _pinned_sync_runs(reference_book, vf3_book, make_random_book)
+    for book, *pinned in runs:
+        built = _with_built_tables(book, rng)
+        table_walks.clear()
+        report = sync_error_experiment(built, trials=200, message_len=200, seed=11)
+        # each trial encoded through the built encoder table, and decoded
+        # its clean and its flipped stream through the decoder table
+        reads = Counter(t for t, _ in table_walks)
+        _assert_pinned_sync_report(report, *pinned)
+        fresh = dataclasses.replace(book)
+        assert report == sync_error_experiment(
+            fresh, trials=200, message_len=200, seed=11
+        )
+        assert reads[id(_encode_table(built))] == 200
+        decoder = built._parse[codec._CodewordParse].table
+        assert reads[id(decoder)] == (0 if decoder is None else 400)
+
+
+def test_sync_experiment_reports_the_same_through_built_tables(
+    codec_workload_books, table_walks
+):
+    """The codec benchmark's books, whose 1000-symbol trials stay below
+    both thresholds: a fresh copy runs them with no table, a streamed copy
+    through both tables, and the two reports are equal."""
+    rng = random.Random(23)
+    for book in codec_workload_books:
+        built = _with_built_tables(book, rng)
+        fresh = dataclasses.replace(book)
+        table_walks.clear()
+        report = sync_error_experiment(built, trials=30, message_len=1000, seed=11)
+        uniform = len(set(map(len, book.codewords))) == 1
+        assert len(table_walks) == 30 * (1 + 2 * (not uniform))
+        table_walks.clear()
+        assert report == sync_error_experiment(
+            fresh, trials=30, message_len=1000, seed=11
+        )
+        assert table_walks == [] and _encode_table(fresh) is None
 
 
 # -- symbol pieces ------------------------------------------------------------

@@ -286,6 +286,16 @@ def test_node_classifier_rejects_rules_it_cannot_walk(binary_model,
         NodeClassifier(EmptyRule(), EmptyRule())
 
 
+def test_level_tables_refuse_sources_of_more_than_two_symbols(ternary_model):
+    classify = NodeClassifier(ThresholdLowRule(ternary_model.d, 0.5), EmptyRule())
+    message = "^level tables are for two-symbol sources$"
+    with pytest.raises(InputError, match=message):
+        classify.level(1)
+    # no level is kept, so the next call raises again
+    with pytest.raises(InputError, match=message):
+        classify.level(0)
+
+
 def test_window_rule_edges_are_half_open():
     rule = WindowRule((1.0, 2.0), 3.0, 5.0)
     left = rule.lo + THRESHOLD_TOL
