@@ -73,10 +73,10 @@ def construct_vf(
     probability is at least n^-L; below that the construction degrades to
     the plain symbol-by-symbol map, which stays decodable but loses the
     window guarantee.  L, enum_limit and node_limit are ints, not bools;
-    anything else raises InputError.  Inside the window the word set is
-    counted by `lattice_metrics` and listed by `enumerate_words` from that
-    table, which raises ResourceError above `enum_limit` words before it
-    walks.
+    anything else, or a negative limit, raises InputError.  Inside the
+    window the word set is counted by `lattice_metrics` and listed by
+    `enumerate_words` from that table, which raises ResourceError above
+    `enum_limit` words before it walks.
 
     Rows are sorted by each word's float probability, descending, with
     ties in lexicographic order, and take the length-L strings in
@@ -91,6 +91,8 @@ def construct_vf(
         raise InputError(f"output length must be >= 1, got {L}")
     if enum_limit < 0:
         raise InputError(f"enumeration limit must be >= 0, got {enum_limit}")
+    if node_limit < 0:
+        raise InputError(f"node limit must be >= 0, got {node_limit}")
     # n**L is never built: L may be far too large for it
     if not power_fits(model.m, 1, n, L):
         raise InfeasibleError(

@@ -1070,8 +1070,8 @@ def construct_vv(
     two threshold sets cannot overlap).  The cap ("auto": doubling until
     the cap mass falls below T^-2) bounds word length in every case.  T
     and cap are "auto" or an int (not a bool), enum_limit and node_limit
-    are ints; anything else raises InputError, and so does a `t_max` other
-    than the default with an int T.
+    are ints of at least 0; anything else raises InputError, and so does a
+    `t_max` other than the default with an int T.
 
     At grade "codec" the result always carries a book, and a word set of
     more than `enum_limit` words raises ResourceError: inside the joint DP,
@@ -1093,6 +1093,8 @@ def construct_vv(
     require_int(enum_limit=enum_limit, node_limit=node_limit)
     if enum_limit < 0:
         raise InputError(f"enumeration limit must be >= 0, got {enum_limit}")
+    if node_limit < 0:
+        raise InputError(f"node limit must be >= 0, got {node_limit}")
 
     if first_words is not None or second_words is not None:
         if first_words is None:

@@ -52,7 +52,10 @@ knockout sweep of `vv_construct`, share one node key, `NodeKeys`: the
 mixed-radix int `sum(k_i * (cap + 1) ** i)` of a profile k, its children
 one step each, and a node's (form, flags), with every node at the cap in
 both sets.  The enumerator is one depth-first walk for every source over
-those keys, and visits only the nodes its words pass through.
+those keys.  A path stops at a node by that node's flags alone, so the
+subtree below a node depends only on the node, the prefix product carried
+into it and whether the path has crossed the second set: the walk visits
+each distinct such subtree once and copies its rows wherever it recurs.
 """
 
 from __future__ import annotations
@@ -826,22 +829,21 @@ def enumerate_words(
     """The words of a `lattice_metrics` table, in lexicographic order.
 
     `classify` is the classifier the table was built under.  Returns the
-    words as a `WordTable`: one append per column and word, and no record
-    per word.  A word's extra digit is set for a clean stop in the second
-    set or at the cap, where the construction length gets one digit more.
-    Iterative, so the cap, which bounds the depth, can exceed the
+    words as a `WordTable`: one append per column and walked word, and no
+    record per word.  A word's extra digit is set for a clean stop in the
+    second set or at the cap, where the construction length gets one digit
+    more.  Iterative, so the cap, which bounds the depth, can exceed the
     interpreter recursion limit.  Raises ResourceError, naming the count,
     before any node is classified, when the table counts more than `limit`
     words: the one refusal of an oversized word set for every fresh VF and
     codec-grade VV book.  Raises ValidationError when the walk finds more
-    words than the table counts (as soon as it does), fewer, or leaves a
-    second-set quota unused.
+    words than the table counts (right after the word or copied subtree
+    that passes the count), fewer, or leaves a second-set quota unused.
 
     One depth-first walk for every source and classifier, under the
     table's cap, over (word, key, crossed, probability) frames keyed by
-    `NodeKeys`, symbol 1 popped first; `classify` is called once per
-    distinct profile reached, and the cap stops every path.  A clean path
-    at a second-set node stops there while that class's quota in
+    `NodeKeys`, symbol 1 popped first; the cap stops every path.  A clean
+    path at a second-set node stops there while that class's quota in
     `table.second_stops` lasts, so a boundary class stops its
     lexicographically first words, and otherwise crosses and runs on.
 
@@ -849,6 +851,18 @@ def enumerate_words(
     from 1.0 as `word_probability` multiplies, so the probability is the
     same float: fresh VF and VV books take their probabilities from there,
     and their metrics from these forms.
+
+    Below a node, the words, forms and extra digits depend only on the
+    node, the carried product `p` and whether the path has crossed, and
+    equal products times the same symbols give equal floats.  So the walk
+    expands each distinct (key, p, crossed) once and, where it recurs,
+    copies the rows of the first: their forms, extra digits and
+    probabilities, and their words with this frame's word in place of the
+    first's prefix, in C-level passes.  Only a subtree's row range is kept,
+    not its rows.  Clean paths consult the quotas, so a clean subtree is
+    shared only once every quota is used up; crossed ones always are.
+    `classify` is called at most once per distinct profile, and only for
+    nodes of the subtrees the walk expands.
     """
     count = table.word_count
     if count > limit:
@@ -859,23 +873,31 @@ def enumerate_words(
     keys = NodeKeys(model.m, table.cap, classify)
     # key -> clean words still to stop at that second-set class
     quota = {keys.key_of(k): j for k, j in table.second_stops.items()}
+    quota_left = sum(quota.values())
     # key -> (form, flags), one classification per distinct profile; the
     # origin is in neither set
     nodes: dict[int, tuple[float, int]] = {0: (0.0, 0)}
+    # (key, p, crossed) -> (first row, end row, depth) of a walked subtree
+    walked: dict[tuple[int, float, bool], tuple[int, int, int]] = {}
     # each frame's children, pushed last symbol first; the walk adds the
     # steps itself, since a `children` call per frame made the `build`
     # benchmark's round about 10 % slower
     children = [((i + 1,), keys.steps[i], p) for i, p in enumerate(model.probs)]
     children.reverse()
     out = WordTable([], [], bytearray(), [])
-    words = out.words
-    add_word, add_form = words.append, out.forms.append
-    add_extra, add_prob = out.extra.append, out.probs.append
-    stack: list[tuple[Word, int, bool, float]] = [((), 0, False, 1.0)]
+    words, forms, extra, probs = out.words, out.forms, out.extra, out.probs
+    add_word, add_form = words.append, forms.append
+    add_extra, add_prob = extra.append, probs.append
+    # word frames (word, key, crossed, p), and the end frame (None,
+    # (key, p, crossed), first row, depth) of each subtree being walked
+    stack: list[tuple] = [((), 0, False, 1.0)]
     pop, push = stack.pop, stack.append
     disagrees = "enumerated word count disagrees with the lattice DP"
     while stack:
         word, key, crossed, p = pop()
+        if word is None:
+            walked[key] = (crossed, len(words), p)
+            continue
         form, flags = nodes.get(key) or nodes.setdefault(key, keys.node(key))
         # a clean path at a second-set node stops there, with the extra
         # digit, while its class's quota lasts
@@ -883,6 +905,7 @@ def enumerate_words(
             left = quota.get(key)
             if left:
                 quota[key] = left - 1
+                quota_left -= 1
                 flags = FIRST | SECOND
             else:
                 crossed = True
@@ -894,6 +917,21 @@ def enumerate_words(
             if len(words) > count:
                 raise ValidationError(disagrees)
             continue
+        if crossed or not quota_left:
+            shared = (key, p, crossed)
+            rows = walked.get(shared)
+            if rows:
+                # the subtree's rows again, under this word
+                start, end, depth = rows
+                tail = itemgetter(slice(depth, None))
+                words += map(word.__add__, map(tail, words[start:end]))
+                forms += forms[start:end]
+                extra += extra[start:end]
+                probs += probs[start:end]
+                if len(words) > count:
+                    raise ValidationError(disagrees)
+                continue
+            push((None, shared, len(words), len(word)))
         for symbol, step, p_s in children:
             push((word + symbol, key + step, crossed, p * p_s))
     if len(words) < count or any(quota.values()):

@@ -18,6 +18,7 @@ import math
 import random
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -794,3 +795,179 @@ def test_enumeration_splits_a_class_where_the_reference_does():
                     _checked_enumeration(model, classify, cap, 5000, (), split)
                     splits += 1
     assert splits >= 10
+
+
+def _quota_rows(model, words, second_stops):
+    """The indices of the words that stop at a taken or boundary class."""
+    symbols = range(1, model.m + 1)
+    return [
+        i
+        for i, word in enumerate(words)
+        if tuple(map(word.count, symbols)) in second_stops
+    ]
+
+
+def _copied_rows(model, classify, words, quota_rows):
+    """The indices of rows that a walk sharing subtrees must copy, each
+    with whether its shared node was crossed.
+
+    A row is copied when one of its word's proper prefixes reaches a node
+    that an earlier row's different prefix reached first, with the same
+    prefix product (multiplied left to right from 1.0) and the same crossed
+    state: that earlier subtree is complete by then.  A clean node counts
+    only where its first row comes after the last quota stop, since clean
+    paths consult the quotas until then."""
+    last_quota = max(quota_rows, default=-1)
+    probs = model._symbol_probs
+    flags_of = {}
+    first = {}
+    copied = {}
+    for i, word in enumerate(words):
+        profile = [0] * model.m
+        p, crossed = 1.0, False
+        for depth, symbol in enumerate(word[:-1], 1):
+            profile[symbol - 1] += 1
+            p *= probs[symbol]
+            k = tuple(profile)
+            if k not in flags_of:
+                flags_of[k] = classify(k)[1]
+            # a clean path crosses every second-set node it runs on through
+            crossed = crossed or flags_of[k] == SECOND
+            prefix, row = first.setdefault((k, p, crossed), (word[:depth], i))
+            if prefix != word[:depth] and (crossed or row > last_quota):
+                copied[i] = crossed
+                break
+    return copied
+
+
+def test_clean_subtrees_are_shared_once_the_quotas_run_out():
+    """One class taken and one split, on the two-symbol sources with
+    T >= 10 under a cap of 12.  Where both quotas run out partway through
+    the walk and clean subtrees repeat after the last quota stop, the walk
+    copies them; its rows are still the per-node reference's."""
+    shared = 0
+    for model, T in _two_symbol_sources():
+        if T < 10:
+            continue
+        cap = 12
+        set_low, set_high = build_threshold_sets(model, T, cap)
+        classify = NodeClassifier(set_low.rule, set_high.rule)
+        clean = {}
+        for level in range(2, cap):
+            for a, flags in enumerate(classify.level(level)):
+                k = (a, level - a)
+                if flags == SECOND:
+                    table = lattice_metrics(model, classify, cap, taken={k})
+                    if k in table.second_stops:
+                        clean[k] = table.second_stops[k]
+        for taken, split in itertools.permutations(clean, 2):
+            for j in sorted({1, clean[split] - 1} - {0}):
+                found = _checked_enumeration(
+                    model, classify, cap, 5000, {taken}, (split, j)
+                )
+                if found[0] == "refused":
+                    continue
+                table = lattice_metrics(
+                    model, classify, cap, taken={taken}, boundary=(split, j)
+                )
+                words = word_sets.enumerate_words(
+                    model, classify, table, 5000
+                ).words
+                stops = _quota_rows(model, words, table.second_stops)
+                copied = _copied_rows(model, classify, words, stops)
+                shared += (
+                    len(table.second_stops) == 2
+                    and max(stops) < len(words) - 1
+                    and any(not crossed for crossed in copied.values())
+                )
+    assert shared >= 10
+
+
+def _permuted_word_build(monkeypatch):
+    """(3, 1, 2, 4)/10, n=3, T=6, cap 5, where permuted words differ in
+    their floats: the model, classifier and final table of its build."""
+    model = make_model(["0.3", "0.1", "0.2", "0.4"], 3)
+    finals = []
+
+    def recording(model, classify, table, limit):
+        finals.append((classify, table))
+        return word_sets.enumerate_words(model, classify, table, limit)
+
+    monkeypatch.setattr(vv_construct, "enumerate_words", recording)
+    result = construct_vv(model, T=6, cap=5)
+    assert result.provenance["boundary_profile"] == [1, 2, 1, 0]
+    assert result.provenance["boundary_words"] == 1
+    ((classify, table),) = finals
+    return model, classify, table
+
+
+def test_enumeration_keeps_apart_permuted_words_with_other_floats(
+    monkeypatch,
+):
+    """Words of one profile class can carry different probability floats,
+    so a node reached with another prefix product roots another subtree.
+    On the final table of the (3, 1, 2, 4)/10 build, with six taken classes
+    and the boundary (1, 2, 1, 0) split at 1 of its words, the rows are the
+    per-node reference's, and some of them are copies."""
+    model, classify, table = _permuted_word_build(monkeypatch)
+    boundary = ((1, 2, 1, 0), 1)
+    taken = set(table.second_stops) - {boundary[0]}
+    assert len(taken) == 6 and table.second_stops[boundary[0]] == 1
+    found = _checked_enumeration(
+        model, classify, table.cap, table.word_count, taken, boundary
+    )
+    assert found[1] == table.word_count == 64
+    out = word_sets.enumerate_words(model, classify, table, table.word_count)
+    floats = {}
+    for word, p in zip(out.words, out.probs):
+        floats.setdefault(tuple(map(word.count, (1, 2, 3, 4))), set()).add(p)
+    assert max(map(len, floats.values())) > 1
+    stops = _quota_rows(model, out.words, table.second_stops)
+    assert _copied_rows(model, classify, out.words, stops)
+
+
+def test_a_surplus_word_inside_a_copied_subtree_is_refused(monkeypatch):
+    """A table that counts i words, where the walk's row i lies in a copied
+    subtree: the walk raises the count ValidationError right after that
+    copy, having classified only nodes on the paths of rows 0..i, as the
+    per-node walk would by its row i.  On VF windows over two and three
+    symbols, and on the (3, 1, 2, 4)/10 build's table with its quotas."""
+    tables = [_permuted_word_build(monkeypatch)]
+    for probs, L in [(["0.4", "0.6"], 9), (["0.2", "0.3", "0.5"], 8)]:
+        model = make_model(probs, 2)
+        d_max = max(model.d)
+        cap = int((L - d_max) / min(model.d)) + 2
+        window = NodeClassifier(
+            WindowRule(model.d, L - d_max, float(L)), EmptyRule()
+        )
+        tables.append((model, window, lattice_metrics(model, window, cap)))
+    for model, classify, table in tables:
+        words = word_sets.enumerate_words(
+            model, classify, table, table.word_count
+        ).words
+        stops = _quota_rows(model, words, table.second_stops)
+        copied = _copied_rows(model, classify, words, stops)
+        assert copied
+        symbols = range(1, model.m + 1)
+        reached = set()
+        for i, word in enumerate(words):
+            reached.update(
+                tuple(map(word[:depth].count, symbols))
+                for depth in range(1, len(word) + 1)
+            )
+            if i not in copied:
+                continue
+            calls = []
+
+            def counted(k):
+                calls.append(k)
+                return classify(k)
+
+            with pytest.raises(
+                ValidationError,
+                match="^enumerated word count disagrees with the lattice DP$",
+            ):
+                word_sets.enumerate_words(
+                    model, counted, replace(table, word_count=i), 10**6
+                )
+            assert reached.issuperset(calls)

@@ -117,6 +117,16 @@ def test_vf_rejects_a_negative_enumeration_limit(binary_model):
     assert construct_vf(binary_model, 3, enum_limit=5).book is not None
 
 
+def test_vf_rejects_a_negative_node_limit(binary_model):
+    """A negative node limit is bad input, refused before any walk, not a
+    walk that stops at once."""
+    for limit in (-1, -5):
+        with pytest.raises(
+            InputError, match=f"^node limit must be >= 0, got {limit}$"
+        ):
+            construct_vf(binary_model, 8, node_limit=limit)
+
+
 def test_vf_metrics_delta_matches_unassigned_codewords(binary_model, vf3_book):
     # 5 words in an 8-codeword space: Kraft slack is exactly 3/8
     met = construct_vf(binary_model, 3).metrics

@@ -398,6 +398,20 @@ def test_negative_enumeration_limit_is_an_input_error(binary_model):
         construct_vv(binary_model, first_words=[(1,), (2,)], enum_limit=-1)
 
 
+def test_negative_node_limit_is_an_input_error(binary_model):
+    """Refused before the cap's up-front node check, in every mode."""
+    for limit in (-1, -5):
+        message = f"^node limit must be >= 0, got {limit}$"
+        with pytest.raises(InputError, match=message):
+            construct_vv(binary_model, T=4, node_limit=limit)
+        with pytest.raises(InputError, match=message):
+            construct_vv(binary_model, node_limit=limit)
+        with pytest.raises(InputError, match=message):
+            construct_vv(
+                binary_model, first_words=[(1,), (2,)], node_limit=limit
+            )
+
+
 def test_merge_reproduces_reference_trace(binary_model, reference_result):
     result = reference_result
     assert result.path == "extended"
